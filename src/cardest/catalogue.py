@@ -20,7 +20,8 @@ from . import oracle
 from .errors import CatalogueFormatError, ConfigError, QueryValidationError
 from .graphstore import LabeledGraph, dump_graph
 from .oracle import FWD, REV, LabelStep
-from .querymodel import QEdge, QueryGraph, Subquery, connected_subqueries, cycles
+from .querymodel import (QEdge, QueryGraph, Subquery, connected_subqueries, cycles,
+                         subsets)
 
 FORMAT_VERSION = 1
 
@@ -61,10 +62,6 @@ def canonical_form(pattern: Pattern) -> tuple[str, tuple[tuple[str, int], ...]]:
 
 def canonical_key(sub: Subquery) -> str:
     return canonical_form(sub.pattern())[0]
-
-
-def pattern_of(sub: Subquery) -> Pattern:
-    return sub.pattern()
 
 
 def _key_to_query(key: str) -> QueryGraph:
@@ -225,6 +222,11 @@ class Catalogue:
     def graph_signature(self) -> str | None:
         return (self.meta.get("graph") or {}).get("sha256")
 
+    def check_graph(self, g: LabeledGraph) -> None:
+        """Raise ConfigError unless built from `g`: other statistics void the bound."""
+        if self.graph_signature() != _graph_sha256(g):
+            raise ConfigError("catalogue was built from a different graph (sha256 mismatch)")
+
 
 # ---------------------------------------------------------------------------
 # Construction
@@ -279,10 +281,14 @@ def build_catalogue(
             "vertices": len(g.vertices),
             "edges": len(g.edges),
             "labels": len(g.labels),
-            "sha256": hashlib.sha256(dump_graph(g).encode("utf-8")).hexdigest(),
+            "sha256": _graph_sha256(g),
         },
     }
     return cat
+
+
+def _graph_sha256(g: LabeledGraph) -> str:
+    return hashlib.sha256(dump_graph(g).encode("utf-8")).hexdigest()
 
 
 def _degree_table(rep: QueryGraph, rows: list[tuple[int, ...]]) -> dict[str, int]:
@@ -290,10 +296,10 @@ def _degree_table(rep: QueryGraph, rows: list[tuple[int, ...]]) -> dict[str, int
     n = len(rep.vars)
     uniq = sorted(set(rows))
     table: dict[str, int] = {}
-    subsets = _subsets(range(n))
-    for y in subsets:
+    all_subsets = subsets(range(n))
+    for y in all_subsets:
         y_set = frozenset(y)
-        for x in subsets:
+        for x in all_subsets:
             if not frozenset(x) <= y_set:
                 continue
             if not uniq:
@@ -305,14 +311,6 @@ def _degree_table(rep: QueryGraph, rows: list[tuple[int, ...]]) -> dict[str, int
                     tuple(row[i] for i in y))
             table[_deg_entry_key(x, y)] = max(len(v) for v in buckets.values())
     return table
-
-
-def _subsets(items: Iterable[int]) -> list[tuple[int, ...]]:
-    items = list(items)
-    out: list[tuple[int, ...]] = [()]
-    for item in items:
-        out += [s + (item,) for s in out]
-    return sorted(out, key=lambda s: (len(s), s))
 
 
 def _build_closing_rates(cat: Catalogue, g: LabeledGraph, workload: Sequence[QueryGraph],
@@ -447,7 +445,9 @@ def load(source: IO[str] | str) -> Catalogue:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CatalogueFormatError(f"not a catalogue file: {exc}") from None
-    if not isinstance(payload, dict) or payload.get("version") != FORMAT_VERSION:
+    if not isinstance(payload, dict):
+        raise CatalogueFormatError("not a catalogue file: top level is not an object")
+    if payload.get("version") != FORMAT_VERSION:
         raise CatalogueFormatError(
             f"unsupported catalogue version {payload.get('version')!r}")
     try:

@@ -15,11 +15,12 @@ from . import catalogue as cat_mod
 from .errors import (CardestError, CatalogueFormatError, ConfigError,
                      GraphParseError, MissingStatisticError, PathOverflowError,
                      QueryParseError, QueryValidationError, SketchPlanError)
-from .estgraph import build_maxdeg, build_optimistic, to_dot
+from .estgraph import build_maxdeg, build_optimistic, require_count, to_dot
 from .evalharness import WorkloadItem, expand_methods, run_workload
 from .graphstore import load_graph_file
 from .oracle import count_hom
-from .querymodel import QueryGraph, instantiate_template, parse_query, parse_query_file
+from .querymodel import (QueryGraph, connected_subqueries, instantiate_template, parse_query,
+                         parse_query_file)
 
 EXIT_OK = 0
 EXIT_OTHER = 1
@@ -210,7 +211,13 @@ def _cmd_build_catalogue(args) -> int:
 
 def _estimate_query(args, g, query: QueryGraph):
     methods = expand_methods(args.methods.split(","))
-    catalogue = cat_mod.load(args.catalogue) if getattr(args, "catalogue", None) else None
+    catalogue = None
+    if args.catalogue:
+        catalogue = cat_mod.load(args.catalogue)
+        # missing patterns exit as missing statistics (3) before the graph check (4)
+        for sub in connected_subqueries(query, catalogue.h):
+            require_count(catalogue, sub)
+        catalogue.check_graph(g)
     result = run_workload(g, [WorkloadItem("q0000", "", query)], methods, h=args.h,
                           seed=args.seed, walk_budget=args.walk_budget,
                           sketch_k=args.sketch_k, catalogue=catalogue)

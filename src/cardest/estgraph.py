@@ -4,7 +4,8 @@ Four builds share one graph type.  Over edge subsets: the optimistic graph
 (average-degree rates from pattern counts) and its cycle-closing-rate variant.
 Over attribute subsets: the max-degree graph whose minimum-weight path is the
 pessimistic bound, and the cover graph induced by a per-relation attribute
-cover (a sub-graph of the max-degree graph).
+cover (a sub-graph of the max-degree graph).  Attribute-subset graphs are
+held as move tables and expanded per vertex on demand.
 
 Every bottom-to-top path yields an estimate: the exact rational product of
 its rates.  Base-2 log weights are carried alongside for the additive view.
@@ -12,6 +13,7 @@ its rates.  Base-2 log weights are carried alongside for the additive view.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +22,7 @@ from typing import Iterable, Iterator, Sequence
 from .catalogue import Catalogue, canonical_form, closing_spec
 from .errors import (ConfigError, EstimationError, MissingStatisticError,
                      PathOverflowError, QueryValidationError)
-from .querymodel import QueryGraph, Subquery, connected_subqueries, cycles
+from .querymodel import QueryGraph, Subquery, connected_subqueries, cycles, subsets
 
 START = "start"
 EXTENSION = "extension"
@@ -84,8 +86,9 @@ class Ceg:
         self.query = query
         self.top = top
         self.bottom: frozenset = frozenset()
-        self._adj = {
-            v: tuple(sorted(edges, key=lambda e: (_vkey(e.dst), e.rate, e.kind, e.provenance)))
+        self._adj = {  # out-edges by destination, then rate, unbound first on ties
+            v: tuple(sorted(edges, key=lambda e: (_vkey(e.dst), e.rate, e.kind != UNBOUND,
+                                                  e.kind, e.provenance)))
             for v, edges in adjacency.items()
         }
         self.meta = dict(meta or {})
@@ -106,6 +109,19 @@ class Ceg:
     def has_projection_edges(self) -> bool:
         return any(e.kind == PROJECTION for e in self.all_edges())
 
+    # For min_weight_path: the rates; (start, goal, key, step) with key(v) v's sorted
+    # elements and step(v) its (dst, rate) pairs; the cheapest edge src -> dst.
+
+    def _rates(self) -> set:
+        return {e.rate for e in self.all_edges()}
+
+    def _search_space(self):
+        return (self.bottom, self.top, _vkey,
+                lambda v: [(e.dst, e.rate) for e in self.out(v)])
+
+    def _edge(self, src: frozenset, dst: frozenset) -> CegEdge:
+        return next(e for e in self.out(src) if e.dst == dst and e.rate)
+
 
 class _EdgeAccumulator:
     """Collects edges, merging parallels that agree on endpoints, rate, kind."""
@@ -114,22 +130,20 @@ class _EdgeAccumulator:
         self._merged: dict[tuple, list] = {}
 
     def add(self, src: frozenset, dst: frozenset, rate: Fraction, kind: str, prov: tuple):
-        key = (_vkey(src), _vkey(dst), rate, kind)
-        entry = self._merged.setdefault(key, [src, dst, rate, kind, []])
-        if prov not in entry[4]:
-            entry[4].append(prov)
+        provs = self._merged.setdefault((src, dst, rate, kind), [])
+        if prov not in provs:
+            provs.append(prov)
 
     def discard_pair(self, src: frozenset, dst: frozenset):
-        sk, dk = _vkey(src), _vkey(dst)
-        for key in [k for k in self._merged if k[0] == sk and k[1] == dk]:
+        for key in [k for k in self._merged if k[0] == src and k[1] == dst]:
             del self._merged[key]
 
     def pairs(self) -> set[tuple[frozenset, frozenset]]:
-        return {(entry[0], entry[1]) for entry in self._merged.values()}
+        return {(src, dst) for src, dst, _, _ in self._merged}
 
     def adjacency(self) -> dict[frozenset, list[CegEdge]]:
         adj: dict[frozenset, list[CegEdge]] = {}
-        for src, dst, rate, kind, provs in self._merged.values():
+        for (src, dst, rate, kind), provs in self._merged.items():
             adj.setdefault(src, []).append(
                 CegEdge(src, dst, rate, kind, tuple(sorted(provs))))
         return adj
@@ -167,7 +181,7 @@ def build_optimistic(q: QueryGraph, cat: Catalogue, closing: bool = False,
 
     acc = _EdgeAccumulator()
     for s in start_vertices:
-        cnt = _require_count(cat, by_indices[s])
+        cnt = require_count(cat, by_indices[s])
         acc.add(frozenset(), s, Fraction(cnt), START, ("count", tuple(sorted(s))))
 
     ext_patterns = [s.indices for s in subs if len(s.indices) <= h]
@@ -184,8 +198,8 @@ def build_optimistic(q: QueryGraph, cat: Catalogue, closing: bool = False,
                 continue
             if len(ext) != min(h, len(target)):
                 continue
-            c_ext = _require_count(cat, by_indices[ext])
-            c_int = _require_count(cat, by_indices[inter])
+            c_ext = require_count(cat, by_indices[ext])
+            c_int = require_count(cat, by_indices[inter])
             rate = Fraction(c_ext, c_int) if c_int else Fraction(0)
             acc.add(s_set, target, rate, EXTENSION,
                     ("ratio", tuple(sorted(ext)), tuple(sorted(inter))))
@@ -199,7 +213,7 @@ def build_optimistic(q: QueryGraph, cat: Catalogue, closing: bool = False,
     return Ceg("edges", q, frozenset(range(m)), adjacency, meta)
 
 
-def _require_count(cat: Catalogue, sub: Subquery) -> int:
+def require_count(cat: Catalogue, sub: Subquery) -> int:
     cnt = cat.count(sub)
     if cnt is None:
         raise MissingStatisticError(f"count for pattern {canonical_form(sub.pattern())[0]}")
@@ -256,38 +270,104 @@ def _prune_early_cycle_closing(adjacency: dict[frozenset, list[CegEdge]],
 # Max-degree and cover builds (attribute-subset vertices)
 # ---------------------------------------------------------------------------
 
-def maxdeg_moves(q: QueryGraph, cat: Catalogue) -> list[tuple[frozenset, frozenset, int, tuple]]:
+Move = tuple[frozenset, frozenset, int, tuple]   # (X, Y, deg, provenance)
+
+
+class AttrCeg(Ceg):
+    """Attribute-subset graph held as its move table.
+
+    A move (X, Y, deg, provenance) is an edge W -> W|Y of rate deg from every
+    vertex W containing X: unbound when X is empty, bound otherwise.  Vertices
+    are bitmasks over the sorted variables inside; `out` derives and caches a
+    vertex's merged CegEdges on first use, and `min_weight_path` searches the
+    moves directly.  Listing every vertex is capped at MAX_ATTR_VARS variables.
+    """
+
+    def __init__(self, query: QueryGraph, moves: Iterable[Move], meta: dict,
+                 projections: bool = False):
+        super().__init__("attrs", query, frozenset(query.vars), {}, meta)
+        self._names = tuple(sorted(query.vars))
+        self._bit = {v: 1 << i for i, v in enumerate(self._names)}
+        self._keys: dict[int, tuple[str, ...]] = {}
+        self._moves = [(self._mask(x), self._mask(y), deg, prov) for x, y, deg, prov in moves]
+        self._projections = projections
+
+    def _mask(self, vertex: Iterable[str]) -> int:
+        return sum(self._bit[v] for v in vertex)
+
+    def _key(self, mask: int) -> tuple[str, ...]:
+        got = self._keys.get(mask)
+        if got is None:
+            got = self._keys[mask] = tuple(v for v in self._names if mask & self._bit[v])
+        return got
+
+    def out(self, vertex: frozenset) -> tuple[CegEdge, ...]:
+        got = self._adj.get(vertex)
+        if got is None:
+            got = self._adj[vertex] = self._edges(vertex)
+        return got
+
+    def _edge(self, src: frozenset, dst: frozenset) -> CegEdge:
+        return self._edges(src, dst)[0]
+
+    def _edges(self, vertex: frozenset, dst: frozenset | None = None) -> tuple[CegEdge, ...]:
+        """Merged edges leaving `vertex` (only those into `dst`, if given) in Ceg order."""
+        w, only = self._mask(vertex), None if dst is None else self._mask(dst)
+        merged: dict[tuple[int, int, str], set] = {}
+        for xm, ym, deg, prov in self._moves:
+            if xm & w == xm and ym & ~w:
+                merged.setdefault((w | ym, deg, BOUND if xm else UNBOUND), set()).add(prov)
+        if self._projections:
+            for v in vertex:
+                merged[(w & ~self._bit[v], 1, PROJECTION)] = {("proj", v)}
+        rows = sorted((self._key(dm), rate, kind != UNBOUND, kind, tuple(sorted(provs)))
+                      for (dm, rate, kind), provs in merged.items()
+                      if dst is None or dm == only)  # Ceg's out-edge order
+        return tuple(CegEdge(vertex, frozenset(key), Fraction(rate), kind, provs)
+                     for key, rate, _, kind, provs in rows)
+
+    def vertices(self) -> list[frozenset]:
+        if len(self._names) > MAX_ATTR_VARS:
+            raise ConfigError(f"attribute-subset graphs are capped at {MAX_ATTR_VARS} variables")
+        return [frozenset(s) for s in sorted(subsets(self._names))]
+
+    def all_edges(self) -> Iterator[CegEdge]:
+        for v in self.vertices():
+            yield from self.out(v)
+
+    def _rates(self) -> set:
+        return {deg for _, _, deg, _ in self._moves}
+
+    def _search_space(self):
+        cheapest: dict[tuple[int, int], int] = {}
+        for xm, ym, deg, _ in self._moves:
+            cheapest[xm, ym] = min(deg, cheapest.get((xm, ym), deg))
+        moves = [(xm, ym, deg) for (xm, ym), deg in cheapest.items()]
+        bits = list(self._bit.values()) if self._projections else []
+
+        def step(w: int) -> list[tuple[int, int]]:
+            return [(w | ym, deg) for xm, ym, deg in moves if xm & w == xm and ym & ~w] + [
+                    (w & ~b, 1) for b in bits if w & b]
+
+        return 0, (1 << len(self._names)) - 1, self._key, step
+
+
+def maxdeg_moves(q: QueryGraph, cat: Catalogue) -> list[Move]:
     """(X, Y, deg, provenance) extension moves from every catalogue pattern of q."""
-    moves: list[tuple[frozenset, frozenset, int, tuple]] = []
+    moves: list[Move] = []
     for sub in connected_subqueries(q, cat.h):
-        pattern_vars = sorted(sub.vars())
-        for y in _var_subsets(pattern_vars):
-            if not y:
-                continue
-            for x in _var_subsets(sorted(y)):
-                if frozenset(x) == frozenset(y):
+        for y in subsets(sorted(sub.vars())):
+            for x in subsets(y):
+                if x == y:
                     continue
                 deg = cat.max_deg(sub, x, y)
                 if deg is None:
                     raise MissingStatisticError(
-                        f"deg({sorted(x)}, {sorted(y)}) for pattern "
+                        f"deg({list(x)}, {list(y)}) for pattern "
                         f"{canonical_form(sub.pattern())[0]}")
                 moves.append((frozenset(x), frozenset(y), deg,
-                              ("deg", sub.sorted_indices(), tuple(sorted(x)), tuple(sorted(y)))))
+                              ("deg", sub.sorted_indices(), x, y)))
     return moves
-
-
-def _var_subsets(items: Sequence[str]) -> list[tuple[str, ...]]:
-    out: list[tuple[str, ...]] = [()]
-    for item in items:
-        out += [s + (item,) for s in out]
-    return sorted(out, key=lambda s: (len(s), s))
-
-
-def _all_var_subsets(q: QueryGraph) -> list[frozenset[str]]:
-    if len(q.vars) > MAX_ATTR_VARS:
-        raise ConfigError(f"attribute-subset graphs are capped at {MAX_ATTR_VARS} variables")
-    return [frozenset(s) for s in _var_subsets(sorted(q.vars))]
 
 
 def build_maxdeg(q: QueryGraph, cat: Catalogue, with_projection_edges: bool = False) -> Ceg:
@@ -298,22 +378,7 @@ def build_maxdeg(q: QueryGraph, cat: Catalogue, with_projection_edges: bool = Fa
     deg(X, Y, P).  Projection edges (weight 0, downward one attribute) are
     included only on request; they never change minimum path weights.
     """
-    subsets = _all_var_subsets(q)
-    moves = maxdeg_moves(q, cat)
-    acc = _EdgeAccumulator()
-    for w1 in subsets:
-        for x, y, deg, prov in moves:
-            if not x <= w1:
-                continue
-            w2 = w1 | y
-            if w2 == w1:
-                continue
-            acc.add(w1, w2, Fraction(deg), UNBOUND if not x else BOUND, prov)
-    if with_projection_edges:
-        for w in subsets:
-            for a in sorted(w):
-                acc.add(w, w - {a}, Fraction(1), PROJECTION, ("proj", a))
-    return Ceg("attrs", q, frozenset(q.vars), acc.adjacency(), {"h": cat.h})
+    return AttrCeg(q, maxdeg_moves(q, cat), {"h": cat.h}, with_projection_edges)
 
 
 def build_cover(q: QueryGraph, cat: Catalogue,
@@ -326,40 +391,30 @@ def build_cover(q: QueryGraph, cat: Catalogue,
     No projection edges.  The result is a sub-graph of the max-degree graph.
     """
     covered: set[str] = set()
-    normalized: list[tuple[int, frozenset[str]]] = []
+    normalized: list[tuple[int, tuple[str, ...]]] = []
     for edge_idx, attr_set in cover:
-        attrs = frozenset(attr_set)
-        edge_vars = frozenset(q.edge_vars(edge_idx))
-        if not attrs <= edge_vars:
+        attrs = tuple(sorted(set(attr_set)))
+        if not set(attrs) <= set(q.edge_vars(edge_idx)):
             raise QueryValidationError(
-                f"cover entry {sorted(attrs)} not within edge {edge_idx} vars")
-        covered |= attrs
+                f"cover entry {list(attrs)} not within edge {edge_idx} vars")
+        covered.update(attrs)
         normalized.append((edge_idx, attrs))
     if covered != set(q.vars):
         raise QueryValidationError("cover does not span all query variables")
 
-    subsets = _all_var_subsets(q)
-    acc = _EdgeAccumulator()
+    moves: list[Move] = []
     for edge_idx, attrs in normalized:
         sub = Subquery(q, frozenset({edge_idx}))
-        for ajp in _var_subsets(sorted(attrs)):
-            ajp_set = frozenset(ajp)
-            add = attrs - ajp_set
-            if not add:
+        for ajp in subsets(attrs):
+            if ajp == attrs:
                 continue
-            deg = cat.max_deg(sub, ajp_set, attrs)
+            deg = cat.max_deg(sub, ajp, attrs)
             if deg is None:
                 raise MissingStatisticError(
-                    f"deg({sorted(ajp_set)}, {sorted(attrs)}) for edge {edge_idx}")
-            prov = ("cover", edge_idx, tuple(sorted(attrs)), tuple(sorted(ajp_set)))
-            for w1 in subsets:
-                if not ajp_set <= w1:
-                    continue
-                w2 = w1 | add
-                if w2 == w1:
-                    continue
-                acc.add(w1, w2, Fraction(deg), UNBOUND if not ajp_set else BOUND, prov)
-    return Ceg("attrs", q, frozenset(q.vars), acc.adjacency(), {"cover": True})
+                    f"deg({list(ajp)}, {list(attrs)}) for edge {edge_idx}")
+            moves.append((frozenset(ajp), frozenset(attrs), deg,
+                          ("cover", edge_idx, attrs, ajp)))
+    return AttrCeg(q, moves, {"cover": True})
 
 
 # ---------------------------------------------------------------------------
@@ -404,92 +459,75 @@ def enumerate_paths(ceg: Ceg, cap: int = DEFAULT_PATH_CAP) -> list[PathEstimate]
 
 
 def min_weight_path(ceg: Ceg) -> PathEstimate:
-    """Minimum-weight bottom-to-top path (Dijkstra on log weights).
+    """Minimum-weight bottom-to-top path (Dijkstra on rate products).
 
     Rates below 1 are rejected except exact zeros, which short-circuit: a
     zero-rate edge reachable on a bottom-to-top route makes the minimum 0.
-    Ties break toward the lexicographically smallest vertex sequence.
+    Ties break toward the lexicographically smallest vertex sequence, then
+    toward the first-listed edge, so an unbound edge beats a bound one of the
+    same rate.  Weights stay integers while every rate is integral.
     """
-    import heapq
-
-    zero_path = _zero_short_circuit(ceg)
+    rates = ceg._rates()
+    zero_path = _zero_short_circuit(ceg) if 0 in rates else None
     if zero_path is not None:
         return zero_path
-    for e in ceg.all_edges():
-        if 0 < e.rate < 1:
-            raise ValueError("min_weight_path needs all rates >= 1 (or exactly 0)")
+    if any(0 < r < 1 for r in rates):
+        raise ValueError("min_weight_path needs all rates >= 1 (or exactly 0)")
 
-    counter = 0  # breaks exact heap ties before unorderable payloads
-    heap: list[tuple[Fraction, tuple, int, frozenset, tuple[CegEdge, ...]]] = [
-        (Fraction(1), (_vkey(ceg.bottom),), counter, ceg.bottom, ())
-    ]
-    settled: set[frozenset] = set()
+    start, goal, key_of, step = ceg._search_space()
+    counter = 0  # breaks exact heap ties before unorderable vertices
+    heap: list[tuple] = [(1, (key_of(start),), counter, start)]
+    settled: set = set()
+    best: dict = {}  # lowest weight pushed per vertex; a heavier push would pop too late
     while heap:
-        weight, keys, _, vertex, edges = heapq.heappop(heap)
+        weight, keys, _, vertex = heapq.heappop(heap)
         if vertex in settled:
             continue
         settled.add(vertex)
-        if vertex == ceg.top:
-            return PathEstimate(edges, weight)
-        for e in ceg.out(vertex):
-            if e.dst in settled or e.rate == 0:
+        if vertex == goal:
+            path = [frozenset(k) for k in keys]
+            return PathEstimate(tuple(ceg._edge(v, w) for v, w in zip(path, path[1:])),
+                                Fraction(weight))
+        for dst, rate in step(vertex):
+            if dst in settled or rate == 0:
                 continue
+            total = weight * rate
+            if best.get(dst, total) < total:
+                continue
+            best[dst] = total
             counter += 1
-            heapq.heappush(heap, (weight * e.rate, keys + (_vkey(e.dst),),
-                                  counter, e.dst, edges + (e,)))
+            heapq.heappush(heap, (total, keys + (key_of(dst),), counter, dst))
     raise EstimationError("top vertex unreachable; statistics missing")
 
 
 def _zero_short_circuit(ceg: Ceg) -> PathEstimate | None:
-    zero_edges = [e for e in ceg.all_edges() if e.rate == 0]
-    if not zero_edges:
-        return None
-    fwd = _hop_tree(ceg, ceg.bottom, forward=True)
-    bwd = _hop_tree(ceg, ceg.top, forward=False)
-    for e in sorted(zero_edges, key=lambda e: (_vkey(e.src), _vkey(e.dst))):
+    """A bottom-to-top path through a zero-rate edge, if one exists."""
+    incoming: dict[frozenset, list[CegEdge]] = {}
+    for e in ceg.all_edges():
+        incoming.setdefault(e.dst, []).append(e)
+    fwd = _hop_tree(ceg.bottom, lambda v: [(e.dst, e) for e in ceg.out(v)])
+    bwd = _hop_tree(ceg.top, lambda v: [(e.src, e) for e in incoming.get(v, ())])
+    zero_edges = sorted((e for e in ceg.all_edges() if e.rate == 0),
+                        key=lambda e: (_vkey(e.src), _vkey(e.dst)))
+    for e in zero_edges:
         if e.src in fwd and e.dst in bwd:
-            prefix = _trace(fwd, e.src)
-            suffix = _trace_back(bwd, e.dst)
-            return PathEstimate(tuple(prefix) + (e,) + tuple(suffix), Fraction(0))
+            return PathEstimate(fwd[e.src][::-1] + (e,) + bwd[e.dst], Fraction(0))
     return None
 
 
-def _hop_tree(ceg: Ceg, root: frozenset, forward: bool) -> dict[frozenset, CegEdge | None]:
-    tree: dict[frozenset, CegEdge | None] = {root: None}
+def _hop_tree(root: frozenset, neighbours) -> dict[frozenset, tuple[CegEdge, ...]]:
+    """Fewest-hop edges from each reached vertex back to `root` (BFS, sorted frontiers)."""
+    tree: dict[frozenset, tuple[CegEdge, ...]] = {root: ()}
     frontier = [root]
-    incoming: dict[frozenset, list[CegEdge]] = {}
-    if not forward:
-        for e in ceg.all_edges():
-            incoming.setdefault(e.dst, []).append(e)
     while frontier:
         nxt: list[frozenset] = []
         for v in frontier:
-            edges = ceg.out(v) if forward else incoming.get(v, [])
-            for e in edges:
-                other = e.dst if forward else e.src
+            for other, e in neighbours(v):
                 if other not in tree:
-                    tree[other] = e
+                    tree[other] = (e,) + tree[v]
                     nxt.append(other)
         frontier = sorted(nxt, key=_vkey)
     return tree
-
-
-def _trace(tree: dict[frozenset, CegEdge | None], vertex: frozenset) -> list[CegEdge]:
-    edges: list[CegEdge] = []
-    while tree[vertex] is not None:
-        e = tree[vertex]
-        edges.append(e)
-        vertex = e.src
-    return list(reversed(edges))
-
-
-def _trace_back(tree: dict[frozenset, CegEdge | None], vertex: frozenset) -> list[CegEdge]:
-    edges: list[CegEdge] = []
-    while tree[vertex] is not None:
-        e = tree[vertex]
-        edges.append(e)
-        vertex = e.dst
-    return edges
 
 
 # ---------------------------------------------------------------------------

@@ -9,15 +9,14 @@ minimum-weight path of the max-degree graph, found combinatorially.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .catalogue import Catalogue, canonical_form, closing_spec
+from .catalogue import Catalogue, closing_spec
 from .errors import EstimationError, MissingStatisticError
-from .estgraph import (BOUND, DEFAULT_PATH_CAP, UNBOUND, Ceg, CegEdge,
-                       PathEstimate, build_optimistic, enumerate_paths,
-                       maxdeg_moves)
+from .estgraph import (DEFAULT_PATH_CAP, Ceg, PathEstimate, build_maxdeg,
+                       build_optimistic, enumerate_paths, min_weight_path,
+                       require_count)
 from .querymodel import QueryGraph, Subquery, connected_subqueries
 
 HOP_CHOICES = ("max-hop", "min-hop", "all-hops")
@@ -142,72 +141,19 @@ def estimate_pstar(q: QueryGraph, cat: Catalogue, ceg_kind: str, true_count: int
 # ---------------------------------------------------------------------------
 
 def estimate_molp(q: QueryGraph, cat: Catalogue) -> Estimate:
-    """Upper bound on the true count: 2**(min-weight path of the max-degree graph).
+    """Upper bound on the true count: the min-weight path of the max-degree graph.
 
-    Runs Dijkstra directly over the degree-statistic move table; materializing
-    the graph is unnecessary.  An empty catalogue pattern of q short-circuits
-    to 0 (the query then has no answers either).
+    The graph is searched straight off its degree-statistic move table, never
+    materialized.  An empty catalogue pattern of q short-circuits to 0 (the
+    query then has no answers either).
     """
     for sub in connected_subqueries(q, cat.h):
-        cnt = cat.count(sub)
-        if cnt is None:
-            raise MissingStatisticError(
-                f"count for pattern {canonical_form(sub.pattern())[0]}")
-        if cnt == 0:
+        if require_count(cat, sub) == 0:
             return Estimate.from_exact(Fraction(0), method="bound", ceg_kind=KIND_MAXDEG,
                                        considered_paths=0, chosen_path=None)
-    path = _molp_min_path(q, cat)
+    path = min_weight_path(build_maxdeg(q, cat))
     return Estimate.from_exact(path.estimate, method="bound", ceg_kind=KIND_MAXDEG,
                                considered_paths=1, chosen_path=path)
-
-
-def _molp_min_path(q: QueryGraph, cat: Catalogue) -> PathEstimate:
-    names = sorted(q.vars)
-    bit = {v: 1 << i for i, v in enumerate(names)}
-    full = (1 << len(names)) - 1
-
-    grouped: dict[tuple[int, int], tuple[int, tuple]] = {}
-    for x, y, deg, prov in maxdeg_moves(q, cat):
-        xm = sum(bit[v] for v in x)
-        ym = sum(bit[v] for v in y)
-        old = grouped.get((xm, ym))
-        if old is None or (deg, prov) < old:
-            grouped[(xm, ym)] = (deg, prov)
-    moves = sorted((xm, ym, deg, prov) for (xm, ym), (deg, prov) in grouped.items())
-
-    key_cache: dict[int, tuple[str, ...]] = {}
-
-    def key_of(mask: int) -> tuple[str, ...]:
-        got = key_cache.get(mask)
-        if got is None:
-            got = tuple(n for n in names if bit[n] & mask)
-            key_cache[mask] = got
-        return got
-
-    counter = 0
-    heap: list[tuple[int, tuple, int, int, tuple]] = [(1, (key_of(0),), 0, 0, ())]
-    settled: set[int] = set()
-    while heap:
-        weight, keys, _, mask, edges = heapq.heappop(heap)
-        if mask in settled:
-            continue
-        settled.add(mask)
-        if mask == full:
-            ceg_edges = tuple(
-                CegEdge(frozenset(key_of(sm)), frozenset(key_of(dm)), Fraction(deg),
-                        UNBOUND if xm == 0 else BOUND, (prov,))
-                for sm, dm, deg, xm, prov in edges)
-            return PathEstimate(ceg_edges, Fraction(weight))
-        for xm, ym, deg, prov in moves:
-            if xm & mask != xm:
-                continue
-            nxt = mask | ym
-            if nxt == mask or nxt in settled:
-                continue
-            counter += 1
-            heapq.heappush(heap, (weight * deg, keys + (key_of(nxt),), counter, nxt,
-                                  edges + ((mask, nxt, deg, xm, prov),)))
-    raise EstimationError("attribute lattice top unreachable; degree statistics missing")
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,14 @@ def parse_query_file(path: str, allow_template: bool = False) -> QueryGraph:
         return parse_query(handle.read(), allow_template=allow_template)
 
 
+def subsets(items: Iterable) -> list[tuple]:
+    """Every subset of `items` as a tuple in input order, sorted by (size, tuple)."""
+    out: list[tuple] = [()]
+    for item in items:
+        out += [s + (item,) for s in out]
+    return sorted(out, key=lambda s: (len(s), s))
+
+
 def connected_subqueries(q: QueryGraph, max_edges: int) -> list[Subquery]:
     """All connected edge subsets of size <= max_edges, grown one edge at a time.
 

@@ -96,7 +96,7 @@ class SketchPlan:
 
 
 def make_sketch(q: QueryGraph, g: LabeledGraph, path: PathEstimate | None, k: int,
-                ceg_kind: str = "max-degree", seed: int = 0,
+                ceg_kind: str = "attrs", seed: int = 0,
                 ) -> tuple[SketchPlan, list[SketchComponent]]:
     """Partition plan plus the K component instances (disjoint, exhaustive).
 

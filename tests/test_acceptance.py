@@ -6,10 +6,12 @@ lines and the informational trend tables.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -25,7 +27,8 @@ from cardest.estimators import (ALL_CHOICES, HeuristicChoice, KIND_AVG,
 from cardest.evalharness import (WorkloadItem, expand_methods, qerror,
                                  run_workload, summarize)
 from cardest.oracle import count_hom, group_degree
-from cardest.querymodel import cycles, instantiate_template, parse_query
+from cardest.querymodel import (connected_subqueries, cycles, instantiate_template,
+                                parse_query)
 from cardest.sketch import estimate_with_sketch, make_sketch
 
 from _synth import (correlated_graph, make_instances, path_template,
@@ -308,6 +311,83 @@ def test_criterion_7_cover_paths_dominate(corpus):
     assert covers >= 50
     assert elapsed < 60.0
     _pass(7, elapsed, f"{covers} random covers dominate the max-degree minimum")
+
+
+# ---------------------------------------------------------------------------
+# Cross-checks of the pessimistic bound on the corpus
+# ---------------------------------------------------------------------------
+
+def test_molp_chosen_path_is_min_weight_path_of_maxdeg_graph(corpus):
+    n = 0
+    for g, cat, qid, q in _small_var_instances(corpus):
+        n += 1
+        chosen = estimate_molp(q, cat).chosen_path
+        best = min_weight_path(build_maxdeg(q, cat))
+        assert [(e.src, e.dst, e.rate, e.kind) for e in chosen.edges] == \
+            [(e.src, e.dst, e.rate, e.kind) for e in best.edges], qid
+        assert chosen == best, qid
+    assert n >= 100
+
+
+def _molp_lp_log2(q, cat) -> float:
+    """Optimum of the MOLP linear program (Joglekar & Re, ICDT 2016) by scipy.
+
+    Maximize s_top over one variable s_W per attribute subset W, subject to
+    s_empty = 0; s_(W|Y) <= s_W + log2 deg(X, Y) for every degree statistic
+    (X, Y) of a catalogue pattern and every W containing X; and
+    s_(W - a) <= s_W.
+    """
+    from scipy.optimize import linprog
+    from scipy.sparse import coo_matrix
+
+    bit = {v: 1 << i for i, v in enumerate(sorted(q.vars))}
+    size = 1 << len(bit)
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+    rhs: list[float] = []
+
+    def at_most(hi: int, lo: int, bound: float) -> None:  # s_hi - s_lo <= bound
+        rows.extend((len(rhs), len(rhs)))
+        cols.extend((hi, lo))
+        vals.extend((1.0, -1.0))
+        rhs.append(bound)
+
+    for sub in connected_subqueries(q, cat.h):
+        pattern_vars = sorted(sub.vars())
+        for r in range(1, len(pattern_vars) + 1):
+            for y in combinations(pattern_vars, r):
+                ym = sum(bit[v] for v in y)
+                for k in range(r):
+                    for x in combinations(y, k):
+                        xm = sum(bit[v] for v in x)
+                        log_deg = math.log2(cat.max_deg(sub, x, y))
+                        for w in range(size):
+                            if w & xm == xm and w | ym != w:
+                                at_most(w | ym, w, log_deg)
+    for w in range(size):
+        for b in bit.values():
+            if w & b:
+                at_most(w & ~b, w, 0.0)
+    objective = [0.0] * size
+    objective[size - 1] = -1.0
+    res = linprog(objective, A_ub=coo_matrix((vals, (rows, cols)), shape=(len(rhs), size)),
+                  b_ub=rhs, A_eq=[[1.0] + [0.0] * (size - 1)], b_eq=[0.0],
+                  bounds=(None, None), method="highs")
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+def test_molp_bound_equals_lp_optimum(corpus):
+    pytest.importorskip("scipy")
+    n = 0
+    for g, cat, qid, q in _small_var_instances(corpus):
+        bound = estimate_molp(q, cat).exact
+        if bound == 0:
+            continue
+        n += 1
+        assert abs(_molp_lp_log2(q, cat) - math.log2(bound)) <= 1e-6, qid
+    assert n >= 100
 
 
 # ---------------------------------------------------------------------------

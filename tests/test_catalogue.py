@@ -262,6 +262,9 @@ def test_load_rejects_malformed():
         load(io.StringIO("not json"))
     with pytest.raises(CatalogueFormatError):
         load(io.StringIO('{"version": 99}'))
+    for not_an_object in ("[1,2]", "3"):
+        with pytest.raises(CatalogueFormatError):
+            load(io.StringIO(not_an_object))
 
 
 def test_save_load_file_round_trip(tmp_path, f1_graph, q3p):

@@ -41,6 +41,21 @@ def test_estimate_missing_stats_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_estimate_rejects_catalogue_of_another_graph(tmp_path, capsys):
+    # f1 plus four edges has 21 three-paths; the f1 catalogue bounds them by 8
+    grown = tmp_path / "grown.edges"
+    with open(fixture_path("f1.edges"), encoding="utf-8") as handle:
+        grown.write_text(handle.read() + "5 10 A\n6 10 A\n20 34 C\n20 35 C\n")
+    cat = tmp_path / "cat.json"
+    assert run_cli("build-catalogue", "--graph", fixture_path("f1.edges"),
+                   "--query", fixture_path("q3p.query"), "--out", str(cat)) == 0
+    for graph, expected in ((str(grown), 4), (fixture_path("f1.edges"), 0)):
+        code = run_cli("estimate", "--graph", graph, "--query", fixture_path("q3p.query"),
+                       "--catalogue", str(cat), "--methods", "bound")
+        assert code == expected
+    assert "different graph" in capsys.readouterr().err
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.edges"
     bad.write_text("x y A\n")

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from cardest.catalogue import build_catalogue
+from cardest.errors import ConfigError
+from cardest.estgraph import MAX_ATTR_VARS, build_maxdeg
 from cardest.estimators import (ALL_CHOICES, HeuristicChoice, KIND_AVG,
                                 KIND_CLOSING, estimate_molp,
                                 estimate_optimistic, estimate_pstar,
@@ -105,7 +107,6 @@ def test_pstar_tie_breaks_to_smaller_estimate():
 
 
 def test_molp_equals_min_weight_over_built_graph(fork_graph, q5f):
-    from cardest.estgraph import build_maxdeg
     cat = build_catalogue(fork_graph, [q5f], 2)
     est = estimate_molp(q5f, cat)
     assert est.exact == 96
@@ -142,6 +143,16 @@ def test_molp_safe_on_random_instances():
         cat = build_catalogue(g, [q], 2)
         assert estimate_molp(q, cat).exact >= count_hom(g, q).value
     assert checked >= 5
+
+
+def test_molp_needs_no_variable_cap():
+    g = random_graph(40, 160, 2, seed=1400)
+    q = parse_query("\n".join(f"a{i} -{'AB'[i % 2]}-> a{i + 1}" for i in range(12)))
+    assert len(q.vars) == MAX_ATTR_VARS + 1
+    cat = build_catalogue(g, [q], 2)
+    assert estimate_molp(q, cat).exact >= count_hom(g, q).value
+    with pytest.raises(ConfigError):
+        list(build_maxdeg(q, cat).all_edges())
 
 
 def test_molp_zero_relation_short_circuit():

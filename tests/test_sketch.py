@@ -121,6 +121,16 @@ def test_component_counts_sum_on_random_instances():
     assert checked >= 3
 
 
+def test_make_sketch_default_kind_reads_molp_paths():
+    g = random_graph(30, 140, 4, seed=1300)
+    q = parse_query("a1 -C-> a0\na1 -B-> a2\na2 -D-> a3\na4 -A-> a2")
+    path = estimate_molp(q, build_catalogue(g, [q], 2)).chosen_path
+    plan, components = make_sketch(q, g, path, 4)
+    assert plan.attrs == ("a2",)
+    assert sum(count_hom(c.graph, c.query).value for c in components) == \
+        count_hom(g, q).value
+
+
 def test_sketched_molp_between_truth_and_unsketched(fork_graph, q5f):
     cat = build_catalogue(fork_graph, [q5f], 2)
     unsketched = estimate_molp(q5f, cat).exact
