@@ -70,12 +70,9 @@ def _key_to_query(key: str) -> QueryGraph:
     return QueryGraph([QEdge(f"x{s}", f"x{d}", lab) for s, d, lab in enc])
 
 
-def _index_subset_key(indices: Iterable[int]) -> str:
-    return ",".join(str(i) for i in sorted(indices))
-
-
 def _deg_entry_key(x_idx: Iterable[int], y_idx: Iterable[int]) -> str:
-    return f"{_index_subset_key(x_idx)}|{_index_subset_key(y_idx)}"
+    """Entry key of deg(X, Y): both index sets sorted and comma-joined, e.g. "1|0,1"."""
+    return "|".join(",".join(map(str, sorted(s))) for s in (x_idx, y_idx))
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +261,9 @@ def build_catalogue(
     cat = Catalogue(h=h)
     for key in sorted(keys):
         rep = _key_to_query(key)
-        rows = oracle.matches(g, rep)
-        cat.counts[key] = len(set(rows))
-        cat.deg_stats[key] = _degree_table(rep, rows)
+        table = _degree_table(rep, set(oracle.matches(g, rep)))
+        cat.counts[key] = table[_deg_entry_key((), range(len(rep.vars)))]
+        cat.deg_stats[key] = table
 
     if workload:
         _build_closing_rates(cat, g, workload, h, walk_budget, seed)
@@ -291,25 +288,14 @@ def _graph_sha256(g: LabeledGraph) -> str:
     return hashlib.sha256(dump_graph(g).encode("utf-8")).hexdigest()
 
 
-def _degree_table(rep: QueryGraph, rows: list[tuple[int, ...]]) -> dict[str, int]:
+def _degree_table(rep: QueryGraph, rows: set[tuple[int, ...]]) -> dict[str, int]:
     """deg(X, Y) for every X subseteq Y over the representative's variables."""
-    n = len(rep.vars)
-    uniq = sorted(set(rows))
+    all_subsets = subsets(range(len(rep.vars)))
     table: dict[str, int] = {}
-    all_subsets = subsets(range(n))
     for y in all_subsets:
-        y_set = frozenset(y)
-        for x in all_subsets:
-            if not frozenset(x) <= y_set:
-                continue
-            if not uniq:
-                table[_deg_entry_key(x, y)] = 0
-                continue
-            buckets: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
-            for row in uniq:
-                buckets.setdefault(tuple(row[i] for i in x), set()).add(
-                    tuple(row[i] for i in y))
-            table[_deg_entry_key(x, y)] = max(len(v) for v in buckets.values())
+        xs = [x for x in all_subsets if set(x) <= set(y)]
+        for x, deg in zip(xs, oracle.degrees(rows, y, xs)):
+            table[_deg_entry_key(x, y)] = deg
     return table
 
 

@@ -211,23 +211,27 @@ def _cmd_build_catalogue(args) -> int:
 
 def _estimate_query(args, g, query: QueryGraph):
     methods = expand_methods(args.methods.split(","))
-    catalogue = None
     if args.catalogue:
         catalogue = cat_mod.load(args.catalogue)
+        if catalogue.h != args.h:
+            raise ConfigError(f"--h {args.h} differs from the catalogue's h={catalogue.h}")
         # missing patterns exit as missing statistics (3) before the graph check (4)
         for sub in connected_subqueries(query, catalogue.h):
             require_count(catalogue, sub)
         catalogue.check_graph(g)
+    else:
+        catalogue = cat_mod.build_catalogue(g, [query], args.h, walk_budget=args.walk_budget,
+                                            seed=args.seed)
     result = run_workload(g, [WorkloadItem("q0000", "", query)], methods, h=args.h,
                           seed=args.seed, walk_budget=args.walk_budget,
                           sketch_k=args.sketch_k, catalogue=catalogue)
-    return result
+    return result, catalogue
 
 
 def _cmd_estimate(args) -> int:
     g = _need_graph(args)
     query = parse_query_file(args.query)
-    result = _estimate_query(args, g, query)
+    result, cat = _estimate_query(args, g, query)
     for record in result.records:
         if record.error:
             print(f"{record.method}\tERROR\t{record.error}")
@@ -235,8 +239,6 @@ def _cmd_estimate(args) -> int:
             print(f"{record.method}\t{record.estimate:.6g}\ttrue={record.true_count}"
                   f"\tqerror={float(record.qerror) if record.qerror else 'inf'}")
     if args.dump_ceg:
-        cat = cat_mod.build_catalogue(g, [query], args.h,
-                                      walk_budget=args.walk_budget, seed=args.seed)
         base, ext = os.path.splitext(args.dump_ceg)
         with open(args.dump_ceg, "w", encoding="utf-8") as handle:
             handle.write(to_dot(build_optimistic(query, cat)))

@@ -9,8 +9,10 @@ are folded into a degree product instead of being branched on.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from operator import itemgetter
+from typing import Collection, Iterator, Sequence
 
 from .errors import QueryValidationError
 from .graphstore import LabeledGraph
@@ -30,12 +32,7 @@ class MatchCount:
 def count_hom(g: LabeledGraph, q: QueryGraph) -> MatchCount:
     """Exact number of homomorphic matches of q in g."""
     edges = [(e.src, e.dst, e.label) for e in q.edges]
-    return MatchCount(_count(g, edges, {}))
-
-
-def _count(g: LabeledGraph, edges: list[tuple[str, str, str]], binding: dict[str, int]) -> int:
-    remaining = list(range(len(edges)))
-    return _count_rec(g, edges, remaining, binding)
+    return MatchCount(_count_rec(g, edges, list(range(len(edges))), {}))
 
 
 def _count_rec(g: LabeledGraph, edges, remaining: list[int], binding: dict[str, int]) -> int:
@@ -168,13 +165,27 @@ def group_degree(g: LabeledGraph, q: QueryGraph, x_vars: Sequence[str], y_vars: 
         raise QueryValidationError("Y must be a subset of the query variables")
     x_idx = [i for i, v in enumerate(q.vars) if v in xs]
     y_idx = [i for i, v in enumerate(q.vars) if v in ys]
-    buckets: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
-    for row in matches(g, q):
-        key = tuple(row[i] for i in x_idx)
-        buckets.setdefault(key, set()).add(tuple(row[i] for i in y_idx))
-    if not buckets:
-        return 0
-    return max(len(v) for v in buckets.values())
+    return degrees(set(matches(g, q)), y_idx, [x_idx])[0]
+
+
+def degrees(rows: Collection[tuple[int, ...]], y_idx: Sequence[int],
+            x_idxs: Sequence[Sequence[int]]) -> list[int]:
+    """deg(X, Y) over the distinct match `rows` for each X in `x_idxs`.
+
+    Indices are ascending row positions, each X within Y.  The rows are
+    projected onto Y once (the full row set is its own projection) and every X
+    groups that projection; all degrees are 0 without rows.
+    """
+    if not rows:
+        return [0] * len(x_idxs)
+    if len(y_idx) == len(next(iter(rows))):
+        proj = rows
+    else:
+        proj = set(map(itemgetter(*y_idx), rows)) if y_idx else {()}
+    return [len(proj) if not x
+            else 1 if len(x) == len(y_idx)
+            else max(Counter(map(itemgetter(*map(y_idx.index, x)), proj)).values())
+            for x in x_idxs]
 
 
 def _step_neighbors(g: LabeledGraph, vertex: int, step: LabelStep) -> list[int]:

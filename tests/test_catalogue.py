@@ -3,10 +3,11 @@ from __future__ import annotations
 import io
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from cardest.catalogue import (Catalogue, build_catalogue, canonical_form,
+from cardest.catalogue import (Catalogue, _key_to_query, build_catalogue, canonical_form,
                                closing_spec, load, save, serialize)
 from cardest.errors import CatalogueFormatError, ConfigError
 from cardest.graphstore import LabeledGraph
@@ -14,9 +15,9 @@ from cardest.oracle import count_hom, group_degree
 from cardest.querymodel import (Subquery, connected_subqueries, cycles,
                                 parse_query)
 
-from _synth import random_graph, tree_template
+from _synth import cycle_template, random_graph, tree_template
 from cardest.querymodel import instantiate_template
-from oracles import brute_isomorphic
+from oracles import brute_group_degree, brute_isomorphic, nested_loop_count
 
 
 def _sub(q, indices):
@@ -138,6 +139,42 @@ def test_max_deg_empty_x_full_y_is_count():
     cat = build_catalogue(g, [q], h=2)
     sub = _sub(q, [0, 1])
     assert cat.max_deg(sub, [], ["a1", "a2", "a3"]) == cat.count(sub)
+
+
+def _brute_deg_table(g, q) -> dict[str, int]:
+    """Every deg(X, Y) of q keyed as the catalogue keys it (variable xi is index i)."""
+    n = len(q.vars)
+    idx = [c for k in range(n + 1) for c in combinations(range(n), k)]
+    return {f"{','.join(map(str, x))}|{','.join(map(str, y))}":
+            brute_group_degree(g, q, [f"x{i}" for i in x], [f"x{i}" for i in y])
+            for y in idx for x in idx if set(x) <= set(y)}
+
+
+def test_deg_stats_and_counts_equal_brute_force_on_every_pattern():
+    checked = 0
+    for seed in range(3):
+        g = random_graph(12, 45, 3, seed=950 + seed, plant_cycles=4)
+        for h, templates in ((2, (tree_template(4, seed=seed), cycle_template(4))),
+                             (3, (cycle_template(3), cycle_template(4)))):
+            queries = [q for q in (instantiate_template(t, g, seed=seed, attempts=50)
+                                   for t in templates) if q is not None]
+            cat = build_catalogue(g, queries, h=h, walk_budget=10, seed=seed)
+            for key, table in cat.deg_stats.items():
+                rep = _key_to_query(key)
+                assert table == _brute_deg_table(g, rep)
+                assert cat.counts[key] == nested_loop_count(g, rep)
+                checked += 1
+    assert checked >= 30
+
+
+def test_deg_stats_of_pattern_without_matches_are_zero():
+    g = LabeledGraph([(1, 2, "A"), (3, 4, "B")])
+    q = parse_query("a1 -A-> a2\na2 -B-> a3")
+    cat = build_catalogue(g, [q], h=2)
+    key = canonical_form(_sub(q, [0, 1]).pattern())[0]
+    assert cat.counts[key] == 0
+    assert len(cat.deg_stats[key]) == 27
+    assert set(cat.deg_stats[key].values()) == {0}
 
 
 def test_lookup_of_unbuilt_pattern_absent():

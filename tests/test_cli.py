@@ -4,6 +4,7 @@ import csv
 import json
 import os
 
+from cardest import catalogue as cat_mod
 from cardest.cli import main
 
 from conftest import fixture_path
@@ -54,6 +55,18 @@ def test_estimate_rejects_catalogue_of_another_graph(tmp_path, capsys):
                        "--catalogue", str(cat), "--methods", "bound")
         assert code == expected
     assert "different graph" in capsys.readouterr().err
+
+
+def test_estimate_rejects_catalogue_built_at_another_h(tmp_path, capsys):
+    cat = tmp_path / "cat.json"
+    assert run_cli("build-catalogue", "--graph", fixture_path("f1.edges"),
+                   "--query", fixture_path("q3p.query"), "--h", "3", "--out", str(cat)) == 0
+    for h, expected in (("2", 4), ("3", 0)):
+        code = run_cli("estimate", "--graph", fixture_path("f1.edges"),
+                       "--query", fixture_path("q3p.query"), "--catalogue", str(cat),
+                       "--methods", "bound", "--h", h)
+        assert code == expected
+    assert "catalogue's h=3" in capsys.readouterr().err
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
@@ -147,3 +160,22 @@ def test_dump_ceg(tmp_path, capsys):
     capsys.readouterr()
     assert dot.read_text().startswith("digraph")
     assert os.path.exists(tmp_path / "ceg.maxdeg.dot")
+
+
+def test_dump_ceg_uses_the_loaded_catalogue(tmp_path, monkeypatch, capsys):
+    cat = tmp_path / "cat.json"
+    assert run_cli("build-catalogue", "--graph", fixture_path("f1.edges"),
+                   "--query", fixture_path("q3p.query"), "--out", str(cat)) == 0
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("estimate built a second catalogue")
+
+    monkeypatch.setattr(cat_mod, "build_catalogue", no_build)
+    dot = tmp_path / "ceg.dot"
+    code = run_cli("estimate", "--graph", fixture_path("f1.edges"),
+                   "--query", fixture_path("q3p.query"), "--catalogue", str(cat),
+                   "--methods", "bound", "--dump-ceg", str(dot))
+    assert code == 0
+    capsys.readouterr()
+    assert dot.read_text().startswith("digraph")
+    assert (tmp_path / "ceg.maxdeg.dot").read_text().startswith("digraph")
