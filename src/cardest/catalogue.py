@@ -219,6 +219,11 @@ class Catalogue:
     def graph_signature(self) -> str | None:
         return (self.meta.get("graph") or {}).get("sha256")
 
+    def check_h(self, h: int) -> None:
+        """Raise ConfigError unless built at `h`: other pattern sizes change the estimates."""
+        if self.h != h:
+            raise ConfigError(f"h={h} differs from the catalogue's h={self.h}")
+
     def check_graph(self, g: LabeledGraph) -> None:
         """Raise ConfigError unless built from `g`: other statistics void the bound."""
         if self.graph_signature() != _graph_sha256(g):

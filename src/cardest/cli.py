@@ -16,6 +16,7 @@ from .errors import (CardestError, CatalogueFormatError, ConfigError,
                      GraphParseError, MissingStatisticError, PathOverflowError,
                      QueryParseError, QueryValidationError, SketchPlanError)
 from .estgraph import build_maxdeg, build_optimistic, require_count, to_dot
+from .estimators import KIND_CLOSING
 from .evalharness import WorkloadItem, expand_methods, run_workload
 from .graphstore import load_graph_file
 from .oracle import count_hom
@@ -213,8 +214,7 @@ def _estimate_query(args, g, query: QueryGraph):
     methods = expand_methods(args.methods.split(","))
     if args.catalogue:
         catalogue = cat_mod.load(args.catalogue)
-        if catalogue.h != args.h:
-            raise ConfigError(f"--h {args.h} differs from the catalogue's h={catalogue.h}")
+        catalogue.check_h(args.h)
         # missing patterns exit as missing statistics (3) before the graph check (4)
         for sub in connected_subqueries(query, catalogue.h):
             require_count(catalogue, sub)
@@ -244,6 +244,9 @@ def _cmd_estimate(args) -> int:
             handle.write(to_dot(build_optimistic(query, cat)))
         with open(f"{base}.maxdeg{ext or '.dot'}", "w", encoding="utf-8") as handle:
             handle.write(to_dot(build_maxdeg(query, cat)))
+        if any(r.ceg_kind == KIND_CLOSING for r in result.records):
+            with open(f"{base}.closing{ext or '.dot'}", "w", encoding="utf-8") as handle:
+                handle.write(to_dot(build_optimistic(query, cat, closing=True)))
     failed = [r.error for r in result.records
               if r.error and "zero true count" not in r.error]
     if any("MissingStatistic" in err for err in failed):

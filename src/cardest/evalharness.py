@@ -252,12 +252,18 @@ def run_workload(
     """Estimate every (query, method) pair against the cached oracle count.
 
     Estimator failures become failed rows, never aborts.  With sketch_k > 1
-    the optimistic min/max heuristics and the bound run sketched.
+    the optimistic min/max heuristics and the bound run sketched; their
+    unpartitioned plans read the run's catalogue too.  A given catalogue
+    built at another h raises ConfigError before any row runs.
     """
     items = [w if isinstance(w, WorkloadItem) else WorkloadItem(f"q{i:04d}", "", w)
              for i, w in enumerate(workload)]
-    cat = catalogue or build_catalogue(g, [it.query for it in items], h,
-                                       walk_budget=walk_budget, seed=seed)
+    if catalogue is None:
+        cat = build_catalogue(g, [it.query for it in items], h,
+                              walk_budget=walk_budget, seed=seed)
+    else:
+        catalogue.check_h(h)
+        cat = catalogue
     records: list[QErrorRecord] = []
     for item in items:
         true_count = count_hom(g, item.query).value
@@ -295,7 +301,7 @@ def _run_method(query, g, cat, spec, h, seed, walk_budget, sketch_k, starts,
     if spec.name == "bound":
         if sketch_k > 1:
             return estimate_with_sketch(query, g, sketch_k, "molp", h=h, seed=seed,
-                                        walk_budget=walk_budget)
+                                        walk_budget=walk_budget, catalogue=cat)
         return estimate_molp(query, cat)
     if spec.ceg_kind not in path_cache:
         _, paths = optimistic_paths(query, cat, spec.ceg_kind, starts=starts)
@@ -307,7 +313,8 @@ def _run_method(query, g, cat, spec, h, seed, walk_budget, sketch_k, starts,
         # avg-aggr has no chosen path to partition; the row records the failure
         return estimate_with_sketch(query, g, sketch_k, "optimistic", h=h, seed=seed,
                                     walk_budget=walk_budget, choice=spec.choice,
-                                    ceg_kind=spec.ceg_kind, starts=starts)
+                                    ceg_kind=spec.ceg_kind, starts=starts,
+                                    catalogue=cat)
     return estimate_optimistic(query, cat, spec.ceg_kind, spec.choice,
                                starts=starts, paths=paths)
 

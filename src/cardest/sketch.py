@@ -5,7 +5,13 @@ The attribute set S comes from a chosen estimation-graph path: join
 attributes that the path does not extend through a bound (conditioned) edge.
 Each attribute gets K**(1/|S|) hash buckets; a relation hashes on the subset
 of S it contains, and the query splits into K disjoint components whose true
-counts add up to the original.
+counts add up to the original.  Each vertex is hashed once and each query
+edge's relation is split into its bucket cells in one pass.
+
+The unpartitioned plan reads the caller's catalogue when one is given (as
+`run_workload` does): a catalogue lacking the query's patterns fails with
+MissingStatisticError, and closing-rate plans use that catalogue's closing
+rates.  Each component gets a catalogue built from its own graph.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .catalogue import build_catalogue
+from .catalogue import Catalogue, build_catalogue
 from .errors import SketchPlanError
 from .estgraph import BOUND, PROJECTION, PathEstimate
 from .estimators import (Estimate, HeuristicChoice, estimate_molp,
@@ -117,29 +123,39 @@ def make_sketch(q: QueryGraph, g: LabeledGraph, path: PathEstimate | None, k: in
         raise SketchPlanError(
             f"K={k} is not a perfect |S|-th power >= 2**|S| for |S|={len(attrs)}")
 
-    s_index = {v: i for i, v in enumerate(attrs)}
+    s_set = set(attrs)
     assignments: dict[int, tuple[tuple[str, ...], int]] = {}
     for i, e in enumerate(q.edges):
         pa = tuple(v for v in attrs if v in (e.src, e.dst))
         assignments[i] = (pa, parts ** len(pa))
 
+    # Split each query edge's relation once: edge (u, v) goes to the cell keyed
+    # by the buckets of its sketched endpoints (None where the end is not in S).
+    buckets: dict[int, int] = {}
+
+    def bucket(vertex: int) -> int:
+        b = buckets.get(vertex)
+        if b is None:
+            b = buckets[vertex] = bucket_of(vertex, parts, seed)
+        return b
+
+    cells: list[dict[tuple[int | None, int | None], list[tuple[int, int, str]]]] = []
+    for i, e in enumerate(q.edges):
+        hash_src, hash_dst, tag = e.src in s_set, e.dst in s_set, f"e{i}"
+        split: dict = {}
+        for u, v in g.edges_with_label(e.label):
+            key = (bucket(u) if hash_src else None, bucket(v) if hash_dst else None)
+            split.setdefault(key, []).append((u, v, tag))
+        cells.append(split)
+
+    comp_query = QueryGraph([QEdge(e.src, e.dst, f"e{i}") for i, e in enumerate(q.edges)])
     components: list[SketchComponent] = []
     for index in _indices(parts, len(attrs)):
-        sigma = {attrs[i]: index[i] for i in range(len(attrs))}
+        sigma = dict(zip(attrs, index))
         edges = []
-        for i, e in enumerate(q.edges):
-            want_src = sigma.get(e.src) if e.src in s_index else None
-            want_dst = sigma.get(e.dst) if e.dst in s_index else None
-            for u, v in g.edges_with_label(e.label):
-                if want_src is not None and bucket_of(u, parts, seed) != want_src:
-                    continue
-                if want_dst is not None and bucket_of(v, parts, seed) != want_dst:
-                    continue
-                edges.append((u, v, f"e{i}"))
-        comp_graph = LabeledGraph(edges)
-        comp_query = QueryGraph([QEdge(e.src, e.dst, f"e{i}")
-                                 for i, e in enumerate(q.edges)])
-        components.append(SketchComponent(index, comp_graph, comp_query))
+        for e, split in zip(q.edges, cells):
+            edges.extend(split.get((sigma.get(e.src), sigma.get(e.dst)), ()))
+        components.append(SketchComponent(index, LabeledGraph(edges), comp_query))
     plan = SketchPlan(path=path, attrs=tuple(attrs), k=k, per_attr_parts=parts,
                       partition_assignments=assignments, seed=seed)
     return plan, components
@@ -170,15 +186,26 @@ def estimate_with_sketch(q: QueryGraph, g: LabeledGraph, k: int, base: str,
                          h: int = 2, seed: int = 0, walk_budget: int | None = 1000,
                          choice: HeuristicChoice | None = None,
                          ceg_kind: str = "avg-degree",
-                         starts: str = "anchored") -> Estimate:
+                         starts: str = "anchored",
+                         catalogue: Catalogue | None = None) -> Estimate:
     """Sum of per-component base estimates under a K-way bound sketch.
 
     base="molp": the sketch follows the unpartitioned minimum-weight path and
     each component is re-bounded from its own statistics.  base="optimistic":
     the heuristic's chosen path on the unpartitioned graph is fixed and its
     formula re-evaluated per component (min/max aggregators only).
+
+    The unpartitioned plan reads `catalogue` when given, which must be built
+    from g; one built at another h raises ConfigError, one without q's
+    patterns MissingStatisticError, and closing-rate plans use its closing
+    rates.  Without one, a catalogue of q alone is built from g.  Each
+    component always gets a catalogue of its own graph.
     """
-    cat = build_catalogue(g, [q], h, walk_budget=walk_budget, seed=seed)
+    if catalogue is None:
+        cat = build_catalogue(g, [q], h, walk_budget=walk_budget, seed=seed)
+    else:
+        catalogue.check_h(h)
+        cat = catalogue
     fixed_path: PathEstimate | None = None
     if base == "molp":
         unsketched = estimate_molp(q, cat)

@@ -7,7 +7,7 @@ power set, isomorphism tries every bijection.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, product
 
 from cardest.graphstore import LabeledGraph
 from cardest.querymodel import QueryGraph
@@ -178,3 +178,27 @@ def brute_label_walks(g: LabeledGraph, label_seq) -> list[tuple[int, ...]]:
     for w0, w1 in sorted(firsts):
         rec([w0, w1])
     return walks
+
+
+def filtered_sketch_components(g: LabeledGraph, q: QueryGraph, attrs, parts: int, seed: int):
+    """(index, edge set) per sketch component, by rescanning every relation per
+    component and hashing every sketched endpoint again each time.
+
+    Index order: the first attribute's bucket varies fastest.
+    """
+    from cardest.sketch import bucket_of
+
+    out = []
+    for rev in product(range(parts), repeat=len(attrs)):
+        index = tuple(reversed(rev))
+        sigma = dict(zip(attrs, index))
+        edges = set()
+        for i, e in enumerate(q.edges):
+            for u, v in g.edges_with_label(e.label):
+                if e.src in sigma and bucket_of(u, parts, seed) != sigma[e.src]:
+                    continue
+                if e.dst in sigma and bucket_of(v, parts, seed) != sigma[e.dst]:
+                    continue
+                edges.add((u, v, f"e{i}"))
+        out.append((index, frozenset(edges)))
+    return out

@@ -162,6 +162,21 @@ def test_dump_ceg(tmp_path, capsys):
     assert os.path.exists(tmp_path / "ceg.maxdeg.dot")
 
 
+def test_dump_ceg_writes_closing_graph_for_closing_methods(tmp_path, capsys):
+    query = tmp_path / "square.query"
+    query.write_text("a0 -P-> a1\na1 -Q-> a2\na2 -R-> a3\na3 -S-> a0\n")
+    dot = tmp_path / "ceg.dot"
+    args = ("estimate", "--graph", fixture_path("squares.edges"), "--query", str(query),
+            "--dump-ceg", str(dot))
+    assert run_cli(*args, "--methods", "bound") == 0
+    assert not (tmp_path / "ceg.closing.dot").exists()
+    assert run_cli(*args, "--methods", "bound,pstar:closing") == 0
+    capsys.readouterr()
+    closing = (tmp_path / "ceg.closing.dot").read_text()
+    assert closing.startswith("digraph")
+    assert closing != dot.read_text()   # the 4-cycle closes by a sampled rate
+
+
 def test_dump_ceg_uses_the_loaded_catalogue(tmp_path, monkeypatch, capsys):
     cat = tmp_path / "cat.json"
     assert run_cli("build-catalogue", "--graph", fixture_path("f1.edges"),

@@ -10,6 +10,7 @@ import pytest
 from cardest.evalharness import (CSV_COLUMNS, QErrorRecord,
                                  WorkloadItem, expand_methods, percentile,
                                  qerror, run_workload, summarize)
+from cardest.errors import ConfigError
 from cardest.querymodel import parse_query
 
 from _synth import random_graph
@@ -166,6 +167,24 @@ def test_run_workload_isolates_estimator_failures(fork_graph, q3p, q5f):
     assert len(failed) == 2 and len(fine) == 2
     assert all("MissingStatisticError" in r.error for r in failed)
     assert len(result.records) == 4
+
+
+def test_sketched_rows_need_the_run_catalogue_patterns(fork_graph, q3p, q5f):
+    from cardest.catalogue import build_catalogue
+    cat = build_catalogue(fork_graph, [q3p], 2)
+    result = run_workload(fork_graph, [q5f], expand_methods(["bound"]), sketch_k=4,
+                          catalogue=cat)
+    assert "MissingStatisticError" in result.records[0].error
+
+
+def test_run_workload_rejects_catalogue_at_other_h(f1_graph, q3p):
+    # an h=2 catalogue in an h=3 run used to report bound 8; h=3 statistics give 7
+    from cardest.catalogue import build_catalogue
+    cat = build_catalogue(f1_graph, [q3p], 2)
+    with pytest.raises(ConfigError):
+        run_workload(f1_graph, [q3p], expand_methods(["bound"]), h=3, catalogue=cat)
+    (record,) = run_workload(f1_graph, [q3p], expand_methods(["bound"]), h=3).records
+    assert record.estimate_exact == record.true_count == 7
 
 
 def test_sketched_run_marks_avg_rows_failed(fork_graph, q5f):

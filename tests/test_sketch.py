@@ -5,16 +5,19 @@ from fractions import Fraction
 
 import pytest
 
+from cardest import sketch
 from cardest.catalogue import build_catalogue
-from cardest.errors import SketchPlanError
+from cardest.errors import ConfigError, SketchPlanError
 from cardest.estgraph import BOUND, UNBOUND, CegEdge, PathEstimate
 from cardest.estimators import HeuristicChoice, KIND_AVG, estimate_molp, estimate_optimistic
+from cardest.evalharness import WorkloadItem, expand_methods, run_workload
 from cardest.oracle import count_hom
 from cardest.querymodel import instantiate_template, parse_query
 from cardest.sketch import (bucket_of, estimate_with_sketch, join_attributes,
                             make_sketch, sketch_attributes)
 
-from _synth import random_graph, tree_template
+from _synth import cycle_template, random_graph, tree_template
+from oracles import filtered_sketch_components
 
 
 def _attr_path(steps) -> PathEstimate:
@@ -185,3 +188,99 @@ def test_hash_determinism(fork_graph, q5f):
     assert bucket_of(12345, 4, seed=7) == bucket_of(12345, 4, seed=7)
     spread = {bucket_of(v, 4, seed=7) for v in range(200)}
     assert spread == {0, 1, 2, 3}
+
+
+@pytest.fixture(scope="module")
+def sketch_runs():
+    """Seeded random graphs, each with tree and cycle instances and the
+    catalogue of all its instances (as a workload run holds it)."""
+    runs = []
+    for seed in range(4):
+        g = random_graph(30, 140, 4, seed=1400 + seed, plant_cycles=6)
+        templates = (tree_template(4, seed=seed), cycle_template(3), cycle_template(4))
+        queries = [q for j, t in enumerate(templates)
+                   if (q := instantiate_template(t, g, seed=10 * seed + j, attempts=25))]
+        runs.append((g, queries, build_catalogue(g, queries, 2)))
+    return runs
+
+
+def _sketched(q, g, k, base, **kwargs):
+    try:
+        return estimate_with_sketch(q, g, k, base, **kwargs).exact
+    except SketchPlanError:
+        return SketchPlanError
+
+
+def test_sketched_values_same_with_run_catalogue(sketch_runs):
+    choices = (HeuristicChoice("max-hop", "max-aggr"), HeuristicChoice("min-hop", "min-aggr"))
+    sandwiched = 0
+    for g, queries, cat in sketch_runs:
+        for q in queries:
+            truth = count_hom(g, q).value
+            unsketched = estimate_molp(q, cat).exact
+            for k in (4, 16):
+                reused = _sketched(q, g, k, "molp", catalogue=cat)
+                assert reused == _sketched(q, g, k, "molp")
+                if reused is not SketchPlanError:
+                    assert truth <= reused <= unsketched
+                    sandwiched += 1
+                for choice in choices:
+                    assert _sketched(q, g, k, "optimistic", choice=choice,
+                                     ceg_kind=KIND_AVG, catalogue=cat) == \
+                        _sketched(q, g, k, "optimistic", choice=choice, ceg_kind=KIND_AVG)
+    assert sandwiched >= 12
+
+
+def test_sketched_run_reads_its_catalogue(sketch_runs, monkeypatch):
+    g, queries, cat = sketch_runs[0]
+    full_graph_builds = []
+    original = sketch.build_catalogue
+
+    def counting(graph, *args, **kwargs):
+        if graph is g:
+            full_graph_builds.append(args)
+        return original(graph, *args, **kwargs)
+
+    monkeypatch.setattr(sketch, "build_catalogue", counting)
+    estimate_with_sketch(queries[0], g, 4, "molp")
+    assert len(full_graph_builds) == 1   # without a catalogue the row builds its own
+    full_graph_builds.clear()
+    methods = expand_methods(["bound", "optimistic:avg:max-hop:max-aggr"])
+    result = run_workload(g, [WorkloadItem(f"q{i}", "", q) for i, q in enumerate(queries)],
+                          methods, sketch_k=4, catalogue=cat)
+    assert sum(r.error is None for r in result.records) >= 4
+    assert full_graph_builds == []
+
+
+def test_sketch_rejects_catalogue_at_other_h(f1_graph, q3p):
+    cat = build_catalogue(f1_graph, [q3p], 2)
+    with pytest.raises(ConfigError):
+        estimate_with_sketch(q3p, f1_graph, 4, "molp", h=3, catalogue=cat)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("k", [4, 9, 16])
+def test_components_match_per_component_filter(fork_graph, q5f, sketch_runs, k, seed):
+    p2 = _attr_path([
+        ({"a1", "a2"}, UNBOUND, 4),
+        ({"a1", "a2", "a3"}, BOUND, 1),
+        ({"a1", "a2", "a3", "a4"}, BOUND, 2),
+        ({"a1", "a2", "a3", "a4", "a5"}, BOUND, 3),
+        ({"a1", "a2", "a3", "a4", "a5", "a6"}, BOUND, 4),
+    ])
+    cases = [(fork_graph, q5f, _p1(q5f)), (fork_graph, q5f, p2)]
+    for g, queries, cat in sketch_runs:
+        cases += [(g, q, estimate_molp(q, cat).chosen_path) for q in queries]
+    checked = 0
+    for g, q, path in cases:
+        try:
+            plan, components = make_sketch(q, g, path, k, seed=seed)
+        except SketchPlanError:
+            continue
+        checked += 1
+        assert [(c.index, c.graph.edges) for c in components] == \
+            filtered_sketch_components(g, q, plan.attrs, plan.per_attr_parts, seed)
+        assert all([(e.src, e.dst, e.label) for e in c.query.edges] ==
+                   [(e.src, e.dst, f"e{i}") for i, e in enumerate(q.edges)]
+                   for c in components)
+    assert checked >= 10
