@@ -2,8 +2,9 @@
 
 from .catalogue import Catalogue, build_catalogue, canonical_key, load, save
 from .errors import CardestError
-from .estgraph import (Ceg, CegEdge, PathEstimate, build_cover, build_maxdeg,
-                       build_optimistic, enumerate_paths, min_weight_path, to_dot)
+from .estgraph import (Ceg, CegEdge, PathEstimate, PathSummary, build_cover, build_maxdeg,
+                       build_optimistic, enumerate_paths, min_weight_path, path_summary,
+                       to_dot)
 from .estimators import (ALL_CHOICES, Estimate, HeuristicChoice, estimate_molp,
                          estimate_optimistic, estimate_pstar)
 from .evalharness import (MethodSpec, QErrorRecord, QErrorSummary, RunResult,

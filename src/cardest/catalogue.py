@@ -8,7 +8,6 @@ from sampled (or exhaustively enumerated) walks.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -18,7 +17,7 @@ from typing import IO, Iterable, Sequence
 
 from . import oracle
 from .errors import CatalogueFormatError, ConfigError, QueryValidationError
-from .graphstore import LabeledGraph, dump_graph
+from .graphstore import LabeledGraph
 from .oracle import FWD, REV, LabelStep
 from .querymodel import (QEdge, QueryGraph, Subquery, connected_subqueries, cycles,
                          subsets)
@@ -226,7 +225,7 @@ class Catalogue:
 
     def check_graph(self, g: LabeledGraph) -> None:
         """Raise ConfigError unless built from `g`: other statistics void the bound."""
-        if self.graph_signature() != _graph_sha256(g):
+        if self.graph_signature() != g.sha256:
             raise ConfigError("catalogue was built from a different graph (sha256 mismatch)")
 
 
@@ -283,14 +282,10 @@ def build_catalogue(
             "vertices": len(g.vertices),
             "edges": len(g.edges),
             "labels": len(g.labels),
-            "sha256": _graph_sha256(g),
+            "sha256": g.sha256,
         },
     }
     return cat
-
-
-def _graph_sha256(g: LabeledGraph) -> str:
-    return hashlib.sha256(dump_graph(g).encode("utf-8")).hexdigest()
 
 
 def _degree_table(rep: QueryGraph, rows: set[tuple[int, ...]]) -> dict[str, int]:

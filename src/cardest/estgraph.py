@@ -9,6 +9,9 @@ held as move tables and expanded per vertex on demand.
 
 Every bottom-to-top path yields an estimate: the exact rational product of
 its rates.  Base-2 log weights are carried alongside for the additive view.
+`path_summary` aggregates those estimates per hop count (max, min, sum,
+count, and the DFS-first extreme paths) in one pass over the DAG;
+`iter_paths` / `enumerate_paths` list them one by one.
 """
 
 from __future__ import annotations
@@ -86,11 +89,15 @@ class Ceg:
         self.query = query
         self.top = top
         self.bottom: frozenset = frozenset()
-        self._adj = {  # out-edges by destination, then rate, unbound first on ties
-            v: tuple(sorted(edges, key=lambda e: (_vkey(e.dst), e.rate, e.kind != UNBOUND,
-                                                  e.kind, e.provenance)))
-            for v, edges in adjacency.items()
-        }
+        keys: dict[frozenset, tuple] = {}
+
+        def order(e: CegEdge) -> tuple:  # by destination, then rate, unbound first on ties
+            key = keys.get(e.dst)
+            if key is None:
+                key = keys[e.dst] = _vkey(e.dst)
+            return (key, e.rate, e.kind != UNBOUND, e.kind, e.provenance)
+
+        self._adj = {v: tuple(sorted(edges, key=order)) for v, edges in adjacency.items()}
         self.meta = dict(meta or {})
 
     def out(self, vertex: frozenset) -> tuple[CegEdge, ...]:
@@ -127,25 +134,29 @@ class _EdgeAccumulator:
     """Collects edges, merging parallels that agree on endpoints, rate, kind."""
 
     def __init__(self):
-        self._merged: dict[tuple, list] = {}
+        self._pairs: dict[tuple[frozenset, frozenset], list[list]] = {}  # -> [rate, kind, provs]
 
     def add(self, src: frozenset, dst: frozenset, rate: Fraction, kind: str, prov: tuple):
-        provs = self._merged.setdefault((src, dst, rate, kind), [])
-        if prov not in provs:
-            provs.append(prov)
+        entries = self._pairs.setdefault((src, dst), [])
+        for entry in entries:
+            if entry[0] == rate and entry[1] == kind:
+                if prov not in entry[2]:
+                    entry[2].append(prov)
+                return
+        entries.append([rate, kind, [prov]])
 
     def discard_pair(self, src: frozenset, dst: frozenset):
-        for key in [k for k in self._merged if k[0] == src and k[1] == dst]:
-            del self._merged[key]
+        self._pairs.pop((src, dst), None)
 
     def pairs(self) -> set[tuple[frozenset, frozenset]]:
-        return {(src, dst) for src, dst, _, _ in self._merged}
+        return set(self._pairs)
 
     def adjacency(self) -> dict[frozenset, list[CegEdge]]:
         adj: dict[frozenset, list[CegEdge]] = {}
-        for (src, dst, rate, kind), provs in self._merged.items():
-            adj.setdefault(src, []).append(
-                CegEdge(src, dst, rate, kind, tuple(sorted(provs))))
+        for (src, dst), entries in self._pairs.items():
+            out = adj.setdefault(src, [])
+            for rate, kind, provs in entries:
+                out.append(CegEdge(src, dst, rate, kind, tuple(sorted(provs))))
         return adj
 
 
@@ -179,14 +190,24 @@ def build_optimistic(q: QueryGraph, cat: Catalogue, closing: bool = False,
     elif starts != "all":
         raise ValueError(f"starts must be 'anchored' or 'all', got {starts!r}")
 
+    key = {s: _vkey(s) for s in index_sets}
+    counts: dict[frozenset, int] = {}
+
+    def count(s: frozenset) -> int:  # each index set looked up once per build
+        got = counts.get(s)
+        if got is None:
+            got = counts[s] = require_count(cat, by_indices[s])
+        return got
+
     acc = _EdgeAccumulator()
     for s in start_vertices:
-        cnt = require_count(cat, by_indices[s])
-        acc.add(frozenset(), s, Fraction(cnt), START, ("count", tuple(sorted(s))))
+        acc.add(frozenset(), s, Fraction(count(s)), START, ("count", key[s]))
 
     ext_patterns = [s.indices for s in subs if len(s.indices) <= h]
-    for s_set in sorted(index_sets, key=_vkey):
-        if len(s_set) < start_size or s_set == frozenset(range(m)):
+    ratios: dict[tuple[frozenset, frozenset], tuple[Fraction, tuple]] = {}
+    top = frozenset(range(m))
+    for s_set in sorted(index_sets, key=key.__getitem__):
+        if len(s_set) < start_size or s_set == top:
             continue
         for ext in ext_patterns:
             diff = ext - s_set
@@ -194,15 +215,16 @@ def build_optimistic(q: QueryGraph, cat: Catalogue, closing: bool = False,
             if not diff or not inter:
                 continue
             target = s_set | diff
-            if target not in index_sets or inter not in index_sets:
-                continue
             if len(ext) != min(h, len(target)):
                 continue
-            c_ext = require_count(cat, by_indices[ext])
-            c_int = require_count(cat, by_indices[inter])
-            rate = Fraction(c_ext, c_int) if c_int else Fraction(0)
-            acc.add(s_set, target, rate, EXTENSION,
-                    ("ratio", tuple(sorted(ext)), tuple(sorted(inter))))
+            if target not in index_sets or inter not in index_sets:
+                continue
+            ratio = ratios.get((ext, inter))
+            if ratio is None:
+                c_ext, c_int = count(ext), count(inter)
+                ratio = ratios[ext, inter] = (Fraction(c_ext, c_int) if c_int else Fraction(0),
+                                              ("ratio", key[ext], key[inter]))
+            acc.add(s_set, target, ratio[0], EXTENSION, ratio[1])
 
     meta: dict = {"h": h, "starts": starts}
     all_cycles = cycles(q).cycles
@@ -210,7 +232,7 @@ def build_optimistic(q: QueryGraph, cat: Catalogue, closing: bool = False,
         _apply_closing_rates(q, cat, acc, [c for c in all_cycles if len(c) > h], meta)
     adjacency = acc.adjacency()
     _prune_early_cycle_closing(adjacency, all_cycles)
-    return Ceg("edges", q, frozenset(range(m)), adjacency, meta)
+    return Ceg("edges", q, top, adjacency, meta)
 
 
 def require_count(cat: Catalogue, sub: Subquery) -> int:
@@ -456,6 +478,121 @@ def enumerate_paths(ceg: Ceg, cap: int = DEFAULT_PATH_CAP) -> list[PathEstimate]
     if total > cap:
         raise PathOverflowError(total, cap)
     return list(iter_paths(ceg))
+
+
+_MAX, _MIN, _SUM, _COUNT, _ARGMAX, _ARGMIN, _FIRST = range(7)   # HopRow slots
+
+HopRow = list   # [max, min, sum, count, argmax, argmin, first] of one (vertex, hops)
+
+
+class PathSummary:
+    """Aggregates over every bottom-to-top path of a Ceg, from one memoized pass.
+
+    For each vertex v and hop count k, `rows[v][k]` holds the exact max, min
+    and sum of the rate products of the k-hop suffixes v -> top, their count,
+    and the index in `ceg.out(v)` of the first out-edge reaching the max, the
+    first reaching the min, and the first with any k-hop suffix at all.  These
+    are the algebraic path sums of the DAG (Mohri, "Semiring frameworks and
+    algorithms for shortest-distance problems", 2002) in several semirings at
+    once; `iter_paths` lists the same paths one by one.
+    """
+
+    def __init__(self, ceg: Ceg, rows: dict[frozenset, dict[int, HopRow]]):
+        self.ceg = ceg
+        self.rows = rows
+        self._bottom = rows[ceg.bottom]
+        self.hop_counts: tuple[int, ...] = tuple(sorted(self._bottom))  # ascending
+
+    def count(self, hops: int | None = None) -> int:
+        """Number of paths with `hops` hops (every path when None)."""
+        if hops is not None:
+            return self._bottom[hops][_COUNT]
+        return sum(row[_COUNT] for row in self._bottom.values())
+
+    def total(self, hops: int | None = None) -> Fraction:
+        """Sum of the path estimates with `hops` hops (every path when None)."""
+        if hops is not None:
+            return self._bottom[hops][_SUM]
+        return sum((row[_SUM] for row in self._bottom.values()), Fraction(0))
+
+    def extreme(self, largest: bool, hops: int | None = None) -> PathEstimate:
+        """The first path in `iter_paths` order whose estimate is the max (or min)
+        among the paths with `hops` hops (among every path when None)."""
+        slot = _MAX if largest else _MIN
+        if hops is not None:
+            return self._walk(hops, slot)[1]
+        values = [(row[slot], k) for k, row in self._bottom.items()]
+        target = max(values)[0] if largest else min(values)[0]
+        walks = [self._walk(k, slot) for value, k in values if value == target]
+        return min(walks, key=lambda walk: walk[0])[1]
+
+    def _walk(self, hops: int, slot: int) -> tuple[tuple[int, ...], PathEstimate]:
+        """(out-edge indices, path) of the DFS-first `hops`-hop path whose
+        estimate is the row's value in `slot` (_MAX or _MIN).
+
+        It follows the argmax (argmin) pointers down from bottom.  After a
+        zero-rate edge every suffix multiplies to 0, so it follows the
+        first-suffix pointers instead.  Index tuples compare in `iter_paths`
+        order.
+        """
+        ceg, rows = self.ceg, self.rows
+        v = ceg.bottom
+        value = self._bottom[hops][slot]
+        pointer = _ARGMAX if slot == _MAX else _ARGMIN
+        picks: list[int] = []
+        edges: list[CegEdge] = []
+        while hops:
+            i = rows[v][hops][pointer]
+            e = ceg.out(v)[i]
+            picks.append(i)
+            edges.append(e)
+            if not e.rate:
+                pointer = _FIRST
+            v = e.dst
+            hops -= 1
+        return tuple(picks), PathEstimate(tuple(edges), value)
+
+
+def path_summary(ceg: Ceg) -> PathSummary:
+    """Max, min, sum and count of the bottom-to-top path estimates per hop count,
+    with pointers to the DFS-first extreme paths, in one pass over the DAG.
+
+    Agrees exactly with aggregating `iter_paths(ceg)`, without listing the
+    paths: the work is one step per (edge, hop count) pair, not per path.
+    """
+    if ceg.has_projection_edges():
+        raise ValueError("path summaries need an extension-only graph")
+    one = Fraction(1)
+    rows: dict[frozenset, dict[int, HopRow]] = {ceg.top: {0: [one, one, one, 1, -1, -1, -1]}}
+
+    def visit(v: frozenset) -> dict[int, HopRow]:
+        got = rows.get(v)
+        if got is not None:
+            return got
+        got = {}
+        for i, e in enumerate(ceg.out(v)):
+            rate = e.rate
+            for k, (mx, mn, total, n, _, _, _) in visit(e.dst).items():
+                # a row built from a single suffix holds one object in its max,
+                # min and sum slots, so that product is computed once
+                hi = rate * mx
+                lo = hi if mn is mx else rate * mn
+                part = hi if total is mx else rate * total
+                row = got.get(k + 1)
+                if row is None:
+                    got[k + 1] = [hi, lo, part, n, i, i, i]
+                    continue
+                if hi > row[_MAX]:
+                    row[_MAX], row[_ARGMAX] = hi, i
+                if lo < row[_MIN]:
+                    row[_MIN], row[_ARGMIN] = lo, i
+                row[_SUM] += part
+                row[_COUNT] += n
+        rows[v] = got
+        return got
+
+    visit(ceg.bottom)
+    return PathSummary(ceg, rows)
 
 
 def min_weight_path(ceg: Ceg) -> PathEstimate:

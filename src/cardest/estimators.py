@@ -2,9 +2,12 @@
 
 The optimistic family picks paths by a hop filter (max-hop / min-hop /
 all-hops) and aggregates their estimates (max-aggr / min-aggr / avg-aggr),
-giving 9 heuristics per graph kind.  The path oracle picks the single most
-accurate path given the true count.  The pessimistic bound is the
-minimum-weight path of the max-degree graph, found combinatorially.
+giving 9 heuristics per graph kind.  They read one `path_summary` of the
+graph (per hop count: max, min, sum and count of the path estimates) rather
+than a list of every path.  The path oracle picks the single most accurate
+path given the true count, so it lists the paths, as does the geometric mean.
+The pessimistic bound is the minimum-weight path of the max-degree graph,
+found combinatorially.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ from fractions import Fraction
 
 from .catalogue import Catalogue, closing_spec
 from .errors import EstimationError, MissingStatisticError
-from .estgraph import (DEFAULT_PATH_CAP, Ceg, PathEstimate, build_maxdeg,
+from .estgraph import (DEFAULT_PATH_CAP, Ceg, PathEstimate, PathSummary, build_maxdeg,
                        build_optimistic, enumerate_paths, min_weight_path,
-                       require_count)
+                       path_summary, require_count)
 from .querymodel import QueryGraph, Subquery, connected_subqueries
 
 HOP_CHOICES = ("max-hop", "min-hop", "all-hops")
@@ -25,6 +28,8 @@ AGGR_CHOICES = ("max-aggr", "min-aggr", "avg-aggr")
 KIND_AVG = "avg-degree"
 KIND_CLOSING = "closing-rate"
 KIND_MAXDEG = "max-degree"
+
+_NO_PATH = "no bottom-to-top path; closing rates or counts missing"
 
 
 @dataclass(frozen=True)
@@ -67,16 +72,34 @@ class Estimate:
 # Optimistic heuristics
 # ---------------------------------------------------------------------------
 
+def optimistic_ceg(q: QueryGraph, cat: Catalogue, ceg_kind: str = KIND_AVG,
+                   starts: str = "anchored") -> Ceg:
+    if ceg_kind not in (KIND_AVG, KIND_CLOSING):
+        raise ValueError(f"optimistic graphs are {KIND_AVG!r} or {KIND_CLOSING!r}")
+    return build_optimistic(q, cat, closing=(ceg_kind == KIND_CLOSING), starts=starts)
+
+
+def ceg_paths(ceg: Ceg, cap: int = DEFAULT_PATH_CAP) -> list[PathEstimate]:
+    """Every bottom-to-top path; PathOverflowError past `cap` paths."""
+    paths = enumerate_paths(ceg, cap)
+    if not paths:
+        raise EstimationError(_NO_PATH)
+    return paths
+
+
+def ceg_summary(ceg: Ceg) -> PathSummary:
+    """The graph's path summary; no cap, since no path is listed."""
+    summary = path_summary(ceg)
+    if not summary.hop_counts:
+        raise EstimationError(_NO_PATH)
+    return summary
+
+
 def optimistic_paths(q: QueryGraph, cat: Catalogue, ceg_kind: str = KIND_AVG,
                      starts: str = "anchored",
                      cap: int = DEFAULT_PATH_CAP) -> tuple[Ceg, list[PathEstimate]]:
-    if ceg_kind not in (KIND_AVG, KIND_CLOSING):
-        raise ValueError(f"optimistic graphs are {KIND_AVG!r} or {KIND_CLOSING!r}")
-    ceg = build_optimistic(q, cat, closing=(ceg_kind == KIND_CLOSING), starts=starts)
-    paths = enumerate_paths(ceg, cap)
-    if not paths:
-        raise EstimationError("no bottom-to-top path; closing rates or counts missing")
-    return ceg, paths
+    ceg = optimistic_ceg(q, cat, ceg_kind, starts)
+    return ceg, ceg_paths(ceg, cap)
 
 
 def filter_paths(paths: list[PathEstimate], hop: str) -> list[PathEstimate]:
@@ -89,13 +112,27 @@ def filter_paths(paths: list[PathEstimate], hop: str) -> list[PathEstimate]:
 def estimate_optimistic(q: QueryGraph, cat: Catalogue, ceg_kind: str,
                         choice: HeuristicChoice, average: str = "arithmetic",
                         starts: str = "anchored", cap: int = DEFAULT_PATH_CAP,
-                        paths: list[PathEstimate] | None = None) -> Estimate:
+                        paths: list[PathEstimate] | None = None,
+                        summary: PathSummary | None = None) -> Estimate:
+    """One 3x3 heuristic on the optimistic graph of `ceg_kind`.
+
+    Reads `summary` (built from the graph when not given) unless `paths` is
+    given or the choice is avg-aggr with average="geometric"; those aggregate
+    a path list, and only the list is capped: PathOverflowError past `cap`
+    paths.  The chosen path is the first extreme one in `iter_paths` order
+    either way.
+    """
+    method = f"optimistic:{choice}"
+    geometric = choice.aggr == "avg-aggr" and average == "geometric"
+    if paths is None and not geometric:
+        if summary is None:
+            summary = ceg_summary(optimistic_ceg(q, cat, ceg_kind, starts))
+        return _from_summary(summary, choice, method, ceg_kind)
     if paths is None:
         _, paths = optimistic_paths(q, cat, ceg_kind, starts=starts, cap=cap)
     pool = filter_paths(paths, choice.hop)
-    method = f"optimistic:{choice}"
     if choice.aggr == "avg-aggr":
-        if average == "geometric":
+        if geometric:
             prod = Fraction(1)
             for p in pool:
                 prod *= p.estimate
@@ -115,6 +152,21 @@ def estimate_optimistic(q: QueryGraph, cat: Catalogue, ceg_kind: str,
             best = p
     return Estimate.from_exact(best.estimate, method=method, ceg_kind=ceg_kind,
                                considered_paths=len(pool), chosen_path=best)
+
+
+def _from_summary(summary: PathSummary, choice: HeuristicChoice, method: str,
+                  ceg_kind: str) -> Estimate:
+    hops = None
+    if choice.hop != "all-hops":
+        counts = summary.hop_counts
+        hops = counts[-1] if choice.hop == "max-hop" else counts[0]
+    n = summary.count(hops)
+    if choice.aggr == "avg-aggr":
+        return Estimate.from_exact(summary.total(hops) / n, method=method, ceg_kind=ceg_kind,
+                                   considered_paths=n, chosen_path=None)
+    best = summary.extreme(choice.aggr == "max-aggr", hops)
+    return Estimate.from_exact(best.estimate, method=method, ceg_kind=ceg_kind,
+                               considered_paths=n, chosen_path=best)
 
 
 def estimate_pstar(q: QueryGraph, cat: Catalogue, ceg_kind: str, true_count: int,

@@ -20,8 +20,8 @@ from typing import Sequence
 from .catalogue import Catalogue, build_catalogue
 from .errors import CardestError
 from .estimators import (ALL_CHOICES, KIND_AVG, KIND_CLOSING, Estimate,
-                         HeuristicChoice, estimate_molp, estimate_optimistic,
-                         estimate_pstar, optimistic_paths)
+                         HeuristicChoice, ceg_paths, ceg_summary, estimate_molp,
+                         estimate_optimistic, estimate_pstar, optimistic_ceg)
 from .graphstore import LabeledGraph
 from .oracle import count_hom
 from .querymodel import QueryGraph
@@ -254,7 +254,9 @@ def run_workload(
     Estimator failures become failed rows, never aborts.  With sketch_k > 1
     the optimistic min/max heuristics and the bound run sketched; their
     unpartitioned plans read the run's catalogue too.  A given catalogue
-    built at another h raises ConfigError before any row runs.
+    built from another graph or at another h raises ConfigError before any
+    row runs.  Per query, each optimistic graph kind is built once; its path
+    summary serves the heuristics and its path list only the path oracle.
     """
     items = [w if isinstance(w, WorkloadItem) else WorkloadItem(f"q{i:04d}", "", w)
              for i, w in enumerate(workload)]
@@ -263,18 +265,19 @@ def run_workload(
                               walk_budget=walk_budget, seed=seed)
     else:
         catalogue.check_h(h)
+        catalogue.check_graph(g)
         cat = catalogue
     records: list[QErrorRecord] = []
     for item in items:
         true_count = count_hom(g, item.query).value
-        path_cache: dict[str, list] = {}
+        ceg_cache: dict = {}
         for spec in methods:
             start = time.perf_counter()
             estimate: Estimate | None = None
             error: str | None = None
             try:
                 estimate = _run_method(item.query, g, cat, spec, h, seed, walk_budget,
-                                       sketch_k, starts, true_count, path_cache)
+                                       sketch_k, starts, true_count, ceg_cache)
             except CardestError as exc:
                 error = f"{type(exc).__name__}: {exc}"
             elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -297,26 +300,31 @@ def run_workload(
 
 
 def _run_method(query, g, cat, spec, h, seed, walk_budget, sketch_k, starts,
-                true_count, path_cache) -> Estimate:
+                true_count, ceg_cache) -> Estimate:
     if spec.name == "bound":
         if sketch_k > 1:
             return estimate_with_sketch(query, g, sketch_k, "molp", h=h, seed=seed,
                                         walk_budget=walk_budget, catalogue=cat)
         return estimate_molp(query, cat)
-    if spec.ceg_kind not in path_cache:
-        _, paths = optimistic_paths(query, cat, spec.ceg_kind, starts=starts)
-        path_cache[spec.ceg_kind] = paths
-    paths = path_cache[spec.ceg_kind]
-    if spec.name == "pstar":
-        return estimate_pstar(query, cat, spec.ceg_kind, true_count, paths=paths)
-    if sketch_k > 1:
+    if spec.name == "optimistic" and sketch_k > 1:
         # avg-aggr has no chosen path to partition; the row records the failure
         return estimate_with_sketch(query, g, sketch_k, "optimistic", h=h, seed=seed,
                                     walk_budget=walk_budget, choice=spec.choice,
                                     ceg_kind=spec.ceg_kind, starts=starts,
                                     catalogue=cat)
-    return estimate_optimistic(query, cat, spec.ceg_kind, spec.choice,
-                               starts=starts, paths=paths)
+    kind = spec.ceg_kind
+    ceg = ceg_cache.get(kind)
+    if ceg is None:
+        ceg = ceg_cache[kind] = optimistic_ceg(query, cat, kind, starts)
+    if spec.name == "pstar":
+        paths = ceg_cache.get(("paths", kind))
+        if paths is None:
+            paths = ceg_cache["paths", kind] = ceg_paths(ceg)
+        return estimate_pstar(query, cat, kind, true_count, paths=paths)
+    summary = ceg_cache.get(("summary", kind))
+    if summary is None:
+        summary = ceg_cache["summary", kind] = ceg_summary(ceg)
+    return estimate_optimistic(query, cat, kind, spec.choice, summary=summary)
 
 
 def _make_record(item, spec, sketch_k, true_count, estimate, error, elapsed_ms):

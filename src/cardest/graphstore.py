@@ -7,6 +7,8 @@ tuples are the (src, dst) pairs carrying that label.
 
 from __future__ import annotations
 
+import hashlib
+from functools import cached_property
 from typing import IO, Iterable, Iterator
 
 from .errors import GraphParseError
@@ -63,6 +65,11 @@ class LabeledGraph:
 
     def sorted_edges(self) -> list[tuple[int, int, str]]:
         return sorted(self.edges)
+
+    @cached_property
+    def sha256(self) -> str:
+        """Digest of the canonical edge-list text (`dump_graph`), computed once."""
+        return hashlib.sha256(dump_graph(self).encode("utf-8")).hexdigest()
 
 
 class Relation:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import QueryParseError, QueryValidationError
@@ -84,8 +85,12 @@ class QueryGraph:
             out.add(self.edges[i].dst)
         return frozenset(out)
 
-    def edge_adjacency(self) -> list[set[int]]:
+    def edge_adjacency(self) -> tuple[frozenset[int], ...]:
         """adjacency over edge indices: i ~ j iff the edges share a variable."""
+        return self._edge_adjacency
+
+    @cached_property
+    def _edge_adjacency(self) -> tuple[frozenset[int], ...]:
         by_var: dict[str, list[int]] = {}
         for i, e in enumerate(self.edges):
             by_var.setdefault(e.src, []).append(i)
@@ -96,7 +101,7 @@ class QueryGraph:
                 for j in members:
                     if i != j:
                         adj[i].add(j)
-        return adj
+        return tuple(frozenset(a) for a in adj)
 
     def is_template(self) -> bool:
         return any(e.label == TEMPLATE_LABEL for e in self.edges)
@@ -344,7 +349,7 @@ def _embed_template(template: QueryGraph, g: LabeledGraph,
     return None
 
 
-def _random_connected_order(adj: list[set[int]], rng: random.Random, m: int) -> list[int]:
+def _random_connected_order(adj: Sequence[frozenset[int]], rng: random.Random, m: int) -> list[int]:
     first = rng.randrange(m)
     order = [first]
     present = {first}

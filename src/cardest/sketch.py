@@ -23,8 +23,7 @@ from .catalogue import Catalogue, build_catalogue
 from .errors import SketchPlanError
 from .estgraph import BOUND, PROJECTION, PathEstimate
 from .estimators import (Estimate, HeuristicChoice, estimate_molp,
-                         estimate_optimistic, evaluate_optimistic_path,
-                         optimistic_paths)
+                         estimate_optimistic, evaluate_optimistic_path)
 from .graphstore import LabeledGraph
 from .querymodel import QEdge, QueryGraph
 
@@ -195,8 +194,8 @@ def estimate_with_sketch(q: QueryGraph, g: LabeledGraph, k: int, base: str,
     the heuristic's chosen path on the unpartitioned graph is fixed and its
     formula re-evaluated per component (min/max aggregators only).
 
-    The unpartitioned plan reads `catalogue` when given, which must be built
-    from g; one built at another h raises ConfigError, one without q's
+    The unpartitioned plan reads `catalogue` when given; one built from
+    another graph or at another h raises ConfigError, one without q's
     patterns MissingStatisticError, and closing-rate plans use its closing
     rates.  Without one, a catalogue of q alone is built from g.  Each
     component always gets a catalogue of its own graph.
@@ -205,6 +204,7 @@ def estimate_with_sketch(q: QueryGraph, g: LabeledGraph, k: int, base: str,
         cat = build_catalogue(g, [q], h, walk_budget=walk_budget, seed=seed)
     else:
         catalogue.check_h(h)
+        catalogue.check_graph(g)
         cat = catalogue
     fixed_path: PathEstimate | None = None
     if base == "molp":
@@ -219,8 +219,7 @@ def estimate_with_sketch(q: QueryGraph, g: LabeledGraph, k: int, base: str,
     elif base == "optimistic":
         if choice is None or choice.aggr == "avg-aggr":
             raise SketchPlanError("optimistic sketches need a min-aggr or max-aggr choice")
-        _, paths = optimistic_paths(q, cat, ceg_kind, starts=starts)
-        unsketched = estimate_optimistic(q, cat, ceg_kind, choice, paths=paths)
+        unsketched = estimate_optimistic(q, cat, ceg_kind, choice, starts=starts)
         sketch_path = unsketched.chosen_path
         fixed_path = sketch_path
         sketch_ceg_kind = "edges"

@@ -21,9 +21,9 @@ from cardest.estgraph import (CegEdge, PathEstimate, build_cover, build_maxdeg,
                               build_optimistic, count_paths, enumerate_paths,
                               iter_paths, min_weight_path)
 from cardest.estimators import (ALL_CHOICES, HeuristicChoice, KIND_AVG,
-                                KIND_CLOSING, estimate_molp,
+                                KIND_CLOSING, ceg_paths, ceg_summary, estimate_molp,
                                 estimate_optimistic, estimate_pstar,
-                                optimistic_paths)
+                                optimistic_ceg, optimistic_paths)
 from cardest.evalharness import (WorkloadItem, expand_methods, qerror,
                                  run_workload, summarize)
 from cardest.oracle import count_hom, group_degree
@@ -31,6 +31,7 @@ from cardest.querymodel import (connected_subqueries, cycles, instantiate_templa
                                 parse_query)
 from cardest.sketch import estimate_with_sketch, make_sketch
 
+from _summary_check import summary_mismatches
 from _synth import (correlated_graph, make_instances, path_template,
                     star_template, tree_template, cycle_template)
 from conftest import identity_triangle
@@ -259,6 +260,20 @@ def test_criterion_9_pstar_dominance_over_avg_aggr_as_stated(safety_run):
     _pass(9, 0.0, f"oracle dominance over avg-aggr on "
           f"{safety_run['avg_outside_span']} comparisons with the truth outside "
           f"the averaged span; {len(safety_run['pstar_avg'])} wins, all inside it")
+
+
+def test_path_summary_equals_enumeration_on_corpus(corpus):
+    """The heuristics read one path summary; listing every path is the check."""
+    mismatches: list[str] = []
+    n = 0
+    for g, cat, qid, template, q in corpus.instances():
+        for kind in (KIND_AVG, KIND_CLOSING):
+            ceg = optimistic_ceg(q, cat, kind)
+            n += 1
+            mismatches += [f"{qid}:{kind}:{m}" for m in
+                           summary_mismatches(ceg_summary(ceg), ceg_paths(ceg), q, cat, kind)]
+    assert n >= 1000
+    assert mismatches == [], mismatches[:5]
 
 
 # ---------------------------------------------------------------------------

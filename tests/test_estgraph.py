@@ -7,13 +7,17 @@ import pytest
 
 from cardest.catalogue import build_catalogue, closing_spec
 from cardest.errors import EstimationError, MissingStatisticError, PathOverflowError
-from cardest.estgraph import (CegEdge, PathEstimate, build_cover, build_maxdeg,
-                              build_optimistic, count_paths, enumerate_paths,
-                              iter_paths, min_weight_path, to_dot)
+from cardest.estgraph import (EXTENSION, Ceg, CegEdge, PathEstimate, build_cover,
+                              build_maxdeg, build_optimistic, count_paths,
+                              enumerate_paths, iter_paths, min_weight_path,
+                              path_summary, to_dot)
+from cardest.estimators import (ALL_CHOICES, KIND_AVG, KIND_CLOSING, HeuristicChoice,
+                                ceg_summary, estimate_optimistic, estimate_pstar)
 from cardest.graphstore import LabeledGraph
 from cardest.oracle import count_hom
 from cardest.querymodel import cycles, instantiate_template, parse_query
 
+from _summary_check import summary_mismatches
 from _synth import random_graph, tree_template
 from oracles import dag_min_product, dfs_path_count
 
@@ -151,6 +155,97 @@ def test_enumeration_cap_enforced(fork_graph, q5f):
     ceg = build_optimistic(q5f, _cat(fork_graph, [q5f]))
     with pytest.raises(PathOverflowError):
         enumerate_paths(ceg, cap=10)
+
+
+# ---------------------------------------------------------------------------
+# Path summary (the heuristics' one pass) against enumeration
+# ---------------------------------------------------------------------------
+
+def _hand_ceg(edges) -> Ceg:
+    """A Ceg from (src, dst, rate) triples over int-set vertices; top is {9}."""
+    adjacency: dict = {}
+    for n, (src, dst, rate) in enumerate(edges):
+        src, dst = frozenset(src), frozenset(dst)
+        adjacency.setdefault(src, []).append(
+            CegEdge(src, dst, Fraction(rate), EXTENSION, (("hand", n),)))
+    return Ceg("edges", None, frozenset({9}), adjacency)
+
+
+def _route(path: PathEstimate) -> list[tuple]:
+    return [tuple(sorted(v)) for v in path.vertices()]
+
+
+def test_summary_follows_first_suffix_after_zero_rate_edge():
+    # Every path crosses the zero-rate edge {} -> {0}, so each estimate is 0 and
+    # the first path in DFS order ({1} before {2}) must be chosen, although the
+    # larger suffix runs through {2}.
+    ceg = _hand_ceg([((), (0,), 0), ((0,), (1,), 1), ((0,), (2,), 3),
+                     ((1,), (9,), 1), ((2,), (9,), 1)])
+    summary = path_summary(ceg)
+    assert summary_mismatches(summary, enumerate_paths(ceg)) == []
+    for aggr in ("max-aggr", "min-aggr"):
+        est = estimate_optimistic(None, None, KIND_AVG, HeuristicChoice("max-hop", aggr),
+                                  summary=summary)
+        assert est.exact == 0 and est.considered_paths == 2
+        assert _route(est.chosen_path) == [(), (0,), (1,), (9,)]
+
+
+def test_summary_all_hops_tie_picks_dfs_first_not_shortest():
+    # The max 6 is reached in 2 hops ({1} -> top) and in 3 hops ({1} -> {1,2} ->
+    # top); {1,2} sorts before the top, so the DFS-first max is the longer one,
+    # although 2 hops is also the hop count met first.
+    ceg = _hand_ceg([((), (0,), 1), ((0,), (9,), 1),
+                     ((), (1,), 2), ((1,), (9,), 3), ((1,), (1, 2), 3), ((1, 2), (9,), 1)])
+    summary = path_summary(ceg)
+    assert summary.hop_counts == (2, 3)
+    assert summary_mismatches(summary, enumerate_paths(ceg)) == []
+    est = estimate_optimistic(None, None, KIND_AVG, HeuristicChoice("all-hops", "max-aggr"),
+                              summary=summary)
+    assert est.exact == 6 and est.considered_paths == 3
+    assert _route(est.chosen_path) == [(), (1,), (1, 2), (9,)]
+
+
+def test_summary_skips_dead_end_vertices():
+    # {0} has no way up to the top: only the path via {1} counts.
+    ceg = _hand_ceg([((), (0,), 5), ((), (1,), 2), ((1,), (9,), 3), ((0,), (0, 2), 7)])
+    summary = path_summary(ceg)
+    assert summary.rows[frozenset({0})] == {}
+    assert summary.count() == 1 and summary.total() == 6
+    assert summary_mismatches(summary, enumerate_paths(ceg)) == []
+    stuck = _hand_ceg([((), (0,), 5)])
+    assert path_summary(stuck).count() == 0
+    with pytest.raises(EstimationError):
+        ceg_summary(stuck)
+
+
+def test_summary_equals_enumeration_on_fixtures(fork_graph, q5f, q3p):
+    for q in (q5f, q3p):
+        for h in (2, 3):
+            cat = _cat(fork_graph, [q], h=h)
+            for kind in (KIND_AVG, KIND_CLOSING):
+                ceg = build_optimistic(q, cat, closing=kind == KIND_CLOSING)
+                paths = enumerate_paths(ceg)
+                assert summary_mismatches(path_summary(ceg), paths, q, cat, kind) == []
+                for choice in ALL_CHOICES:  # the default route builds its own summary
+                    got = estimate_optimistic(q, cat, kind, choice)
+                    want = estimate_optimistic(q, cat, kind, choice, paths=paths)
+                    assert (got.exact, got.considered_paths, got.chosen_path) == \
+                        (want.exact, want.considered_paths, want.chosen_path)
+
+
+def test_optimistic_estimates_have_no_path_cap(fork_graph, q5f):
+    # 36 paths against a cap of 10: only the path-listing estimators overflow
+    cat = _cat(fork_graph, [q5f])
+    paths = enumerate_paths(build_optimistic(q5f, cat))
+    for choice in ALL_CHOICES:
+        got = estimate_optimistic(q5f, cat, KIND_AVG, choice, cap=10)
+        want = estimate_optimistic(q5f, cat, KIND_AVG, choice, paths=paths)
+        assert (got.exact, got.considered_paths) == (want.exact, want.considered_paths)
+    with pytest.raises(PathOverflowError):
+        estimate_pstar(q5f, cat, KIND_AVG, 42, cap=10)
+    with pytest.raises(PathOverflowError):
+        estimate_optimistic(q5f, cat, KIND_AVG, HeuristicChoice("all-hops", "avg-aggr"),
+                            average="geometric", cap=10)
 
 
 # ---------------------------------------------------------------------------

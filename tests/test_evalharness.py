@@ -187,6 +187,22 @@ def test_run_workload_rejects_catalogue_at_other_h(f1_graph, q3p):
     assert record.estimate_exact == record.true_count == 7
 
 
+def test_run_workload_rejects_catalogue_of_another_graph(f1_graph, q3p):
+    # a catalogue of f1 used to report bound 8 on f1 plus four edges, true count 21
+    from cardest.catalogue import build_catalogue
+    from cardest.graphstore import LabeledGraph
+    from cardest.sketch import estimate_with_sketch
+    cat = build_catalogue(f1_graph, [q3p], 2)
+    grown = LabeledGraph(set(f1_graph.edges) | {(5, 10, "A"), (6, 10, "A"),
+                                                (20, 34, "C"), (20, 35, "C")})
+    with pytest.raises(ConfigError):
+        run_workload(grown, [q3p], expand_methods(["bound"]), catalogue=cat)
+    with pytest.raises(ConfigError):
+        estimate_with_sketch(q3p, grown, 4, "molp", catalogue=cat)
+    (record,) = run_workload(grown, [q3p], expand_methods(["bound"])).records
+    assert record.true_count == 21 and record.estimate_exact >= 21
+
+
 def test_sketched_run_marks_avg_rows_failed(fork_graph, q5f):
     specs = expand_methods(["optimistic:avg:max-hop:max-aggr",
                             "optimistic:avg:max-hop:avg-aggr"])

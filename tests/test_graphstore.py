@@ -118,3 +118,12 @@ def test_load_is_idempotent_on_own_dump():
     g2 = load_graph(io.StringIO(text))
     assert g2.edges == g.edges
     assert dump_graph(g2) == text
+
+
+def test_graph_digest_is_the_dump_digest_computed_once():
+    import hashlib
+    g = random_graph(25, 90, 4, seed=12)
+    assert "sha256" not in vars(g)
+    assert g.sha256 == hashlib.sha256(dump_graph(g).encode("utf-8")).hexdigest()
+    assert vars(g)["sha256"] == g.sha256   # cached on the immutable graph
+    assert load_graph(io.StringIO(dump_graph(g))).sha256 == g.sha256

@@ -1,0 +1,66 @@
+"""Property: the path summary agrees with path enumeration on random inputs."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from cardest.catalogue import build_catalogue  # noqa: E402
+from cardest.estgraph import (EXTENSION, Ceg, CegEdge, count_paths,  # noqa: E402
+                              enumerate_paths, path_summary)
+from cardest.estimators import KIND_AVG, KIND_CLOSING, optimistic_ceg  # noqa: E402
+
+from _summary_check import summary_mismatches  # noqa: E402
+from _synth import DEFAULT_LABELS, cycle_template, random_graph, tree_template  # noqa: E402
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+RATES = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3), Fraction(5, 3)]
+
+
+@st.composite
+def random_dags(draw):
+    """A Ceg on vertices {} = 0 < {1} < ... < {n} = top, edges only upward,
+    parallel edges allowed, rates drawn from RATES (zero included)."""
+    n = draw(st.integers(2, 6))
+    names = [frozenset()] + [frozenset({i}) for i in range(1, n + 1)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n + 1)]
+    chosen = draw(st.lists(st.tuples(st.sampled_from(pairs), st.sampled_from(RATES)),
+                           min_size=1, max_size=18))
+    adjacency: dict = {}
+    for k, ((i, j), rate) in enumerate(chosen):
+        adjacency.setdefault(names[i], []).append(
+            CegEdge(names[i], names[j], rate, EXTENSION, (("random", k),)))
+    return Ceg("edges", None, names[n], adjacency)
+
+
+@SETTINGS
+@given(random_dags())
+def test_summary_equals_enumeration_on_random_dags(ceg):
+    summary = path_summary(ceg)
+    assert summary.count() == count_paths(ceg)
+    assume(summary.count() > 0)
+    assert summary_mismatches(summary, enumerate_paths(ceg)) == []
+
+
+@SETTINGS
+@given(graph_seed=st.integers(0, 10 ** 6), shape=st.sampled_from(["tree", "cycle"]),
+       size=st.integers(3, 5), labels=st.lists(st.integers(0, 2), min_size=5, max_size=5),
+       h=st.integers(2, 3))
+def test_summary_equals_enumeration_on_small_random_graphs(graph_seed, shape, size,
+                                                           labels, h):
+    g = random_graph(12, 30, 3, seed=graph_seed, plant_cycles=3)
+    template = tree_template(size, seed=graph_seed) if shape == "tree" else cycle_template(size)
+    q = template.with_labels([DEFAULT_LABELS[i] for i in labels[:len(template.edges)]])
+    cat = build_catalogue(g, [q], h, walk_budget=50, seed=graph_seed)
+    for kind in (KIND_AVG, KIND_CLOSING):
+        ceg = optimistic_ceg(q, cat, kind)
+        summary = path_summary(ceg)
+        if summary.count() == 0:  # no path: both routes fail alike
+            assert enumerate_paths(ceg) == []
+            continue
+        assert summary_mismatches(summary, enumerate_paths(ceg), q, cat, kind) == []
