@@ -3,7 +3,7 @@
 Patterns are connected, directed, edge-labeled graphs with at most `h` edges,
 keyed up to isomorphism (variable names are irrelevant).  Counts and degree
 statistics are exact oracle values on the source graph; closing rates come
-from sampled (or exhaustively enumerated) walks.
+from sampled walks, or from exact walk counts.
 """
 
 from __future__ import annotations
@@ -247,8 +247,10 @@ def build_catalogue(
     degree statistics per pattern and closing rates for workload cycles longer
     than h.
 
-    walk_budget=None switches closing-rate estimation to exhaustive walk
-    enumeration.
+    walk_budget=None makes every closing rate exact instead of sampled: its
+    samples are all walks of the key's spec, counted as the matches of the walk
+    read as a path query, and its closures are the matches of that path plus
+    the closing edge, i.e. the walks the closing edge closes.
     """
     if h < 2:
         raise ConfigError(f"h must be >= 2, got {h}")
@@ -310,17 +312,16 @@ def _build_closing_rates(cat: Catalogue, g: LabeledGraph, workload: Sequence[Que
     for i, key in enumerate(sorted(demanded)):
         spec = demanded[key]
         if walk_budget is None:
-            walks = list(oracle.enumerate_label_paths(g, spec.walk))
-            samples = len(walks)
-        else:
-            walks = oracle.sample_label_paths(g, spec.walk, walk_budget, seed + i)
-            samples = walk_budget
+            walks, closed = _walk_queries(spec)
+            cat.closing[key] = ClosingStat(oracle.count_hom(g, walks).value,
+                                           oracle.count_hom(g, closed).value)
+            continue
         closures = 0
-        for walk in walks:
+        for walk in oracle.sample_label_paths(g, spec.walk, walk_budget, seed + i):
             a, b = (walk[-1], walk[0]) if spec.close_from_end else (walk[0], walk[-1])
             if g.has_edge(a, b, spec.close_label):
                 closures += 1
-        cat.closing[key] = ClosingStat(samples, closures)
+        cat.closing[key] = ClosingStat(walk_budget, closures)
     marginals: dict[str, ClosingStat] = {}
     for key, spec in demanded.items():
         stat = cat.closing[key]
@@ -328,6 +329,17 @@ def _build_closing_rates(cat: Catalogue, g: LabeledGraph, workload: Sequence[Que
         agg.samples += stat.samples
         agg.closures += stat.closures
     cat.closing_marginal = marginals
+
+
+def _walk_queries(spec: ClosingSpec) -> tuple[QueryGraph, QueryGraph]:
+    """The spec's walk as a path query over w0..w{length}, and that path plus
+    the closing edge: their match counts are the walks and the closed walks."""
+    path = [QEdge(f"w{i}", f"w{i + 1}", lab) if direction == FWD
+            else QEdge(f"w{i + 1}", f"w{i}", lab)
+            for i, (lab, direction) in enumerate(spec.walk)]
+    ends = ("w0", f"w{spec.length}")
+    close = QEdge(*(ends[::-1] if spec.close_from_end else ends), spec.close_label)
+    return QueryGraph(path), QueryGraph(path + [close])
 
 
 def _exhaustive_pattern_keys(g: LabeledGraph, h: int, cap: int) -> set[str]:

@@ -224,11 +224,10 @@ def evaluate_optimistic_path(path: PathEstimate, query: QueryGraph,
         prov = e.provenance[0]
         tag = prov[0]
         if tag == "count":
-            cnt = _need_count(query, cat, prov[1])
-            prod *= cnt
+            prod *= require_count(cat, Subquery(query, frozenset(prov[1])))
         elif tag == "ratio":
-            c_ext = _need_count(query, cat, prov[1])
-            c_int = _need_count(query, cat, prov[2])
+            c_ext = require_count(cat, Subquery(query, frozenset(prov[1])))
+            c_int = require_count(cat, Subquery(query, frozenset(prov[2])))
             if c_int == 0:
                 return Fraction(0)
             prod *= Fraction(c_ext, c_int)
@@ -248,9 +247,3 @@ def evaluate_optimistic_path(path: PathEstimate, query: QueryGraph,
             return Fraction(0)
     return prod
 
-
-def _need_count(query: QueryGraph, cat: Catalogue, indices: tuple[int, ...]) -> int:
-    cnt = cat.count(Subquery(query, frozenset(indices)))
-    if cnt is None:
-        raise MissingStatisticError(f"count for subquery {sorted(indices)}")
-    return cnt

@@ -52,6 +52,11 @@ class LabeledGraph:
     def in_neighbors(self, vertex: int, label: str) -> list[int]:
         return self._in.get(label, {}).get(vertex, [])
 
+    def adjacency(self, label: str, position: str) -> dict[int, list[int]]:
+        """Sorted neighbours over `label` keyed by the vertex at `position`:
+        out-neighbours by src (SRC), in-neighbours by dst (DST).  Read-only."""
+        return (self._out if position == SRC else self._in).get(label, {})
+
     def has_edge(self, src: int, dst: int, label: str) -> bool:
         return (src, dst, label) in self.edges
 
@@ -134,8 +139,7 @@ def max_degree(rel: Relation, position: str) -> int:
     """Maximum multiplicity of any value at `position` ("src" or "dst")."""
     if position not in (SRC, DST):
         raise ValueError(f"position must be 'src' or 'dst', got {position!r}")
-    index = rel.graph._out if position == SRC else rel.graph._in
-    adjacency = index.get(rel.label, {})
+    adjacency = rel.graph.adjacency(rel.label, position)
     if not adjacency:
         return 0
     return max(len(neighbors) for neighbors in adjacency.values())

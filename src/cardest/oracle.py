@@ -1,9 +1,16 @@
 """Exact answer counting and walk sampling over a frozen graph.
 
 Counting uses join (homomorphism) semantics: distinct query variables may
-bind the same data vertex.  The matcher backtracks over query edges in a
-greedy connected order; query edges whose free endpoint occurs nowhere else
-are folded into a degree product instead of being branched on.
+bind the same data vertex.  One backtracking matcher serves both counting
+(`count_hom`) and listing matches (`matches`).  Which query edge to take next
+depends only on which variables are bound, never on the vertices bound to
+them, so the search order is planned once per call, as in Graphflow's query
+plans, rather than chosen again at every search node.  Each round of the
+plan checks the edges whose endpoints are both bound, then, when counting,
+folds every pendant edge (one endpoint bound, the other used by no remaining
+edge) into a degree factor instead of branching on it, then branches on the
+first edge touching a bound variable, or on the smallest relation when none
+is bound.  Listing folds nothing, since a row needs every variable bound.
 """
 
 from __future__ import annotations
@@ -12,10 +19,10 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Collection, Iterator, Sequence
+from typing import Collection, Sequence
 
 from .errors import QueryValidationError
-from .graphstore import LabeledGraph
+from .graphstore import DST, SRC, LabeledGraph
 from .querymodel import QueryGraph
 
 FWD = "+"
@@ -31,124 +38,90 @@ class MatchCount:
 
 def count_hom(g: LabeledGraph, q: QueryGraph) -> MatchCount:
     """Exact number of homomorphic matches of q in g."""
-    edges = [(e.src, e.dst, e.label) for e in q.edges]
-    return MatchCount(_count_rec(g, edges, list(range(len(edges))), {}))
-
-
-def _count_rec(g: LabeledGraph, edges, remaining: list[int], binding: dict[str, int]) -> int:
-    if not remaining:
-        return 1
-
-    # Edges with both endpoints bound are pure filters.
-    for idx in remaining:
-        u, v, lab = edges[idx]
-        if u in binding and v in binding:
-            if not g.has_edge(binding[u], binding[v], lab):
-                return 0
-            return _count_rec(g, edges, [i for i in remaining if i != idx], binding)
-
-    # Fold pendant edges: one endpoint bound, free endpoint used nowhere else.
-    factor = 1
-    rest = list(remaining)
-    changed = True
-    while changed:
-        changed = False
-        occurrences: dict[str, int] = {}
-        for idx in rest:
-            u, v, _ = edges[idx]
-            occurrences[u] = occurrences.get(u, 0) + 1
-            occurrences[v] = occurrences.get(v, 0) + 1
-        for idx in list(rest):
-            u, v, lab = edges[idx]
-            bu, bv = u in binding, v in binding
-            if bu and bv:
-                continue
-            if bu and occurrences[v] == 1:
-                factor *= len(g.out_neighbors(binding[u], lab))
-            elif bv and occurrences[u] == 1:
-                factor *= len(g.in_neighbors(binding[v], lab))
-            else:
-                continue
-            if factor == 0:
-                return 0
-            rest.remove(idx)
-            changed = True
-            break
-    if not rest:
-        return factor
-
-    # Branch on the first edge touching a bound variable (or the cheapest
-    # relation when nothing is bound yet).
-    pick = None
-    for idx in rest:
-        u, v, _ = edges[idx]
-        if u in binding or v in binding:
-            pick = idx
-            break
-    if pick is None:
-        pick = min(rest, key=lambda i: (g.label_count(edges[i][2]), i))
-    u, v, lab = edges[pick]
-    rest2 = [i for i in rest if i != pick]
-    total = 0
-    if u in binding:
-        for w in g.out_neighbors(binding[u], lab):
-            binding[v] = w
-            total += _count_rec(g, edges, rest2, binding)
-            del binding[v]
-    elif v in binding:
-        for w in g.in_neighbors(binding[v], lab):
-            binding[u] = w
-            total += _count_rec(g, edges, rest2, binding)
-            del binding[u]
-    else:
-        for s, d in g.edges_with_label(lab):
-            binding[u], binding[v] = s, d
-            total += _count_rec(g, edges, rest2, binding)
-            del binding[u], binding[v]
-    return factor * total
+    return MatchCount(_run(g, _plan(g, q, fold=True), 0, [None] * len(q.vars), None))
 
 
 def matches(g: LabeledGraph, q: QueryGraph) -> list[tuple[int, ...]]:
     """All homomorphic matches, as vertex tuples in q.vars order."""
-    edges = [(e.src, e.dst, e.label) for e in q.edges]
-    out: list[tuple[int, ...]] = []
-    _enumerate_rec(g, edges, list(range(len(edges))), {}, q.vars, out)
-    return out
+    rows: list[tuple[int, ...]] = []
+    _run(g, _plan(g, q, fold=False), 0, [None] * len(q.vars), rows)
+    return rows
 
 
-def _enumerate_rec(g, edges, remaining, binding, var_order, out) -> None:
-    if not remaining:
-        out.append(tuple(binding[v] for v in var_order))
-        return
-    pick = None
-    for idx in remaining:
-        u, v, _ = edges[idx]
-        if u in binding and v in binding:
-            if not g.has_edge(binding[u], binding[v], edges[idx][2]):
-                return
-            _enumerate_rec(g, edges, [i for i in remaining if i != idx], binding, var_order, out)
-            return
-        if pick is None and (u in binding or v in binding):
-            pick = idx
-    if pick is None:
-        pick = min(remaining, key=lambda i: (g.label_count(edges[i][2]), i))
-    u, v, lab = edges[pick]
-    rest = [i for i in remaining if i != pick]
-    if u in binding:
-        for w in g.out_neighbors(binding[u], lab):
-            binding[v] = w
-            _enumerate_rec(g, edges, rest, binding, var_order, out)
-            del binding[v]
-    elif v in binding:
-        for w in g.in_neighbors(binding[v], lab):
-            binding[u] = w
-            _enumerate_rec(g, edges, rest, binding, var_order, out)
-            del binding[u]
-    else:
-        for s, d in g.edges_with_label(lab):
-            binding[u], binding[v] = s, d
-            _enumerate_rec(g, edges, rest, binding, var_order, out)
-            del binding[u], binding[v]
+_CHECK, _FOLD, _EXTEND, _SCAN = range(4)
+
+
+def _plan(g: LabeledGraph, q: QueryGraph, fold: bool) -> list[tuple]:
+    """The search order for q, round by round as the module docstring says,
+    as a list of steps over binding slots (q.vars order).
+
+    A step is (kind, slot a, slot b, arg): CHECK tests the data edge
+    binding[a] -arg-> binding[b]; FOLD multiplies by the number of neighbours
+    of binding[a] in the adjacency map arg; EXTEND binds b to each of them;
+    SCAN binds (a, b) to each edge labelled arg.
+    """
+    slot = {v: i for i, v in enumerate(q.vars)}
+    rest = [(slot[e.src], slot[e.dst], e.label) for e in q.edges]
+    bound: set[int] = set()
+    steps: list[tuple] = []
+    while rest:
+        edges, rest = rest, []
+        for u, v, lab in edges:
+            if u in bound and v in bound:
+                steps.append((_CHECK, u, v, lab))
+            else:
+                rest.append((u, v, lab))
+        if fold:
+            uses = Counter(s for u, v, _ in rest for s in (u, v))
+            edges, rest = rest, []
+            for u, v, lab in edges:
+                if u in bound and uses[v] == 1:
+                    steps.append((_FOLD, u, v, g.adjacency(lab, SRC)))
+                elif v in bound and uses[u] == 1:
+                    steps.append((_FOLD, v, u, g.adjacency(lab, DST)))
+                else:
+                    rest.append((u, v, lab))
+        if not rest:
+            break
+        touching = [e for e in rest if e[0] in bound or e[1] in bound]
+        u, v, lab = touching[0] if touching else min(rest, key=lambda e: g.label_count(e[2]))
+        rest.remove((u, v, lab))
+        if u in bound:
+            steps.append((_EXTEND, u, v, g.adjacency(lab, SRC)))
+        elif v in bound:
+            steps.append((_EXTEND, v, u, g.adjacency(lab, DST)))
+        else:
+            steps.append((_SCAN, u, v, lab))
+        bound.update((u, v))
+    return steps
+
+
+def _run(g: LabeledGraph, steps: list[tuple], start: int, binding: list, rows: list | None) -> int:
+    """Number of completions of `binding` under steps[start:]; with `rows`,
+    also append each completed binding (the plan must then fold nothing)."""
+    factor = 1
+    for i in range(start, len(steps)):
+        kind, a, b, arg = steps[i]
+        if kind == _CHECK:
+            if (binding[a], binding[b], arg) not in g.edges:
+                return 0
+        elif kind == _FOLD:
+            factor *= len(arg.get(binding[a], ()))
+            if not factor:
+                return 0
+        else:
+            total = 0
+            if kind == _EXTEND:
+                for w in arg.get(binding[a], ()):
+                    binding[b] = w
+                    total += _run(g, steps, i + 1, binding, rows)
+            else:
+                for binding[a], binding[b] in g.edges_with_label(arg):
+                    total += _run(g, steps, i + 1, binding, rows)
+            return factor * total
+    if rows is not None:
+        rows.append(tuple(binding))
+    return factor
 
 
 def group_degree(g: LabeledGraph, q: QueryGraph, x_vars: Sequence[str], y_vars: Sequence[str]) -> int:
@@ -234,21 +207,3 @@ def sample_label_paths(g: LabeledGraph, label_seq: Sequence[LabelStep],
         if not dead:
             walks.append(tuple(walk))
     return walks
-
-
-def enumerate_label_paths(g: LabeledGraph, label_seq: Sequence[LabelStep]) -> Iterator[tuple[int, ...]]:
-    """Every walk realizing label_seq (exhaustive counterpart of sampling)."""
-    if not label_seq:
-        return
-    stack: list[tuple[int, ...]] = [(w0, w1) for w0, w1 in _first_edges(g, label_seq[0])]
-    for prefix in stack:
-        yield from _extend_walk(g, label_seq, prefix)
-
-
-def _extend_walk(g, label_seq, prefix) -> Iterator[tuple[int, ...]]:
-    depth = len(prefix) - 1
-    if depth == len(label_seq):
-        yield prefix
-        return
-    for w in _step_neighbors(g, prefix[-1], label_seq[depth]):
-        yield from _extend_walk(g, label_seq, prefix + (w,))

@@ -12,12 +12,13 @@ from cardest.catalogue import (Catalogue, _key_to_query, build_catalogue, canoni
 from cardest.errors import CatalogueFormatError, ConfigError
 from cardest.graphstore import LabeledGraph
 from cardest.oracle import count_hom, group_degree
-from cardest.querymodel import (Subquery, connected_subqueries, cycles,
+from cardest.querymodel import (QEdge, QueryGraph, Subquery, connected_subqueries, cycles,
                                 parse_query)
 
 from _synth import cycle_template, random_graph, tree_template
 from cardest.querymodel import instantiate_template
-from oracles import brute_group_degree, brute_isomorphic, nested_loop_count
+from oracles import (brute_group_degree, brute_isomorphic, brute_label_walks,
+                     nested_loop_count)
 
 
 def _sub(q, indices):
@@ -230,6 +231,33 @@ def test_closing_rate_zero_closures():
     (cyc,) = cycles(SQUARE).cycles
     spec = closing_spec(SQUARE, cyc, 3)
     assert cat.closing_rate(spec.key()) == Fraction(0)
+
+
+def test_exhaustive_closing_stats_match_brute_walks():
+    """walk_budget=None: samples are all walks of the spec, closures the closed ones."""
+    closed_total = 0
+    for seed in range(15):
+        rng = random.Random(seed)
+        g = random_graph(12, 50, 2, seed=800 + seed, plant_cycles=4)
+        k = 3 + seed % 3
+        q = QueryGraph([QEdge(f"a{i}", f"a{(i + 1) % k}", rng.choice("AB"))
+                        if rng.random() < 0.5 else
+                        QEdge(f"a{(i + 1) % k}", f"a{i}", rng.choice("AB"))
+                        for i in range(k)])
+        cat = build_catalogue(g, [q], h=2, walk_budget=None)
+        (cyc,) = cycles(q).cycles
+        specs: dict = {}
+        for close_idx in sorted(cyc):  # keys are coarse: the first spec per key is walked
+            spec = closing_spec(q, cyc, close_idx)
+            specs.setdefault(spec.key(), spec)
+        assert cat.closing.keys() == specs.keys()
+        for key, spec in specs.items():
+            walks = brute_label_walks(g, spec.walk)
+            a, b = (-1, 0) if spec.close_from_end else (0, -1)
+            closed = sum(g.has_edge(w[a], w[b], spec.close_label) for w in walks)
+            assert (cat.closing[key].samples, cat.closing[key].closures) == (len(walks), closed)
+            closed_total += closed
+    assert closed_total > 0
 
 
 def test_closing_spec_is_stable_across_calls():

@@ -6,14 +6,13 @@ import pytest
 
 from cardest.errors import QueryValidationError
 from cardest.graphstore import LabeledGraph
-from cardest.oracle import (FWD, REV, count_hom, enumerate_label_paths,
-                            group_degree, matches, sample_label_paths)
+from cardest.oracle import (FWD, REV, count_hom, group_degree, matches,
+                            sample_label_paths)
 from cardest.querymodel import QEdge, QueryGraph, instantiate_template, parse_query
 
 from _synth import random_graph, tree_template, cycle_template
 from conftest import identity_triangle
-from oracles import (brute_group_degree, brute_label_walks, nested_loop_count,
-                     nested_loop_matches)
+from oracles import brute_group_degree, nested_loop_count, nested_loop_matches
 
 TRIANGLE = parse_query("a -R-> b\nb -S-> c\nc -T-> a")
 
@@ -144,13 +143,6 @@ def test_walks_respect_directions():
     g = LabeledGraph([(1, 2, "A"), (3, 2, "B"), (3, 4, "C")])
     walks = sample_label_paths(g, [("A", FWD), ("B", REV), ("C", FWD)], p=50, seed=1)
     assert set(walks) == {(1, 2, 3, 4)}
-
-
-def test_exhaustive_walks_match_brute():
-    g = random_graph(12, 60, 2, seed=7)
-    seq = [("A", FWD), ("A", FWD)]
-    got = sorted(enumerate_label_paths(g, seq))
-    assert got == sorted(brute_label_walks(g, seq))
 
 
 def test_walk_frequencies_match_generation_law():
