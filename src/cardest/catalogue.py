@@ -3,7 +3,10 @@
 Patterns are connected, directed, edge-labeled graphs with at most `h` edges,
 keyed up to isomorphism (variable names are irrelevant).  Counts and degree
 statistics are exact oracle values on the source graph; closing rates come
-from sampled walks, or from exact walk counts.
+from sampled walks, or from exact walk counts.  A pattern's degree table holds
+deg(X, Y) for every X ⊆ Y of its 3^|vars| variable-subset pairs and is read
+whole: `Catalogue.degree_table` canonicalises a subquery once and returns
+every entry under the subquery's own variable names.
 """
 
 from __future__ import annotations
@@ -103,13 +106,6 @@ class ClosingSpec:
         return json.dumps([prev, f"{self.close_label}:{orient}", nxt, self.length],
                           separators=(",", ":"))
 
-    def marginal_key(self) -> str:
-        prev = f"{self.walk[0][0]}{self.walk[0][1]}"
-        nxt = f"{self.walk[-1][0]}{self.walk[-1][1]}"
-        orient = "e>s" if self.close_from_end else "s>e"
-        return json.dumps([prev, f"{self.close_label}:{orient}", nxt, None],
-                          separators=(",", ":"))
-
 
 def closing_spec(q: QueryGraph, cycle: frozenset[int], close_idx: int) -> ClosingSpec:
     """Walk specification for closing `cycle` with edge `close_idx`.
@@ -176,40 +172,42 @@ class Catalogue:
     counts: dict[str, int] = field(default_factory=dict)
     deg_stats: dict[str, dict[str, int]] = field(default_factory=dict)
     closing: dict[str, ClosingStat] = field(default_factory=dict)
-    closing_marginal: dict[str, ClosingStat] = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
     # -- lookups ------------------------------------------------------------
 
-    def count_pattern(self, pattern: Pattern) -> int | None:
-        key, _ = canonical_form(pattern)
-        return self.counts.get(key)
-
     def count(self, sub: Subquery) -> int | None:
-        return self.count_pattern(sub.pattern())
+        return self.counts.get(canonical_key(sub))
 
-    def max_deg(self, sub: Subquery, x_vars: Iterable[str], y_vars: Iterable[str]) -> int | None:
+    def degree_table(self, sub: Subquery) -> dict[tuple[tuple[str, ...], tuple[str, ...]], int] | None:
+        """deg(X, Y) of `sub`'s pattern for every X ⊆ Y ⊆ vars(sub), keyed by
+        (X, Y) as sorted variable tuples; None when the pattern's table is
+        missing or has fewer than the 3^|vars| entries of a complete one."""
         key, mapping = canonical_form(sub.pattern())
         stats = self.deg_stats.get(key)
-        if stats is None:
+        if stats is None or len(stats) < 3 ** len(mapping):
             return None
-        pos = dict(mapping)
-        xs = frozenset(x_vars)
-        ys = frozenset(y_vars)
-        if not xs <= ys or not ys <= set(pos):
-            raise QueryValidationError("need X ⊆ Y ⊆ vars(pattern)")
-        return stats.get(_deg_entry_key((pos[v] for v in xs), (pos[v] for v in ys)))
+        names = {str(i): v for v, i in mapping}
+        parts: dict[str, tuple[str, ...]] = {}  # "0,2" -> its sorted variables
+
+        def part_vars(part: str) -> tuple[str, ...]:
+            got = parts.get(part)
+            if got is None:
+                got = parts[part] = tuple(sorted(names[i] for i in part.split(",") if i))
+            return got
+
+        table = {}
+        try:
+            for entry, deg in stats.items():
+                x, y = entry.split("|")
+                table[part_vars(x), part_vars(y)] = deg
+        except (KeyError, ValueError):  # an entry key outside the pattern's indices
+            return None
+        return table
 
     def closing_rate(self, key: str) -> Fraction | None:
         stat = self.closing.get(key)
-        if stat is None:
-            stat = self.closing_marginal.get(key)
-        if stat is None:
-            return None
-        return stat.rate
-
-    def pattern_keys(self) -> list[str]:
-        return sorted(self.counts)
+        return None if stat is None else stat.rate
 
     def footprint_bytes(self) -> int:
         """Rough serialized size of the statistics tables."""
@@ -292,10 +290,9 @@ def build_catalogue(
 
 def _degree_table(rep: QueryGraph, rows: set[tuple[int, ...]]) -> dict[str, int]:
     """deg(X, Y) for every X subseteq Y over the representative's variables."""
-    all_subsets = subsets(range(len(rep.vars)))
     table: dict[str, int] = {}
-    for y in all_subsets:
-        xs = [x for x in all_subsets if set(x) <= set(y)]
+    for y in subsets(range(len(rep.vars))):
+        xs = subsets(y)
         for x, deg in zip(xs, oracle.degrees(rows, y, xs)):
             table[_deg_entry_key(x, y)] = deg
     return table
@@ -322,13 +319,6 @@ def _build_closing_rates(cat: Catalogue, g: LabeledGraph, workload: Sequence[Que
             if g.has_edge(a, b, spec.close_label):
                 closures += 1
         cat.closing[key] = ClosingStat(walk_budget, closures)
-    marginals: dict[str, ClosingStat] = {}
-    for key, spec in demanded.items():
-        stat = cat.closing[key]
-        agg = marginals.setdefault(spec.marginal_key(), ClosingStat(0, 0))
-        agg.samples += stat.samples
-        agg.closures += stat.closures
-    cat.closing_marginal = marginals
 
 
 def _walk_queries(spec: ClosingSpec) -> tuple[QueryGraph, QueryGraph]:
@@ -415,11 +405,6 @@ def serialize(cat: Catalogue) -> str:
                   "rate": {"num": st.rate.numerator, "den": st.rate.denominator}}
             for key, st in cat.closing.items()
         },
-        "closingMarginal": {
-            key: {"samples": st.samples, "closures": st.closures,
-                  "rate": {"num": st.rate.numerator, "den": st.rate.denominator}}
-            for key, st in cat.closing_marginal.items()
-        },
     }
     return json.dumps(payload, sort_keys=True, indent=1)
 
@@ -456,8 +441,6 @@ def load(source: IO[str] | str) -> Catalogue:
                        for k, v in payload["degStats"].items()},
             closing={k: ClosingStat(int(v["samples"]), int(v["closures"]))
                      for k, v in payload["closingRates"].items()},
-            closing_marginal={k: ClosingStat(int(v["samples"]), int(v["closures"]))
-                              for k, v in payload["closingMarginal"].items()},
             meta=payload["meta"],
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 
 from . import catalogue as cat_mod
 from .errors import (CardestError, CatalogueFormatError, ConfigError,
@@ -111,7 +112,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--mode", choices=("uniform-labels", "edge-at-a-time"),
                    default="uniform-labels")
-    p.add_argument("--time-limit", type=float, default=30.0)
+    p.add_argument("--time-limit", type=float, default=30.0,
+                   help="seconds per edge-at-a-time instance; a safety stop only")
 
     p = sub.add_parser("oracle-count", help="exact answer count of one query")
     common(p)
@@ -265,9 +267,13 @@ def _cmd_gen_workload(args) -> int:
     lines: list[str] = [f"# seed: {args.seed}", f"# mode: {args.mode}", ""]
     made = 0
     for i in range(args.count):
+        started = time.monotonic()
         inst = instantiate_template(template, g, seed=args.seed + i, mode=args.mode,
                                     time_limit=args.time_limit)
         if inst is None:
+            if args.mode == "edge-at-a-time" and time.monotonic() - started >= args.time_limit:
+                print(f"seed {args.seed + i}: the --time-limit safety stop "
+                      f"({args.time_limit:g}s) ended the search", file=sys.stderr)
             continue
         lines.append(f"# id: {name}_{made:03d}")
         lines.append(f"# template: {name}")

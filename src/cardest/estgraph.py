@@ -4,8 +4,10 @@ Four builds share one graph type.  Over edge subsets: the optimistic graph
 (average-degree rates from pattern counts) and its cycle-closing-rate variant.
 Over attribute subsets: the max-degree graph whose minimum-weight path is the
 pessimistic bound, and the cover graph induced by a per-relation attribute
-cover (a sub-graph of the max-degree graph).  Attribute-subset graphs are
-held as move tables and expanded per vertex on demand.
+cover (a sub-graph of the max-degree graph).  Attribute-subset graphs
+(`AttrCeg`) are held as move tables, filled from one whole degree table per
+catalogue pattern and expanded per vertex on demand; they are the only
+graphs `min_weight_path` searches.
 
 Every bottom-to-top path yields an estimate: the exact rational product of
 its rates.  Base-2 log weights are carried alongside for the additive view.
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .catalogue import Catalogue, canonical_form, closing_spec
+from .catalogue import Catalogue, canonical_key, closing_spec
 from .errors import (ConfigError, EstimationError, MissingStatisticError,
                      PathOverflowError, QueryValidationError)
 from .querymodel import QueryGraph, Subquery, connected_subqueries, cycles, subsets
@@ -84,7 +86,7 @@ class Ceg:
     """Weighted DAG-ish graph over subquery vertices, frozen after build."""
 
     def __init__(self, kind: str, query: QueryGraph, top: frozenset,
-                 adjacency: dict[frozenset, list[CegEdge]], meta: dict | None = None):
+                 adjacency: dict[frozenset, list[CegEdge]]):
         self.kind = kind
         self.query = query
         self.top = top
@@ -98,7 +100,6 @@ class Ceg:
             return (key, e.rate, e.kind != UNBOUND, e.kind, e.provenance)
 
         self._adj = {v: tuple(sorted(edges, key=order)) for v, edges in adjacency.items()}
-        self.meta = dict(meta or {})
 
     def out(self, vertex: frozenset) -> tuple[CegEdge, ...]:
         return self._adj.get(vertex, ())
@@ -115,19 +116,6 @@ class Ceg:
 
     def has_projection_edges(self) -> bool:
         return any(e.kind == PROJECTION for e in self.all_edges())
-
-    # For min_weight_path: the rates; (start, goal, key, step) with key(v) v's sorted
-    # elements and step(v) its (dst, rate) pairs; the cheapest edge src -> dst.
-
-    def _rates(self) -> set:
-        return {e.rate for e in self.all_edges()}
-
-    def _search_space(self):
-        return (self.bottom, self.top, _vkey,
-                lambda v: [(e.dst, e.rate) for e in self.out(v)])
-
-    def _edge(self, src: frozenset, dst: frozenset) -> CegEdge:
-        return next(e for e in self.out(src) if e.dst == dst and e.rate)
 
 
 class _EdgeAccumulator:
@@ -226,24 +214,30 @@ def build_optimistic(q: QueryGraph, cat: Catalogue, closing: bool = False,
                                               ("ratio", key[ext], key[inter]))
             acc.add(s_set, target, ratio[0], EXTENSION, ratio[1])
 
-    meta: dict = {"h": h, "starts": starts}
     all_cycles = cycles(q).cycles
     if closing:
-        _apply_closing_rates(q, cat, acc, [c for c in all_cycles if len(c) > h], meta)
+        _apply_closing_rates(q, cat, acc, [c for c in all_cycles if len(c) > h])
     adjacency = acc.adjacency()
     _prune_early_cycle_closing(adjacency, all_cycles)
-    return Ceg("edges", q, top, adjacency, meta)
+    return Ceg("edges", q, top, adjacency)
 
 
 def require_count(cat: Catalogue, sub: Subquery) -> int:
     cnt = cat.count(sub)
     if cnt is None:
-        raise MissingStatisticError(f"count for pattern {canonical_form(sub.pattern())[0]}")
+        raise MissingStatisticError(f"count for pattern {canonical_key(sub)}")
     return cnt
 
 
+def require_degrees(cat: Catalogue, sub: Subquery) -> dict[tuple[tuple, tuple], int]:
+    table = cat.degree_table(sub)
+    if table is None:
+        raise MissingStatisticError(f"degree table for pattern {canonical_key(sub)}")
+    return table
+
+
 def _apply_closing_rates(q: QueryGraph, cat: Catalogue, acc: _EdgeAccumulator,
-                         big_cycles: list[frozenset[int]], meta: dict) -> None:
+                         big_cycles: list[frozenset[int]]) -> None:
     if not big_cycles:
         return
     for src, dst in sorted(acc.pairs(), key=lambda p: (_vkey(p[0]), _vkey(p[1]))):
@@ -251,8 +245,6 @@ def _apply_closing_rates(q: QueryGraph, cat: Catalogue, acc: _EdgeAccumulator,
         if not closable:
             continue
         acc.discard_pair(src, dst)
-        if len(closable) > 1:
-            meta["overlapping_cycles"] = True
         added = dst - src
         for cyc in closable:
             missing = cyc - src
@@ -300,18 +292,18 @@ class AttrCeg(Ceg):
 
     A move (X, Y, deg, provenance) is an edge W -> W|Y of rate deg from every
     vertex W containing X: unbound when X is empty, bound otherwise.  Vertices
-    are bitmasks over the sorted variables inside; `out` derives and caches a
-    vertex's merged CegEdges on first use, and `min_weight_path` searches the
-    moves directly.  Listing every vertex is capped at MAX_ATTR_VARS variables.
+    are bitmasks over the sorted variables inside; `moves` holds the table
+    with X and Y as masks, `out` derives and caches a vertex's merged CegEdges
+    on first use, and `min_weight_path` searches the moves directly.  Listing
+    every vertex is capped at MAX_ATTR_VARS variables.
     """
 
-    def __init__(self, query: QueryGraph, moves: Iterable[Move], meta: dict,
-                 projections: bool = False):
-        super().__init__("attrs", query, frozenset(query.vars), {}, meta)
+    def __init__(self, query: QueryGraph, moves: Iterable[Move], projections: bool = False):
+        super().__init__("attrs", query, frozenset(query.vars), {})
         self._names = tuple(sorted(query.vars))
         self._bit = {v: 1 << i for i, v in enumerate(self._names)}
         self._keys: dict[int, tuple[str, ...]] = {}
-        self._moves = [(self._mask(x), self._mask(y), deg, prov) for x, y, deg, prov in moves]
+        self.moves = [(self._mask(x), self._mask(y), deg, prov) for x, y, deg, prov in moves]
         self._projections = projections
 
     def _mask(self, vertex: Iterable[str]) -> int:
@@ -329,14 +321,11 @@ class AttrCeg(Ceg):
             got = self._adj[vertex] = self._edges(vertex)
         return got
 
-    def _edge(self, src: frozenset, dst: frozenset) -> CegEdge:
-        return self._edges(src, dst)[0]
-
     def _edges(self, vertex: frozenset, dst: frozenset | None = None) -> tuple[CegEdge, ...]:
         """Merged edges leaving `vertex` (only those into `dst`, if given) in Ceg order."""
         w, only = self._mask(vertex), None if dst is None else self._mask(dst)
         merged: dict[tuple[int, int, str], set] = {}
-        for xm, ym, deg, prov in self._moves:
+        for xm, ym, deg, prov in self.moves:
             if xm & w == xm and ym & ~w:
                 merged.setdefault((w | ym, deg, BOUND if xm else UNBOUND), set()).add(prov)
         if self._projections:
@@ -357,42 +346,19 @@ class AttrCeg(Ceg):
         for v in self.vertices():
             yield from self.out(v)
 
-    def _rates(self) -> set:
-        return {deg for _, _, deg, _ in self._moves}
-
-    def _search_space(self):
-        cheapest: dict[tuple[int, int], int] = {}
-        for xm, ym, deg, _ in self._moves:
-            cheapest[xm, ym] = min(deg, cheapest.get((xm, ym), deg))
-        moves = [(xm, ym, deg) for (xm, ym), deg in cheapest.items()]
-        bits = list(self._bit.values()) if self._projections else []
-
-        def step(w: int) -> list[tuple[int, int]]:
-            return [(w | ym, deg) for xm, ym, deg in moves if xm & w == xm and ym & ~w] + [
-                    (w & ~b, 1) for b in bits if w & b]
-
-        return 0, (1 << len(self._names)) - 1, self._key, step
-
 
 def maxdeg_moves(q: QueryGraph, cat: Catalogue) -> list[Move]:
-    """(X, Y, deg, provenance) extension moves from every catalogue pattern of q."""
+    """(X, Y, deg, provenance) extension moves from every catalogue pattern of q,
+    one degree-table lookup per pattern."""
     moves: list[Move] = []
     for sub in connected_subqueries(q, cat.h):
-        for y in subsets(sorted(sub.vars())):
-            for x in subsets(y):
-                if x == y:
-                    continue
-                deg = cat.max_deg(sub, x, y)
-                if deg is None:
-                    raise MissingStatisticError(
-                        f"deg({list(x)}, {list(y)}) for pattern "
-                        f"{canonical_form(sub.pattern())[0]}")
-                moves.append((frozenset(x), frozenset(y), deg,
-                              ("deg", sub.sorted_indices(), x, y)))
+        indices = sub.sorted_indices()
+        moves += [(frozenset(x), frozenset(y), deg, ("deg", indices, x, y))
+                  for (x, y), deg in require_degrees(cat, sub).items() if x != y]
     return moves
 
 
-def build_maxdeg(q: QueryGraph, cat: Catalogue, with_projection_edges: bool = False) -> Ceg:
+def build_maxdeg(q: QueryGraph, cat: Catalogue, with_projection_edges: bool = False) -> AttrCeg:
     """Pessimistic graph: one vertex per attribute subset, max-degree rates.
 
     For every catalogue pattern P of q, every X subset Y over P's variables,
@@ -400,11 +366,11 @@ def build_maxdeg(q: QueryGraph, cat: Catalogue, with_projection_edges: bool = Fa
     deg(X, Y, P).  Projection edges (weight 0, downward one attribute) are
     included only on request; they never change minimum path weights.
     """
-    return AttrCeg(q, maxdeg_moves(q, cat), {"h": cat.h}, with_projection_edges)
+    return AttrCeg(q, maxdeg_moves(q, cat), with_projection_edges)
 
 
 def build_cover(q: QueryGraph, cat: Catalogue,
-                cover: Sequence[tuple[int, Iterable[str]]]) -> Ceg:
+                cover: Sequence[tuple[int, Iterable[str]]]) -> AttrCeg:
     """Cover graph: extension edges restricted to a per-relation attribute cover.
 
     cover lists (query-edge index, covered variable subset) pairs whose
@@ -426,17 +392,10 @@ def build_cover(q: QueryGraph, cat: Catalogue,
 
     moves: list[Move] = []
     for edge_idx, attrs in normalized:
-        sub = Subquery(q, frozenset({edge_idx}))
-        for ajp in subsets(attrs):
-            if ajp == attrs:
-                continue
-            deg = cat.max_deg(sub, ajp, attrs)
-            if deg is None:
-                raise MissingStatisticError(
-                    f"deg({list(ajp)}, {list(attrs)}) for edge {edge_idx}")
-            moves.append((frozenset(ajp), frozenset(attrs), deg,
-                          ("cover", edge_idx, attrs, ajp)))
-    return AttrCeg(q, moves, {"cover": True})
+        table = require_degrees(cat, Subquery(q, frozenset({edge_idx})))
+        moves += [(frozenset(ajp), frozenset(attrs), table[ajp, attrs],
+                   ("cover", edge_idx, attrs, ajp)) for ajp in subsets(attrs) if ajp != attrs]
+    return AttrCeg(q, moves)
 
 
 # ---------------------------------------------------------------------------
@@ -595,27 +554,37 @@ def path_summary(ceg: Ceg) -> PathSummary:
     return PathSummary(ceg, rows)
 
 
-def min_weight_path(ceg: Ceg) -> PathEstimate:
-    """Minimum-weight bottom-to-top path (Dijkstra on rate products).
+def min_weight_path(ceg: AttrCeg) -> PathEstimate:
+    """Minimum-weight bottom-to-top path of a max-degree or cover graph
+    (Dijkstra on degree products, straight off its move table).
 
-    Rates below 1 are rejected except exact zeros, which short-circuit: a
-    zero-rate edge reachable on a bottom-to-top route makes the minimum 0.
-    Ties break toward the lexicographically smallest vertex sequence, then
-    toward the first-listed edge, so an unbound edge beats a bound one of the
-    same rate.  Weights stay integers while every rate is integral.
+    A zero-degree move on a bottom-to-top route short-circuits: the minimum is
+    then 0.  Ties break toward the lexicographically smallest vertex sequence,
+    then toward the first-listed edge, so an unbound edge beats a bound one of
+    the same rate.  Degrees are integers, and so are the weights.  Any other
+    graph raises ValueError.
     """
-    rates = ceg._rates()
-    zero_path = _zero_short_circuit(ceg) if 0 in rates else None
-    if zero_path is not None:
-        return zero_path
-    if any(0 < r < 1 for r in rates):
-        raise ValueError("min_weight_path needs all rates >= 1 (or exactly 0)")
+    if not isinstance(ceg, AttrCeg):
+        raise ValueError("min_weight_path searches max-degree and cover graphs only")
+    if any(deg == 0 for _, _, deg, _ in ceg.moves):
+        zero_path = _zero_short_circuit(ceg)
+        if zero_path is not None:
+            return zero_path
+    cheapest: dict[tuple[int, int], int] = {}
+    for xm, ym, deg, _ in ceg.moves:
+        cheapest[xm, ym] = min(deg, cheapest.get((xm, ym), deg))
+    moves = [(xm, ym, deg) for (xm, ym), deg in cheapest.items() if deg]
+    bits = list(ceg._bit.values()) if ceg._projections else []
+    key_of, goal = ceg._key, (1 << len(ceg._bit)) - 1
 
-    start, goal, key_of, step = ceg._search_space()
+    def step(w: int) -> list[tuple[int, int]]:
+        return [(w | ym, deg) for xm, ym, deg in moves if xm & w == xm and ym & ~w] + [
+                (w & ~b, 1) for b in bits if w & b]
+
     counter = 0  # breaks exact heap ties before unorderable vertices
-    heap: list[tuple] = [(1, (key_of(start),), counter, start)]
-    settled: set = set()
-    best: dict = {}  # lowest weight pushed per vertex; a heavier push would pop too late
+    heap: list[tuple] = [(1, (key_of(0),), counter, 0)]
+    settled: set[int] = set()
+    best: dict[int, int] = {}  # lowest weight pushed per vertex; a heavier push would pop too late
     while heap:
         weight, keys, _, vertex = heapq.heappop(heap)
         if vertex in settled:
@@ -623,10 +592,10 @@ def min_weight_path(ceg: Ceg) -> PathEstimate:
         settled.add(vertex)
         if vertex == goal:
             path = [frozenset(k) for k in keys]
-            return PathEstimate(tuple(ceg._edge(v, w) for v, w in zip(path, path[1:])),
+            return PathEstimate(tuple(ceg._edges(v, w)[0] for v, w in zip(path, path[1:])),
                                 Fraction(weight))
         for dst, rate in step(vertex):
-            if dst in settled or rate == 0:
+            if dst in settled:
                 continue
             total = weight * rate
             if best.get(dst, total) < total:

@@ -7,11 +7,13 @@ graph (per hop count: max, min, sum and count of the path estimates) rather
 than a list of every path.  The path oracle picks the single most accurate
 path given the true count, so it lists the paths, as does the geometric mean.
 The pessimistic bound is the minimum-weight path of the max-degree graph,
-found combinatorially.
+found combinatorially after one pass over q's catalogue patterns reads
+their degree tables.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,7 +22,7 @@ from .errors import EstimationError, MissingStatisticError
 from .estgraph import (DEFAULT_PATH_CAP, Ceg, PathEstimate, PathSummary, build_maxdeg,
                        build_optimistic, enumerate_paths, min_weight_path,
                        path_summary, require_count)
-from .querymodel import QueryGraph, Subquery, connected_subqueries
+from .querymodel import QueryGraph, Subquery
 
 HOP_CHOICES = ("max-hop", "min-hop", "all-hops")
 AGGR_CHOICES = ("max-aggr", "min-aggr", "avg-aggr")
@@ -132,11 +134,15 @@ def estimate_optimistic(q: QueryGraph, cat: Catalogue, ceg_kind: str,
         _, paths = optimistic_paths(q, cat, ceg_kind, starts=starts, cap=cap)
     pool = filter_paths(paths, choice.hop)
     if choice.aggr == "avg-aggr":
-        if geometric:
-            prod = Fraction(1)
-            for p in pool:
-                prod *= p.estimate
-            value = float(prod) ** (1.0 / len(pool)) if prod > 0 else 0.0
+        if geometric:  # the mean of the logs: the pool's product can overflow a float
+            value = 0.0
+            if all(p.estimate for p in pool):
+                mean = math.fsum(math.log(p.estimate.numerator) - math.log(p.estimate.denominator)
+                                 for p in pool) / len(pool)
+                try:
+                    value = math.exp(mean)
+                except OverflowError:
+                    value = float("inf")
             return Estimate(value=value, exact=None, method=method + ":geo",
                             ceg_kind=ceg_kind, considered_paths=len(pool), chosen_path=None)
         mean = sum((p.estimate for p in pool), Fraction(0)) / len(pool)
@@ -196,14 +202,15 @@ def estimate_molp(q: QueryGraph, cat: Catalogue) -> Estimate:
     """Upper bound on the true count: the min-weight path of the max-degree graph.
 
     The graph is searched straight off its degree-statistic move table, never
-    materialized.  An empty catalogue pattern of q short-circuits to 0 (the
-    query then has no answers either).
+    materialized.  A move of degree 0 short-circuits to 0: deg(∅, vars(P)) is
+    count(P) and every degree of a matched pattern is at least 1, so this
+    happens exactly when a catalogue pattern of q is empty (and then so is q).
     """
-    for sub in connected_subqueries(q, cat.h):
-        if require_count(cat, sub) == 0:
-            return Estimate.from_exact(Fraction(0), method="bound", ceg_kind=KIND_MAXDEG,
-                                       considered_paths=0, chosen_path=None)
-    path = min_weight_path(build_maxdeg(q, cat))
+    ceg = build_maxdeg(q, cat)
+    if any(deg == 0 for _, _, deg, _ in ceg.moves):
+        return Estimate.from_exact(Fraction(0), method="bound", ceg_kind=KIND_MAXDEG,
+                                   considered_paths=0, chosen_path=None)
+    path = min_weight_path(ceg)
     return Estimate.from_exact(path.estimate, method="bound", ceg_kind=KIND_MAXDEG,
                                considered_paths=1, chosen_path=path)
 

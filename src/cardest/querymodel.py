@@ -18,6 +18,7 @@ from .errors import QueryParseError, QueryValidationError
 from .graphstore import LabeledGraph
 
 TEMPLATE_LABEL = "?"
+MAX_EMBED_DRAWS = 10_000  # random embeddings an edge-at-a-time instantiation tries
 
 
 @dataclass(frozen=True)
@@ -102,9 +103,6 @@ class QueryGraph:
                     if i != j:
                         adj[i].add(j)
         return tuple(frozenset(a) for a in adj)
-
-    def is_template(self) -> bool:
-        return any(e.label == TEMPLATE_LABEL for e in self.edges)
 
     def with_labels(self, labels: Sequence[str]) -> "QueryGraph":
         if len(labels) != len(self.edges):
@@ -274,7 +272,9 @@ def instantiate_template(
     retried until the instance has at least one match or the attempt budget
     runs out.  edge-at-a-time: grows a random embedding in the data graph and
     labels each template edge with the matched data edge's label (non-empty by
-    construction).  Returns None on failure.
+    construction), drawing at most MAX_EMBED_DRAWS embeddings, so the result
+    depends on the seed alone; `time_limit` (seconds) is only a safety stop
+    checked before each draw.  Returns None on failure.
     """
     from .oracle import count_hom
 
@@ -306,7 +306,9 @@ def _embed_template(template: QueryGraph, g: LabeledGraph,
     adj = template.edge_adjacency()
     deadline = time.monotonic() + time_limit
     m = len(template.edges)
-    while time.monotonic() < deadline:
+    for _ in range(MAX_EMBED_DRAWS):
+        if time.monotonic() >= deadline:
+            return None
         order = _random_connected_order(adj, rng, m)
         binding: dict[str, int] = {}
         labels: list[str | None] = [None] * m

@@ -97,7 +97,6 @@ class SketchPlan:
     per_attr_parts: int             # K ** (1/|S|)
     partition_assignments: dict[int, tuple[tuple[str, ...], int]]  # edge -> (PA, pieces)
     seed: int
-    fallback: bool = False          # S was empty; identity sketch used
 
 
 def make_sketch(q: QueryGraph, g: LabeledGraph, path: PathEstimate | None, k: int,
@@ -228,13 +227,8 @@ def estimate_with_sketch(q: QueryGraph, g: LabeledGraph, k: int, base: str,
         raise ValueError(f"unknown sketch base {base!r}")
 
     if k > 1 and not sketch_attributes(sketch_path, q, sketch_ceg_kind):
-        # every join attribute is bound: partitioning degenerates (identity)
-        plan, components = make_sketch(q, g, sketch_path, 1,
-                                       ceg_kind=sketch_ceg_kind, seed=seed)
-        plan.fallback = True
-    else:
-        plan, components = make_sketch(q, g, sketch_path, k,
-                                       ceg_kind=sketch_ceg_kind, seed=seed)
+        k = 1  # every join attribute is bound: partitioning degenerates (identity)
+    _, components = make_sketch(q, g, sketch_path, k, ceg_kind=sketch_ceg_kind, seed=seed)
 
     total = Fraction(0)
     for comp in components:

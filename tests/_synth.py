@@ -148,7 +148,7 @@ def make_instances(seed: int, n_graphs: int, per_graph: int,
             name, tpl, cyc = pool[rng.randrange(len(pool))]
             if cyc:
                 inst = instantiate_template(tpl, g, seed=rng.randrange(1 << 30),
-                                            mode="edge-at-a-time", time_limit=0.4)
+                                            mode="edge-at-a-time")
             else:
                 inst = instantiate_template(tpl, g, seed=rng.randrange(1 << 30),
                                             mode="uniform-labels", attempts=40)

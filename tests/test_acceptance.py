@@ -6,6 +6,7 @@ lines and the informational trend tables.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import time
@@ -67,6 +68,25 @@ def corpus() -> Corpus:
                               walk_budget=300, seed=17)
         entries.append((g, cat, items))
     return Corpus(entries, time.perf_counter() - t0)
+
+
+# sha256 of every corpus query's id, template name and text, in corpus order
+CORPUS_SHA256 = "3dab9156aa5350a3a125d04016b0e1ef4212d78ea52e12fb0403600a9a0a1ac3"
+
+
+def _corpus_digest(item_lists) -> str:
+    text = "".join(f"{qid} {name}\n{q.to_text()}" for items in item_lists
+                   for qid, name, q in items)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_corpus_depends_on_seed_not_clock(corpus, monkeypatch):
+    assert _corpus_digest(items for _, _, items in corpus.entries) == CORPUS_SHA256
+    real = time.monotonic
+    origin = real()
+    monkeypatch.setattr(time, "monotonic", lambda: origin + 100 * (real() - origin))
+    raw = make_instances(seed=20240, n_graphs=25, per_graph=20)
+    assert _corpus_digest(items for _, items in raw) == CORPUS_SHA256
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +426,7 @@ def _molp_lp_log2(q, cat) -> float:
                 for k in range(r):
                     for x in combinations(y, k):
                         xm = sum(bit[v] for v in x)
-                        log_deg = math.log2(cat.max_deg(sub, x, y))
+                        log_deg = math.log2(cat.degree_table(sub)[x, y])
                         for w in range(size):
                             if w & xm == xm and w | ym != w:
                                 at_most(w | ym, w, log_deg)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -78,6 +79,40 @@ def test_key_equality_iff_brute_isomorphism():
     assert agree > 0  # sanity: collisions do occur in the sample
 
 
+def test_key_equality_iff_networkx_isomorphism():
+    nx = pytest.importorskip("networkx")
+    match = nx.algorithms.isomorphism.categorical_multiedge_match("label", None)
+    rng = random.Random(47)
+
+    def random_pattern():  # connected, <= 3 edges, variables renamed at random
+        edges, n_vars = set(), 2
+        edges.add((0, 1, rng.choice("AB")))
+        for _ in range(rng.randint(0, 2)):
+            u = rng.randrange(n_vars)
+            v = rng.randrange(n_vars + 1)
+            if u == v:
+                continue
+            n_vars = max(n_vars, v + 1)
+            edges.add((u, v, rng.choice("AB")) if rng.random() < 0.5 else (v, u, rng.choice("AB")))
+        names = rng.sample(["a", "b", "c", "d", "e"], n_vars)
+        return tuple(sorted((names[u], names[v], lab) for u, v, lab in edges))
+
+    def graph(pattern):
+        gr = nx.MultiDiGraph()
+        gr.add_edges_from((u, v, {"label": lab}) for u, v, lab in pattern)
+        return gr
+
+    patterns = [random_pattern() for _ in range(120)]
+    graphs = [graph(p) for p in patterns]
+    keys = [canonical_form(p)[0] for p in patterns]
+    iso_pairs = 0
+    for i, j in combinations(range(len(patterns)), 2):
+        iso = nx.is_isomorphic(graphs[i], graphs[j], edge_match=match)
+        assert (keys[i] == keys[j]) == iso, (patterns[i], patterns[j])
+        iso_pairs += iso
+    assert iso_pairs >= 100  # both outcomes are well represented
+
+
 # ---------------------------------------------------------------------------
 # Construction
 # ---------------------------------------------------------------------------
@@ -131,7 +166,7 @@ def test_deg_stats_equal_group_degree_oracle():
     sub = _sub(q, [0, 1])
     for x, y in ((set(), {"a1", "a2", "a3"}), ({"a2"}, {"a2", "a3"}),
                  ({"a1"}, {"a1", "a2"}), (set(), {"a2"}), ({"a3"}, {"a1", "a3"})):
-        assert cat.max_deg(sub, x, y) == group_degree(g, q, x, y)
+        assert cat.degree_table(sub)[tuple(sorted(x)), tuple(sorted(y))] == group_degree(g, q, x, y)
 
 
 def test_max_deg_empty_x_full_y_is_count():
@@ -139,7 +174,7 @@ def test_max_deg_empty_x_full_y_is_count():
     q = parse_query("a1 -A-> a2\na2 -B-> a3")
     cat = build_catalogue(g, [q], h=2)
     sub = _sub(q, [0, 1])
-    assert cat.max_deg(sub, [], ["a1", "a2", "a3"]) == cat.count(sub)
+    assert cat.degree_table(sub)[(), ("a1", "a2", "a3")] == cat.count(sub)
 
 
 def _brute_deg_table(g, q) -> dict[str, int]:
@@ -176,6 +211,25 @@ def test_deg_stats_of_pattern_without_matches_are_zero():
     assert cat.counts[key] == 0
     assert len(cat.deg_stats[key]) == 27
     assert set(cat.deg_stats[key].values()) == {0}
+
+
+def test_degree_table_names_every_entry_by_the_subquery_variables():
+    g = random_graph(20, 90, 3, seed=902)
+    q = parse_query("b7 -A-> a2\na2 -B-> c1")
+    cat = build_catalogue(g, [q], h=2)
+    sub = _sub(q, [0, 1])
+    table = cat.degree_table(sub)
+    pairs = {(x, y) for y in _all_subsets(sorted(q.vars)) for x in _all_subsets(y)}
+    assert set(table) == pairs and len(pairs) == 27
+    for (x, y), deg in table.items():
+        assert deg == group_degree(g, q, x, y)
+    key = canonical_form(sub.pattern())[0]
+    cat.deg_stats[key].pop(next(iter(cat.deg_stats[key])))
+    assert cat.degree_table(sub) is None
+
+
+def _all_subsets(items):
+    return [c for k in range(len(items) + 1) for c in combinations(items, k)]
 
 
 def test_lookup_of_unbuilt_pattern_absent():
@@ -320,6 +374,17 @@ def test_random_catalogue_byte_identical_reserialization():
     assert again.closing.keys() == cat.closing.keys()
     for key in cat.closing:
         assert again.closing_rate(key) == cat.closing_rate(key)
+
+
+def test_load_accepts_older_files_with_closing_marginal():
+    cat = build_catalogue(_square_graph(3, 2), [SQUARE], h=2, walk_budget=100, seed=9)
+    text = serialize(cat)
+    payload = json.loads(text)
+    assert "closingMarginal" not in payload
+    payload["closingMarginal"] = {'["P+","S:e>s","R-",null]': {
+        "samples": 100, "closures": 3, "rate": {"num": 3, "den": 100}}}
+    again = load(io.StringIO(json.dumps(payload)))
+    assert serialize(again) == text
 
 
 def test_load_rejects_malformed():

@@ -126,6 +126,18 @@ def test_gen_workload_deterministic(tmp_path, capsys):
     assert out_a.read_text().startswith("# seed: 42")
 
 
+def test_gen_workload_reports_the_time_limit_stop(tmp_path, capsys):
+    code = run_cli("gen-workload", "--graph", fixture_path("fork.edges"),
+                   "--template", fixture_path("q3p.query"),
+                   "--count", "2", "--seed", "1", "--mode", "edge-at-a-time",
+                   "--time-limit", "0", "--out", str(tmp_path / "w.txt"))
+    assert code == 0
+    err = capsys.readouterr().err
+    assert "seed 1: the --time-limit safety stop (0s) ended the search" in err
+    assert "seed 2: the --time-limit safety stop (0s) ended the search" in err
+    assert "generated 0/2 instances" in err
+
+
 def test_gen_workload_edge_at_a_time(tmp_path, capsys):
     out = tmp_path / "w.txt"
     code = run_cli("gen-workload", "--graph", fixture_path("fork.edges"),

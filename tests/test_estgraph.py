@@ -248,6 +248,20 @@ def test_optimistic_estimates_have_no_path_cap(fork_graph, q5f):
                             average="geometric", cap=10)
 
 
+def test_geometric_mean_of_paths_whose_product_overflows_a_float():
+    # path estimates 10^400 and 10^200 / 3: their product 10^600 / 3 is past 1e308
+    ceg = _hand_ceg([((), (0,), 10 ** 200), ((0,), (9,), 10 ** 200),
+                     ((), (1,), Fraction(10 ** 100, 3)), ((1,), (9,), 10 ** 100)])
+    paths = enumerate_paths(ceg)
+    assert paths[0].estimate * paths[1].estimate > 1e308
+    avg = HeuristicChoice("all-hops", "avg-aggr")
+    geo = estimate_optimistic(None, None, KIND_AVG, avg, average="geometric", paths=paths)
+    assert geo.value == pytest.approx(1e300 / 3 ** 0.5, rel=1e-12)
+    zero = _hand_ceg([((), (0,), 0), ((0,), (9,), 10 ** 200), ((), (9,), 10 ** 400)])
+    assert estimate_optimistic(None, None, KIND_AVG, avg, average="geometric",
+                               paths=enumerate_paths(zero)).value == 0.0
+
+
 # ---------------------------------------------------------------------------
 # Early cycle closing and the closing-rate graph
 # ---------------------------------------------------------------------------
@@ -337,7 +351,6 @@ def test_ocr_missing_closing_rate_raises():
     g = _square_graph(3, 1)
     cat = _cat(g, [SQUARE], h=3, walk_budget=None)
     cat.closing.clear()
-    cat.closing_marginal.clear()
     with pytest.raises(MissingStatisticError):
         build_optimistic(SQUARE, cat, closing=True)
 
@@ -416,6 +429,11 @@ def test_maxdeg_zero_relation_short_circuits():
     q = parse_query("a1 -A-> a2\na2 -B-> a3")
     ceg = build_maxdeg(q, _cat(g, [q]))
     assert min_weight_path(ceg).estimate == 0
+
+
+def test_min_weight_path_searches_only_attribute_subset_graphs(fork_graph, q3p):
+    with pytest.raises(ValueError):
+        min_weight_path(build_optimistic(q3p, _cat(fork_graph, [q3p])))
 
 
 def test_min_weight_path_unreachable_top_raises():

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
+from cardest import querymodel
 from cardest.errors import QueryValidationError
+from cardest.graphstore import LabeledGraph
 from cardest.oracle import count_hom
 from cardest.querymodel import (QEdge, QueryGraph, connected_subqueries,
                                 cycles, instantiate_template, parse_query)
 
-from _synth import random_graph, star_template, tree_template
+from _synth import cycle_template, random_graph, star_template, tree_template
 from oracles import brute_connected_subsets, brute_cycles
 
 
@@ -175,3 +179,15 @@ def test_instantiate_edge_at_a_time_nonempty():
                                     time_limit=5.0)
         if inst is not None:
             assert count_hom(g, inst).value >= 1
+
+
+def test_edge_at_a_time_search_ends_by_draw_cap_on_a_stopped_clock(monkeypatch):
+    # a path graph has no triangle, so only the draw cap can end this search
+    g = LabeledGraph([(i, i + 1, "A") for i in range(20)])
+    draws = []
+    real_order = querymodel._random_connected_order
+    monkeypatch.setattr(querymodel, "_random_connected_order",
+                        lambda *a: draws.append(1) or real_order(*a))
+    monkeypatch.setattr(time, "monotonic", lambda: 0.0)
+    assert instantiate_template(cycle_template(3), g, seed=1, mode="edge-at-a-time") is None
+    assert len(draws) == querymodel.MAX_EMBED_DRAWS
