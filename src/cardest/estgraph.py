@@ -1,13 +1,16 @@
 """Estimation graphs: subqueries as vertices, extension rates as edge weights.
 
 Four builds share one graph type.  Over edge subsets: the optimistic graph
-(average-degree rates from pattern counts) and its cycle-closing-rate variant.
-Over attribute subsets: the max-degree graph whose minimum-weight path is the
+(average-degree rates from pattern counts) and its cycle-closing-rate variant,
+built one source vertex at a time, each deciding its own out-edges (closing
+rates, merging, early cycle closing) from the connected index sets of q; only
+the patterns of at most h edges become `Subquery`s, for their counts.  Over
+attribute subsets: the max-degree graph whose minimum-weight path is the
 pessimistic bound, and the cover graph induced by a per-relation attribute
 cover (a sub-graph of the max-degree graph).  Attribute-subset graphs
 (`AttrCeg`) are held as move tables, filled from one whole degree table per
 catalogue pattern and expanded per vertex on demand; they are the only
-graphs `min_weight_path` searches.
+graphs `min_weight_path` searches, zero-degree moves included.
 
 Every bottom-to-top path yields an estimate: the exact rational product of
 its rates.  Base-2 log weights are carried alongside for the additive view.
@@ -27,7 +30,8 @@ from typing import Iterable, Iterator, Sequence
 from .catalogue import Catalogue, canonical_key, closing_spec
 from .errors import (ConfigError, EstimationError, MissingStatisticError,
                      PathOverflowError, QueryValidationError)
-from .querymodel import QueryGraph, Subquery, connected_subqueries, cycles, subsets
+from .querymodel import (QueryGraph, Subquery, connected_index_sets, connected_subqueries,
+                         cycles, subsets)
 
 START = "start"
 EXTENSION = "extension"
@@ -118,36 +122,6 @@ class Ceg:
         return any(e.kind == PROJECTION for e in self.all_edges())
 
 
-class _EdgeAccumulator:
-    """Collects edges, merging parallels that agree on endpoints, rate, kind."""
-
-    def __init__(self):
-        self._pairs: dict[tuple[frozenset, frozenset], list[list]] = {}  # -> [rate, kind, provs]
-
-    def add(self, src: frozenset, dst: frozenset, rate: Fraction, kind: str, prov: tuple):
-        entries = self._pairs.setdefault((src, dst), [])
-        for entry in entries:
-            if entry[0] == rate and entry[1] == kind:
-                if prov not in entry[2]:
-                    entry[2].append(prov)
-                return
-        entries.append([rate, kind, [prov]])
-
-    def discard_pair(self, src: frozenset, dst: frozenset):
-        self._pairs.pop((src, dst), None)
-
-    def pairs(self) -> set[tuple[frozenset, frozenset]]:
-        return set(self._pairs)
-
-    def adjacency(self) -> dict[frozenset, list[CegEdge]]:
-        adj: dict[frozenset, list[CegEdge]] = {}
-        for (src, dst), entries in self._pairs.items():
-            out = adj.setdefault(src, [])
-            for rate, kind, provs in entries:
-                out.append(CegEdge(src, dst, rate, kind, tuple(sorted(provs))))
-        return adj
-
-
 # ---------------------------------------------------------------------------
 # Optimistic builds (edge-subset vertices)
 # ---------------------------------------------------------------------------
@@ -160,65 +134,91 @@ def build_optimistic(q: QueryGraph, cat: Catalogue, closing: bool = False,
     min(h, |Q|) subquery; by default only the lexicographically smallest such
     subquery anchors the graph (starts="all" admits every one).  An extension
     from S to S' conditions a size-min(h,|S'|) pattern E on its overlap with S
-    and carries rate count(E)/count(E&S).  When several extensions of S close
-    a cycle that S lacks, only those are kept (early cycle closing).  With
-    closing=True, the hop that completes a cycle longer than h uses the
-    sampled closing rate instead of a count ratio.
+    and carries rate count(E)/count(E&S).
+
+    The graph is built one source vertex at a time: the empty vertex, then
+    every connected index set of at least min(h, |Q|) edges but the top.  The
+    hops of a source are grouped by target.  With closing=True, a hop that
+    completes a cycle longer than h takes that cycle's sampled closing rate
+    instead of its count ratios, or no edge when it adds more than the
+    closing edge (the single-edge route still exists).  Parallel edges that
+    agree on rate and kind merge, their provenances sorted.  When some
+    targets close a cycle the source lacks, only those are kept (early cycle
+    closing).  A source without edges is not stored.
     """
-    m = len(q)
-    h = cat.h
-    subs = connected_subqueries(q, m)
-    index_sets = {s.indices for s in subs}
-    by_indices = {s.indices: s for s in subs}
+    m, h = len(q), cat.h
     start_size = min(h, m)
-    start_vertices = sorted((s for s in index_sets if len(s) == start_size),
-                            key=_vkey)
+    lattice = connected_index_sets(q, m)
+    patterns = [s for s in lattice if len(s) <= h]
+    known = set(patterns)
+    firsts = [s for s in patterns if len(s) == start_size]
     if starts == "anchored":
-        start_vertices = start_vertices[:1]
+        firsts = firsts[:1]
     elif starts != "all":
         raise ValueError(f"starts must be 'anchored' or 'all', got {starts!r}")
 
-    key = {s: _vkey(s) for s in index_sets}
     counts: dict[frozenset, int] = {}
+    ratios: dict[tuple[frozenset, frozenset], tuple[Fraction, tuple]] = {}
 
-    def count(s: frozenset) -> int:  # each index set looked up once per build
+    def count(s: frozenset) -> int:  # each pattern looked up once per build
         got = counts.get(s)
         if got is None:
-            got = counts[s] = require_count(cat, by_indices[s])
+            got = counts[s] = require_count(cat, Subquery(q, s))
         return got
 
-    acc = _EdgeAccumulator()
-    for s in start_vertices:
-        acc.add(frozenset(), s, Fraction(count(s)), START, ("count", key[s]))
-
-    ext_patterns = [s.indices for s in subs if len(s.indices) <= h]
-    ratios: dict[tuple[frozenset, frozenset], tuple[Fraction, tuple]] = {}
-    top = frozenset(range(m))
-    for s_set in sorted(index_sets, key=key.__getitem__):
-        if len(s_set) < start_size or s_set == top:
-            continue
-        for ext in ext_patterns:
-            diff = ext - s_set
-            inter = ext & s_set
-            if not diff or not inter:
-                continue
-            target = s_set | diff
-            if len(ext) != min(h, len(target)):
-                continue
-            if target not in index_sets or inter not in index_sets:
-                continue
-            ratio = ratios.get((ext, inter))
-            if ratio is None:
-                c_ext, c_int = count(ext), count(inter)
-                ratio = ratios[ext, inter] = (Fraction(c_ext, c_int) if c_int else Fraction(0),
-                                              ("ratio", key[ext], key[inter]))
-            acc.add(s_set, target, ratio[0], EXTENSION, ratio[1])
+    def ratio(ext: frozenset, inter: frozenset) -> tuple[Fraction, tuple]:
+        got = ratios.get((ext, inter))
+        if got is None:
+            c_ext, c_int = count(ext), count(inter)
+            got = ratios[ext, inter] = (Fraction(c_ext, c_int) if c_int else Fraction(0),
+                                        ("ratio", _vkey(ext), _vkey(inter)))
+        return got
 
     all_cycles = cycles(q).cycles
-    if closing:
-        _apply_closing_rates(q, cat, acc, [c for c in all_cycles if len(c) > h])
-    adjacency = acc.adjacency()
-    _prune_early_cycle_closing(adjacency, all_cycles)
+    long_cycles = [c for c in all_cycles if len(c) > h] if closing else []
+    top = frozenset(range(m))
+    adjacency: dict[frozenset, list[CegEdge]] = {}
+    for src in [frozenset()] + [s for s in lattice if len(s) >= start_size and s != top]:
+        hops: dict[frozenset, list[tuple[Fraction, tuple]]] = {}
+        if src:
+            kind = EXTENSION
+            for ext in patterns:
+                inter = ext & src
+                if not inter or inter == ext or inter not in known:
+                    continue
+                target = src | ext
+                if len(ext) == min(h, len(target)):
+                    hops.setdefault(target, []).append(ratio(ext, inter))
+        else:
+            kind = START
+            hops = {s: [(Fraction(count(s)), ("count", _vkey(s)))] for s in firsts}
+
+        edges: dict[frozenset, list[CegEdge]] = {}
+        for target, rated in hops.items():
+            hop_kind = kind
+            added = target - src
+            closable = [c for c in long_cycles if c <= target and len(c & src) == len(c) - 1]
+            if closable:  # closing rates replace the ratios; a hop adding more gets no edge
+                hop_kind, rated = CYCLE_CLOSING, []
+                for c in closable:
+                    if c - src == added:
+                        rate, key = require_closing_rate(cat, q, c, *added)
+                        rated.append((rate, ("closing", key, tuple(sorted(c)))))
+            merged: list[tuple[Fraction, list]] = []
+            for rate, prov in rated:  # a list scan: no Fraction is hashed
+                for seen, provs in merged:
+                    if seen == rate:
+                        provs.append(prov)
+                        break
+                else:
+                    merged.append((rate, [prov]))
+            if merged:
+                edges[target] = [CegEdge(src, target, rate, hop_kind, tuple(sorted(provs)))
+                                 for rate, provs in merged]
+        if edges:
+            fresh = [c for c in all_cycles if not c <= src]
+            closers = [t for t in edges if any(c <= t for c in fresh)]
+            adjacency[src] = [e for t in (closers or edges) for e in edges[t]]
     return Ceg("edges", q, top, adjacency)
 
 
@@ -236,48 +236,14 @@ def require_degrees(cat: Catalogue, sub: Subquery) -> dict[tuple[tuple, tuple], 
     return table
 
 
-def _apply_closing_rates(q: QueryGraph, cat: Catalogue, acc: _EdgeAccumulator,
-                         big_cycles: list[frozenset[int]]) -> None:
-    if not big_cycles:
-        return
-    for src, dst in sorted(acc.pairs(), key=lambda p: (_vkey(p[0]), _vkey(p[1]))):
-        closable = [c for c in big_cycles if c <= dst and len(c & src) == len(c) - 1]
-        if not closable:
-            continue
-        acc.discard_pair(src, dst)
-        added = dst - src
-        for cyc in closable:
-            missing = cyc - src
-            if added != missing:
-                continue  # impure closing hop; the single-edge route still exists
-            (close_idx,) = missing
-            spec = closing_spec(q, cyc, close_idx)
-            rate = cat.closing_rate(spec.key())
-            if rate is None:
-                raise MissingStatisticError(f"closing rate {spec.key()}")
-            acc.add(src, dst, rate, CYCLE_CLOSING,
-                    ("closing", spec.key(), tuple(sorted(cyc))))
-
-
-def _prune_early_cycle_closing(adjacency: dict[frozenset, list[CegEdge]],
-                               all_cycles: Sequence[frozenset[int]]) -> None:
-    if not all_cycles:
-        return
-    contained: dict[frozenset, frozenset[int]] = {}
-
-    def cycles_in(vertex: frozenset) -> frozenset[int]:
-        got = contained.get(vertex)
-        if got is None:
-            got = frozenset(i for i, c in enumerate(all_cycles) if c <= vertex)
-            contained[vertex] = got
-        return got
-
-    for src in list(adjacency):
-        edges = adjacency[src]
-        src_cycles = cycles_in(src)
-        closing_edges = [e for e in edges if cycles_in(e.dst) > src_cycles]
-        if closing_edges:
-            adjacency[src] = closing_edges
+def require_closing_rate(cat: Catalogue, q: QueryGraph, cycle: frozenset[int],
+                         close_idx: int) -> tuple[Fraction, str]:
+    """Sampled rate of closing `cycle` with query edge `close_idx`, and its key."""
+    key = closing_spec(q, cycle, close_idx).key()
+    rate = cat.closing_rate(key)
+    if rate is None:
+        raise MissingStatisticError(f"closing rate {key}")
+    return rate, key
 
 
 # ---------------------------------------------------------------------------
@@ -558,22 +524,21 @@ def min_weight_path(ceg: AttrCeg) -> PathEstimate:
     """Minimum-weight bottom-to-top path of a max-degree or cover graph
     (Dijkstra on degree products, straight off its move table).
 
-    A zero-degree move on a bottom-to-top route short-circuits: the minimum is
-    then 0.  Ties break toward the lexicographically smallest vertex sequence,
-    then toward the first-listed edge, so an unbound edge beats a bound one of
-    the same rate.  Degrees are integers, and so are the weights.  Any other
-    graph raises ValueError.
+    Zero-degree moves stay in the search.  deg(X, Y) is 0 only for an empty
+    pattern, whose unbound move out of bottom is then 0 too, so the first
+    vertex popped after bottom has weight 0 and every path through it ends at
+    weight 0: the result is a weight-0 path, found without listing the graph.
+    Ties break toward the lexicographically smallest vertex sequence, then
+    toward the first-listed edge, so an unbound edge beats a bound one of the
+    same rate.  Degrees are integers, and so are the weights.  Any other graph
+    raises ValueError.
     """
     if not isinstance(ceg, AttrCeg):
         raise ValueError("min_weight_path searches max-degree and cover graphs only")
-    if any(deg == 0 for _, _, deg, _ in ceg.moves):
-        zero_path = _zero_short_circuit(ceg)
-        if zero_path is not None:
-            return zero_path
     cheapest: dict[tuple[int, int], int] = {}
     for xm, ym, deg, _ in ceg.moves:
         cheapest[xm, ym] = min(deg, cheapest.get((xm, ym), deg))
-    moves = [(xm, ym, deg) for (xm, ym), deg in cheapest.items() if deg]
+    moves = [(xm, ym, deg) for (xm, ym), deg in cheapest.items()]
     bits = list(ceg._bit.values()) if ceg._projections else []
     key_of, goal = ceg._key, (1 << len(ceg._bit)) - 1
 
@@ -604,36 +569,6 @@ def min_weight_path(ceg: AttrCeg) -> PathEstimate:
             counter += 1
             heapq.heappush(heap, (total, keys + (key_of(dst),), counter, dst))
     raise EstimationError("top vertex unreachable; statistics missing")
-
-
-def _zero_short_circuit(ceg: Ceg) -> PathEstimate | None:
-    """A bottom-to-top path through a zero-rate edge, if one exists."""
-    incoming: dict[frozenset, list[CegEdge]] = {}
-    for e in ceg.all_edges():
-        incoming.setdefault(e.dst, []).append(e)
-    fwd = _hop_tree(ceg.bottom, lambda v: [(e.dst, e) for e in ceg.out(v)])
-    bwd = _hop_tree(ceg.top, lambda v: [(e.src, e) for e in incoming.get(v, ())])
-    zero_edges = sorted((e for e in ceg.all_edges() if e.rate == 0),
-                        key=lambda e: (_vkey(e.src), _vkey(e.dst)))
-    for e in zero_edges:
-        if e.src in fwd and e.dst in bwd:
-            return PathEstimate(fwd[e.src][::-1] + (e,) + bwd[e.dst], Fraction(0))
-    return None
-
-
-def _hop_tree(root: frozenset, neighbours) -> dict[frozenset, tuple[CegEdge, ...]]:
-    """Fewest-hop edges from each reached vertex back to `root` (BFS, sorted frontiers)."""
-    tree: dict[frozenset, tuple[CegEdge, ...]] = {root: ()}
-    frontier = [root]
-    while frontier:
-        nxt: list[frozenset] = []
-        for v in frontier:
-            for other, e in neighbours(v):
-                if other not in tree:
-                    tree[other] = (e,) + tree[v]
-                    nxt.append(other)
-        frontier = sorted(nxt, key=_vkey)
-    return tree
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .catalogue import Catalogue, closing_spec
-from .errors import EstimationError, MissingStatisticError
+from .catalogue import Catalogue
+from .errors import EstimationError
 from .estgraph import (DEFAULT_PATH_CAP, Ceg, PathEstimate, PathSummary, build_maxdeg,
                        build_optimistic, enumerate_paths, min_weight_path,
-                       path_summary, require_count)
+                       path_summary, require_closing_rate, require_count)
 from .querymodel import QueryGraph, Subquery
 
 HOP_CHOICES = ("max-hop", "min-hop", "all-hops")
@@ -244,10 +244,7 @@ def evaluate_optimistic_path(path: PathEstimate, query: QueryGraph,
             if len(missing) != 1:
                 raise EstimationError("closing edge must add exactly one query edge")
             (close_idx,) = missing
-            rate = cat.closing_rate(closing_spec(query, cyc, close_idx).key())
-            if rate is None:
-                raise MissingStatisticError(f"closing rate for cycle {sorted(cyc)}")
-            prod *= rate
+            prod *= require_closing_rate(cat, query, cyc, close_idx)[0]
         else:
             raise EstimationError(f"cannot re-evaluate edge kind {e.kind!r}")
         if prod == 0:

@@ -51,24 +51,8 @@ class QueryGraph:
             raise QueryValidationError("duplicate identical query edge")
         self.edges: tuple[QEdge, ...] = tuple(qedges)
         self.vars: tuple[str, ...] = tuple(seen_vars)
-        if not self._is_connected():
+        if not _indices_connected(self, range(len(self.edges))):
             raise QueryValidationError("query graph is disconnected")
-
-    def _is_connected(self) -> bool:
-        if len(self.vars) == 1:
-            return True
-        adj: dict[str, set[str]] = {v: set() for v in self.vars}
-        for e in self.edges:
-            adj[e.src].add(e.dst)
-            adj[e.dst].add(e.src)
-        seen = {self.vars[0]}
-        stack = [self.vars[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vars)
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -204,8 +188,8 @@ def subsets(items: Iterable) -> list[tuple]:
     return sorted(out, key=lambda s: (len(s), s))
 
 
-def connected_subqueries(q: QueryGraph, max_edges: int) -> list[Subquery]:
-    """All connected edge subsets of size <= max_edges, grown one edge at a time.
+def connected_index_sets(q: QueryGraph, max_edges: int) -> list[frozenset[int]]:
+    """All connected edge-index sets of size <= max_edges, grown one edge at a time.
 
     Deterministic order: lexicographic on sorted index tuples.
     """
@@ -227,8 +211,12 @@ def connected_subqueries(q: QueryGraph, max_edges: int) -> list[Subquery]:
             break
         found |= grown
         level = grown
-    ordered = sorted(found, key=lambda s: tuple(sorted(s)))
-    return [Subquery(q, s) for s in ordered]
+    return sorted(found, key=lambda s: tuple(sorted(s)))
+
+
+def connected_subqueries(q: QueryGraph, max_edges: int) -> list[Subquery]:
+    """`connected_index_sets` as Subqueries, in the same order."""
+    return [Subquery(q, s) for s in connected_index_sets(q, max_edges)]
 
 
 def cycles(q: QueryGraph) -> CycleSet:

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .catalogue import Catalogue, build_catalogue
 from .errors import SketchPlanError
-from .estgraph import BOUND, PROJECTION, PathEstimate
+from .estgraph import BOUND, CYCLE_CLOSING, EXTENSION, PathEstimate
 from .estimators import (Estimate, HeuristicChoice, estimate_molp,
                          estimate_optimistic, evaluate_optimistic_path)
 from .graphstore import LabeledGraph
@@ -43,28 +44,6 @@ def bucket_of(vertex: int, buckets: int, seed: int) -> int:
     return _mix64(vertex, seed) % buckets
 
 
-@dataclass(frozen=True)
-class EdgeTag:
-    bound: bool
-    extension_vars: frozenset[str]
-
-
-def classify_edges(path: PathEstimate, q: QueryGraph, ceg_kind: str) -> list[EdgeTag]:
-    """Tag each path edge bound/unbound and record its extension attributes.
-
-    Start edges are unbound by definition; projection edges extend nothing.
-    """
-    tags = []
-    for e in path.edges:
-        if e.kind == PROJECTION:
-            tags.append(EdgeTag(bound=True, extension_vars=frozenset()))
-            continue
-        tags.append(EdgeTag(bound=(e.kind == BOUND or e.kind == "extension"
-                                   or e.kind == "cycle-closing"),
-                            extension_vars=e.extension_vars(q, ceg_kind)))
-    return tags
-
-
 def join_attributes(q: QueryGraph) -> frozenset[str]:
     seen: dict[str, int] = {}
     for e in q.edges:
@@ -74,11 +53,14 @@ def join_attributes(q: QueryGraph) -> frozenset[str]:
 
 
 def sketch_attributes(path: PathEstimate, q: QueryGraph, ceg_kind: str) -> frozenset[str]:
-    """Join attributes not extended through a bound edge."""
+    """Join attributes not extended through a bound edge.
+
+    Start and unbound edges are unbound; projection edges extend nothing.
+    """
     bound_ext: set[str] = set()
-    for tag in classify_edges(path, q, ceg_kind):
-        if tag.bound:
-            bound_ext |= tag.extension_vars
+    for e in path.edges:
+        if e.kind in (BOUND, EXTENSION, CYCLE_CLOSING):
+            bound_ext |= e.extension_vars(q, ceg_kind)
     return join_attributes(q) - bound_ext
 
 
@@ -148,7 +130,8 @@ def make_sketch(q: QueryGraph, g: LabeledGraph, path: PathEstimate | None, k: in
 
     comp_query = QueryGraph([QEdge(e.src, e.dst, f"e{i}") for i, e in enumerate(q.edges)])
     components: list[SketchComponent] = []
-    for index in _indices(parts, len(attrs)):
+    for rev in product(range(parts), repeat=len(attrs)):  # first attribute varies fastest
+        index = rev[::-1]
         sigma = dict(zip(attrs, index))
         edges = []
         for e, split in zip(q.edges, cells):
@@ -165,15 +148,6 @@ def _integer_root(k: int, degree: int) -> int | None:
         if candidate >= 1 and candidate ** degree == k:
             return candidate
     return None
-
-
-def _indices(parts: int, dims: int):
-    if dims == 0:
-        yield ()
-        return
-    for rest in _indices(parts, dims - 1):
-        for j in range(parts):
-            yield (j,) + rest
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,36 @@ def test_corpus_depends_on_seed_not_clock(corpus, monkeypatch):
     assert _corpus_digest(items for _, items in raw) == CORPUS_SHA256
 
 
+# sha256 of the optimistic graphs built on the corpus: every query, both kinds
+# and both start rules at h=2, then closing-rate graphs at h=3 for the <= 7-edge
+# queries of the first 8 corpus graphs (these reach impure closing hops)
+CEG_SHA256 = "262e2dc312f61bc9411629db47126bb7076ca1c5632d42ff6469c76bc789fc41"
+
+
+def _ceg_text(ceg) -> str:
+    """Vertices, then every edge as (src, dst, exact rate, kind, provenance)."""
+    lines = [repr([sorted(v) for v in ceg.vertices()])]
+    lines += [f"{sorted(e.src)} {sorted(e.dst)} {Fraction(e.rate)} {e.kind} {e.provenance!r}"
+              for e in ceg.all_edges()]
+    return "\n".join(lines) + "\n"
+
+
+def test_optimistic_graphs_pinned(corpus):
+    digest = hashlib.sha256()
+    for _, cat, items in corpus.entries:
+        for _, _, q in items:
+            for closing in (False, True):
+                for starts in ("anchored", "all"):
+                    ceg = build_optimistic(q, cat, closing=closing, starts=starts)
+                    digest.update(_ceg_text(ceg).encode())
+    for g, _, items in corpus.entries[:8]:
+        small = [q for _, _, q in items if len(q) <= 7]
+        cat3 = build_catalogue(g, small, 3, walk_budget=300, seed=17)
+        for q in small:
+            digest.update(_ceg_text(build_optimistic(q, cat3, closing=True)).encode())
+    assert digest.hexdigest() == CEG_SHA256
+
+
 # ---------------------------------------------------------------------------
 # Criterion 1: Table-1 fixture arithmetic
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from cardest.estgraph import (EXTENSION, Ceg, CegEdge, PathEstimate, build_cover
                               path_summary, to_dot)
 from cardest.estimators import (ALL_CHOICES, KIND_AVG, KIND_CLOSING, HeuristicChoice,
                                 ceg_summary, estimate_optimistic, estimate_pstar)
+from cardest.estimators import estimate_molp
 from cardest.graphstore import LabeledGraph
 from cardest.oracle import count_hom
 from cardest.querymodel import cycles, instantiate_template, parse_query
@@ -429,6 +430,20 @@ def test_maxdeg_zero_relation_short_circuits():
     q = parse_query("a1 -A-> a2\na2 -B-> a3")
     ceg = build_maxdeg(q, _cat(g, [q]))
     assert min_weight_path(ceg).estimate == 0
+
+
+def test_min_weight_path_zero_bound_on_graph_too_large_to_list():
+    # 14 variables, past MAX_ATTR_VARS, and the only B edge is off the A path
+    q = parse_query("\n".join([f"a{i} -A-> a{i + 1}" for i in range(12)] + ["a12 -B-> a13"]))
+    g = LabeledGraph([(i, i + 1, "A") for i in range(13)] + [(100, 101, "B")])
+    cat = _cat(g, [q])
+    assert estimate_molp(q, cat).exact == 0
+    path = min_weight_path(build_maxdeg(q, cat))
+    assert path.estimate == 0
+    vertices = path.vertices()
+    assert vertices[0] == frozenset() and vertices[-1] == frozenset(q.vars)
+    assert all(e.src == v and e.dst == w for e, v, w in zip(path.edges, vertices, vertices[1:]))
+    assert any(e.rate == 0 for e in path.edges)
 
 
 def test_min_weight_path_searches_only_attribute_subset_graphs(fork_graph, q3p):
