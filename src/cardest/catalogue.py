@@ -16,14 +16,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from typing import IO, Iterable, Sequence
+from operator import itemgetter
+from typing import IO, Collection, Iterable, Mapping, Sequence
 
 from . import oracle
 from .errors import CatalogueFormatError, ConfigError, QueryValidationError
 from .graphstore import LabeledGraph
 from .oracle import FWD, REV, LabelStep
-from .querymodel import (QEdge, QueryGraph, Subquery, connected_subqueries, cycles,
-                         subsets)
+from .querymodel import (QEdge, QueryGraph, Subquery, connected_index_sets, cycles,
+                         index_pattern, subsets)
 
 FORMAT_VERSION = 1
 
@@ -257,10 +258,8 @@ def build_catalogue(
     else:
         if workload is None:
             raise ConfigError("workload mode needs a workload")
-        keys = set()
-        for q in workload:
-            for sub in connected_subqueries(q, h):
-                keys.add(canonical_key(sub))
+        keys = {canonical_form(index_pattern(q, s))[0]
+                for q in workload for s in connected_index_sets(q, h)}
 
     cat = Catalogue(h=h)
     for key in sorted(keys):
@@ -270,7 +269,7 @@ def build_catalogue(
         cat.deg_stats[key] = table
 
     if workload:
-        _build_closing_rates(cat, g, workload, h, walk_budget, seed)
+        add_closing_rates(cat, g, workload, walk_budget, seed)
 
     cat.meta = {
         "h": h,
@@ -288,21 +287,74 @@ def build_catalogue(
     return cat
 
 
-def _degree_table(rep: QueryGraph, rows: set[tuple[int, ...]]) -> dict[str, int]:
-    """deg(X, Y) for every X subseteq Y over the representative's variables."""
+def _degree_table(rep: QueryGraph, rows: Collection[tuple[int, ...]]) -> dict[str, int]:
+    """deg(X, Y) for every X subseteq Y over the representative's variables,
+    from its distinct match rows."""
     table: dict[str, int] = {}
-    for y in subsets(range(len(rep.vars))):
-        xs = subsets(y)
-        for x, deg in zip(xs, oracle.degrees(rows, y, xs)):
-            table[_deg_entry_key(x, y)] = deg
+    for y, xs, keys in _table_layout(len(rep.vars)):
+        table.update(zip(keys, oracle.degrees(rows, y, xs)))
     return table
 
 
-def _build_closing_rates(cat: Catalogue, g: LabeledGraph, workload: Sequence[QueryGraph],
-                         h: int, walk_budget: int | None, seed: int) -> None:
+@lru_cache(maxsize=None)
+def _table_layout(n: int) -> tuple[tuple[tuple, list[tuple], tuple[str, ...]], ...]:
+    """Per Y over n variables, in table order: Y, its subsets X and their entry keys."""
+    return tuple((y, xs, tuple(_deg_entry_key(x, y) for x in xs))
+                 for y in subsets(range(n)) for xs in [subsets(y)])
+
+
+def partition_catalogues(g: LabeledGraph, q: QueryGraph, h: int, tagged: QueryGraph,
+                         parts: Sequence[Mapping[str, int]],
+                         part_of: Mapping[int, int]) -> list[Catalogue]:
+    """Counts and degree tables of `tagged`'s patterns on each part of g's
+    matches of q, without closing rates.
+
+    `tagged` is q with its edges relabelled, so each connected subquery of at
+    most h edges has its catalogue key as a pattern of `tagged` and its rows
+    as q's matches on g; when the parts name variables, tagged's labels must
+    be distinct, so that no two subqueries share a key.  Part j keeps the
+    rows whose variables v in parts[j] (every part names the same variables)
+    bind vertices x with part_of[x] == parts[j][v] (`part_of` may fill
+    itself on a miss, as `sketch.BucketMemo` does).  Each subquery is matched
+    once and its rows are grouped by those values; each group a part reads
+    gets one degree table, so a subquery without such a variable has one
+    table for every part, and an empty group the all-zero table.
+    """
+    labels = {t.label: e.label for t, e in zip(tagged.edges, q.edges)}
+    found = dict(canonical_form(index_pattern(tagged, s)) for s in connected_index_sets(q, h))
+    cats = [Catalogue(h=h) for _ in parts]
+    for key in sorted(found):
+        rep = _key_to_query(key)
+        var_of = {f"x{i}": v for v, i in found[key]}
+        split = [(p, var_of[x]) for p, x in enumerate(rep.vars) if var_of[x] in parts[0]]
+        rows = oracle.matches(g, QueryGraph([QEdge(e.src, e.dst, labels[e.label])
+                                             for e in rep.edges]))
+        groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {(): rows}
+        if split:
+            groups = {}
+            row_groups = zip(*[map(part_of.__getitem__, map(itemgetter(p), rows))
+                               for p, _ in split])
+            for group, row in zip(row_groups, rows):
+                groups.setdefault(group, []).append(row)
+        tables: dict[tuple[int, ...], dict[str, int]] = {}
+        count_entry = _deg_entry_key((), range(len(rep.vars)))
+        for cat, part in zip(cats, parts):
+            group = tuple(part[v] for _, v in split)
+            table = tables.get(group)
+            if table is None:
+                table = tables[group] = _degree_table(rep, groups.get(group, []))
+            cat.counts[key] = table[count_entry]
+            cat.deg_stats[key] = table
+    return cats
+
+
+def add_closing_rates(cat: Catalogue, g: LabeledGraph, workload: Sequence[QueryGraph],
+                      walk_budget: int | None, seed: int) -> None:
+    """Closing rates on g for the workload's cycles longer than cat.h, as
+    `build_catalogue` describes them."""
     demanded: dict[str, ClosingSpec] = {}
     for q in workload:
-        for cyc in cycles(q).longer_than(h):
+        for cyc in cycles(q).longer_than(cat.h):
             for close_idx in sorted(cyc):
                 spec = closing_spec(q, cyc, close_idx)
                 demanded.setdefault(spec.key(), spec)

@@ -118,8 +118,7 @@ class Subquery:
 
     def pattern(self) -> tuple[tuple[str, str, str], ...]:
         """Edge triples of this subquery, sorted for stable hashing."""
-        return tuple(sorted((self.parent.edges[i].src, self.parent.edges[i].dst,
-                             self.parent.edges[i].label) for i in self.indices))
+        return index_pattern(self.parent, self.indices)
 
     def sorted_indices(self) -> tuple[int, ...]:
         return tuple(sorted(self.indices))
@@ -137,6 +136,12 @@ class CycleSet:
 
     def longer_than(self, h: int) -> tuple[frozenset[int], ...]:
         return tuple(c for c in self.cycles if len(c) > h)
+
+
+def index_pattern(q: QueryGraph, indices: Iterable[int]) -> tuple[tuple[str, str, str], ...]:
+    """Sorted (src, dst, label) triples of q's edges at `indices`; no
+    connectivity check, for index sets already grown connected."""
+    return tuple(sorted((q.edges[i].src, q.edges[i].dst, q.edges[i].label) for i in indices))
 
 
 def _indices_connected(q: QueryGraph, indices: Iterable[int]) -> bool:

@@ -5,22 +5,33 @@ The attribute set S comes from a chosen estimation-graph path: join
 attributes that the path does not extend through a bound (conditioned) edge.
 Each attribute gets K**(1/|S|) hash buckets; a relation hashes on the subset
 of S it contains, and the query splits into K disjoint components whose true
-counts add up to the original.  Each vertex is hashed once and each query
-edge's relation is split into its bucket cells in one pass.
+counts add up to the original.
+
+A component's matches of a subquery are exactly the full-graph matches whose
+sketched variables hash to that component's buckets.  So, as in the original
+bound sketch (Cai, Balazinska & Suciu, SIGMOD 2019), the component statistics
+come from one match of each connected subquery of at most h edges on the full
+graph, its rows grouped by those buckets (`catalogue.partition_catalogues`);
+no component graph is built for them.  Component graphs are split from the
+full graph only when read: for closing rates, which a path with a
+cycle-closing edge needs, and by callers of `make_sketch`.  Each vertex is
+hashed at most once per plan.
 
 The unpartitioned plan reads the caller's catalogue when one is given (as
 `run_workload` does): a catalogue lacking the query's patterns fails with
 MissingStatisticError, and closing-rate plans use that catalogue's closing
-rates.  Each component gets a catalogue built from its own graph.
+rates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, cached_property, partial
 from itertools import product
+from typing import Callable
 
-from .catalogue import Catalogue, build_catalogue
+from .catalogue import Catalogue, add_closing_rates, build_catalogue, partition_catalogues
 from .errors import SketchPlanError
 from .estgraph import BOUND, CYCLE_CLOSING, EXTENSION, PathEstimate
 from .estimators import (Estimate, HeuristicChoice, estimate_molp,
@@ -66,9 +77,28 @@ def sketch_attributes(path: PathEstimate, q: QueryGraph, ceg_kind: str) -> froze
 
 @dataclass(frozen=True)
 class SketchComponent:
+    """One of the K instances; its graph is split from the full graph when
+    first read."""
+
     index: tuple[int, ...]
-    graph: LabeledGraph
     query: QueryGraph
+    split: Callable[[], LabeledGraph] = field(repr=False, compare=False)
+
+    @cached_property
+    def graph(self) -> LabeledGraph:
+        return self.split()
+
+
+class BucketMemo(dict):
+    """vertex -> bucket_of(vertex, parts, seed), each vertex hashed once."""
+
+    def __init__(self, parts: int, seed: int):
+        super().__init__()
+        self.parts, self.seed = parts, seed
+
+    def __missing__(self, vertex: int) -> int:
+        b = self[vertex] = bucket_of(vertex, self.parts, self.seed)
+        return b
 
 
 @dataclass
@@ -79,6 +109,10 @@ class SketchPlan:
     per_attr_parts: int             # K ** (1/|S|)
     partition_assignments: dict[int, tuple[tuple[str, ...], int]]  # edge -> (PA, pieces)
     seed: int
+    buckets: BucketMemo = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.buckets = BucketMemo(self.per_attr_parts, self.seed)
 
 
 def make_sketch(q: QueryGraph, g: LabeledGraph, path: PathEstimate | None, k: int,
@@ -87,12 +121,14 @@ def make_sketch(q: QueryGraph, g: LabeledGraph, path: PathEstimate | None, k: in
     """Partition plan plus the K component instances (disjoint, exhaustive).
 
     k=1 is the identity sketch.  Otherwise k must be a perfect |S|-th power of
-    an integer >= 2 and S must be non-empty.
+    an integer >= 2 and S must be non-empty.  Nothing is split until a
+    component's graph is read; then each query edge's relation is split once
+    into bucket cells, which every component graph concatenates.
     """
     if k == 1:
         plan = SketchPlan(path=path, attrs=(), k=1, per_attr_parts=1,
                           partition_assignments={}, seed=seed)
-        return plan, [SketchComponent((), g, q)]
+        return plan, [SketchComponent((), q, lambda: g)]
     if path is None:
         raise SketchPlanError("k > 1 needs a sketch path")
     attrs = sorted(sketch_attributes(path, q, ceg_kind))
@@ -108,37 +144,35 @@ def make_sketch(q: QueryGraph, g: LabeledGraph, path: PathEstimate | None, k: in
     for i, e in enumerate(q.edges):
         pa = tuple(v for v in attrs if v in (e.src, e.dst))
         assignments[i] = (pa, parts ** len(pa))
-
-    # Split each query edge's relation once: edge (u, v) goes to the cell keyed
-    # by the buckets of its sketched endpoints (None where the end is not in S).
-    buckets: dict[int, int] = {}
-
-    def bucket(vertex: int) -> int:
-        b = buckets.get(vertex)
-        if b is None:
-            b = buckets[vertex] = bucket_of(vertex, parts, seed)
-        return b
-
-    cells: list[dict[tuple[int | None, int | None], list[tuple[int, int, str]]]] = []
-    for i, e in enumerate(q.edges):
-        hash_src, hash_dst, tag = e.src in s_set, e.dst in s_set, f"e{i}"
-        split: dict = {}
-        for u, v in g.edges_with_label(e.label):
-            key = (bucket(u) if hash_src else None, bucket(v) if hash_dst else None)
-            split.setdefault(key, []).append((u, v, tag))
-        cells.append(split)
-
-    comp_query = QueryGraph([QEdge(e.src, e.dst, f"e{i}") for i, e in enumerate(q.edges)])
-    components: list[SketchComponent] = []
-    for rev in product(range(parts), repeat=len(attrs)):  # first attribute varies fastest
-        index = rev[::-1]
-        sigma = dict(zip(attrs, index))
-        edges = []
-        for e, split in zip(q.edges, cells):
-            edges.extend(split.get((sigma.get(e.src), sigma.get(e.dst)), ()))
-        components.append(SketchComponent(index, LabeledGraph(edges), comp_query))
     plan = SketchPlan(path=path, attrs=tuple(attrs), k=k, per_attr_parts=parts,
                       partition_assignments=assignments, seed=seed)
+
+    @cache
+    def cells() -> list[dict[tuple[int | None, int | None], list[tuple[int, int, str]]]]:
+        """Per query edge, edge (u, v) in the cell keyed by the buckets of its
+        sketched endpoints (None where the end is not in S)."""
+        out, buckets = [], plan.buckets
+        for i, e in enumerate(q.edges):
+            hash_src, hash_dst, tag = e.src in s_set, e.dst in s_set, f"e{i}"
+            split: dict = {}
+            for u, v in g.edges_with_label(e.label):
+                key = (buckets[u] if hash_src else None, buckets[v] if hash_dst else None)
+                split.setdefault(key, []).append((u, v, tag))
+            out.append(split)
+        return out
+
+    def component_graph(sigma: dict[str, int]) -> LabeledGraph:
+        edges = []
+        for e, split in zip(q.edges, cells()):
+            edges.extend(split.get((sigma.get(e.src), sigma.get(e.dst)), ()))
+        return LabeledGraph(edges)
+
+    comp_query = QueryGraph([QEdge(e.src, e.dst, f"e{i}") for i, e in enumerate(q.edges)])
+    components = []
+    for rev in product(range(parts), repeat=len(attrs)):  # first attribute varies fastest
+        index = rev[::-1]
+        components.append(SketchComponent(index, comp_query,
+                                          partial(component_graph, dict(zip(attrs, index)))))
     return plan, components
 
 
@@ -170,8 +204,10 @@ def estimate_with_sketch(q: QueryGraph, g: LabeledGraph, k: int, base: str,
     The unpartitioned plan reads `catalogue` when given; one built from
     another graph or at another h raises ConfigError, one without q's
     patterns MissingStatisticError, and closing-rate plans use its closing
-    rates.  Without one, a catalogue of q alone is built from g.  Each
-    component always gets a catalogue of its own graph.
+    rates.  Without one, a catalogue of q alone is built from g.  Component
+    counts and degree tables come from grouped full-graph matches
+    (`catalogue.partition_catalogues`); only a fixed path with a cycle-closing
+    edge also samples closing rates on each component's graph.
     """
     if catalogue is None:
         cat = build_catalogue(g, [q], h, walk_budget=walk_budget, seed=seed)
@@ -202,15 +238,19 @@ def estimate_with_sketch(q: QueryGraph, g: LabeledGraph, k: int, base: str,
 
     if k > 1 and not sketch_attributes(sketch_path, q, sketch_ceg_kind):
         k = 1  # every join attribute is bound: partitioning degenerates (identity)
-    _, components = make_sketch(q, g, sketch_path, k, ceg_kind=sketch_ceg_kind, seed=seed)
+    plan, components = make_sketch(q, g, sketch_path, k, ceg_kind=sketch_ceg_kind, seed=seed)
+    comp_cats = partition_catalogues(g, q, h, components[0].query,
+                                     [dict(zip(plan.attrs, c.index)) for c in components],
+                                     plan.buckets)
+    closing = fixed_path is not None and any(e.kind == CYCLE_CLOSING for e in fixed_path.edges)
 
     total = Fraction(0)
-    for comp in components:
-        comp_cat = build_catalogue(comp.graph, [comp.query], h,
-                                   walk_budget=walk_budget, seed=seed)
+    for comp, comp_cat in zip(components, comp_cats):
         if base == "molp":
             total += estimate_molp(comp.query, comp_cat).exact
         else:
+            if closing:
+                add_closing_rates(comp_cat, comp.graph, [comp.query], walk_budget, seed)
             total += evaluate_optimistic_path(fixed_path, comp.query, comp_cat)
     return Estimate.from_exact(total, method=method, ceg_kind=unsketched.ceg_kind,
                                considered_paths=unsketched.considered_paths,

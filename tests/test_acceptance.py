@@ -18,9 +18,9 @@ import pytest
 
 from cardest.catalogue import build_catalogue
 from cardest.errors import SketchPlanError
-from cardest.estgraph import (CegEdge, PathEstimate, build_cover, build_maxdeg,
-                              build_optimistic, count_paths, enumerate_paths,
-                              iter_paths, min_weight_path)
+from cardest.estgraph import (CYCLE_CLOSING, CegEdge, PathEstimate, build_cover,
+                              build_maxdeg, build_optimistic, count_paths,
+                              enumerate_paths, iter_paths, min_weight_path)
 from cardest.estimators import (ALL_CHOICES, HeuristicChoice, KIND_AVG,
                                 KIND_CLOSING, ceg_paths, ceg_summary, estimate_molp,
                                 estimate_optimistic, estimate_pstar,
@@ -543,6 +543,40 @@ def test_criterion_10_bound_sketch(corpus):
     assert elapsed < 120.0
     _pass(10, elapsed, f"partition sums exact and truth <= sketched <= bound "
           f"on {sketched} instances (K in {{4, 16}})")
+
+
+# sha256 of the sketched estimates of every query of the first 3 corpus graphs,
+# read with the run catalogue: at K=4 the bound and the max/min heuristics over
+# both optimistic kinds, and at K=8 the closing-rate ones again (their cyclic
+# queries sketch three attributes, so only a cube K reaches closing edges); a
+# row that cannot be sketched records its exception's name
+SKETCH_SHA256 = "2c688396bfe0b1f9f2d38fefd0b1a1a4d4edb73ba7bafe25c8973f793b5fc80f"
+SKETCH_METHODS = (("molp", None, KIND_AVG),
+                  ("optimistic", HeuristicChoice("max-hop", "max-aggr"), KIND_AVG),
+                  ("optimistic", HeuristicChoice("min-hop", "min-aggr"), KIND_AVG),
+                  ("optimistic", HeuristicChoice("max-hop", "max-aggr"), KIND_CLOSING),
+                  ("optimistic", HeuristicChoice("min-hop", "min-aggr"), KIND_CLOSING))
+
+
+def test_sketched_values_pinned(corpus):
+    digest = hashlib.sha256()
+    closing_paths = 0
+    runs = [(4, m) for m in SKETCH_METHODS] + [(8, m) for m in SKETCH_METHODS[3:]]
+    for g, cat, items in corpus.entries[:3]:
+        for qid, _, q in items:
+            for k, (base, choice, kind) in runs:
+                try:
+                    est = estimate_with_sketch(q, g, k, base, h=2, seed=17, walk_budget=300,
+                                               choice=choice, ceg_kind=kind, catalogue=cat)
+                except SketchPlanError:
+                    value = "SketchPlanError"
+                else:
+                    value = est.exact
+                    closing_paths += any(e.kind == CYCLE_CLOSING
+                                         for e in est.chosen_path.edges)
+                digest.update(f"{qid} {k} {base} {choice} {kind} {value}\n".encode())
+    assert closing_paths >= 40
+    assert digest.hexdigest() == SKETCH_SHA256
 
 
 # ---------------------------------------------------------------------------

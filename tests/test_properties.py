@@ -9,7 +9,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from cardest.catalogue import build_catalogue  # noqa: E402
+from cardest.catalogue import build_catalogue, partition_catalogues  # noqa: E402
 from cardest.errors import SketchPlanError  # noqa: E402
 from cardest.estimators import estimate_molp  # noqa: E402
 from cardest.graphstore import LabeledGraph  # noqa: E402
@@ -86,3 +86,21 @@ def test_sketch_components_sum_to_the_truth(g, q):
         return
     assert sum(nested_loop_count(c.graph, c.query) for c in components) \
         == nested_loop_count(g, q)
+
+
+@settings(SETTINGS, max_examples=100)
+@given(g=graphs(max_vertices=8, min_edges=10, max_edges=30),
+       q=queries(max_edges=5, labels=GRAPH_LABELS), k=st.sampled_from([4, 9]),
+       seed=st.integers(0, 7))
+def test_grouped_statistics_equal_component_catalogues(g, q, k, seed):
+    path = estimate_molp(q, build_catalogue(g, [q], 2, walk_budget=10)).chosen_path
+    try:
+        plan, components = make_sketch(q, g, path, k=k, seed=seed)
+    except SketchPlanError:
+        return
+    grouped = partition_catalogues(g, q, 2, components[0].query,
+                                   [dict(zip(plan.attrs, c.index)) for c in components],
+                                   plan.buckets)
+    for comp, got in zip(components, grouped):
+        want = build_catalogue(comp.graph, [comp.query], 2, walk_budget=10)
+        assert (got.counts, got.deg_stats) == (want.counts, want.deg_stats)

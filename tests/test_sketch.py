@@ -5,14 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from cardest import sketch
-from cardest.catalogue import build_catalogue
+from cardest import oracle, sketch
+from cardest.catalogue import build_catalogue, partition_catalogues
 from cardest.errors import ConfigError, SketchPlanError
 from cardest.estgraph import BOUND, UNBOUND, CegEdge, PathEstimate
 from cardest.estimators import HeuristicChoice, KIND_AVG, estimate_molp, estimate_optimistic
 from cardest.evalharness import WorkloadItem, expand_methods, run_workload
 from cardest.oracle import count_hom
-from cardest.querymodel import instantiate_template, parse_query
+from cardest.querymodel import connected_index_sets, instantiate_template, parse_query
 from cardest.sketch import (bucket_of, estimate_with_sketch, join_attributes,
                             make_sketch, sketch_attributes)
 
@@ -258,21 +258,30 @@ def test_sketch_rejects_catalogue_at_other_h(f1_graph, q3p):
         estimate_with_sketch(q3p, f1_graph, 4, "molp", h=3, catalogue=cat)
 
 
-@pytest.mark.parametrize("seed", [0, 7])
-@pytest.mark.parametrize("k", [4, 9, 16])
-def test_components_match_per_component_filter(fork_graph, q5f, sketch_runs, k, seed):
-    p2 = _attr_path([
+def _p2() -> PathEstimate:
+    return _attr_path([
         ({"a1", "a2"}, UNBOUND, 4),
         ({"a1", "a2", "a3"}, BOUND, 1),
         ({"a1", "a2", "a3", "a4"}, BOUND, 2),
         ({"a1", "a2", "a3", "a4", "a5"}, BOUND, 3),
         ({"a1", "a2", "a3", "a4", "a5", "a6"}, BOUND, 4),
     ])
-    cases = [(fork_graph, q5f, _p1(q5f)), (fork_graph, q5f, p2)]
+
+
+def _sketch_cases(fork_graph, q5f, sketch_runs) -> list:
+    """(graph, query, path): q5f on the fork fixture with two hand-built paths,
+    and each tree and cycle instance of `sketch_runs` with its molp path."""
+    cases = [(fork_graph, q5f, _p1(q5f)), (fork_graph, q5f, _p2())]
     for g, queries, cat in sketch_runs:
         cases += [(g, q, estimate_molp(q, cat).chosen_path) for q in queries]
+    return cases
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("k", [4, 9, 16])
+def test_components_match_per_component_filter(fork_graph, q5f, sketch_runs, k, seed):
     checked = 0
-    for g, q, path in cases:
+    for g, q, path in _sketch_cases(fork_graph, q5f, sketch_runs):
         try:
             plan, components = make_sketch(q, g, path, k, seed=seed)
         except SketchPlanError:
@@ -284,3 +293,48 @@ def test_components_match_per_component_filter(fork_graph, q5f, sketch_runs, k, 
                    [(e.src, e.dst, f"e{i}") for i, e in enumerate(q.edges)]
                    for c in components)
     assert checked >= 10
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("k", [4, 9, 16])
+def test_grouped_statistics_equal_component_catalogues(fork_graph, q5f, sketch_runs, k, seed):
+    checked = unsketched_subqueries = empty_groups = 0
+    for g, q, path in _sketch_cases(fork_graph, q5f, sketch_runs):
+        try:
+            plan, components = make_sketch(q, g, path, k, seed=seed)
+        except SketchPlanError:
+            continue
+        checked += 1
+        unsketched_subqueries += sum(not q.vars_of(s) & set(plan.attrs)
+                                     for s in connected_index_sets(q, 2))
+        grouped = partition_catalogues(g, q, 2, components[0].query,
+                                       [dict(zip(plan.attrs, c.index)) for c in components],
+                                       plan.buckets)
+        for comp, got in zip(components, grouped):
+            want = build_catalogue(comp.graph, [comp.query], 2)
+            assert got.counts == want.counts
+            assert got.deg_stats == want.deg_stats
+            empty_groups += 0 in got.counts.values()
+    assert checked >= 10
+    assert unsketched_subqueries > 0
+    assert empty_groups > 0
+
+
+def test_molp_and_avg_degree_sketches_build_no_graph_and_sample_no_walk(sketch_runs,
+                                                                        monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called by a molp or avg-degree sketch")
+
+    monkeypatch.setattr(oracle, "sample_label_paths", forbidden)
+    monkeypatch.setattr(sketch, "LabeledGraph", forbidden)
+    methods = [("molp", None), ("optimistic", HeuristicChoice("max-hop", "max-aggr")),
+               ("optimistic", HeuristicChoice("min-hop", "min-aggr"))]
+    sketched = {base: 0 for base, _ in methods}
+    for g, queries, cat in sketch_runs:
+        for q in queries:
+            for base, choice in methods:
+                value = _sketched(q, g, 4, base, choice=choice, ceg_kind=KIND_AVG,
+                                  catalogue=cat)
+                sketched[base] += value is not SketchPlanError
+    assert sketched["molp"] >= 8
+    assert sketched["optimistic"] >= 8
