@@ -16,7 +16,7 @@ from itertools import combinations
 
 import pytest
 
-from cardest.catalogue import build_catalogue
+from cardest.catalogue import build_catalogue, serialize
 from cardest.errors import SketchPlanError
 from cardest.estgraph import (CYCLE_CLOSING, CegEdge, PathEstimate, build_cover,
                               build_maxdeg, build_optimistic, count_paths,
@@ -103,7 +103,17 @@ def _ceg_text(ceg) -> str:
     return "\n".join(lines) + "\n"
 
 
-def test_optimistic_graphs_pinned(corpus):
+@pytest.fixture(scope="module")
+def h3_catalogues(corpus):
+    """(h=3 catalogue, its queries) for the <= 7-edge queries of the first 8 corpus graphs."""
+    out = []
+    for g, _, items in corpus.entries[:8]:
+        small = [q for _, _, q in items if len(q) <= 7]
+        out.append((build_catalogue(g, small, 3, walk_budget=300, seed=17), small))
+    return out
+
+
+def test_optimistic_graphs_pinned(corpus, h3_catalogues):
     digest = hashlib.sha256()
     for _, cat, items in corpus.entries:
         for _, _, q in items:
@@ -111,12 +121,23 @@ def test_optimistic_graphs_pinned(corpus):
                 for starts in ("anchored", "all"):
                     ceg = build_optimistic(q, cat, closing=closing, starts=starts)
                     digest.update(_ceg_text(ceg).encode())
-    for g, _, items in corpus.entries[:8]:
-        small = [q for _, _, q in items if len(q) <= 7]
-        cat3 = build_catalogue(g, small, 3, walk_budget=300, seed=17)
+    for cat3, small in h3_catalogues:
         for q in small:
             digest.update(_ceg_text(build_optimistic(q, cat3, closing=True)).encode())
     assert digest.hexdigest() == CEG_SHA256
+
+
+# sha256 of `serialize()` of every corpus catalogue (h=2), the h=3 catalogues
+# above, and the exhaustive h=2 catalogue of the f1 fixture, in that order
+CATALOGUE_SHA256 = "b9dddd7e1f5183f49776574d1f2ecd843a6e0bd23da3d0373d9a54ab23719922"
+
+
+def test_catalogues_pinned(corpus, h3_catalogues, f1_graph):
+    digest = hashlib.sha256()
+    cats = [cat for _, cat, _ in corpus.entries] + [cat3 for cat3, _ in h3_catalogues]
+    for cat in cats + [build_catalogue(f1_graph, None, 2, exhaustive=True)]:
+        digest.update(serialize(cat).encode())
+    assert digest.hexdigest() == CATALOGUE_SHA256
 
 
 # ---------------------------------------------------------------------------
