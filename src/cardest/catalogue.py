@@ -7,21 +7,28 @@ from sampled walks, or from exact walk counts.  A pattern's degree table holds
 deg(X, Y) for every X ⊆ Y of its 3^|vars| variable-subset pairs and is read
 whole: `Catalogue.degree_table` canonicalises a subquery once and returns
 every entry under the subquery's own variable names.
+
+`build_catalogue` fills the table of a one-edge pattern, and of a two-edge
+pattern over three variables (every pattern with two edges except parallel
+and antiparallel pairs), from the graph's per-label adjacency maps without
+listing a match row.  Every other pattern, and `partition_catalogues`, lists
+the pattern's distinct match rows and projects them onto each variable subset.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
-from operator import itemgetter
+from itertools import chain, permutations, product
+from operator import itemgetter, mul
 from typing import IO, Collection, Iterable, Mapping, Sequence
 
 from . import oracle
 from .errors import CatalogueFormatError, ConfigError, QueryValidationError
-from .graphstore import LabeledGraph
+from .graphstore import DST, SRC, LabeledGraph
 from .oracle import FWD, REV, LabelStep
 from .querymodel import (QEdge, QueryGraph, Subquery, connected_index_sets, cycles,
                          index_pattern, subsets)
@@ -246,13 +253,21 @@ def build_catalogue(
     degree statistics per pattern and closing rates for workload cycles longer
     than h.
 
+    A one-edge pattern's table comes from its label's adjacency maps, and a
+    two-edge pattern's over three variables from the neighbour lists of each
+    middle vertex over its two edges; no match row is listed for either.  Two
+    edges on one variable pair, and patterns of three or more edges, are
+    matched and their rows projected.  The shape alone decides.
+
     walk_budget=None makes every closing rate exact instead of sampled: its
     samples are all walks of the key's spec, counted as the matches of the walk
     read as a path query, and its closures are the matches of that path plus
-    the closing edge, i.e. the walks the closing edge closes.
+    the closing edge, i.e. the walks the closing edge closes.  Any other
+    budget below 1 raises ConfigError.
     """
     if h < 2:
         raise ConfigError(f"h must be >= 2, got {h}")
+    check_walk_budget(walk_budget)
     if exhaustive:
         keys = _exhaustive_pattern_keys(g, h, max_exhaustive_patterns)
     else:
@@ -264,7 +279,7 @@ def build_catalogue(
     cat = Catalogue(h=h)
     for key in sorted(keys):
         rep = _key_to_query(key)
-        table = _degree_table(rep, set(oracle.matches(g, rep)))
+        table = _pattern_table(g, rep)
         cat.counts[key] = table[_deg_entry_key((), range(len(rep.vars)))]
         cat.deg_stats[key] = table
 
@@ -285,6 +300,75 @@ def build_catalogue(
         },
     }
     return cat
+
+
+def check_walk_budget(walk_budget: int | None) -> None:
+    """Raise ConfigError unless the budget is None (exact rates) or at least 1."""
+    if walk_budget is not None and walk_budget < 1:
+        raise ConfigError(f"walk budget must be >= 1 (None: exact rates), got {walk_budget}")
+
+
+def _pattern_table(g: LabeledGraph, rep: QueryGraph) -> dict[str, int]:
+    """deg(X, Y) of the representative on g: from the adjacency maps for one
+    edge or two edges over three variables, from its match rows otherwise."""
+    if len(rep.edges) == 1:
+        e = rep.edges[0]
+        out, inc = g.adjacency(e.label, SRC), g.adjacency(e.label, DST)
+        s, d = (1 << rep.vars.index(v) for v in e.vars())
+        return _table_from_masks(2, g.label_count(e.label), {
+            (0, s): len(out), (s, s | d): _top(map(len, out.values())),
+            (0, d): len(inc), (d, s | d): _top(map(len, inc.values()))})
+    if len(rep.edges) == 2 and len(rep.vars) == 3:
+        return _two_edge_table(g, rep)
+    return _degree_table(rep, set(oracle.matches(g, rep)))
+
+
+def _two_edge_table(g: LabeledGraph, rep: QueryGraph) -> dict[str, int]:
+    """The table of a two-edge pattern a - m - c (each edge either way) from
+    the neighbour lists of each middle vertex m over the two edges, A[m] and
+    C[m]: its rows, (a, m, c) for a in A[m] and c in C[m], are never listed."""
+    (m,) = set(rep.edges[0].vars()) & set(rep.edges[1].vars())
+    adjs = [g.adjacency(e.label, SRC if e.src == m else DST) for e in rep.edges]
+    ends = [1 << rep.vars.index(e.dst if e.src == m else e.src) for e in rep.edges]
+    mid = 1 << rep.vars.index(m)
+    ac, full = ends[0] | ends[1], ends[0] | ends[1] | mid
+    mids = adjs[0].keys() & adjs[1].keys()
+    lists = [[adj[v] for v in mids] for adj in adjs]
+    lens = [list(map(len, side)) for side in lists]
+    pairs = Counter(chain.from_iterable(map(product, *lists)))  # (a, c) -> its middles
+    values = {(0, mid): len(mids), (mid, full): _top(map(mul, *lens)),
+              (0, ac): len(pairs), (ac, full): _top(pairs.values())}
+    for i, end in enumerate(ends):
+        other = lens[1 - i]
+        per_mid = Counter(chain.from_iterable(lists[i]))
+        per_row = Counter(chain.from_iterable(map(list.__mul__, lists[i], other)))
+        values.update({
+            (0, end): len(per_mid), (end, end | mid): _top(per_mid.values()),
+            (0, end | mid): sum(lens[i]), (mid, end | mid): _top(lens[i]),
+            (end, ac): _top(Counter(map(itemgetter(i), pairs)).values()),
+            (end, full): _top(per_row.values()), (end | mid, full): _top(other)})
+    return _table_from_masks(3, sum(map(mul, *lens)), values)
+
+
+def _top(values: Iterable[int]) -> int:
+    return max(values, default=0)
+
+
+def _table_from_masks(n: int, count: int,
+                      values: Mapping[tuple[int, int], int]) -> dict[str, int]:
+    """A table in `_degree_table`'s key order from `values`, deg(X, Y) keyed
+    by the bitmasks of X and Y over the n variables; deg(∅, all) is `count`
+    and deg(X, X) is 1 when there is a match."""
+    table: dict[str, int] = {}
+    full = (1 << n) - 1
+    for y, xs, keys in _table_layout(n):
+        y_mask = sum(1 << i for i in y)
+        for x, key in zip(xs, keys):
+            x_mask = sum(1 << i for i in x)
+            table[key] = (min(count, 1) if x_mask == y_mask
+                          else count if y_mask == full and not x_mask
+                          else values[x_mask, y_mask])
+    return table
 
 
 def _degree_table(rep: QueryGraph, rows: Collection[tuple[int, ...]]) -> dict[str, int]:

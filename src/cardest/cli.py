@@ -33,6 +33,10 @@ EXIT_SKETCH = 5
 EXIT_OVERFLOW = 6
 
 
+class UsageError(CardestError):
+    """A flag value the command cannot use (exit 2, like argparse's own errors)."""
+
+
 def _read_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as handle:
@@ -137,10 +141,11 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
         current = getattr(args, attr)
         if isinstance(current, bool):
             setattr(args, attr, value.lower() in ("1", "true", "yes"))
-        elif isinstance(current, int):
-            setattr(args, attr, int(value))
-        elif isinstance(current, float):
-            setattr(args, attr, float(value))
+        elif isinstance(current, (int, float)):
+            try:
+                setattr(args, attr, type(current)(value))
+            except ValueError:
+                raise ConfigError(f"{args.config}: {key} needs a number, got {value!r}") from None
         else:
             setattr(args, attr, value)
 
@@ -152,6 +157,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _apply_config(args, argv)
         return _dispatch(args)
+    except UsageError as exc:
+        print(f"error (usage): {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (GraphParseError, QueryParseError, QueryValidationError,
             CatalogueFormatError, ConfigError) as exc:
         print(f"error (parse): {exc}", file=sys.stderr)
@@ -171,6 +179,13 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error (io): {exc}", file=sys.stderr)
         return EXIT_OTHER
+
+
+def _methods(args):
+    try:
+        return expand_methods(args.methods.split(","))
+    except ValueError as exc:
+        raise UsageError(f"--methods: {exc}") from None
 
 
 def _need_graph(args):
@@ -213,7 +228,7 @@ def _cmd_build_catalogue(args) -> int:
 
 
 def _estimate_query(args, g, query: QueryGraph):
-    methods = expand_methods(args.methods.split(","))
+    methods = _methods(args)
     if args.catalogue:
         catalogue = cat_mod.load(args.catalogue)
         catalogue.check_h(args.h)
@@ -300,7 +315,7 @@ def _cmd_oracle_count(args) -> int:
 def _cmd_eval(args) -> int:
     g = _need_graph(args)
     items = load_workload_file(args.workload)
-    methods = expand_methods(args.methods.split(","))
+    methods = _methods(args)
     result = run_workload(g, items, methods, h=args.h, seed=args.seed,
                           walk_budget=args.walk_budget, sketch_k=args.sketch_k)
     out_dir = args.out or "."

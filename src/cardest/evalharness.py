@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .catalogue import Catalogue, build_catalogue
+from .catalogue import Catalogue, build_catalogue, check_walk_budget
 from .errors import CardestError
 from .estimators import (ALL_CHOICES, KIND_AVG, KIND_CLOSING, Estimate,
                          HeuristicChoice, ceg_paths, ceg_summary, estimate_molp,
@@ -162,6 +162,12 @@ def expand_methods(tokens: Sequence[str]) -> list[MethodSpec]:
     """
     kinds = {"avg": KIND_AVG, "closing": KIND_CLOSING,
              KIND_AVG: KIND_AVG, KIND_CLOSING: KIND_CLOSING}
+
+    def kind_of(name: str) -> str:
+        if name not in kinds:
+            raise ValueError(f"unknown graph kind {name!r} in method {token!r}")
+        return kinds[name]
+
     out: list[MethodSpec] = []
     for token in tokens:
         token = token.strip()
@@ -173,11 +179,11 @@ def expand_methods(tokens: Sequence[str]) -> list[MethodSpec]:
             out.append(MethodSpec("bound"))
         elif token == "bound" or token == "molp":
             out.append(MethodSpec("bound"))
-        elif token.startswith("pstar"):
+        elif token.split(":")[0] == "pstar":
             parts = token.split(":")
-            kind = kinds[parts[1]] if len(parts) > 1 else KIND_AVG
+            kind = kind_of(parts[1]) if len(parts) > 1 else KIND_AVG
             out.append(MethodSpec("pstar", kind))
-        elif token.startswith("optimistic"):
+        elif token.split(":")[0] == "optimistic":
             parts = token.split(":")
             if len(parts) == 4:
                 _, kind, hop, aggr = parts
@@ -186,7 +192,7 @@ def expand_methods(tokens: Sequence[str]) -> list[MethodSpec]:
                 _, hop, aggr = parts
             else:
                 raise ValueError(f"bad method token {token!r}")
-            out.append(MethodSpec("optimistic", kinds[kind], HeuristicChoice(hop, aggr)))
+            out.append(MethodSpec("optimistic", kind_of(kind), HeuristicChoice(hop, aggr)))
         else:
             raise ValueError(f"unknown method {token!r}")
     seen: set[str] = set()
@@ -254,8 +260,8 @@ def run_workload(
     Estimator failures become failed rows, never aborts.  With sketch_k > 1
     the optimistic min/max heuristics and the bound run sketched; their
     unpartitioned plans read the run's catalogue too.  A given catalogue
-    built from another graph or at another h raises ConfigError before any
-    row runs.  Per query, each optimistic graph kind is built once; its path
+    built from another graph or at another h, or a walk budget below 1,
+    raises ConfigError before any row runs.  Per query, each optimistic graph kind is built once; its path
     summary serves the heuristics and its path list only the path oracle.
     """
     items = [w if isinstance(w, WorkloadItem) else WorkloadItem(f"q{i:04d}", "", w)
@@ -266,6 +272,7 @@ def run_workload(
     else:
         catalogue.check_h(h)
         catalogue.check_graph(g)
+        check_walk_budget(walk_budget)
         cat = catalogue
     records: list[QErrorRecord] = []
     for item in items:

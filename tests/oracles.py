@@ -7,7 +7,7 @@ power set, isomorphism tries every bijection.
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from cardest.graphstore import LabeledGraph
 from cardest.querymodel import QueryGraph
@@ -47,6 +47,16 @@ def brute_group_degree(g: LabeledGraph, q: QueryGraph, x_vars, y_vars) -> int:
         buckets.setdefault(tuple(row[i] for i in x_idx), set()).add(
             tuple(row[i] for i in y_idx))
     return max((len(v) for v in buckets.values()), default=0)
+
+
+def brute_deg_table(g: LabeledGraph, q: QueryGraph) -> dict[str, int]:
+    """Every deg(X, Y) of a catalogue representative (variables x0..x{n-1}),
+    keyed as the catalogue keys it: "X|Y" with xi written as i."""
+    n = len(q.vars)
+    idx = [c for k in range(n + 1) for c in combinations(range(n), k)]
+    return {f"{','.join(map(str, x))}|{','.join(map(str, y))}":
+            brute_group_degree(g, q, [f"x{i}" for i in x], [f"x{i}" for i in y])
+            for y in idx for x in idx if set(x) <= set(y)}
 
 
 def brute_connected_subsets(q: QueryGraph, max_edges: int) -> set[frozenset[int]]:

@@ -11,6 +11,7 @@ import pytest
 from cardest.catalogue import (Catalogue, _key_to_query, build_catalogue, canonical_form,
                                closing_spec, load, save, serialize)
 from cardest.errors import CatalogueFormatError, ConfigError
+from cardest import oracle
 from cardest.graphstore import LabeledGraph
 from cardest.oracle import count_hom, group_degree
 from cardest.querymodel import (QEdge, QueryGraph, Subquery, connected_subqueries, cycles,
@@ -18,8 +19,7 @@ from cardest.querymodel import (QEdge, QueryGraph, Subquery, connected_subquerie
 
 from _synth import cycle_template, random_graph, tree_template
 from cardest.querymodel import instantiate_template
-from oracles import (brute_group_degree, brute_isomorphic, brute_label_walks,
-                     nested_loop_count)
+from oracles import brute_deg_table, brute_isomorphic, brute_label_walks, nested_loop_count
 
 
 def _sub(q, indices):
@@ -177,15 +177,6 @@ def test_max_deg_empty_x_full_y_is_count():
     assert cat.degree_table(sub)[(), ("a1", "a2", "a3")] == cat.count(sub)
 
 
-def _brute_deg_table(g, q) -> dict[str, int]:
-    """Every deg(X, Y) of q keyed as the catalogue keys it (variable xi is index i)."""
-    n = len(q.vars)
-    idx = [c for k in range(n + 1) for c in combinations(range(n), k)]
-    return {f"{','.join(map(str, x))}|{','.join(map(str, y))}":
-            brute_group_degree(g, q, [f"x{i}" for i in x], [f"x{i}" for i in y])
-            for y in idx for x in idx if set(x) <= set(y)}
-
-
 def test_deg_stats_and_counts_equal_brute_force_on_every_pattern():
     checked = 0
     for seed in range(3):
@@ -197,10 +188,23 @@ def test_deg_stats_and_counts_equal_brute_force_on_every_pattern():
             cat = build_catalogue(g, queries, h=h, walk_budget=10, seed=seed)
             for key, table in cat.deg_stats.items():
                 rep = _key_to_query(key)
-                assert table == _brute_deg_table(g, rep)
+                assert table == brute_deg_table(g, rep)
                 assert cat.counts[key] == nested_loop_count(g, rep)
                 checked += 1
     assert checked >= 30
+
+
+def test_one_and_two_edge_tables_list_no_match_rows(monkeypatch):
+    g = random_graph(12, 45, 3, seed=951, plant_cycles=4)
+    # antiparallel edges 0, 1 give the one 2-edge pattern over two variables
+    q = parse_query("a -A-> b\nb -A-> a\nb -B-> c\nc -A-> d\nd -C-> b")
+    listed = []
+    real = oracle.matches
+    monkeypatch.setattr(oracle, "matches", lambda g, p: listed.append(p) or real(g, p))
+    cat = build_catalogue(g, [q], h=3)
+    shapes = {(len(rep.edges), len(rep.vars)) for rep in map(_key_to_query, cat.counts)}
+    assert {(1, 2), (2, 2), (2, 3), (3, 3), (3, 4)} <= shapes
+    assert {(len(p.edges), len(p.vars)) for p in listed} == shapes - {(1, 2), (2, 3)}
 
 
 def test_deg_stats_of_pattern_without_matches_are_zero():

@@ -4,8 +4,11 @@ import csv
 import json
 import os
 
+import pytest
+
 from cardest import catalogue as cat_mod
 from cardest.cli import main
+from cardest.evalharness import expand_methods
 
 from conftest import fixture_path
 
@@ -161,6 +164,46 @@ def test_config_file_defaults(tmp_path, capsys):
                    "--query", fixture_path("q3p.query"))
     assert code == 0
     assert capsys.readouterr().out.strip() == "7"
+
+
+def test_unknown_method_exits_with_usage_code(capsys):
+    for token, named in (("nonsense", "'nonsense'"), ("pstar:foo", "'foo'"),
+                         ("pstarfoo", "'pstarfoo'")):
+        code = run_cli("estimate", "--graph", fixture_path("f1.edges"),
+                       "--query", fixture_path("q3p.query"), "--methods", token)
+        assert code == 2
+        assert named in capsys.readouterr().err
+    with pytest.raises(ValueError, match="nonsense"):
+        expand_methods(["nonsense"])
+
+
+def test_config_value_that_is_not_a_number_exits_with_parse_code(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("h=abc\n")
+    code = run_cli("--config", str(cfg), "estimate", "--graph", fixture_path("f1.edges"),
+                   "--query", fixture_path("q3p.query"), "--methods", "bound")
+    assert code == 4
+    assert "h needs a number, got 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_walk_budget_below_one_exits_with_parse_code(tmp_path, capsys, budget):
+    # the square is longer than h=2, so the catalogue would sample closing walks
+    square = tmp_path / "square.query"
+    square.write_text("a1 -P-> a2\na2 -Q-> a3\na3 -R-> a4\na4 -S-> a1\n")
+    code = run_cli("estimate", "--graph", fixture_path("squares.edges"),
+                   "--query", str(square), "--methods", "bound", "--walk-budget", budget)
+    assert code == 4
+    assert "walk budget must be >= 1" in capsys.readouterr().err
+    # with a saved catalogue, a K=8 closing-rate sketch would sample component walks
+    cat = tmp_path / "cat.json"
+    assert run_cli("build-catalogue", "--graph", fixture_path("squares.edges"),
+                   "--query", str(square), "--out", str(cat)) == 0
+    code = run_cli("estimate", "--graph", fixture_path("squares.edges"), "--query", str(square),
+                   "--catalogue", str(cat), "--sketch-k", "8", "--walk-budget", budget,
+                   "--methods", "optimistic:closing:max-hop:max-aggr")
+    assert code == 4
+    assert "walk budget must be >= 1" in capsys.readouterr().err
 
 
 def test_dump_ceg(tmp_path, capsys):

@@ -9,7 +9,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from cardest.catalogue import build_catalogue, partition_catalogues  # noqa: E402
+from cardest.catalogue import (_degree_table, _key_to_query, build_catalogue,  # noqa: E402
+                               partition_catalogues)
 from cardest.errors import SketchPlanError  # noqa: E402
 from cardest.estimators import estimate_molp  # noqa: E402
 from cardest.graphstore import LabeledGraph  # noqa: E402
@@ -17,7 +18,7 @@ from cardest.oracle import count_hom, matches  # noqa: E402
 from cardest.querymodel import QEdge, QueryGraph, parse_query  # noqa: E402
 from cardest.sketch import make_sketch  # noqa: E402
 
-from oracles import nested_loop_count, nested_loop_matches  # noqa: E402
+from oracles import brute_deg_table, nested_loop_count, nested_loop_matches  # noqa: E402
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 GRAPH_LABELS = "AB"
@@ -66,6 +67,25 @@ TRIANGLE_WITH_PARALLEL = LabeledGraph([(0, 1, "A"), (1, 2, "B"), (2, 0, "A"), (1
 def test_matcher_equals_nested_loop_join(g, q):
     assert count_hom(g, q).value == nested_loop_count(g, q)
     assert sorted(matches(g, q)) == sorted(nested_loop_matches(g, q))
+
+
+@SETTINGS
+@given(g=graphs(), q=queries())
+# a same-label path whose ends bind one vertex on the 2-cycle 0 -> 1 -> 0
+@example(g=LabeledGraph([(0, 1, "A"), (1, 0, "A"), (1, 2, "A")]),
+         q=parse_query("a -A-> m\nm -A-> c"))
+# a middle vertex with a self-loop, so a and m bind one vertex
+@example(g=LabeledGraph([(0, 0, "A"), (2, 0, "A"), (0, 1, "B")]),
+         q=parse_query("a -A-> m\nm -B-> c"))
+# no data edge is labelled Z: the all-zero table
+@example(g=TRIANGLE_WITH_PARALLEL, q=parse_query("a -A-> b\nb -Z-> c"))
+def test_catalogue_tables_equal_nested_loop_tables(g, q):
+    cat = build_catalogue(g, [q], 2, walk_budget=10)
+    for key, table in cat.deg_stats.items():
+        rep = _key_to_query(key)
+        assert table == brute_deg_table(g, rep)
+        assert list(table) == list(_degree_table(rep, set(matches(g, rep))))
+        assert cat.counts[key] == nested_loop_count(g, rep)
 
 
 @settings(SETTINGS, max_examples=100)
