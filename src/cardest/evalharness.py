@@ -171,6 +171,7 @@ def expand_methods(tokens: Sequence[str]) -> list[MethodSpec]:
     out: list[MethodSpec] = []
     for token in tokens:
         token = token.strip()
+        parts = token.split(":")
         if token == "all":
             for kind in (KIND_AVG, KIND_CLOSING):
                 for choice in ALL_CHOICES:
@@ -179,12 +180,10 @@ def expand_methods(tokens: Sequence[str]) -> list[MethodSpec]:
             out.append(MethodSpec("bound"))
         elif token == "bound" or token == "molp":
             out.append(MethodSpec("bound"))
-        elif token.split(":")[0] == "pstar":
-            parts = token.split(":")
+        elif parts[0] == "pstar":
             kind = kind_of(parts[1]) if len(parts) > 1 else KIND_AVG
             out.append(MethodSpec("pstar", kind))
-        elif token.split(":")[0] == "optimistic":
-            parts = token.split(":")
+        elif parts[0] == "optimistic":
             if len(parts) == 4:
                 _, kind, hop, aggr = parts
             elif len(parts) == 3:
