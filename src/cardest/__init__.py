@@ -1,6 +1,6 @@
 """Summary-based cardinality estimation for subgraph/join queries."""
 
-from .catalogue import Catalogue, build_catalogue, canonical_key, load, save
+from .catalogue import Catalogue, QueryStats, build_catalogue, load, save
 from .errors import CardestError
 from .estgraph import (Ceg, CegEdge, PathEstimate, PathSummary, build_cover, build_maxdeg,
                        build_optimistic, enumerate_paths, min_weight_path, path_summary,
@@ -12,8 +12,8 @@ from .evalharness import (MethodSpec, QErrorRecord, QErrorSummary, RunResult,
                           summarize)
 from .graphstore import LabeledGraph, Relation, load_graph, max_degree, relation
 from .oracle import MatchCount, count_hom, group_degree, sample_label_paths
-from .querymodel import (CycleSet, QueryGraph, Subquery, connected_subqueries,
-                         cycles, instantiate_template, parse_query)
+from .querymodel import (CycleSet, QueryGraph, connected_index_sets, cycles,
+                         instantiate_template, parse_query)
 from .sketch import SketchPlan, estimate_with_sketch, make_sketch
 
 __version__ = "0.1.0"

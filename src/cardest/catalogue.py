@@ -4,9 +4,12 @@ Patterns are connected, directed, edge-labeled graphs with at most `h` edges,
 keyed up to isomorphism (variable names are irrelevant).  Counts and degree
 statistics are exact oracle values on the source graph; closing rates come
 from sampled walks, or from exact walk counts.  A pattern's degree table holds
-deg(X, Y) for every X ⊆ Y of its 3^|vars| variable-subset pairs and is read
-whole: `Catalogue.degree_table` canonicalises a subquery once and returns
-every entry under the subquery's own variable names.
+deg(X, Y) for every X ⊆ Y of its 3^|vars| variable-subset pairs.
+
+`QueryStats` is how estimators read a catalogue: one query's view, which
+resolves each connected index set of at most h edges, on first use, to its
+count and its whole degree table under the query's own variable names, and
+each (cycle, closing edge) to its closing rate.
 
 `build_catalogue` fills the table of a one-edge pattern, and of a two-edge
 pattern over three variables (every pattern with two edges except parallel
@@ -27,15 +30,16 @@ from operator import itemgetter, mul
 from typing import IO, Collection, Iterable, Mapping, Sequence
 
 from . import oracle
-from .errors import CatalogueFormatError, ConfigError, QueryValidationError
+from .errors import (CatalogueFormatError, ConfigError, MissingStatisticError,
+                     QueryValidationError)
 from .graphstore import DST, SRC, LabeledGraph
 from .oracle import FWD, REV, LabelStep
-from .querymodel import (QEdge, QueryGraph, Subquery, connected_index_sets, cycles,
-                         index_pattern, subsets)
+from .querymodel import QEdge, QueryGraph, connected_index_sets, cycles, index_pattern, subsets
 
 FORMAT_VERSION = 1
 
 Pattern = tuple[tuple[str, str, str], ...]  # (srcVar, dstVar, label) triples
+DegreeTable = dict[tuple[tuple[str, ...], tuple[str, ...]], int]  # (X, Y) -> deg(X, Y)
 
 
 # ---------------------------------------------------------------------------
@@ -68,10 +72,6 @@ def canonical_form(pattern: Pattern) -> tuple[str, tuple[tuple[str, int], ...]]:
     key = json.dumps(best_enc, separators=(",", ":"))
     mapping = tuple((var_list[i], best_perm[i]) for i in range(n))
     return key, mapping
-
-
-def canonical_key(sub: Subquery) -> str:
-    return canonical_form(sub.pattern())[0]
 
 
 def _key_to_query(key: str) -> QueryGraph:
@@ -184,35 +184,6 @@ class Catalogue:
 
     # -- lookups ------------------------------------------------------------
 
-    def count(self, sub: Subquery) -> int | None:
-        return self.counts.get(canonical_key(sub))
-
-    def degree_table(self, sub: Subquery) -> dict[tuple[tuple[str, ...], tuple[str, ...]], int] | None:
-        """deg(X, Y) of `sub`'s pattern for every X ⊆ Y ⊆ vars(sub), keyed by
-        (X, Y) as sorted variable tuples; None when the pattern's table is
-        missing or has fewer than the 3^|vars| entries of a complete one."""
-        key, mapping = canonical_form(sub.pattern())
-        stats = self.deg_stats.get(key)
-        if stats is None or len(stats) < 3 ** len(mapping):
-            return None
-        names = {str(i): v for v, i in mapping}
-        parts: dict[str, tuple[str, ...]] = {}  # "0,2" -> its sorted variables
-
-        def part_vars(part: str) -> tuple[str, ...]:
-            got = parts.get(part)
-            if got is None:
-                got = parts[part] = tuple(sorted(names[i] for i in part.split(",") if i))
-            return got
-
-        table = {}
-        try:
-            for entry, deg in stats.items():
-                x, y = entry.split("|")
-                table[part_vars(x), part_vars(y)] = deg
-        except (KeyError, ValueError):  # an entry key outside the pattern's indices
-            return None
-        return table
-
     def closing_rate(self, key: str) -> Fraction | None:
         stat = self.closing.get(key)
         return None if stat is None else stat.rate
@@ -233,6 +204,81 @@ class Catalogue:
         """Raise ConfigError unless built from `g`: other statistics void the bound."""
         if self.graph_signature() != g.sha256:
             raise ConfigError("catalogue was built from a different graph (sha256 mismatch)")
+
+
+class QueryStats:
+    """The statistics of one query q, resolved from a catalogue on first use.
+
+    Each connected index set s of at most h edges has a count and a degree
+    table, the table keyed by (X, Y) as sorted tuples of q's own variable
+    names for every X ⊆ Y ⊆ vars(s); each (cycle, closing edge) has a closing
+    rate.  A statistic the catalogue lacks, or a degree table short of its
+    3^|vars| entries, raises MissingStatisticError.
+    """
+
+    def __init__(self, q: QueryGraph, cat: Catalogue):
+        self.query, self.cat = q, cat
+        self._counts: dict[frozenset[int], int] = {}
+        self._tables: dict[frozenset[int], DegreeTable] = {}
+
+    @classmethod
+    def of(cls, q: QueryGraph, stats: Catalogue | QueryStats) -> QueryStats:
+        """`stats` itself when it is a QueryStats (of q), else q's view of it."""
+        return stats if isinstance(stats, QueryStats) else cls(q, stats)
+
+    def count(self, s: frozenset[int]) -> int:
+        got = self._counts.get(s)
+        if got is None:
+            key = canonical_form(index_pattern(self.query, s))[0]
+            got = self.cat.counts.get(key)
+            if got is None:
+                raise MissingStatisticError(f"count for pattern {key}")
+            self._counts[s] = got
+        return got
+
+    def degrees(self, s: frozenset[int]) -> DegreeTable:
+        got = self._tables.get(s)
+        if got is None:
+            key, mapping = canonical_form(index_pattern(self.query, s))
+            entries = self.cat.deg_stats.get(key)
+            if entries is not None:
+                got = _named_table(entries, {str(i): v for v, i in mapping})
+            if got is None:
+                raise MissingStatisticError(f"degree table for pattern {key}")
+            self._tables[s] = got
+        return got
+
+    def closing_rate(self, cycle: frozenset[int], close_idx: int) -> tuple[Fraction, str]:
+        """Sampled rate of closing `cycle` with query edge `close_idx`, and its key."""
+        key = closing_spec(self.query, cycle, close_idx).key()
+        rate = self.cat.closing_rate(key)
+        if rate is None:
+            raise MissingStatisticError(f"closing rate {key}")
+        return rate, key
+
+
+def _named_table(entries: Mapping[str, int], names: Mapping[str, str]) -> DegreeTable | None:
+    """A stored table, its entries keyed by index, keyed by (X, Y) as sorted
+    tuples of the indices' `names`; None when it has fewer than the 3^|names|
+    entries of a complete table or an entry names another index."""
+    if len(entries) < 3 ** len(names):
+        return None
+    parts: dict[str, tuple[str, ...]] = {}  # "0,2" -> its sorted variables
+
+    def part_vars(part: str) -> tuple[str, ...]:
+        got = parts.get(part)
+        if got is None:
+            got = parts[part] = tuple(sorted(names[i] for i in part.split(",") if i))
+        return got
+
+    table = {}
+    try:
+        for entry, deg in entries.items():
+            x, y = entry.split("|")
+            table[part_vars(x), part_vars(y)] = deg
+    except (KeyError, ValueError):  # an entry key outside the pattern's indices
+        return None
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +366,7 @@ def _pattern_table(g: LabeledGraph, rep: QueryGraph) -> dict[str, int]:
             (0, d): len(inc), (d, s | d): _top(map(len, inc.values()))})
     if len(rep.edges) == 2 and len(rep.vars) == 3:
         return _two_edge_table(g, rep)
-    return _degree_table(rep, set(oracle.matches(g, rep)))
+    return _rows_table(rep, set(oracle.matches(g, rep)))
 
 
 def _two_edge_table(g: LabeledGraph, rep: QueryGraph) -> dict[str, int]:
@@ -356,7 +402,7 @@ def _top(values: Iterable[int]) -> int:
 
 def _table_from_masks(n: int, count: int,
                       values: Mapping[tuple[int, int], int]) -> dict[str, int]:
-    """A table in `_degree_table`'s key order from `values`, deg(X, Y) keyed
+    """A table in `_rows_table`'s key order from `values`, deg(X, Y) keyed
     by the bitmasks of X and Y over the n variables; deg(∅, all) is `count`
     and deg(X, X) is 1 when there is a match."""
     table: dict[str, int] = {}
@@ -371,7 +417,7 @@ def _table_from_masks(n: int, count: int,
     return table
 
 
-def _degree_table(rep: QueryGraph, rows: Collection[tuple[int, ...]]) -> dict[str, int]:
+def _rows_table(rep: QueryGraph, rows: Collection[tuple[int, ...]]) -> dict[str, int]:
     """deg(X, Y) for every X subseteq Y over the representative's variables,
     from its distinct match rows."""
     table: dict[str, int] = {}
@@ -387,32 +433,25 @@ def _table_layout(n: int) -> tuple[tuple[tuple, list[tuple], tuple[str, ...]], .
                  for y in subsets(range(n)) for xs in [subsets(y)])
 
 
-def partition_catalogues(g: LabeledGraph, q: QueryGraph, h: int, tagged: QueryGraph,
+def partition_catalogues(g: LabeledGraph, q: QueryGraph, h: int,
                          parts: Sequence[Mapping[str, int]],
-                         part_of: Mapping[int, int]) -> list[Catalogue]:
-    """Counts and degree tables of `tagged`'s patterns on each part of g's
-    matches of q, without closing rates.
+                         part_of: Mapping[int, int]) -> list[QueryStats]:
+    """q's counts and degree tables on each part of g's matches of q, one
+    QueryStats per part, without closing rates.
 
-    `tagged` is q with its edges relabelled, so each connected subquery of at
-    most h edges has its catalogue key as a pattern of `tagged` and its rows
-    as q's matches on g; when the parts name variables, tagged's labels must
-    be distinct, so that no two subqueries share a key.  Part j keeps the
-    rows whose variables v in parts[j] (every part names the same variables)
-    bind vertices x with part_of[x] == parts[j][v] (`part_of` may fill
-    itself on a miss, as `sketch.BucketMemo` does).  Each subquery is matched
-    once and its rows are grouped by those values; each group a part reads
-    gets one degree table, so a subquery without such a variable has one
-    table for every part, and an empty group the all-zero table.
+    Part j keeps the rows whose variables v in parts[j] (every part names the
+    same variables) bind vertices x with part_of[x] == parts[j][v] (`part_of`
+    may fill itself on a miss, as `sketch.BucketMemo` does).  Each connected
+    index set of at most h edges is matched once, with q's own edges, and its
+    rows are grouped by those values; each group a part reads gets one degree
+    table, so an index set without such a variable has one table for every
+    part, and an empty group the all-zero table.
     """
-    labels = {t.label: e.label for t, e in zip(tagged.edges, q.edges)}
-    found = dict(canonical_form(index_pattern(tagged, s)) for s in connected_index_sets(q, h))
-    cats = [Catalogue(h=h) for _ in parts]
-    for key in sorted(found):
-        rep = _key_to_query(key)
-        var_of = {f"x{i}": v for v, i in found[key]}
-        split = [(p, var_of[x]) for p, x in enumerate(rep.vars) if var_of[x] in parts[0]]
-        rows = oracle.matches(g, QueryGraph([QEdge(e.src, e.dst, labels[e.label])
-                                             for e in rep.edges]))
+    stats = [QueryStats(q, Catalogue(h=h)) for _ in parts]
+    for s in connected_index_sets(q, h):
+        sub = QueryGraph([q.edges[i] for i in sorted(s)])
+        split = [(p, v) for p, v in enumerate(sub.vars) if v in parts[0]]
+        rows = oracle.matches(g, sub)
         groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {(): rows}
         if split:
             groups = {}
@@ -420,16 +459,18 @@ def partition_catalogues(g: LabeledGraph, q: QueryGraph, h: int, tagged: QueryGr
                                for p, _ in split])
             for group, row in zip(row_groups, rows):
                 groups.setdefault(group, []).append(row)
-        tables: dict[tuple[int, ...], dict[str, int]] = {}
-        count_entry = _deg_entry_key((), range(len(rep.vars)))
-        for cat, part in zip(cats, parts):
+        tables: dict[tuple[int, ...], tuple[int, DegreeTable]] = {}
+        # each table's entries come in `_table_layout` order: key them once by names
+        named = {x: tuple(sorted(sub.vars[i] for i in x)) for x in subsets(range(len(sub.vars)))}
+        keys = [(named[x], named[y]) for y, xs, _ in _table_layout(len(sub.vars)) for x in xs]
+        for st, part in zip(stats, parts):
             group = tuple(part[v] for _, v in split)
-            table = tables.get(group)
-            if table is None:
-                table = tables[group] = _degree_table(rep, groups.get(group, []))
-            cat.counts[key] = table[count_entry]
-            cat.deg_stats[key] = table
-    return cats
+            got = tables.get(group)
+            if got is None:
+                table = dict(zip(keys, _rows_table(sub, groups.get(group, [])).values()))
+                got = tables[group] = table[(), tuple(sorted(sub.vars))], table
+            st._counts[s], st._tables[s] = got
+    return stats
 
 
 def add_closing_rates(cat: Catalogue, g: LabeledGraph, workload: Sequence[QueryGraph],

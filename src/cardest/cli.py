@@ -16,12 +16,12 @@ from . import catalogue as cat_mod
 from .errors import (CardestError, CatalogueFormatError, ConfigError,
                      GraphParseError, MissingStatisticError, PathOverflowError,
                      QueryParseError, QueryValidationError, SketchPlanError)
-from .estgraph import build_maxdeg, build_optimistic, require_count, to_dot
+from .estgraph import build_maxdeg, build_optimistic, to_dot
 from .estimators import KIND_CLOSING
 from .evalharness import WorkloadItem, expand_methods, run_workload
 from .graphstore import load_graph_file
 from .oracle import count_hom
-from .querymodel import (QueryGraph, connected_subqueries, instantiate_template, parse_query,
+from .querymodel import (QueryGraph, connected_index_sets, instantiate_template, parse_query,
                          parse_query_file)
 
 EXIT_OK = 0
@@ -233,8 +233,9 @@ def _estimate_query(args, g, query: QueryGraph):
         catalogue = cat_mod.load(args.catalogue)
         catalogue.check_h(args.h)
         # missing patterns exit as missing statistics (3) before the graph check (4)
-        for sub in connected_subqueries(query, catalogue.h):
-            require_count(catalogue, sub)
+        stats = cat_mod.QueryStats(query, catalogue)
+        for s in connected_index_sets(query, catalogue.h):
+            stats.count(s)
         catalogue.check_graph(g)
     else:
         catalogue = cat_mod.build_catalogue(g, [query], args.h, walk_budget=args.walk_budget,

@@ -3,14 +3,17 @@
 Four builds share one graph type.  Over edge subsets: the optimistic graph
 (average-degree rates from pattern counts) and its cycle-closing-rate variant,
 built one source vertex at a time, each deciding its own out-edges (closing
-rates, merging, early cycle closing) from the connected index sets of q; only
-the patterns of at most h edges become `Subquery`s, for their counts.  Over
+rates, merging, early cycle closing) from the connected index sets of q.  Over
 attribute subsets: the max-degree graph whose minimum-weight path is the
 pessimistic bound, and the cover graph induced by a per-relation attribute
 cover (a sub-graph of the max-degree graph).  Attribute-subset graphs
 (`AttrCeg`) are held as move tables, filled from one whole degree table per
 catalogue pattern and expanded per vertex on demand; they are the only
 graphs `min_weight_path` searches, zero-degree moves included.
+
+Every rate is a statistic of an index set of q, read through one
+`catalogue.QueryStats` per build: each build takes a Catalogue, which it
+wraps, or a QueryStats of q, which callers share across builds.
 
 Every bottom-to-top path yields an estimate: the exact rational product of
 its rates.  Base-2 log weights are carried alongside for the additive view.
@@ -27,11 +30,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .catalogue import Catalogue, canonical_key, closing_spec
-from .errors import (ConfigError, EstimationError, MissingStatisticError,
-                     PathOverflowError, QueryValidationError)
-from .querymodel import (QueryGraph, Subquery, connected_index_sets, connected_subqueries,
-                         cycles, subsets)
+from .catalogue import Catalogue, QueryStats
+from .errors import ConfigError, EstimationError, PathOverflowError, QueryValidationError
+from .querymodel import QueryGraph, connected_index_sets, cycles, subsets
 
 START = "start"
 EXTENSION = "extension"
@@ -126,7 +127,7 @@ class Ceg:
 # Optimistic builds (edge-subset vertices)
 # ---------------------------------------------------------------------------
 
-def build_optimistic(q: QueryGraph, cat: Catalogue, closing: bool = False,
+def build_optimistic(q: QueryGraph, cat: Catalogue | QueryStats, closing: bool = False,
                      starts: str = "anchored") -> Ceg:
     """Estimation graph over connected subqueries with average-degree rates.
 
@@ -146,7 +147,8 @@ def build_optimistic(q: QueryGraph, cat: Catalogue, closing: bool = False,
     targets close a cycle the source lacks, only those are kept (early cycle
     closing).  A source without edges is not stored.
     """
-    m, h = len(q), cat.h
+    stats = QueryStats.of(q, cat)
+    m, h = len(q), stats.cat.h
     start_size = min(h, m)
     lattice = connected_index_sets(q, m)
     patterns = [s for s in lattice if len(s) <= h]
@@ -157,14 +159,8 @@ def build_optimistic(q: QueryGraph, cat: Catalogue, closing: bool = False,
     elif starts != "all":
         raise ValueError(f"starts must be 'anchored' or 'all', got {starts!r}")
 
-    counts: dict[frozenset, int] = {}
+    count = stats.count
     ratios: dict[tuple[frozenset, frozenset], tuple[Fraction, tuple]] = {}
-
-    def count(s: frozenset) -> int:  # each pattern looked up once per build
-        got = counts.get(s)
-        if got is None:
-            got = counts[s] = require_count(cat, Subquery(q, s))
-        return got
 
     def ratio(ext: frozenset, inter: frozenset) -> tuple[Fraction, tuple]:
         got = ratios.get((ext, inter))
@@ -202,7 +198,7 @@ def build_optimistic(q: QueryGraph, cat: Catalogue, closing: bool = False,
                 hop_kind, rated = CYCLE_CLOSING, []
                 for c in closable:
                     if c - src == added:
-                        rate, key = require_closing_rate(cat, q, c, *added)
+                        rate, key = stats.closing_rate(c, *added)
                         rated.append((rate, ("closing", key, tuple(sorted(c)))))
             merged: list[tuple[Fraction, list]] = []
             for rate, prov in rated:  # a list scan: no Fraction is hashed
@@ -220,30 +216,6 @@ def build_optimistic(q: QueryGraph, cat: Catalogue, closing: bool = False,
             closers = [t for t in edges if any(c <= t for c in fresh)]
             adjacency[src] = [e for t in (closers or edges) for e in edges[t]]
     return Ceg("edges", q, top, adjacency)
-
-
-def require_count(cat: Catalogue, sub: Subquery) -> int:
-    cnt = cat.count(sub)
-    if cnt is None:
-        raise MissingStatisticError(f"count for pattern {canonical_key(sub)}")
-    return cnt
-
-
-def require_degrees(cat: Catalogue, sub: Subquery) -> dict[tuple[tuple, tuple], int]:
-    table = cat.degree_table(sub)
-    if table is None:
-        raise MissingStatisticError(f"degree table for pattern {canonical_key(sub)}")
-    return table
-
-
-def require_closing_rate(cat: Catalogue, q: QueryGraph, cycle: frozenset[int],
-                         close_idx: int) -> tuple[Fraction, str]:
-    """Sampled rate of closing `cycle` with query edge `close_idx`, and its key."""
-    key = closing_spec(q, cycle, close_idx).key()
-    rate = cat.closing_rate(key)
-    if rate is None:
-        raise MissingStatisticError(f"closing rate {key}")
-    return rate, key
 
 
 # ---------------------------------------------------------------------------
@@ -313,18 +285,20 @@ class AttrCeg(Ceg):
             yield from self.out(v)
 
 
-def maxdeg_moves(q: QueryGraph, cat: Catalogue) -> list[Move]:
+def maxdeg_moves(q: QueryGraph, cat: Catalogue | QueryStats) -> list[Move]:
     """(X, Y, deg, provenance) extension moves from every catalogue pattern of q,
     one degree-table lookup per pattern."""
+    stats = QueryStats.of(q, cat)
     moves: list[Move] = []
-    for sub in connected_subqueries(q, cat.h):
-        indices = sub.sorted_indices()
+    for s in connected_index_sets(q, stats.cat.h):
+        indices = tuple(sorted(s))
         moves += [(frozenset(x), frozenset(y), deg, ("deg", indices, x, y))
-                  for (x, y), deg in require_degrees(cat, sub).items() if x != y]
+                  for (x, y), deg in stats.degrees(s).items() if x != y]
     return moves
 
 
-def build_maxdeg(q: QueryGraph, cat: Catalogue, with_projection_edges: bool = False) -> AttrCeg:
+def build_maxdeg(q: QueryGraph, cat: Catalogue | QueryStats,
+                 with_projection_edges: bool = False) -> AttrCeg:
     """Pessimistic graph: one vertex per attribute subset, max-degree rates.
 
     For every catalogue pattern P of q, every X subset Y over P's variables,
@@ -335,7 +309,7 @@ def build_maxdeg(q: QueryGraph, cat: Catalogue, with_projection_edges: bool = Fa
     return AttrCeg(q, maxdeg_moves(q, cat), with_projection_edges)
 
 
-def build_cover(q: QueryGraph, cat: Catalogue,
+def build_cover(q: QueryGraph, cat: Catalogue | QueryStats,
                 cover: Sequence[tuple[int, Iterable[str]]]) -> AttrCeg:
     """Cover graph: extension edges restricted to a per-relation attribute cover.
 
@@ -356,9 +330,10 @@ def build_cover(q: QueryGraph, cat: Catalogue,
     if covered != set(q.vars):
         raise QueryValidationError("cover does not span all query variables")
 
+    stats = QueryStats.of(q, cat)
     moves: list[Move] = []
     for edge_idx, attrs in normalized:
-        table = require_degrees(cat, Subquery(q, frozenset({edge_idx})))
+        table = stats.degrees(frozenset({edge_idx}))
         moves += [(frozenset(ajp), frozenset(attrs), table[ajp, attrs],
                    ("cover", edge_idx, attrs, ajp)) for ajp in subsets(attrs) if ajp != attrs]
     return AttrCeg(q, moves)

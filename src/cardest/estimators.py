@@ -17,12 +17,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .catalogue import Catalogue
+from .catalogue import Catalogue, QueryStats
 from .errors import EstimationError
 from .estgraph import (DEFAULT_PATH_CAP, Ceg, PathEstimate, PathSummary, build_maxdeg,
                        build_optimistic, enumerate_paths, min_weight_path,
-                       path_summary, require_closing_rate, require_count)
-from .querymodel import QueryGraph, Subquery
+                       path_summary)
+from .querymodel import QueryGraph
 
 HOP_CHOICES = ("max-hop", "min-hop", "all-hops")
 AGGR_CHOICES = ("max-aggr", "min-aggr", "avg-aggr")
@@ -74,7 +74,7 @@ class Estimate:
 # Optimistic heuristics
 # ---------------------------------------------------------------------------
 
-def optimistic_ceg(q: QueryGraph, cat: Catalogue, ceg_kind: str = KIND_AVG,
+def optimistic_ceg(q: QueryGraph, cat: Catalogue | QueryStats, ceg_kind: str = KIND_AVG,
                    starts: str = "anchored") -> Ceg:
     if ceg_kind not in (KIND_AVG, KIND_CLOSING):
         raise ValueError(f"optimistic graphs are {KIND_AVG!r} or {KIND_CLOSING!r}")
@@ -97,7 +97,7 @@ def ceg_summary(ceg: Ceg) -> PathSummary:
     return summary
 
 
-def optimistic_paths(q: QueryGraph, cat: Catalogue, ceg_kind: str = KIND_AVG,
+def optimistic_paths(q: QueryGraph, cat: Catalogue | QueryStats, ceg_kind: str = KIND_AVG,
                      starts: str = "anchored",
                      cap: int = DEFAULT_PATH_CAP) -> tuple[Ceg, list[PathEstimate]]:
     ceg = optimistic_ceg(q, cat, ceg_kind, starts)
@@ -111,7 +111,7 @@ def filter_paths(paths: list[PathEstimate], hop: str) -> list[PathEstimate]:
     return [p for p in paths if p.hops == target]
 
 
-def estimate_optimistic(q: QueryGraph, cat: Catalogue, ceg_kind: str,
+def estimate_optimistic(q: QueryGraph, cat: Catalogue | QueryStats, ceg_kind: str,
                         choice: HeuristicChoice, average: str = "arithmetic",
                         starts: str = "anchored", cap: int = DEFAULT_PATH_CAP,
                         paths: list[PathEstimate] | None = None,
@@ -175,8 +175,8 @@ def _from_summary(summary: PathSummary, choice: HeuristicChoice, method: str,
                                considered_paths=n, chosen_path=best)
 
 
-def estimate_pstar(q: QueryGraph, cat: Catalogue, ceg_kind: str, true_count: int,
-                   starts: str = "anchored", cap: int = DEFAULT_PATH_CAP,
+def estimate_pstar(q: QueryGraph, cat: Catalogue | QueryStats, ceg_kind: str,
+                   true_count: int, starts: str = "anchored", cap: int = DEFAULT_PATH_CAP,
                    paths: list[PathEstimate] | None = None) -> Estimate:
     """Oracle pick: the path whose estimate minimizes q-error vs the true count."""
     if paths is None:
@@ -198,7 +198,7 @@ def estimate_pstar(q: QueryGraph, cat: Catalogue, ceg_kind: str, true_count: int
 # Pessimistic bound (minimum-weight path over max-degree statistics)
 # ---------------------------------------------------------------------------
 
-def estimate_molp(q: QueryGraph, cat: Catalogue) -> Estimate:
+def estimate_molp(q: QueryGraph, cat: Catalogue | QueryStats) -> Estimate:
     """Upper bound on the true count: the min-weight path of the max-degree graph.
 
     The graph is searched straight off its degree-statistic move table, never
@@ -220,21 +220,22 @@ def estimate_molp(q: QueryGraph, cat: Catalogue) -> Estimate:
 # ---------------------------------------------------------------------------
 
 def evaluate_optimistic_path(path: PathEstimate, query: QueryGraph,
-                             cat: Catalogue) -> Fraction:
-    """Value of the formula behind `path` using `cat`'s statistics.
+                             cat: Catalogue | QueryStats) -> Fraction:
+    """Value of the formula behind `path` using `cat`'s statistics of `query`.
 
     Merged parallel provenances are disambiguated by the first (sorted) entry,
     so the same formula is applied to every statistics source.
     """
+    stats = QueryStats.of(query, cat)
     prod = Fraction(1)
     for e in path.edges:
         prov = e.provenance[0]
         tag = prov[0]
         if tag == "count":
-            prod *= require_count(cat, Subquery(query, frozenset(prov[1])))
+            prod *= stats.count(frozenset(prov[1]))
         elif tag == "ratio":
-            c_ext = require_count(cat, Subquery(query, frozenset(prov[1])))
-            c_int = require_count(cat, Subquery(query, frozenset(prov[2])))
+            c_ext = stats.count(frozenset(prov[1]))
+            c_int = stats.count(frozenset(prov[2]))
             if c_int == 0:
                 return Fraction(0)
             prod *= Fraction(c_ext, c_int)
@@ -244,7 +245,7 @@ def evaluate_optimistic_path(path: PathEstimate, query: QueryGraph,
             if len(missing) != 1:
                 raise EstimationError("closing edge must add exactly one query edge")
             (close_idx,) = missing
-            prod *= require_closing_rate(cat, query, cyc, close_idx)[0]
+            prod *= stats.closing_rate(cyc, close_idx)[0]
         else:
             raise EstimationError(f"cannot re-evaluate edge kind {e.kind!r}")
         if prod == 0:

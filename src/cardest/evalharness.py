@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .catalogue import Catalogue, build_catalogue, check_walk_budget
-from .errors import CardestError
+from .catalogue import Catalogue, QueryStats, build_catalogue, check_walk_budget
+from .errors import CardestError, ConfigError
 from .estimators import (ALL_CHOICES, KIND_AVG, KIND_CLOSING, Estimate,
                          HeuristicChoice, ceg_paths, ceg_summary, estimate_molp,
                          estimate_optimistic, estimate_pstar, optimistic_ceg)
@@ -181,6 +181,8 @@ def expand_methods(tokens: Sequence[str]) -> list[MethodSpec]:
         elif token == "bound" or token == "molp":
             out.append(MethodSpec("bound"))
         elif parts[0] == "pstar":
+            if len(parts) > 2:
+                raise ValueError(f"bad method token {token!r}")
             kind = kind_of(parts[1]) if len(parts) > 1 else KIND_AVG
             out.append(MethodSpec("pstar", kind))
         elif parts[0] == "optimistic":
@@ -259,10 +261,14 @@ def run_workload(
     Estimator failures become failed rows, never aborts.  With sketch_k > 1
     the optimistic min/max heuristics and the bound run sketched; their
     unpartitioned plans read the run's catalogue too.  A given catalogue
-    built from another graph or at another h, or a walk budget below 1,
-    raises ConfigError before any row runs.  Per query, each optimistic graph kind is built once; its path
-    summary serves the heuristics and its path list only the path oracle.
+    built from another graph or at another h, a walk budget below 1, or a
+    sketch_k below 1 raises ConfigError before any row runs.  Per query, the
+    methods share one QueryStats of the catalogue, and each optimistic graph
+    kind is built once; its path summary serves the heuristics and its path
+    list only the path oracle.
     """
+    if sketch_k < 1:
+        raise ConfigError(f"sketch K must be >= 1 (1: no sketch), got {sketch_k}")
     items = [w if isinstance(w, WorkloadItem) else WorkloadItem(f"q{i:04d}", "", w)
              for i, w in enumerate(workload)]
     if catalogue is None:
@@ -276,13 +282,14 @@ def run_workload(
     records: list[QErrorRecord] = []
     for item in items:
         true_count = count_hom(g, item.query).value
+        stats = QueryStats(item.query, cat)
         ceg_cache: dict = {}
         for spec in methods:
             start = time.perf_counter()
             estimate: Estimate | None = None
             error: str | None = None
             try:
-                estimate = _run_method(item.query, g, cat, spec, h, seed, walk_budget,
+                estimate = _run_method(item.query, g, stats, spec, h, seed, walk_budget,
                                        sketch_k, starts, true_count, ceg_cache)
             except CardestError as exc:
                 error = f"{type(exc).__name__}: {exc}"
@@ -305,32 +312,32 @@ def run_workload(
     return RunResult(records, method_summaries, template_summaries, meta)
 
 
-def _run_method(query, g, cat, spec, h, seed, walk_budget, sketch_k, starts,
+def _run_method(query, g, stats, spec, h, seed, walk_budget, sketch_k, starts,
                 true_count, ceg_cache) -> Estimate:
     if spec.name == "bound":
         if sketch_k > 1:
             return estimate_with_sketch(query, g, sketch_k, "molp", h=h, seed=seed,
-                                        walk_budget=walk_budget, catalogue=cat)
-        return estimate_molp(query, cat)
+                                        walk_budget=walk_budget, catalogue=stats)
+        return estimate_molp(query, stats)
     if spec.name == "optimistic" and sketch_k > 1:
         # avg-aggr has no chosen path to partition; the row records the failure
         return estimate_with_sketch(query, g, sketch_k, "optimistic", h=h, seed=seed,
                                     walk_budget=walk_budget, choice=spec.choice,
                                     ceg_kind=spec.ceg_kind, starts=starts,
-                                    catalogue=cat)
+                                    catalogue=stats)
     kind = spec.ceg_kind
     ceg = ceg_cache.get(kind)
     if ceg is None:
-        ceg = ceg_cache[kind] = optimistic_ceg(query, cat, kind, starts)
+        ceg = ceg_cache[kind] = optimistic_ceg(query, stats, kind, starts)
     if spec.name == "pstar":
         paths = ceg_cache.get(("paths", kind))
         if paths is None:
             paths = ceg_cache["paths", kind] = ceg_paths(ceg)
-        return estimate_pstar(query, cat, kind, true_count, paths=paths)
+        return estimate_pstar(query, stats, kind, true_count, paths=paths)
     summary = ceg_cache.get(("summary", kind))
     if summary is None:
         summary = ceg_cache["summary", kind] = ceg_summary(ceg)
-    return estimate_optimistic(query, cat, kind, spec.choice, summary=summary)
+    return estimate_optimistic(query, stats, kind, spec.choice, summary=summary)
 
 
 def _make_record(item, spec, sketch_k, true_count, estimate, error, elapsed_ms):

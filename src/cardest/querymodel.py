@@ -98,33 +98,6 @@ class QueryGraph:
 
 
 @dataclass(frozen=True)
-class Subquery:
-    """Connected subset of a query's edge indices."""
-
-    parent: QueryGraph
-    indices: frozenset[int]
-
-    def __post_init__(self):
-        if not self.indices:
-            raise QueryValidationError("empty subquery")
-        if not _indices_connected(self.parent, self.indices):
-            raise QueryValidationError("subquery is not connected")
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def vars(self) -> frozenset[str]:
-        return self.parent.vars_of(self.indices)
-
-    def pattern(self) -> tuple[tuple[str, str, str], ...]:
-        """Edge triples of this subquery, sorted for stable hashing."""
-        return index_pattern(self.parent, self.indices)
-
-    def sorted_indices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.indices))
-
-
-@dataclass(frozen=True)
 class CycleSet:
     cycles: tuple[frozenset[int], ...]
 
@@ -217,11 +190,6 @@ def connected_index_sets(q: QueryGraph, max_edges: int) -> list[frozenset[int]]:
         found |= grown
         level = grown
     return sorted(found, key=lambda s: tuple(sorted(s)))
-
-
-def connected_subqueries(q: QueryGraph, max_edges: int) -> list[Subquery]:
-    """`connected_index_sets` as Subqueries, in the same order."""
-    return [Subquery(q, s) for s in connected_index_sets(q, max_edges)]
 
 
 def cycles(q: QueryGraph) -> CycleSet:

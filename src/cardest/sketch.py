@@ -11,11 +11,14 @@ A component's matches of a subquery are exactly the full-graph matches whose
 sketched variables hash to that component's buckets.  So, as in the original
 bound sketch (Cai, Balazinska & Suciu, SIGMOD 2019), the component statistics
 come from one match of each connected subquery of at most h edges on the full
-graph, its rows grouped by those buckets (`catalogue.partition_catalogues`);
-no component graph is built for them.  Component graphs are split from the
-full graph only when read: for closing rates, which a path with a
-cycle-closing edge needs, and by callers of `make_sketch`.  Each vertex is
-hashed at most once per plan.
+graph, its rows grouped by those buckets: `catalogue.partition_catalogues`
+returns one `QueryStats` of q per component, its counts and degree tables
+filled in, and no component graph is built for them.  Component graphs are
+split from the full graph only when read: for closing rates, which a path
+with a cycle-closing edge needs, and by callers of `make_sketch`.  A
+component's graph labels each edge by its query edge, `e{i}`, as does the
+component's query, so the closing rates are sampled and keyed under those
+tags.  Each vertex is hashed at most once per plan.
 
 The unpartitioned plan reads the caller's catalogue when one is given (as
 `run_workload` does): a catalogue lacking the query's patterns fails with
@@ -31,7 +34,8 @@ from functools import cache, cached_property, partial
 from itertools import product
 from typing import Callable
 
-from .catalogue import Catalogue, add_closing_rates, build_catalogue, partition_catalogues
+from .catalogue import (Catalogue, QueryStats, add_closing_rates, build_catalogue,
+                        partition_catalogues)
 from .errors import SketchPlanError
 from .estgraph import BOUND, CYCLE_CLOSING, EXTENSION, PathEstimate
 from .estimators import (Estimate, HeuristicChoice, estimate_molp,
@@ -193,7 +197,7 @@ def estimate_with_sketch(q: QueryGraph, g: LabeledGraph, k: int, base: str,
                          choice: HeuristicChoice | None = None,
                          ceg_kind: str = "avg-degree",
                          starts: str = "anchored",
-                         catalogue: Catalogue | None = None) -> Estimate:
+                         catalogue: Catalogue | QueryStats | None = None) -> Estimate:
     """Sum of per-component base estimates under a K-way bound sketch.
 
     base="molp": the sketch follows the unpartitioned minimum-weight path and
@@ -201,23 +205,23 @@ def estimate_with_sketch(q: QueryGraph, g: LabeledGraph, k: int, base: str,
     the heuristic's chosen path on the unpartitioned graph is fixed and its
     formula re-evaluated per component (min/max aggregators only).
 
-    The unpartitioned plan reads `catalogue` when given; one built from
-    another graph or at another h raises ConfigError, one without q's
-    patterns MissingStatisticError, and closing-rate plans use its closing
-    rates.  Without one, a catalogue of q alone is built from g.  Component
-    counts and degree tables come from grouped full-graph matches
-    (`catalogue.partition_catalogues`); only a fixed path with a cycle-closing
-    edge also samples closing rates on each component's graph.
+    The unpartitioned plan reads `catalogue` (a Catalogue or a QueryStats of
+    q) when given; one built from another graph or at another h raises
+    ConfigError, one without q's patterns MissingStatisticError, and
+    closing-rate plans use its closing rates.  Without one, a catalogue of q
+    alone is built from g.  Component counts and degree tables come from
+    grouped full-graph matches (`catalogue.partition_catalogues`); only a
+    fixed path with a cycle-closing edge also samples closing rates on each
+    component's graph.
     """
     if catalogue is None:
-        cat = build_catalogue(g, [q], h, walk_budget=walk_budget, seed=seed)
-    else:
-        catalogue.check_h(h)
-        catalogue.check_graph(g)
-        cat = catalogue
+        catalogue = build_catalogue(g, [q], h, walk_budget=walk_budget, seed=seed)
+    stats = QueryStats.of(q, catalogue)
+    stats.cat.check_h(h)
+    stats.cat.check_graph(g)
     fixed_path: PathEstimate | None = None
     if base == "molp":
-        unsketched = estimate_molp(q, cat)
+        unsketched = estimate_molp(q, stats)
         sketch_path = unsketched.chosen_path
         sketch_ceg_kind = "attrs"
         method = f"sketch:bound:k{k}"
@@ -228,7 +232,7 @@ def estimate_with_sketch(q: QueryGraph, g: LabeledGraph, k: int, base: str,
     elif base == "optimistic":
         if choice is None or choice.aggr == "avg-aggr":
             raise SketchPlanError("optimistic sketches need a min-aggr or max-aggr choice")
-        unsketched = estimate_optimistic(q, cat, ceg_kind, choice, starts=starts)
+        unsketched = estimate_optimistic(q, stats, ceg_kind, choice, starts=starts)
         sketch_path = unsketched.chosen_path
         fixed_path = sketch_path
         sketch_ceg_kind = "edges"
@@ -239,19 +243,19 @@ def estimate_with_sketch(q: QueryGraph, g: LabeledGraph, k: int, base: str,
     if k > 1 and not sketch_attributes(sketch_path, q, sketch_ceg_kind):
         k = 1  # every join attribute is bound: partitioning degenerates (identity)
     plan, components = make_sketch(q, g, sketch_path, k, ceg_kind=sketch_ceg_kind, seed=seed)
-    comp_cats = partition_catalogues(g, q, h, components[0].query,
-                                     [dict(zip(plan.attrs, c.index)) for c in components],
-                                     plan.buckets)
+    parts = partition_catalogues(g, q, h, [dict(zip(plan.attrs, c.index)) for c in components],
+                                 plan.buckets)
     closing = fixed_path is not None and any(e.kind == CYCLE_CLOSING for e in fixed_path.edges)
 
     total = Fraction(0)
-    for comp, comp_cat in zip(components, comp_cats):
+    for comp, part in zip(components, parts):
         if base == "molp":
-            total += estimate_molp(comp.query, comp_cat).exact
+            total += estimate_molp(q, part).exact
         else:
-            if closing:
-                add_closing_rates(comp_cat, comp.graph, [comp.query], walk_budget, seed)
-            total += evaluate_optimistic_path(fixed_path, comp.query, comp_cat)
+            if closing:  # sampled on the component's graph, so keyed by its edge tags
+                add_closing_rates(part.cat, comp.graph, [comp.query], walk_budget, seed)
+                part.query = comp.query  # q's index sets and variables, under the tags
+            total += evaluate_optimistic_path(fixed_path, part.query, part)
     return Estimate.from_exact(total, method=method, ceg_kind=unsketched.ceg_kind,
                                considered_paths=unsketched.considered_paths,
                                chosen_path=sketch_path)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from cardest.graphstore import LabeledGraph
-from cardest.querymodel import (QEdge, QueryGraph, connected_subqueries,
+from cardest.querymodel import (QEdge, QueryGraph, connected_index_sets,
                                 instantiate_template)
 
 DEFAULT_LABELS = ["A", "B", "C", "D", "E", "F", "G", "H"]
@@ -79,7 +79,7 @@ def cycle_tail_template(k: int, tail: int) -> QueryGraph:
 def anchored_path_bound(template: QueryGraph, h: int) -> int:
     """Upper bound on anchored optimistic path counts (parallel edges unmerged)."""
     m = len(template.edges)
-    subs = [s.indices for s in connected_subqueries(template, m)]
+    subs = connected_index_sets(template, m)
     sub_set = set(subs)
     start_size = min(h, m)
     start = min((s for s in subs if len(s) == start_size), key=lambda s: tuple(sorted(s)))

@@ -16,7 +16,7 @@ from itertools import combinations
 
 import pytest
 
-from cardest.catalogue import build_catalogue, serialize
+from cardest.catalogue import QueryStats, build_catalogue, serialize
 from cardest.errors import SketchPlanError
 from cardest.estgraph import (CYCLE_CLOSING, CegEdge, PathEstimate, build_cover,
                               build_maxdeg, build_optimistic, count_paths,
@@ -28,7 +28,7 @@ from cardest.estimators import (ALL_CHOICES, HeuristicChoice, KIND_AVG,
 from cardest.evalharness import (WorkloadItem, expand_methods, qerror,
                                  run_workload, summarize)
 from cardest.oracle import count_hom, group_degree
-from cardest.querymodel import (connected_subqueries, cycles, instantiate_template,
+from cardest.querymodel import (connected_index_sets, cycles, instantiate_template,
                                 parse_query)
 from cardest.sketch import estimate_with_sketch, make_sketch
 
@@ -469,15 +469,16 @@ def _molp_lp_log2(q, cat) -> float:
         vals.extend((1.0, -1.0))
         rhs.append(bound)
 
-    for sub in connected_subqueries(q, cat.h):
-        pattern_vars = sorted(sub.vars())
+    stats = QueryStats(q, cat)
+    for s in connected_index_sets(q, cat.h):
+        pattern_vars = sorted(q.vars_of(s))
         for r in range(1, len(pattern_vars) + 1):
             for y in combinations(pattern_vars, r):
                 ym = sum(bit[v] for v in y)
                 for k in range(r):
                     for x in combinations(y, k):
                         xm = sum(bit[v] for v in x)
-                        log_deg = math.log2(cat.degree_table(sub)[x, y])
+                        log_deg = math.log2(stats.degrees(s)[x, y])
                         for w in range(size):
                             if w & xm == xm and w | ym != w:
                                 at_most(w | ym, w, log_deg)

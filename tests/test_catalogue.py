@@ -8,13 +8,13 @@ from itertools import combinations
 
 import pytest
 
-from cardest.catalogue import (Catalogue, _key_to_query, build_catalogue, canonical_form,
-                               closing_spec, load, save, serialize)
-from cardest.errors import CatalogueFormatError, ConfigError
+from cardest.catalogue import (Catalogue, QueryStats, _key_to_query, build_catalogue,
+                               canonical_form, closing_spec, load, save, serialize)
+from cardest.errors import CatalogueFormatError, ConfigError, MissingStatisticError
 from cardest import oracle
 from cardest.graphstore import LabeledGraph
 from cardest.oracle import count_hom, group_degree
-from cardest.querymodel import (QEdge, QueryGraph, Subquery, connected_subqueries, cycles,
+from cardest.querymodel import (QEdge, QueryGraph, connected_index_sets, cycles, index_pattern,
                                 parse_query)
 
 from _synth import cycle_template, random_graph, tree_template
@@ -22,8 +22,8 @@ from cardest.querymodel import instantiate_template
 from oracles import brute_deg_table, brute_isomorphic, brute_label_walks, nested_loop_count
 
 
-def _sub(q, indices):
-    return Subquery(q, frozenset(indices))
+def _count(cat, q, indices):
+    return QueryStats(q, cat).count(frozenset(indices))
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +122,7 @@ def test_single_edge_workload_has_single_pattern():
     q = parse_query("a1 -A-> a2")
     cat = build_catalogue(g, [q], h=2)
     assert len(cat.counts) == 1
-    assert cat.count(_sub(q, [0])) == 2
+    assert _count(cat, q, [0]) == 2
 
 
 def test_h_must_be_at_least_two():
@@ -133,9 +133,9 @@ def test_h_must_be_at_least_two():
 
 def test_table1_fixture_counts(f1_graph, q3p):
     cat = build_catalogue(f1_graph, [q3p], h=2)
-    assert cat.count(_sub(q3p, [1])) == 2        # |->B|
-    assert cat.count(_sub(q3p, [0, 1])) == 4     # |->A->B|
-    assert cat.count(_sub(q3p, [1, 2])) == 3     # |->B->C|
+    assert _count(cat, q3p, [1]) == 2        # |->B|
+    assert _count(cat, q3p, [0, 1]) == 4     # |->A->B|
+    assert _count(cat, q3p, [1, 2]) == 3     # |->B->C|
     assert count_hom(f1_graph, q3p).value == 7
 
 
@@ -146,35 +146,28 @@ def test_counts_equal_oracle_on_random_instances():
         if q is None:
             continue
         cat = build_catalogue(g, [q], h=2)
-        for sub in connected_subqueries(q, 2):
-            rep_count = cat.count(sub)
-            direct = count_hom(g, sub_query(sub)).value
-            assert rep_count == direct
-
-
-def sub_query(sub: Subquery):
-    from cardest.querymodel import QEdge, QueryGraph
-    return QueryGraph([QEdge(*t) for t in sorted(
-        (sub.parent.edges[i].src, sub.parent.edges[i].dst, sub.parent.edges[i].label)
-        for i in sub.indices)])
+        stats = QueryStats(q, cat)
+        for s in connected_index_sets(q, 2):
+            direct = count_hom(g, QueryGraph([QEdge(*t) for t in index_pattern(q, s)])).value
+            assert stats.count(s) == direct
 
 
 def test_deg_stats_equal_group_degree_oracle():
     g = random_graph(20, 90, 3, seed=900)
     q = parse_query("a1 -A-> a2\na2 -B-> a3")
     cat = build_catalogue(g, [q], h=2)
-    sub = _sub(q, [0, 1])
+    table = QueryStats(q, cat).degrees(frozenset({0, 1}))
     for x, y in ((set(), {"a1", "a2", "a3"}), ({"a2"}, {"a2", "a3"}),
                  ({"a1"}, {"a1", "a2"}), (set(), {"a2"}), ({"a3"}, {"a1", "a3"})):
-        assert cat.degree_table(sub)[tuple(sorted(x)), tuple(sorted(y))] == group_degree(g, q, x, y)
+        assert table[tuple(sorted(x)), tuple(sorted(y))] == group_degree(g, q, x, y)
 
 
 def test_max_deg_empty_x_full_y_is_count():
     g = random_graph(25, 100, 3, seed=901)
     q = parse_query("a1 -A-> a2\na2 -B-> a3")
     cat = build_catalogue(g, [q], h=2)
-    sub = _sub(q, [0, 1])
-    assert cat.degree_table(sub)[(), ("a1", "a2", "a3")] == cat.count(sub)
+    stats, s = QueryStats(q, cat), frozenset({0, 1})
+    assert stats.degrees(s)[(), ("a1", "a2", "a3")] == stats.count(s)
 
 
 def test_deg_stats_and_counts_equal_brute_force_on_every_pattern():
@@ -211,7 +204,7 @@ def test_deg_stats_of_pattern_without_matches_are_zero():
     g = LabeledGraph([(1, 2, "A"), (3, 4, "B")])
     q = parse_query("a1 -A-> a2\na2 -B-> a3")
     cat = build_catalogue(g, [q], h=2)
-    key = canonical_form(_sub(q, [0, 1]).pattern())[0]
+    key = canonical_form(index_pattern(q, [0, 1]))[0]
     assert cat.counts[key] == 0
     assert len(cat.deg_stats[key]) == 27
     assert set(cat.deg_stats[key].values()) == {0}
@@ -221,15 +214,16 @@ def test_degree_table_names_every_entry_by_the_subquery_variables():
     g = random_graph(20, 90, 3, seed=902)
     q = parse_query("b7 -A-> a2\na2 -B-> c1")
     cat = build_catalogue(g, [q], h=2)
-    sub = _sub(q, [0, 1])
-    table = cat.degree_table(sub)
+    s = frozenset({0, 1})
+    table = QueryStats(q, cat).degrees(s)
     pairs = {(x, y) for y in _all_subsets(sorted(q.vars)) for x in _all_subsets(y)}
     assert set(table) == pairs and len(pairs) == 27
     for (x, y), deg in table.items():
         assert deg == group_degree(g, q, x, y)
-    key = canonical_form(sub.pattern())[0]
+    key = canonical_form(index_pattern(q, s))[0]
     cat.deg_stats[key].pop(next(iter(cat.deg_stats[key])))
-    assert cat.degree_table(sub) is None
+    with pytest.raises(MissingStatisticError, match="degree table for pattern"):
+        QueryStats(q, cat).degrees(s)
 
 
 def _all_subsets(items):
@@ -241,7 +235,8 @@ def test_lookup_of_unbuilt_pattern_absent():
     q = parse_query("a1 -A-> a2")
     cat = build_catalogue(g, [q], h=2)
     other = parse_query("a1 -Z-> a2")
-    assert cat.count(_sub(other, [0])) is None
+    with pytest.raises(MissingStatisticError, match="count for pattern"):
+        _count(cat, other, [0])
     assert cat.closing_rate("nope") is None
 
 
@@ -414,7 +409,7 @@ def test_exhaustive_mode_small_label_set():
     g = LabeledGraph([(1, 2, "A"), (2, 3, "B"), (3, 1, "A")])
     cat = build_catalogue(g, None, h=2, exhaustive=True)
     q = parse_query("a1 -A-> a2")
-    assert cat.count(_sub(q, [0])) == 2
+    assert _count(cat, q, [0]) == 2
     # every stored count matches the oracle
     for key, value in cat.counts.items():
         from cardest.catalogue import _key_to_query

@@ -168,7 +168,7 @@ def test_config_file_defaults(tmp_path, capsys):
 
 def test_unknown_method_exits_with_usage_code(capsys):
     for token, named in (("nonsense", "'nonsense'"), ("pstar:foo", "'foo'"),
-                         ("pstarfoo", "'pstarfoo'")):
+                         ("pstarfoo", "'pstarfoo'"), ("pstar:avg:extra", "'pstar:avg:extra'")):
         code = run_cli("estimate", "--graph", fixture_path("f1.edges"),
                        "--query", fixture_path("q3p.query"), "--methods", token)
         assert code == 2
@@ -204,6 +204,16 @@ def test_walk_budget_below_one_exits_with_parse_code(tmp_path, capsys, budget):
                    "--methods", "optimistic:closing:max-hop:max-aggr")
     assert code == 4
     assert "walk budget must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_sketch_k_below_one_exits_with_parse_code(capsys, k):
+    # such a K used to run the rows unsketched and exit 0
+    code = run_cli("estimate", "--graph", fixture_path("f1.edges"),
+                   "--query", fixture_path("q3p.query"), "--methods", "bound", "--sketch-k", k)
+    assert code == 4
+    err = capsys.readouterr().err
+    assert f"sketch K must be >= 1 (1: no sketch), got {k}" in err
 
 
 def test_dump_ceg(tmp_path, capsys):

@@ -187,6 +187,17 @@ def test_run_workload_rejects_catalogue_at_other_h(f1_graph, q3p):
     assert record.estimate_exact == record.true_count == 7
 
 
+def test_run_workload_rejects_sketch_k_below_one_before_any_row(f1_graph, q3p, monkeypatch):
+    from cardest import evalharness
+
+    def forbidden(*args):
+        raise AssertionError("a row ran")
+
+    monkeypatch.setattr(evalharness, "count_hom", forbidden)
+    with pytest.raises(ConfigError, match="sketch K must be >= 1"):
+        run_workload(f1_graph, [q3p], expand_methods(["bound"]), sketch_k=0)
+
+
 def test_run_workload_rejects_catalogue_of_another_graph(f1_graph, q3p):
     # a catalogue of f1 used to report bound 8 on f1 plus four edges, true count 21
     from cardest.catalogue import build_catalogue

@@ -8,7 +8,7 @@ from cardest import querymodel
 from cardest.errors import QueryValidationError
 from cardest.graphstore import LabeledGraph
 from cardest.oracle import count_hom
-from cardest.querymodel import (QEdge, QueryGraph, connected_subqueries,
+from cardest.querymodel import (QEdge, QueryGraph, connected_index_sets,
                                 cycles, instantiate_template, parse_query)
 
 from _synth import cycle_template, random_graph, star_template, tree_template
@@ -48,43 +48,42 @@ def test_parse_comments_ok():
     assert len(q) == 1
 
 
-def test_connected_subqueries_single_edge():
+def test_connected_index_sets_single_edge():
     q = parse_query("a1 -A-> a2")
-    assert len(connected_subqueries(q, 1)) == 1
+    assert len(connected_index_sets(q, 1)) == 1
 
 
-def test_connected_subqueries_triangle_pairs():
+def test_connected_index_sets_triangle_pairs():
     q = parse_query("a1 -A-> a2\na2 -B-> a3\na3 -C-> a1")
-    subs = connected_subqueries(q, 2)
+    subs = connected_index_sets(q, 2)
     assert len(subs) == 6  # 3 single edges + 3 wedges
 
 
-def test_connected_subqueries_match_brute_force(q5f):
+def test_connected_index_sets_match_brute_force(q5f):
     for max_edges in range(1, 6):
-        got = {s.indices for s in connected_subqueries(q5f, max_edges)}
+        got = set(connected_index_sets(q5f, max_edges))
         assert got == brute_connected_subsets(q5f, max_edges)
 
 
-def test_connected_subqueries_random_queries_match_brute():
+def test_connected_index_sets_random_queries_match_brute():
     for seed in range(12):
         g = random_graph(30, 80, 4, seed=seed)
         tpl = tree_template(5, seed=seed)
         inst = instantiate_template(tpl, g, seed=seed, attempts=30)
         if inst is None:
             continue
-        got = {s.indices for s in connected_subqueries(inst, 5)}
+        got = set(connected_index_sets(inst, 5))
         assert got == brute_connected_subsets(inst, 5)
 
 
-def test_connected_subqueries_deterministic_order(q5f):
-    subs = connected_subqueries(q5f, 5)
-    keys = [s.sorted_indices() for s in subs]
+def test_connected_index_sets_deterministic_order(q5f):
+    keys = [tuple(sorted(s)) for s in connected_index_sets(q5f, 5)]
     assert keys == sorted(keys)
 
 
 def test_subquery_closed_under_extension(q5f):
     max_edges = 4
-    subs = {s.indices for s in connected_subqueries(q5f, max_edges)}
+    subs = set(connected_index_sets(q5f, max_edges))
     for s in subs:
         if len(s) < max_edges:
             assert any(s < t and len(t) == len(s) + 1 for t in subs)

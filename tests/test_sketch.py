@@ -6,13 +6,14 @@ from fractions import Fraction
 import pytest
 
 from cardest import oracle, sketch
-from cardest.catalogue import build_catalogue, partition_catalogues
+from cardest.catalogue import QueryStats, build_catalogue, canonical_form, partition_catalogues
 from cardest.errors import ConfigError, SketchPlanError
 from cardest.estgraph import BOUND, UNBOUND, CegEdge, PathEstimate
 from cardest.estimators import HeuristicChoice, KIND_AVG, estimate_molp, estimate_optimistic
 from cardest.evalharness import WorkloadItem, expand_methods, run_workload
 from cardest.oracle import count_hom
-from cardest.querymodel import connected_index_sets, instantiate_template, parse_query
+from cardest.querymodel import (connected_index_sets, index_pattern, instantiate_template,
+                                parse_query)
 from cardest.sketch import (bucket_of, estimate_with_sketch, join_attributes,
                             make_sketch, sketch_attributes)
 
@@ -298,26 +299,30 @@ def test_components_match_per_component_filter(fork_graph, q5f, sketch_runs, k, 
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("k", [4, 9, 16])
 def test_grouped_statistics_equal_component_catalogues(fork_graph, q5f, sketch_runs, k, seed):
-    checked = unsketched_subqueries = empty_groups = 0
+    checked = unsketched_subqueries = empty_groups = shared_patterns = 0
     for g, q, path in _sketch_cases(fork_graph, q5f, sketch_runs):
         try:
             plan, components = make_sketch(q, g, path, k, seed=seed)
         except SketchPlanError:
             continue
         checked += 1
-        unsketched_subqueries += sum(not q.vars_of(s) & set(plan.attrs)
-                                     for s in connected_index_sets(q, 2))
-        grouped = partition_catalogues(g, q, 2, components[0].query,
-                                       [dict(zip(plan.attrs, c.index)) for c in components],
-                                       plan.buckets)
+        index_sets = connected_index_sets(q, 2)
+        unsketched_subqueries += sum(not q.vars_of(s) & set(plan.attrs) for s in index_sets)
+        # two index sets of one canonical pattern still get their own statistics
+        shared_patterns += len({canonical_form(index_pattern(q, s))[0]
+                                for s in index_sets}) < len(index_sets)
+        grouped = partition_catalogues(g, q, 2, [dict(zip(plan.attrs, c.index))
+                                                 for c in components], plan.buckets)
         for comp, got in zip(components, grouped):
-            want = build_catalogue(comp.graph, [comp.query], 2)
-            assert got.counts == want.counts
-            assert got.deg_stats == want.deg_stats
-            empty_groups += 0 in got.counts.values()
+            want = QueryStats(comp.query, build_catalogue(comp.graph, [comp.query], 2))
+            for s in index_sets:
+                assert got.count(s) == want.count(s)
+                assert got.degrees(s) == want.degrees(s)
+                empty_groups += got.count(s) == 0
     assert checked >= 10
     assert unsketched_subqueries > 0
     assert empty_groups > 0
+    assert shared_patterns > 0
 
 
 def test_molp_and_avg_degree_sketches_build_no_graph_and_sample_no_walk(sketch_runs,
