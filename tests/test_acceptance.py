@@ -20,7 +20,7 @@ from cardest.catalogue import QueryStats, build_catalogue, serialize
 from cardest.errors import SketchPlanError
 from cardest.estgraph import (CYCLE_CLOSING, CegEdge, PathEstimate, build_cover,
                               build_maxdeg, build_optimistic, count_paths,
-                              enumerate_paths, iter_paths, min_weight_path)
+                              enumerate_paths, iter_paths, min_weight_path, to_dot)
 from cardest.estimators import (ALL_CHOICES, HeuristicChoice, KIND_AVG,
                                 KIND_CLOSING, ceg_paths, ceg_summary, estimate_molp,
                                 estimate_optimistic, estimate_pstar,
@@ -125,6 +125,25 @@ def test_optimistic_graphs_pinned(corpus, h3_catalogues):
         for q in small:
             digest.update(_ceg_text(build_optimistic(q, cat3, closing=True)).encode())
     assert digest.hexdigest() == CEG_SHA256
+
+
+# sha256 of `to_dot` (the text `--dump-ceg` writes) of the average-degree,
+# closing-rate and max-degree graphs of both fixture queries on f1 and fork at
+# h=2 and h=3, then of the <= 12-variable queries of the first two corpus graphs
+DOT_SHA256 = "b0a9c4e7f756e1cba5a0b5e9e36d317e230243c3e7c91c7db0990a7499b0efa7"
+
+
+def test_dot_dumps_pinned(corpus, f1_graph, fork_graph, q3p, q5f):
+    cases = [(build_catalogue(g, [q], h), q) for g in (f1_graph, fork_graph)
+             for q in (q3p, q5f) for h in (2, 3)]
+    cases += [(cat, q) for _, cat, items in corpus.entries[:2] for _, _, q in items
+              if len(q.vars) <= 12]
+    digest = hashlib.sha256()
+    for cat, q in cases:
+        for ceg in (build_optimistic(q, cat), build_optimistic(q, cat, closing=True),
+                    build_maxdeg(q, cat)):
+            digest.update(to_dot(ceg).encode())
+    assert digest.hexdigest() == DOT_SHA256
 
 
 # sha256 of `serialize()` of every corpus catalogue (h=2), the h=3 catalogues
