@@ -97,7 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sketch-k", type=int, default=1)
         p.add_argument("--methods", default="all")
         p.add_argument("--out")
-        p.add_argument("--dump-ceg")
 
     p = sub.add_parser("build-catalogue", help="build and save a statistics catalogue")
     common(p)
@@ -109,6 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--query", required=True)
     p.add_argument("--catalogue", help="reuse a saved catalogue")
+    p.add_argument("--dump-ceg", help="write the estimation graphs as DOT files")
 
     p = sub.add_parser("gen-workload", help="instantiate a template into a workload")
     common(p)

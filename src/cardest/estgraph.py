@@ -1,15 +1,18 @@
 """Estimation graphs: subqueries as vertices, extension rates as edge weights.
 
-Four builds share one graph type.  Over edge subsets: the optimistic graph
-(average-degree rates from pattern counts) and its cycle-closing-rate variant,
-built one source vertex at a time, each deciding its own out-edges (closing
-rates, merging, early cycle closing) from the connected index sets of q.  Over
-attribute subsets: the max-degree graph whose minimum-weight path is the
-pessimistic bound, and the cover graph induced by a per-relation attribute
-cover (a sub-graph of the max-degree graph).  Attribute-subset graphs
-(`AttrCeg`) are held as move tables, filled from one whole degree table per
-catalogue pattern and expanded per vertex on demand; they are the only
-graphs `min_weight_path` searches, zero-degree moves included.
+Four builds share one graph type, whose out-edges are derived per vertex on
+its first `out` and cached, so an estimate does only the work its paths
+reach.  Over edge subsets: the optimistic graph (average-degree rates from
+pattern counts) and its cycle-closing-rate variant, each source vertex
+deciding its own out-edges (closing rates, merging, early cycle closing) from
+the connected index sets of q; the build itself only checks that every
+statistic a source may read is there.  Over attribute subsets: the
+max-degree graph whose minimum-weight path is the pessimistic bound, and the
+cover graph induced by a per-relation attribute cover (a sub-graph of the
+max-degree graph).  Attribute-subset graphs (`AttrCeg`) are held as move
+tables, filled from one whole degree table per catalogue pattern; they are
+the only graphs `min_weight_path` searches, its moves grouped by X,
+zero-degree moves included.
 
 Every rate is a statistic of an index set of q, read through one
 `catalogue.QueryStats` per build: each build takes a Catalogue, which it
@@ -18,8 +21,9 @@ wraps, or a QueryStats of q, which callers share across builds.
 Every bottom-to-top path yields an estimate: the exact rational product of
 its rates.  Base-2 log weights are carried alongside for the additive view.
 `path_summary` aggregates those estimates per hop count (max, min, sum,
-count, and the DFS-first extreme paths) in one pass over the DAG;
-`iter_paths` / `enumerate_paths` list them one by one.
+count, and the DFS-first extreme paths) in one pass over the DAG, in integer
+numerator/denominator pairs; `iter_paths` / `enumerate_paths` list them one
+by one.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .catalogue import Catalogue, QueryStats
 from .errors import ConfigError, EstimationError, PathOverflowError, QueryValidationError
@@ -88,15 +92,33 @@ def _vkey(vertex: frozenset) -> tuple:
 
 
 class Ceg:
-    """Weighted DAG-ish graph over subquery vertices, frozen after build."""
+    """Weighted DAG-ish graph over subquery vertices, its out-edges derived on demand.
+
+    `out(v)` returns v's out-edges, ordered by destination, then rate, unbound
+    first on ties.  They come from the `adjacency` given, or are derived once,
+    on v's first `out`, by the graph's per-source function `derive` and cached.
+    `sources` lists every vertex `derive` may give out-edges; `all_edges` and
+    `vertices` derive them all first, so a listing never depends on which
+    vertices were visited before it.
+    """
 
     def __init__(self, kind: str, query: QueryGraph, top: frozenset,
-                 adjacency: dict[frozenset, list[CegEdge]]):
+                 adjacency: dict[frozenset, list[CegEdge]],
+                 derive: Callable[[frozenset], list[CegEdge]] | None = None,
+                 sources: Iterable[frozenset] = ()):
         self.kind = kind
         self.query = query
         self.top = top
         self.bottom: frozenset = frozenset()
-        keys: dict[frozenset, tuple] = {}
+        self._derive = derive
+        self._dst_keys: dict[frozenset, tuple] = {}
+        self._adj = {v: self._ordered(edges) for v, edges in adjacency.items()}
+        self._sources = [*self._adj, *sources]
+        self._projections = any(e.kind == PROJECTION for edges in self._adj.values()
+                                for e in edges)
+
+    def _ordered(self, edges: Iterable[CegEdge]) -> tuple[CegEdge, ...]:
+        keys = self._dst_keys
 
         def order(e: CegEdge) -> tuple:  # by destination, then rate, unbound first on ties
             key = keys.get(e.dst)
@@ -104,23 +126,34 @@ class Ceg:
                 key = keys[e.dst] = _vkey(e.dst)
             return (key, e.rate, e.kind != UNBOUND, e.kind, e.provenance)
 
-        self._adj = {v: tuple(sorted(edges, key=order)) for v, edges in adjacency.items()}
+        return tuple(sorted(edges, key=order))
 
     def out(self, vertex: frozenset) -> tuple[CegEdge, ...]:
-        return self._adj.get(vertex, ())
+        got = self._adj.get(vertex)
+        if got is None:
+            got = self._adj[vertex] = self._edges(vertex)
+        return got
+
+    def _edges(self, vertex: frozenset) -> tuple[CegEdge, ...]:
+        """`vertex`'s out-edges, in `out` order, from the per-source function."""
+        return self._ordered(self._derive(vertex)) if self._derive else ()
 
     def all_edges(self) -> Iterator[CegEdge]:
-        for v in sorted(self._adj, key=_vkey):
-            yield from self._adj[v]
+        for v in sorted(self._sources, key=_vkey):
+            yield from self.out(v)
 
     def vertices(self) -> list[frozenset]:
-        seen = set(self._adj)
-        for edges in self._adj.values():
-            seen.update(e.dst for e in edges)
-        return sorted(seen | {self.bottom, self.top}, key=_vkey)
+        seen = {self.bottom, self.top}
+        for v in self._sources:
+            edges = self.out(v)
+            if edges:
+                seen.add(v)
+                seen.update(e.dst for e in edges)
+        return sorted(seen, key=_vkey)
 
     def has_projection_edges(self) -> bool:
-        return any(e.kind == PROJECTION for e in self.all_edges())
+        """Known from how the graph was built; derives no out-edge."""
+        return self._projections
 
 
 # ---------------------------------------------------------------------------
@@ -137,15 +170,21 @@ def build_optimistic(q: QueryGraph, cat: Catalogue | QueryStats, closing: bool =
     from S to S' conditions a size-min(h,|S'|) pattern E on its overlap with S
     and carries rate count(E)/count(E&S).
 
-    The graph is built one source vertex at a time: the empty vertex, then
-    every connected index set of at least min(h, |Q|) edges but the top.  The
-    hops of a source are grouped by target.  With closing=True, a hop that
+    The sources are the empty vertex and every connected index set of at
+    least min(h, |Q|) edges but the top.  Each decides its own out-edges, on
+    its first `out`, so an estimate derives only the sources its paths reach.
+    The hops of a source are grouped by target.  With closing=True, a hop that
     completes a cycle longer than h takes that cycle's sampled closing rate
     instead of its count ratios, or no edge when it adds more than the
     closing edge (the single-edge route still exists).  Parallel edges that
     agree on rate and kind merge, their provenances sorted.  When some
     targets close a cycle the source lacks, only those are kept (early cycle
-    closing).  A source without edges is not stored.
+    closing).
+
+    Every statistic a source may read is resolved here: the count of every
+    connected index set of at most h edges and, with closing=True, the
+    closing rate of every (long cycle, closing edge) pair.  So a missing one
+    raises MissingStatisticError from the build, never from a later `out`.
     """
     stats = QueryStats.of(q, cat)
     m, h = len(q), stats.cat.h
@@ -159,22 +198,27 @@ def build_optimistic(q: QueryGraph, cat: Catalogue | QueryStats, closing: bool =
     elif starts != "all":
         raise ValueError(f"starts must be 'anchored' or 'all', got {starts!r}")
 
-    count = stats.count
+    counts = {s: stats.count(s) for s in patterns}
+    all_cycles = cycles(q).cycles
+    long_cycles = [c for c in all_cycles if len(c) > h] if closing else []
+    closing_rates = {(c, i): stats.closing_rate(c, i) for c in long_cycles for i in sorted(c)}
     ratios: dict[tuple[frozenset, frozenset], tuple[Fraction, tuple]] = {}
 
     def ratio(ext: frozenset, inter: frozenset) -> tuple[Fraction, tuple]:
         got = ratios.get((ext, inter))
         if got is None:
-            c_ext, c_int = count(ext), count(inter)
+            c_ext, c_int = counts[ext], counts[inter]
             got = ratios[ext, inter] = (Fraction(c_ext, c_int) if c_int else Fraction(0),
                                         ("ratio", _vkey(ext), _vkey(inter)))
         return got
 
-    all_cycles = cycles(q).cycles
-    long_cycles = [c for c in all_cycles if len(c) > h] if closing else []
     top = frozenset(range(m))
-    adjacency: dict[frozenset, list[CegEdge]] = {}
-    for src in [frozenset()] + [s for s in lattice if len(s) >= start_size and s != top]:
+    sources = [frozenset()] + [s for s in lattice if len(s) >= start_size and s != top]
+    is_source = set(sources)
+
+    def derive(src: frozenset) -> list[CegEdge]:
+        if src not in is_source:
+            return []
         hops: dict[frozenset, list[tuple[Fraction, tuple]]] = {}
         if src:
             kind = EXTENSION
@@ -187,7 +231,7 @@ def build_optimistic(q: QueryGraph, cat: Catalogue | QueryStats, closing: bool =
                     hops.setdefault(target, []).append(ratio(ext, inter))
         else:
             kind = START
-            hops = {s: [(Fraction(count(s)), ("count", _vkey(s)))] for s in firsts}
+            hops = {s: [(Fraction(counts[s]), ("count", _vkey(s)))] for s in firsts}
 
         edges: dict[frozenset, list[CegEdge]] = {}
         for target, rated in hops.items():
@@ -198,7 +242,7 @@ def build_optimistic(q: QueryGraph, cat: Catalogue | QueryStats, closing: bool =
                 hop_kind, rated = CYCLE_CLOSING, []
                 for c in closable:
                     if c - src == added:
-                        rate, key = stats.closing_rate(c, *added)
+                        rate, key = closing_rates[(c, *added)]
                         rated.append((rate, ("closing", key, tuple(sorted(c)))))
             merged: list[tuple[Fraction, list]] = []
             for rate, prov in rated:  # a list scan: no Fraction is hashed
@@ -211,11 +255,11 @@ def build_optimistic(q: QueryGraph, cat: Catalogue | QueryStats, closing: bool =
             if merged:
                 edges[target] = [CegEdge(src, target, rate, hop_kind, tuple(sorted(provs)))
                                  for rate, provs in merged]
-        if edges:
-            fresh = [c for c in all_cycles if not c <= src]
-            closers = [t for t in edges if any(c <= t for c in fresh)]
-            adjacency[src] = [e for t in (closers or edges) for e in edges[t]]
-    return Ceg("edges", q, top, adjacency)
+        fresh = [c for c in all_cycles if not c <= src]
+        closers = [t for t in edges if any(c <= t for c in fresh)]
+        return [e for t in (closers or edges) for e in edges[t]]
+
+    return Ceg("edges", q, top, {}, derive, sources)
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +295,6 @@ class AttrCeg(Ceg):
         got = self._keys.get(mask)
         if got is None:
             got = self._keys[mask] = tuple(v for v in self._names if mask & self._bit[v])
-        return got
-
-    def out(self, vertex: frozenset) -> tuple[CegEdge, ...]:
-        got = self._adj.get(vertex)
-        if got is None:
-            got = self._adj[vertex] = self._edges(vertex)
         return got
 
     def _edges(self, vertex: frozenset, dst: frozenset | None = None) -> tuple[CegEdge, ...]:
@@ -344,33 +382,31 @@ def build_cover(q: QueryGraph, cat: Catalogue | QueryStats,
 # ---------------------------------------------------------------------------
 
 def count_paths(ceg: Ceg) -> int:
-    memo: dict[frozenset, int] = {}
+    return _count_paths(ceg.out, {ceg.top: 1}, ceg.bottom)
 
-    def rec(v: frozenset) -> int:
-        if v == ceg.top:
-            return 1
-        got = memo.get(v)
-        if got is None:
-            got = sum(rec(e.dst) for e in ceg.out(v))
-            memo[v] = got
-        return got
 
-    return rec(ceg.bottom)
+def _count_paths(out: Callable[[frozenset], tuple[CegEdge, ...]],
+                 memo: dict[frozenset, int], v: frozenset) -> int:
+    got = memo.get(v)
+    if got is None:
+        got = memo[v] = sum(_count_paths(out, memo, e.dst) for e in out(v))
+    return got
 
 
 def iter_paths(ceg: Ceg) -> Iterator[PathEstimate]:
     """All simple bottom-to-top paths in deterministic order (DFS)."""
     if ceg.has_projection_edges():
         raise ValueError("path enumeration needs an extension-only graph")
+    yield from _walk_paths(ceg.out, ceg.top, ceg.bottom, (), Fraction(1))
 
-    def walk(v: frozenset, edges: tuple[CegEdge, ...], prod: Fraction) -> Iterator[PathEstimate]:
-        if v == ceg.top:
-            yield PathEstimate(edges, prod)
-            return
-        for e in ceg.out(v):
-            yield from walk(e.dst, edges + (e,), prod * e.rate)
 
-    yield from walk(ceg.bottom, (), Fraction(1))
+def _walk_paths(out: Callable[[frozenset], tuple[CegEdge, ...]], top: frozenset,
+                v: frozenset, edges: tuple[CegEdge, ...], prod: Fraction) -> Iterator[PathEstimate]:
+    if v == top:
+        yield PathEstimate(edges, prod)
+        return
+    for e in out(v):
+        yield from _walk_paths(out, top, e.dst, edges + (e,), prod * e.rate)
 
 
 def enumerate_paths(ceg: Ceg, cap: int = DEFAULT_PATH_CAP) -> list[PathEstimate]:
@@ -389,18 +425,23 @@ class PathSummary:
     """Aggregates over every bottom-to-top path of a Ceg, from one memoized pass.
 
     For each vertex v and hop count k, `rows[v][k]` holds the exact max, min
-    and sum of the rate products of the k-hop suffixes v -> top, their count,
-    and the index in `ceg.out(v)` of the first out-edge reaching the max, the
-    first reaching the min, and the first with any k-hop suffix at all.  These
-    are the algebraic path sums of the DAG (Mohri, "Semiring frameworks and
-    algorithms for shortest-distance problems", 2002) in several semirings at
-    once; `iter_paths` lists the same paths one by one.
+    and sum of the rate products of the k-hop suffixes v -> top, each as a
+    reduced (numerator, denominator) pair of ints, their count, and the index
+    in `ceg.out(v)` of the first out-edge reaching the max, the first reaching
+    the min, and the first with any k-hop suffix at all.  These are the
+    algebraic path sums of the DAG (Mohri, "Semiring frameworks and algorithms
+    for shortest-distance problems", 2002) in several semirings at once;
+    `iter_paths` lists the same paths one by one.  `count`, `total` and
+    `extreme` hand the values out as Fractions, made once per summary from
+    bottom's rows: readers such as the 3x3 heuristics share one summary.
     """
 
     def __init__(self, ceg: Ceg, rows: dict[frozenset, dict[int, HopRow]]):
         self.ceg = ceg
         self.rows = rows
         self._bottom = rows[ceg.bottom]
+        self._values = {k: tuple(Fraction(*row[slot]) for slot in (_MAX, _MIN, _SUM))
+                        for k, row in self._bottom.items()}   # indexed by slot
         self.hop_counts: tuple[int, ...] = tuple(sorted(self._bottom))  # ascending
 
     def count(self, hops: int | None = None) -> int:
@@ -412,8 +453,8 @@ class PathSummary:
     def total(self, hops: int | None = None) -> Fraction:
         """Sum of the path estimates with `hops` hops (every path when None)."""
         if hops is not None:
-            return self._bottom[hops][_SUM]
-        return sum((row[_SUM] for row in self._bottom.values()), Fraction(0))
+            return self._values[hops][_SUM]
+        return sum((values[_SUM] for values in self._values.values()), Fraction(0))
 
     def extreme(self, largest: bool, hops: int | None = None) -> PathEstimate:
         """The first path in `iter_paths` order whose estimate is the max (or min)
@@ -421,7 +462,7 @@ class PathSummary:
         slot = _MAX if largest else _MIN
         if hops is not None:
             return self._walk(hops, slot)[1]
-        values = [(row[slot], k) for k, row in self._bottom.items()]
+        values = [(values[slot], k) for k, values in self._values.items()]
         target = max(values)[0] if largest else min(values)[0]
         walks = [self._walk(k, slot) for value, k in values if value == target]
         return min(walks, key=lambda walk: walk[0])[1]
@@ -437,7 +478,7 @@ class PathSummary:
         """
         ceg, rows = self.ceg, self.rows
         v = ceg.bottom
-        value = self._bottom[hops][slot]
+        value = self._values[hops][slot]
         pointer = _ARGMAX if slot == _MAX else _ARGMIN
         picks: list[int] = []
         edges: list[CegEdge] = []
@@ -459,40 +500,60 @@ def path_summary(ceg: Ceg) -> PathSummary:
 
     Agrees exactly with aggregating `iter_paths(ceg)`, without listing the
     paths: the work is one step per (edge, hop count) pair, not per path.
+    It reads `out` only for the vertices bottom reaches.
     """
     if ceg.has_projection_edges():
         raise ValueError("path summaries need an extension-only graph")
-    one = Fraction(1)
+    one = (1, 1)
     rows: dict[frozenset, dict[int, HopRow]] = {ceg.top: {0: [one, one, one, 1, -1, -1, -1]}}
-
-    def visit(v: frozenset) -> dict[int, HopRow]:
-        got = rows.get(v)
-        if got is not None:
-            return got
-        got = {}
-        for i, e in enumerate(ceg.out(v)):
-            rate = e.rate
-            for k, (mx, mn, total, n, _, _, _) in visit(e.dst).items():
-                # a row built from a single suffix holds one object in its max,
-                # min and sum slots, so that product is computed once
-                hi = rate * mx
-                lo = hi if mn is mx else rate * mn
-                part = hi if total is mx else rate * total
-                row = got.get(k + 1)
-                if row is None:
-                    got[k + 1] = [hi, lo, part, n, i, i, i]
-                    continue
-                if hi > row[_MAX]:
-                    row[_MAX], row[_ARGMAX] = hi, i
-                if lo < row[_MIN]:
-                    row[_MIN], row[_ARGMIN] = lo, i
-                row[_SUM] += part
-                row[_COUNT] += n
-        rows[v] = got
-        return got
-
-    visit(ceg.bottom)
+    _summarize(ceg.out, rows, ceg.bottom)
     return PathSummary(ceg, rows)
+
+
+def _reduced(value: tuple[int, int]) -> tuple[int, int]:
+    """A (numerator, denominator) pair in lowest terms."""
+    n, d = value
+    g = math.gcd(n, d)
+    return (n // g, d // g) if g > 1 else value
+
+
+def _summarize(out: Callable[[frozenset], tuple[CegEdge, ...]],
+               rows: dict[frozenset, dict[int, HopRow]], v: frozenset) -> dict[int, HopRow]:
+    """v's rows, after those of every vertex it reaches (a module function, so
+    the recursion leaves no closure cycle holding the graph)."""
+    got: dict[int, HopRow] = {}
+    for i, e in enumerate(out(v)):
+        rn, rd = e.rate.numerator, e.rate.denominator
+        suffixes = rows.get(e.dst)
+        if suffixes is None:
+            suffixes = _summarize(out, rows, e.dst)
+        for k, (mx, mn, total, n, _, _, _) in suffixes.items():
+            # a row built from a single suffix holds one pair in its max, min
+            # and sum slots, so that product is computed once
+            hi = (rn * mx[0], rd * mx[1])
+            lo = hi if mn is mx else (rn * mn[0], rd * mn[1])
+            part = hi if total is mx else (rn * total[0], rd * total[1])
+            row = got.get(k + 1)
+            if row is None:
+                got[k + 1] = [hi, lo, part, n, i, i, i]
+                continue
+            best = row[_MAX]
+            if hi[0] * best[1] > best[0] * hi[1]:
+                row[_MAX], row[_ARGMAX] = hi, i
+            best = row[_MIN]
+            if lo[0] * best[1] < best[0] * lo[1]:
+                row[_MIN], row[_ARGMIN] = lo, i
+            sn, sd = row[_SUM]
+            row[_SUM] = ((sn + part[0], sd) if sd == part[1]
+                         else (sn * part[1] + part[0] * sd, sd * part[1]))
+            row[_COUNT] += n
+    for row in got.values():  # each finished row is reduced once
+        mx, mn, total = row[_MAX], row[_MIN], row[_SUM]
+        row[_MAX] = first = _reduced(mx)
+        row[_MIN] = first if mn is mx else _reduced(mn)
+        row[_SUM] = first if total is mx else _reduced(total)
+    rows[v] = got
+    return got
 
 
 def min_weight_path(ceg: AttrCeg) -> PathEstimate:
@@ -507,19 +568,39 @@ def min_weight_path(ceg: AttrCeg) -> PathEstimate:
     toward the first-listed edge, so an unbound edge beats a bound one of the
     same rate.  Degrees are integers, and so are the weights.  Any other graph
     raises ValueError.
+
+    The de-duplicated moves are grouped by X, and each pop tests a group's X
+    once and pushes only the cheapest move into each target.  No move is
+    dropped as dominated.  So the pops, and the result, do not depend on the
+    order the moves are pushed in: with every degree positive, the result is
+    the minimum (weight, vertex-key sequence) path.
     """
     if not isinstance(ceg, AttrCeg):
         raise ValueError("min_weight_path searches max-degree and cover graphs only")
     cheapest: dict[tuple[int, int], int] = {}
     for xm, ym, deg, _ in ceg.moves:
         cheapest[xm, ym] = min(deg, cheapest.get((xm, ym), deg))
-    moves = [(xm, ym, deg) for (xm, ym), deg in cheapest.items()]
+    by_x: dict[int, list[tuple[int, int]]] = {}
+    for (xm, ym), deg in cheapest.items():
+        by_x.setdefault(xm, []).append((ym, deg))
+    groups = list(by_x.items())
     bits = list(ceg._bit.values()) if ceg._projections else []
     key_of, goal = ceg._key, (1 << len(ceg._bit)) - 1
 
-    def step(w: int) -> list[tuple[int, int]]:
-        return [(w | ym, deg) for xm, ym, deg in moves if xm & w == xm and ym & ~w] + [
-                (w & ~b, 1) for b in bits if w & b]
+    def step(w: int) -> dict[int, int]:
+        """The cheapest rate from w into each vertex one move away."""
+        reach: dict[int, int] = {}
+        for xm, group in groups:
+            if xm & w == xm:
+                for ym, deg in group:
+                    if ym & ~w:
+                        dst = w | ym
+                        if deg < reach.get(dst, deg + 1):
+                            reach[dst] = deg
+        for b in bits:
+            if w & b:
+                reach[w & ~b] = 1
+        return reach
 
     counter = 0  # breaks exact heap ties before unorderable vertices
     heap: list[tuple] = [(1, (key_of(0),), counter, 0)]
@@ -534,7 +615,7 @@ def min_weight_path(ceg: AttrCeg) -> PathEstimate:
             path = [frozenset(k) for k in keys]
             return PathEstimate(tuple(ceg._edges(v, w)[0] for v, w in zip(path, path[1:])),
                                 Fraction(weight))
-        for dst, rate in step(vertex):
+        for dst, rate in step(vertex).items():
             if dst in settled:
                 continue
             total = weight * rate

@@ -227,6 +227,20 @@ def test_dump_ceg(tmp_path, capsys):
     assert os.path.exists(tmp_path / "ceg.maxdeg.dot")
 
 
+@pytest.mark.parametrize("command", ["eval", "build-catalogue"])
+def test_dump_ceg_is_an_estimate_flag_only(tmp_path, capsys, command):
+    # other commands used to accept the flag, exit 0 and write no file
+    workload = tmp_path / "w.txt"
+    workload.write_text(open(fixture_path("q3p.query")).read())
+    dot = tmp_path / "ceg.dot"
+    with pytest.raises(SystemExit) as exited:
+        run_cli(command, "--graph", fixture_path("f1.edges"), "--workload", str(workload),
+                "--out", str(tmp_path / "out"), "--dump-ceg", str(dot))
+    assert exited.value.code == 2
+    assert "--dump-ceg" in capsys.readouterr().err
+    assert not dot.exists() and not (tmp_path / "out").exists()
+
+
 def test_dump_ceg_writes_closing_graph_for_closing_methods(tmp_path, capsys):
     query = tmp_path / "square.query"
     query.write_text("a0 -P-> a1\na1 -Q-> a2\na2 -R-> a3\na3 -S-> a0\n")

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from cardest.catalogue import build_catalogue, closing_spec
+from cardest import estimators
+from cardest.catalogue import build_catalogue, canonical_form, closing_spec
 from cardest.errors import EstimationError, MissingStatisticError, PathOverflowError
 from cardest.estgraph import (EXTENSION, Ceg, CegEdge, PathEstimate, build_cover,
                               build_maxdeg, build_optimistic, count_paths,
@@ -16,7 +19,8 @@ from cardest.estimators import (ALL_CHOICES, KIND_AVG, KIND_CLOSING, HeuristicCh
 from cardest.estimators import estimate_molp
 from cardest.graphstore import LabeledGraph
 from cardest.oracle import count_hom
-from cardest.querymodel import cycles, instantiate_template, parse_query
+from cardest.querymodel import (connected_index_sets, cycles, index_pattern,
+                                instantiate_template, parse_query)
 
 from _summary_check import summary_mismatches
 from _synth import random_graph, tree_template
@@ -234,6 +238,20 @@ def test_summary_equals_enumeration_on_fixtures(fork_graph, q5f, q3p):
                         (want.exact, want.considered_paths, want.chosen_path)
 
 
+@pytest.mark.parametrize("read", [path_summary, count_paths, enumerate_paths])
+def test_path_passes_leave_no_reference_cycle_holding_the_graph(fork_graph, q5f, read):
+    # a graph derives its out-edges on demand, so it holds their statistics
+    ceg = build_optimistic(q5f, _cat(fork_graph, [q5f]))
+    gone = weakref.ref(ceg)
+    gc.disable()
+    try:
+        read(ceg)
+        del ceg
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
 def test_optimistic_estimates_have_no_path_cap(fork_graph, q5f):
     # 36 paths against a cap of 10: only the path-listing estimators overflow
     cat = _cat(fork_graph, [q5f])
@@ -354,6 +372,78 @@ def test_ocr_missing_closing_rate_raises():
     cat.closing.clear()
     with pytest.raises(MissingStatisticError):
         build_optimistic(SQUARE, cat, closing=True)
+
+
+# ---------------------------------------------------------------------------
+# On-demand out-edges and the statistics checked at build time
+# ---------------------------------------------------------------------------
+
+STAR4 = parse_query("a0 -A-> a1\na0 -B-> a2\na0 -A-> a3\na0 -B-> a4")
+PATH4 = parse_query("a1 -A-> a2\na2 -B-> a3\na3 -A-> a4\na4 -B-> a5")
+
+
+def _recording(ceg: Ceg, derived: list) -> Ceg:
+    derive = ceg._derive
+    ceg._derive = lambda v: derived.append(v) or derive(v)
+    return ceg
+
+
+def test_estimate_derives_only_the_vertices_its_summary_visits(monkeypatch):
+    g = random_graph(30, 150, 2, seed=11)
+    cat = _cat(g, [STAR4])
+    derived: list = []
+    monkeypatch.setattr(estimators, "build_optimistic",
+                        lambda *a, **kw: _recording(build_optimistic(*a, **kw), derived))
+    estimate_optimistic(STAR4, cat, KIND_AVG, HeuristicChoice("max-hop", "max-aggr"))
+    fresh = build_optimistic(STAR4, cat)
+    visited = set(path_summary(fresh).rows) - {fresh.top}
+    assert len(derived) == len(set(derived)) and set(derived) == visited
+    # the anchored start {0, 1} reaches only its supersets
+    assert all(v >= frozenset({0, 1}) for v in visited if v)
+    sources = {e.src for e in fresh.all_edges()}
+    assert len(visited) < len(sources) == 11   # the empty vertex and 6 + 4 index sets
+    unforced: list = []
+    assert not _recording(build_optimistic(STAR4, cat), unforced).has_projection_edges()
+    assert unforced == []
+
+
+def _required_keys(q, h: int, closing: bool) -> list[tuple[str, str]]:
+    """(catalogue field, key) of every statistic `build_optimistic` checks."""
+    keys = [("counts", canonical_form(index_pattern(q, s))[0])
+            for s in connected_index_sets(q, h)]
+    if closing:
+        keys += [("closing", closing_spec(q, c, i).key())
+                 for c in cycles(q).longer_than(h) for i in sorted(c)]
+    return keys
+
+
+def test_build_raises_for_any_one_missing_statistic_and_later_reads_never_do(
+        fork_graph, q5f, q3p):
+    squares = _square_graph(4, 2)
+    cases = [(fork_graph, q5f, 2, False), (fork_graph, q5f, 3, False),
+             (fork_graph, PATH4, 2, False), (squares, SQUARE, 3, True),
+             (squares, SQUARE, 3, False)]
+    for g, q, h, closing in cases:
+        # another query's statistics too, so some deletions leave q's intact
+        cat = _cat(g, [q, q3p, STAR4], h=h, walk_budget=None)
+        required = set(_required_keys(q, h, closing))
+        entries = [(field, key) for field in ("counts", "closing")
+                   for key in sorted(getattr(cat, field))]
+        assert required < set(entries)
+        for field, key in entries:
+            table = getattr(cat, field)
+            value = table.pop(key)
+            try:
+                if (field, key) in required:
+                    with pytest.raises(MissingStatisticError):
+                        build_optimistic(q, cat, closing=closing)
+                    continue
+                ceg = build_optimistic(q, cat, closing=closing)
+                path_summary(ceg)
+                list(iter_paths(ceg))
+                list(ceg.all_edges())
+            finally:
+                table[key] = value
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,13 @@ from __future__ import annotations
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from cardest.catalogue import (QueryStats, _rows_table, _key_to_query,  # noqa: E402
                                build_catalogue, partition_catalogues)
 from cardest.errors import SketchPlanError  # noqa: E402
+from cardest.estgraph import build_maxdeg, iter_paths, min_weight_path  # noqa: E402
 from cardest.estimators import estimate_molp  # noqa: E402
 from cardest.graphstore import LabeledGraph  # noqa: E402
 from cardest.oracle import count_hom, matches  # noqa: E402
@@ -94,6 +95,19 @@ def test_catalogue_tables_equal_nested_loop_tables(g, q):
 def test_molp_bound_is_at_least_the_truth(g, q, h):
     cat = build_catalogue(g, [q], h, walk_budget=10)
     assert estimate_molp(q, cat).exact >= nested_loop_count(g, q)
+
+
+@settings(SETTINGS, max_examples=100)
+@given(g=graphs(min_edges=6), q=queries(max_edges=5, labels=GRAPH_LABELS))
+def test_bound_path_is_the_first_lightest_smallest_path_in_enumeration(g, q):
+    # the path a sketch partitions on: min_weight_path must return the same
+    # edges as enumeration, not only the same weight
+    assume(len(q.vars) <= 4)
+    ceg = build_maxdeg(q, build_catalogue(g, [q], 2, walk_budget=10))
+    assume(all(deg for _, _, deg, _ in ceg.moves))   # every pattern has matches
+    want = min(iter_paths(ceg), key=lambda p: (p.estimate,
+                                               [tuple(sorted(v)) for v in p.vertices()]))
+    assert min_weight_path(ceg).edges == want.edges
 
 
 @settings(SETTINGS, max_examples=100)
