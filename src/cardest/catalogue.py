@@ -11,23 +11,26 @@ resolves each connected index set of at most h edges, on first use, to its
 count and its whole degree table under the query's own variable names, and
 each (cycle, closing edge) to its closing rate.
 
-`build_catalogue` fills the table of a one-edge pattern, and of a two-edge
-pattern over three variables (every pattern with two edges except parallel
-and antiparallel pairs), from the graph's per-label adjacency maps without
-listing a match row.  Every other pattern, and `partition_catalogues`, lists
-the pattern's distinct match rows and projects them onto each variable subset.
+One table kernel serves `build_catalogue` and `partition_catalogues`.  It
+fills the table of a one-edge pattern, and of a two-edge pattern over three
+variables (every pattern with two edges except parallel and antiparallel
+pairs), from per-label adjacency maps without listing a match row: the
+graph's own maps, or, for a sketch component, those maps split by the hash
+buckets of the sketched variables.  Every other pattern lists its distinct
+match rows (grouped by bucket for a component) and projects them onto each
+variable subset.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain, permutations, product
+from functools import lru_cache, partial
+from itertools import chain, compress, permutations, product
 from operator import itemgetter, mul
-from typing import IO, Collection, Iterable, Mapping, Sequence
+from typing import IO, Callable, Collection, Iterable, Mapping, Sequence
 
 from . import oracle
 from .errors import (CatalogueFormatError, ConfigError, MissingStatisticError,
@@ -40,6 +43,7 @@ FORMAT_VERSION = 1
 
 Pattern = tuple[tuple[str, str, str], ...]  # (srcVar, dstVar, label) triples
 DegreeTable = dict[tuple[tuple[str, ...], tuple[str, ...]], int]  # (X, Y) -> deg(X, Y)
+Adjacency = Callable[[QEdge, str], Mapping[int, list[int]]]  # (edge, side) -> sorted lists
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +329,8 @@ def build_catalogue(
     cat = Catalogue(h=h)
     for key in sorted(keys):
         rep = _key_to_query(key)
-        table = _pattern_table(g, rep)
+        table = _pattern_table(lambda e, side: g.adjacency(e.label, side), rep,
+                               lambda: set(oracle.matches(g, rep)))
         cat.counts[key] = table[_deg_entry_key((), range(len(rep.vars)))]
         cat.deg_stats[key] = table
 
@@ -354,27 +359,36 @@ def check_walk_budget(walk_budget: int | None) -> None:
         raise ConfigError(f"walk budget must be >= 1 (None: exact rates), got {walk_budget}")
 
 
-def _pattern_table(g: LabeledGraph, rep: QueryGraph) -> dict[str, int]:
-    """deg(X, Y) of the representative on g: from the adjacency maps for one
-    edge or two edges over three variables, from its match rows otherwise."""
+def _pattern_table(adjacency: Adjacency, rep: QueryGraph,
+                   rows: Callable[[], Collection[tuple[int, ...]]]) -> dict[str, int]:
+    """deg(X, Y) of rep's edges over the neighbour maps `adjacency` gives them,
+    for one edge or two edges over three variables, else over `rows()`, the
+    distinct matches of rep in rep.vars order."""
+    if not _reads_adjacency(rep):
+        return _rows_table(rep, rows())
     if len(rep.edges) == 1:
         e = rep.edges[0]
-        out, inc = g.adjacency(e.label, SRC), g.adjacency(e.label, DST)
+        out, inc = adjacency(e, SRC), adjacency(e, DST)
+        lens = list(map(len, out.values()))
         s, d = (1 << rep.vars.index(v) for v in e.vars())
-        return _table_from_masks(2, g.label_count(e.label), {
-            (0, s): len(out), (s, s | d): _top(map(len, out.values())),
+        return _table_from_masks(2, sum(lens), {
+            (0, s): len(out), (s, s | d): _top(lens),
             (0, d): len(inc), (d, s | d): _top(map(len, inc.values()))})
-    if len(rep.edges) == 2 and len(rep.vars) == 3:
-        return _two_edge_table(g, rep)
-    return _rows_table(rep, set(oracle.matches(g, rep)))
+    return _two_edge_table(adjacency, rep)
 
 
-def _two_edge_table(g: LabeledGraph, rep: QueryGraph) -> dict[str, int]:
+def _reads_adjacency(rep: QueryGraph) -> bool:
+    """Whether rep's table comes from neighbour maps: one edge, or two edges
+    over three variables (not two edges on one variable pair)."""
+    return len(rep.edges) == 1 or (len(rep.edges) == 2 and len(rep.vars) == 3)
+
+
+def _two_edge_table(adjacency: Adjacency, rep: QueryGraph) -> dict[str, int]:
     """The table of a two-edge pattern a - m - c (each edge either way) from
     the neighbour lists of each middle vertex m over the two edges, A[m] and
     C[m]: its rows, (a, m, c) for a in A[m] and c in C[m], are never listed."""
     (m,) = set(rep.edges[0].vars()) & set(rep.edges[1].vars())
-    adjs = [g.adjacency(e.label, SRC if e.src == m else DST) for e in rep.edges]
+    adjs = [adjacency(e, SRC if e.src == m else DST) for e in rep.edges]
     ends = [1 << rep.vars.index(e.dst if e.src == m else e.src) for e in rep.edges]
     mid = 1 << rep.vars.index(m)
     ac, full = ends[0] | ends[1], ends[0] | ends[1] | mid
@@ -405,16 +419,9 @@ def _table_from_masks(n: int, count: int,
     """A table in `_rows_table`'s key order from `values`, deg(X, Y) keyed
     by the bitmasks of X and Y over the n variables; deg(∅, all) is `count`
     and deg(X, X) is 1 when there is a match."""
-    table: dict[str, int] = {}
     full = (1 << n) - 1
-    for y, xs, keys in _table_layout(n):
-        y_mask = sum(1 << i for i in y)
-        for x, key in zip(xs, keys):
-            x_mask = sum(1 << i for i in x)
-            table[key] = (min(count, 1) if x_mask == y_mask
-                          else count if y_mask == full and not x_mask
-                          else values[x_mask, y_mask])
-    return table
+    return {key: (min(count, 1) if x == y else count if y == full and not x else values[x, y])
+            for key, x, y in _mask_layout(n)}
 
 
 def _rows_table(rep: QueryGraph, rows: Collection[tuple[int, ...]]) -> dict[str, int]:
@@ -433,44 +440,94 @@ def _table_layout(n: int) -> tuple[tuple[tuple, list[tuple], tuple[str, ...]], .
                  for y in subsets(range(n)) for xs in [subsets(y)])
 
 
+@lru_cache(maxsize=None)
+def _mask_layout(n: int) -> tuple[tuple[str, int, int], ...]:
+    """`_table_layout(n)` flattened: each entry key with the bitmasks of its X and Y."""
+    return tuple((key, sum(1 << i for i in x), sum(1 << i for i in y))
+                 for y, xs, keys in _table_layout(n) for x, key in zip(xs, keys))
+
+
 def partition_catalogues(g: LabeledGraph, q: QueryGraph, h: int,
                          parts: Sequence[Mapping[str, int]],
                          part_of: Mapping[int, int]) -> list[QueryStats]:
     """q's counts and degree tables on each part of g's matches of q, one
     QueryStats per part, without closing rates.
 
-    Part j keeps the rows whose variables v in parts[j] (every part names the
-    same variables) bind vertices x with part_of[x] == parts[j][v] (`part_of`
-    may fill itself on a miss, as `sketch.BucketMemo` does).  Each connected
-    index set of at most h edges is matched once, with q's own edges, and its
-    rows are grouped by those values; each group a part reads gets one degree
-    table, so an index set without such a variable has one table for every
-    part, and an empty group the all-zero table.
+    Part j keeps the matches whose variables v in parts[j] (every part names
+    the same variables) bind vertices x with part_of[x] == parts[j][v]
+    (`part_of` may fill itself on a miss, as `sketch.BucketMemo` does).  Each
+    connected index set of at most h edges gets one degree table per distinct
+    group of those values that a part reads, so an index set without such a
+    variable has one table for every part, and an empty group the all-zero
+    table.  The tables come from the kernel `build_catalogue` uses: one edge,
+    or two edges over three variables, read g's label adjacency maps, each
+    split once per call into cells by the buckets of its sketched ends (a
+    neighbour list keeps, in order, the neighbours in the cell's bucket, and a
+    vertex left without one is dropped); any other index set is matched once,
+    with q's own edges, and its rows grouped.
     """
     stats = [QueryStats(q, Catalogue(h=h)) for _ in parts]
+    splits: dict[tuple[str, str, bool, bool], dict] = {}
+
+    def cell(part: Mapping[str, int], e: QEdge, side: str) -> Mapping[int, list[int]]:
+        """e's neighbour map at `side` in part's buckets of e's ends."""
+        near, far = (part.get(v) for v in (e.vars() if side == SRC else e.vars()[::-1]))
+        if near is None and far is None:
+            return g.adjacency(e.label, side)
+        key = e.label, side, near is not None, far is not None
+        if key not in splits:
+            splits[key] = _split_adjacency(g.adjacency(e.label, side), part_of, *key[2:])
+        return splits[key].get((near, far), {})
+
     for s in connected_index_sets(q, h):
         sub = QueryGraph([q.edges[i] for i in sorted(s)])
-        split = [(p, v) for p, v in enumerate(sub.vars) if v in parts[0]]
-        rows = oracle.matches(g, sub)
-        groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {(): rows}
-        if split:
-            groups = {}
-            row_groups = zip(*[map(part_of.__getitem__, map(itemgetter(p), rows))
-                               for p, _ in split])
-            for group, row in zip(row_groups, rows):
-                groups.setdefault(group, []).append(row)
+        sketched = [(p, v) for p, v in enumerate(sub.vars) if v in parts[0]]
+        groups = {} if _reads_adjacency(sub) else \
+            _group_rows(oracle.matches(g, sub), [p for p, _ in sketched], part_of)
         tables: dict[tuple[int, ...], tuple[int, DegreeTable]] = {}
         # each table's entries come in `_table_layout` order: key them once by names
         named = {x: tuple(sorted(sub.vars[i] for i in x)) for x in subsets(range(len(sub.vars)))}
         keys = [(named[x], named[y]) for y, xs, _ in _table_layout(len(sub.vars)) for x in xs]
         for st, part in zip(stats, parts):
-            group = tuple(part[v] for _, v in split)
+            group = tuple(part[v] for _, v in sketched)
             got = tables.get(group)
             if got is None:
-                table = dict(zip(keys, _rows_table(sub, groups.get(group, [])).values()))
+                entries = _pattern_table(partial(cell, part), sub, partial(groups.get, group, []))
+                table = dict(zip(keys, entries.values()))
                 got = tables[group] = table[(), tuple(sorted(sub.vars))], table
             st._counts[s], st._tables[s] = got
     return stats
+
+
+def _split_adjacency(adj: Mapping[int, list[int]], part_of: Mapping[int, int],
+                     by_near: bool, by_far: bool) -> Mapping[tuple, dict[int, list[int]]]:
+    """adj's cells keyed by (near bucket, far bucket): part_of of the keyed
+    vertex when `by_near` and of each neighbour when `by_far`, else None."""
+    cells: defaultdict[tuple, dict[int, list[int]]] = defaultdict(dict)
+    bucket = part_of.__getitem__
+    for u, nbrs in adj.items():
+        near = bucket(u) if by_near else None
+        if not by_far:
+            cells[near, None][u] = nbrs
+        elif len(nbrs) == 1:
+            cells[near, bucket(nbrs[0])][u] = nbrs
+        else:
+            fars = list(map(bucket, nbrs))
+            for far in set(fars):
+                cells[near, far][u] = list(compress(nbrs, map(far.__eq__, fars)))
+    return cells
+
+
+def _group_rows(rows: list[tuple[int, ...]], positions: Sequence[int],
+                part_of: Mapping[int, int]) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """`rows` grouped by the part_of values at `positions`, in row order."""
+    if not positions:
+        return {(): rows}
+    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    row_groups = zip(*[map(part_of.__getitem__, map(itemgetter(p), rows)) for p in positions])
+    for group, row in zip(row_groups, rows):
+        groups.setdefault(group, []).append(row)
+    return groups
 
 
 def add_closing_rates(cat: Catalogue, g: LabeledGraph, workload: Sequence[QueryGraph],

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: build-catalogue, estimate, gen-workload, oracle-count, eval.
-A key=value config file can seed any flag; explicit flags win.  All
+A key=value config file can seed any flag of the subcommand; explicit flags
+win, and a key the subcommand does not register is a ConfigError.  All
 randomness flows from --seed.
 """
 
@@ -134,9 +135,12 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
         return
     explicit = {a.split("=", 1)[0].lstrip("-").replace("_", "-")
                 for a in argv if a.startswith("--")}
+    flags = vars(args).keys() - {"config", "command"}  # the subcommand's own flags
     for key, value in _read_config(args.config).items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr) or key in explicit:
+        if attr not in flags:
+            raise ConfigError(f"{args.config}: {key} is not a flag of {args.command}")
+        if key in explicit:
             continue
         current = getattr(args, attr)
         if isinstance(current, bool):

@@ -10,13 +10,16 @@ counts add up to the original.
 A component's matches of a subquery are exactly the full-graph matches whose
 sketched variables hash to that component's buckets.  So, as in the original
 bound sketch (Cai, Balazinska & Suciu, SIGMOD 2019), the component statistics
-come from one match of each connected subquery of at most h edges on the full
-graph, its rows grouped by those buckets: `catalogue.partition_catalogues`
-returns one `QueryStats` of q per component, its counts and degree tables
-filled in, and no component graph is built for them.  Component graphs are
-split from the full graph only when read: for closing rates, which a path
-with a cycle-closing edge needs, and by callers of `make_sketch`.  A
-component's graph labels each edge by its query edge, `e{i}`, as does the
+are those of the full graph's relations restricted to one bucket per
+sketched attribute: `catalogue.partition_catalogues` returns one
+`QueryStats` of q per component, its counts and degree tables filled in from
+the label adjacency maps split by bucket (one edge, or two edges over three
+variables) or from one full-graph match of the subquery with its rows
+grouped by bucket (any other connected subquery of at most h edges), and no
+component graph is built for them.  Component graphs are split from the
+full graph only when read: for closing rates, which a path with a
+cycle-closing edge needs, and by callers of `make_sketch`.  A component's
+graph labels each edge by its query edge, `e{i}`, as does the
 component's query, so the closing rates are sampled and keyed under those
 tags.  Each vertex is hashed at most once per plan.
 
@@ -209,10 +212,10 @@ def estimate_with_sketch(q: QueryGraph, g: LabeledGraph, k: int, base: str,
     q) when given; one built from another graph or at another h raises
     ConfigError, one without q's patterns MissingStatisticError, and
     closing-rate plans use its closing rates.  Without one, a catalogue of q
-    alone is built from g.  Component counts and degree tables come from
-    grouped full-graph matches (`catalogue.partition_catalogues`); only a
-    fixed path with a cycle-closing edge also samples closing rates on each
-    component's graph.
+    alone is built from g.  Component counts and degree tables come from the
+    full graph's adjacency maps split by bucket, or its grouped matches
+    (`catalogue.partition_catalogues`); only a fixed path with a
+    cycle-closing edge also samples closing rates on each component's graph.
     """
     if catalogue is None:
         catalogue = build_catalogue(g, [q], h, walk_budget=walk_budget, seed=seed)

@@ -186,6 +186,23 @@ def test_config_value_that_is_not_a_number_exits_with_parse_code(tmp_path, capsy
     assert "h needs a number, got 'abc'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, key", [("estimate", "walk-budgett"), ("eval", "dump-ceg")])
+def test_config_key_the_subcommand_does_not_register_exits_with_parse_code(
+        tmp_path, capsys, command, key):
+    # such a key used to be skipped: the run exited 0 without it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}=5\n")
+    workload = tmp_path / "w.txt"
+    workload.write_text(open(fixture_path("q3p.query")).read())
+    inputs = {"estimate": ["--query", fixture_path("q3p.query"), "--methods", "bound"],
+              "eval": ["--workload", str(workload), "--out", str(tmp_path / "out")]}
+    code = run_cli("--config", str(cfg), command, "--graph", fixture_path("f1.edges"),
+                   *inputs[command])
+    assert code == 4
+    assert f"{key} is not a flag of {command}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("budget", ["0", "-3"])
 def test_walk_budget_below_one_exits_with_parse_code(tmp_path, capsys, budget):
     # the square is longer than h=2, so the catalogue would sample closing walks

@@ -126,16 +126,18 @@ def test_sketch_components_sum_to_the_truth(g, q):
 @settings(SETTINGS, max_examples=100)
 @given(g=graphs(max_vertices=8, min_edges=10, max_edges=30),
        q=queries(max_edges=5, labels=GRAPH_LABELS), k=st.sampled_from([4, 9]),
-       seed=st.integers(0, 7))
-def test_grouped_statistics_equal_component_catalogues(g, q, k, seed):
-    path = estimate_molp(q, build_catalogue(g, [q], 2, walk_budget=10)).chosen_path
+       seed=st.integers(0, 7), h=st.sampled_from([2, 3]))
+def test_grouped_statistics_equal_component_catalogues(g, q, k, seed, h):
+    # h=2 reads only split adjacency maps (bar antiparallel pairs); h=3 also
+    # groups the match rows of three-edge index sets
+    path = estimate_molp(q, build_catalogue(g, [q], h, walk_budget=10)).chosen_path
     try:
         plan, components = make_sketch(q, g, path, k=k, seed=seed)
     except SketchPlanError:
         return
-    grouped = partition_catalogues(g, q, 2, [dict(zip(plan.attrs, c.index)) for c in components],
+    grouped = partition_catalogues(g, q, h, [dict(zip(plan.attrs, c.index)) for c in components],
                                    plan.buckets)
     for comp, got in zip(components, grouped):
-        want = QueryStats(comp.query, build_catalogue(comp.graph, [comp.query], 2, walk_budget=10))
-        for s in connected_index_sets(q, 2):
+        want = QueryStats(comp.query, build_catalogue(comp.graph, [comp.query], h, walk_budget=10))
+        for s in connected_index_sets(q, h):
             assert (got.count(s), got.degrees(s)) == (want.count(s), want.degrees(s))

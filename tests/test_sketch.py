@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -323,6 +324,45 @@ def test_grouped_statistics_equal_component_catalogues(fork_graph, q5f, sketch_r
     assert unsketched_subqueries > 0
     assert empty_groups > 0
     assert shared_patterns > 0
+
+
+def test_grouped_statistics_list_match_rows_only_for_matched_shapes(fork_graph, q5f,
+                                                                    sketch_runs, monkeypatch):
+    listed = []
+    real = oracle.matches
+    monkeypatch.setattr(oracle, "matches", lambda g, p: listed.append(p) or real(g, p))
+    checked = 0
+    for k in (4, 9):
+        for g, q, path in _sketch_cases(fork_graph, q5f, sketch_runs):
+            try:
+                plan, components = make_sketch(q, g, path, k)
+            except SketchPlanError:
+                continue
+            checked += 1
+            partition_catalogues(g, q, 2, [dict(zip(plan.attrs, c.index)) for c in components],
+                                 plan.buckets)
+    assert checked >= 10
+    # one edge, or two edges over three variables, read the split adjacency maps
+    assert {(len(p.edges), len(p.vars)) for p in listed} <= {(2, 2)}
+    # an antiparallel pair, and three edges at h=3, are still matched: a and b sketched
+    g = random_graph(12, 45, 3, seed=951, plant_cycles=4)
+    q = parse_query("a -A-> b\nb -A-> a\nb -B-> c\nc -A-> d\nd -C-> b")
+    path = _attr_path([({"a", "b"}, UNBOUND, 1), ({"a", "b", "c"}, BOUND, 1),
+                       ({"a", "b", "c", "d"}, BOUND, 1)])
+    plan, components = make_sketch(q, g, path, 4)
+    assert plan.attrs == ("a", "b")
+    listed.clear()
+    grouped = partition_catalogues(g, q, 3, [dict(zip(plan.attrs, c.index)) for c in components],
+                                   plan.buckets)
+    index_sets = connected_index_sets(q, 3)
+    matched = [s for s in index_sets if len(s) == 3 or len(s) == 2 and len(q.vars_of(s)) == 2]
+    assert Counter(tuple(p.edges) for p in listed) == \
+        Counter(tuple(q.edges[i] for i in sorted(s)) for s in matched)
+    assert {(len(p.edges), len(p.vars)) for p in listed} >= {(2, 2), (3, 3), (3, 4)}
+    for comp, got in zip(components, grouped):
+        want = QueryStats(comp.query, build_catalogue(comp.graph, [comp.query], 3))
+        for s in index_sets:
+            assert (got.count(s), got.degrees(s)) == (want.count(s), want.degrees(s))
 
 
 def test_molp_and_avg_degree_sketches_build_no_graph_and_sample_no_walk(sketch_runs,
