@@ -670,13 +670,21 @@ def load(source: IO[str] | str) -> Catalogue:
     try:
         cat = Catalogue(
             h=int(payload["h"]),
-            counts={k: int(v) for k, v in payload["counts"].items()},
-            deg_stats={k: {kk: int(vv) for kk, vv in v.items()}
-                       for k, v in payload["degStats"].items()},
+            counts={k: int(v) for k, v in _object(payload["counts"], "counts").items()},
+            deg_stats={k: {kk: int(vv) for kk, vv in _object(v, f"degStats {k}").items()}
+                       for k, v in _object(payload["degStats"], "degStats").items()},
             closing={k: ClosingStat(int(v["samples"]), int(v["closures"]))
-                     for k, v in payload["closingRates"].items()},
-            meta=payload["meta"],
+                     for k, v in _object(payload["closingRates"], "closingRates").items()},
+            meta=_object(payload["meta"], "meta"),
         )
+        _object(cat.meta.get("graph") or {}, "meta.graph")
     except (KeyError, TypeError, ValueError) as exc:
         raise CatalogueFormatError(f"malformed catalogue file: {exc}") from None
     return cat
+
+
+def _object(value, what: str) -> dict:
+    """`value`, which a catalogue file must hold as a JSON object."""
+    if not isinstance(value, dict):
+        raise CatalogueFormatError(f"malformed catalogue file: {what} is not an object")
+    return value

@@ -18,7 +18,7 @@ from .errors import (CardestError, CatalogueFormatError, ConfigError,
                      GraphParseError, MissingStatisticError, PathOverflowError,
                      QueryParseError, QueryValidationError, SketchPlanError)
 from .estgraph import build_maxdeg, build_optimistic, to_dot
-from .estimators import KIND_CLOSING
+from .estimators import KIND_CLOSING, as_float
 from .evalharness import WorkloadItem, expand_methods, run_workload
 from .graphstore import load_graph_file
 from .oracle import count_hom
@@ -259,7 +259,7 @@ def _cmd_estimate(args) -> int:
             print(f"{record.method}\tERROR\t{record.error}")
         else:
             print(f"{record.method}\t{record.estimate:.6g}\ttrue={record.true_count}"
-                  f"\tqerror={float(record.qerror) if record.qerror else 'inf'}")
+                  f"\tqerror={as_float(record.qerror) if record.qerror else 'inf'}")
     if args.dump_ceg:
         base, ext = os.path.splitext(args.dump_ceg)
         with open(args.dump_ceg, "w", encoding="utf-8") as handle:

@@ -95,15 +95,14 @@ class Ceg:
     """Weighted DAG-ish graph over subquery vertices, its out-edges derived on demand.
 
     `out(v)` returns v's out-edges, ordered by destination, then rate, unbound
-    first on ties.  They come from the `adjacency` given, or are derived once,
-    on v's first `out`, by the graph's per-source function `derive` and cached.
-    `sources` lists every vertex `derive` may give out-edges; `all_edges` and
-    `vertices` derive them all first, so a listing never depends on which
-    vertices were visited before it.
+    first on ties.  They are derived once, on v's first `out`, by the graph's
+    per-source function `derive` and cached.  `sources` lists every vertex
+    `derive` may give out-edges; `all_edges` and `vertices` derive them all
+    first, so a listing never depends on which vertices were visited before
+    it.  Only an `AttrCeg` may hold projection edges.
     """
 
     def __init__(self, kind: str, query: QueryGraph, top: frozenset,
-                 adjacency: dict[frozenset, list[CegEdge]],
                  derive: Callable[[frozenset], list[CegEdge]] | None = None,
                  sources: Iterable[frozenset] = ()):
         self.kind = kind
@@ -112,10 +111,9 @@ class Ceg:
         self.bottom: frozenset = frozenset()
         self._derive = derive
         self._dst_keys: dict[frozenset, tuple] = {}
-        self._adj = {v: self._ordered(edges) for v, edges in adjacency.items()}
-        self._sources = [*self._adj, *sources]
-        self._projections = any(e.kind == PROJECTION for edges in self._adj.values()
-                                for e in edges)
+        self._adj: dict[frozenset, tuple[CegEdge, ...]] = {}
+        self._sources = list(sources)
+        self._projections = False
 
     def _ordered(self, edges: Iterable[CegEdge]) -> tuple[CegEdge, ...]:
         keys = self._dst_keys
@@ -259,7 +257,7 @@ def build_optimistic(q: QueryGraph, cat: Catalogue | QueryStats, closing: bool =
         closers = [t for t in edges if any(c <= t for c in fresh)]
         return [e for t in (closers or edges) for e in edges[t]]
 
-    return Ceg("edges", q, top, {}, derive, sources)
+    return Ceg("edges", q, top, derive, sources)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +279,7 @@ class AttrCeg(Ceg):
     """
 
     def __init__(self, query: QueryGraph, moves: Iterable[Move], projections: bool = False):
-        super().__init__("attrs", query, frozenset(query.vars), {})
+        super().__init__("attrs", query, frozenset(query.vars))
         self._names = tuple(sorted(query.vars))
         self._bit = {v: 1 << i for i, v in enumerate(self._names)}
         self._keys: dict[int, tuple[str, ...]] = {}

@@ -2,10 +2,10 @@
 
 The optimistic family picks paths by a hop filter (max-hop / min-hop /
 all-hops) and aggregates their estimates (max-aggr / min-aggr / avg-aggr),
-giving 9 heuristics per graph kind.  They read one `path_summary` of the
-graph (per hop count: max, min, sum and count of the path estimates) rather
-than a list of every path.  The path oracle picks the single most accurate
-path given the true count, so it lists the paths, as does the geometric mean.
+giving 9 heuristics per graph kind, each read from one `path_summary` of
+the anchored graph (per hop count: max, min, sum and count of the path
+estimates).  Only the path oracle, which picks the single most accurate path
+given the true count, and the geometric mean list the paths, capped.
 The pessimistic bound is the minimum-weight path of the max-degree graph,
 found combinatorially after one pass over q's catalogue patterns reads
 their degree tables.
@@ -63,22 +63,25 @@ class Estimate:
 
     @staticmethod
     def from_exact(exact: Fraction, **kw) -> "Estimate":
-        try:
-            value = float(exact)
-        except OverflowError:
-            value = float("inf")
-        return Estimate(value=value, exact=exact, **kw)
+        return Estimate(value=as_float(exact), exact=exact, **kw)
+
+
+def as_float(x: Fraction | float) -> float:
+    """float(x), or inf where x is past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
 # Optimistic heuristics
 # ---------------------------------------------------------------------------
 
-def optimistic_ceg(q: QueryGraph, cat: Catalogue | QueryStats, ceg_kind: str = KIND_AVG,
-                   starts: str = "anchored") -> Ceg:
+def optimistic_ceg(q: QueryGraph, cat: Catalogue | QueryStats, ceg_kind: str = KIND_AVG) -> Ceg:
     if ceg_kind not in (KIND_AVG, KIND_CLOSING):
         raise ValueError(f"optimistic graphs are {KIND_AVG!r} or {KIND_CLOSING!r}")
-    return build_optimistic(q, cat, closing=(ceg_kind == KIND_CLOSING), starts=starts)
+    return build_optimistic(q, cat, closing=(ceg_kind == KIND_CLOSING))
 
 
 def ceg_paths(ceg: Ceg, cap: int = DEFAULT_PATH_CAP) -> list[PathEstimate]:
@@ -97,75 +100,38 @@ def ceg_summary(ceg: Ceg) -> PathSummary:
     return summary
 
 
-def optimistic_paths(q: QueryGraph, cat: Catalogue | QueryStats, ceg_kind: str = KIND_AVG,
-                     starts: str = "anchored",
-                     cap: int = DEFAULT_PATH_CAP) -> tuple[Ceg, list[PathEstimate]]:
-    ceg = optimistic_ceg(q, cat, ceg_kind, starts)
-    return ceg, ceg_paths(ceg, cap)
-
-
-def filter_paths(paths: list[PathEstimate], hop: str) -> list[PathEstimate]:
-    if hop == "all-hops":
-        return list(paths)
-    target = max(p.hops for p in paths) if hop == "max-hop" else min(p.hops for p in paths)
-    return [p for p in paths if p.hops == target]
-
-
 def estimate_optimistic(q: QueryGraph, cat: Catalogue | QueryStats, ceg_kind: str,
                         choice: HeuristicChoice, average: str = "arithmetic",
-                        starts: str = "anchored", cap: int = DEFAULT_PATH_CAP,
-                        paths: list[PathEstimate] | None = None,
+                        cap: int = DEFAULT_PATH_CAP,
                         summary: PathSummary | None = None) -> Estimate:
     """One 3x3 heuristic on the optimistic graph of `ceg_kind`.
 
-    Reads `summary` (built from the graph when not given) unless `paths` is
-    given or the choice is avg-aggr with average="geometric"; those aggregate
-    a path list, and only the list is capped: PathOverflowError past `cap`
-    paths.  The chosen path is the first extreme one in `iter_paths` order
-    either way.
+    Reads `summary` (built from the graph when not given); the chosen path is
+    the first extreme one in `iter_paths` order.  Only avg-aggr with
+    average="geometric" lists the paths instead, capped: PathOverflowError
+    past `cap` paths.
     """
     method = f"optimistic:{choice}"
-    geometric = choice.aggr == "avg-aggr" and average == "geometric"
-    if paths is None and not geometric:
-        if summary is None:
-            summary = ceg_summary(optimistic_ceg(q, cat, ceg_kind, starts))
-        return _from_summary(summary, choice, method, ceg_kind)
-    if paths is None:
-        _, paths = optimistic_paths(q, cat, ceg_kind, starts=starts, cap=cap)
-    pool = filter_paths(paths, choice.hop)
-    if choice.aggr == "avg-aggr":
-        if geometric:  # the mean of the logs: the pool's product can overflow a float
-            value = 0.0
-            if all(p.estimate for p in pool):
-                mean = math.fsum(math.log(p.estimate.numerator) - math.log(p.estimate.denominator)
-                                 for p in pool) / len(pool)
-                try:
-                    value = math.exp(mean)
-                except OverflowError:
-                    value = float("inf")
-            return Estimate(value=value, exact=None, method=method + ":geo",
-                            ceg_kind=ceg_kind, considered_paths=len(pool), chosen_path=None)
-        mean = sum((p.estimate for p in pool), Fraction(0)) / len(pool)
-        return Estimate.from_exact(mean, method=method, ceg_kind=ceg_kind,
-                                   considered_paths=len(pool), chosen_path=None)
-    best = None
-    for p in pool:  # first hit wins ties; enumeration order is deterministic
-        if best is None:
-            best = p
-        elif choice.aggr == "max-aggr" and p.estimate > best.estimate:
-            best = p
-        elif choice.aggr == "min-aggr" and p.estimate < best.estimate:
-            best = p
-    return Estimate.from_exact(best.estimate, method=method, ceg_kind=ceg_kind,
-                               considered_paths=len(pool), chosen_path=best)
-
-
-def _from_summary(summary: PathSummary, choice: HeuristicChoice, method: str,
-                  ceg_kind: str) -> Estimate:
+    if choice.aggr == "avg-aggr" and average == "geometric":
+        pool = ceg_paths(optimistic_ceg(q, cat, ceg_kind), cap)
+        if choice.hop != "all-hops":
+            hops = (max if choice.hop == "max-hop" else min)(p.hops for p in pool)
+            pool = [p for p in pool if p.hops == hops]
+        value = 0.0
+        if all(p.estimate for p in pool):  # the mean of the logs: the product can overflow
+            mean = math.fsum(math.log(p.estimate.numerator) - math.log(p.estimate.denominator)
+                             for p in pool) / len(pool)
+            try:
+                value = math.exp(mean)
+            except OverflowError:
+                value = math.inf
+        return Estimate(value=value, exact=None, method=method + ":geo", ceg_kind=ceg_kind,
+                        considered_paths=len(pool), chosen_path=None)
+    if summary is None:
+        summary = ceg_summary(optimistic_ceg(q, cat, ceg_kind))
     hops = None
     if choice.hop != "all-hops":
-        counts = summary.hop_counts
-        hops = counts[-1] if choice.hop == "max-hop" else counts[0]
+        hops = summary.hop_counts[-1 if choice.hop == "max-hop" else 0]
     n = summary.count(hops)
     if choice.aggr == "avg-aggr":
         return Estimate.from_exact(summary.total(hops) / n, method=method, ceg_kind=ceg_kind,
@@ -176,11 +142,11 @@ def _from_summary(summary: PathSummary, choice: HeuristicChoice, method: str,
 
 
 def estimate_pstar(q: QueryGraph, cat: Catalogue | QueryStats, ceg_kind: str,
-                   true_count: int, starts: str = "anchored", cap: int = DEFAULT_PATH_CAP,
+                   true_count: int, cap: int = DEFAULT_PATH_CAP,
                    paths: list[PathEstimate] | None = None) -> Estimate:
     """Oracle pick: the path whose estimate minimizes q-error vs the true count."""
     if paths is None:
-        _, paths = optimistic_paths(q, cat, ceg_kind, starts=starts, cap=cap)
+        paths = ceg_paths(optimistic_ceg(q, cat, ceg_kind), cap)
 
     def qerr(p: PathEstimate) -> Fraction | float:
         if p.estimate == 0:

@@ -20,8 +20,9 @@ from typing import Sequence
 from .catalogue import Catalogue, QueryStats, build_catalogue, check_walk_budget
 from .errors import CardestError, ConfigError
 from .estimators import (ALL_CHOICES, KIND_AVG, KIND_CLOSING, Estimate,
-                         HeuristicChoice, ceg_paths, ceg_summary, estimate_molp,
-                         estimate_optimistic, estimate_pstar, optimistic_ceg)
+                         HeuristicChoice, as_float, ceg_paths, ceg_summary,
+                         estimate_molp, estimate_optimistic, estimate_pstar,
+                         optimistic_ceg)
 from .graphstore import LabeledGraph
 from .oracle import count_hom
 from .querymodel import QueryGraph
@@ -55,7 +56,9 @@ def qerror(c: int, e: Fraction | int | float) -> tuple[Fraction | float, float]:
     """(q-error, signed log10) for true count c >= 1 and estimate e >= 0.
 
     e == 0 maps to the infinite-q-error marker (signed log -inf, an
-    underestimate); callers tally such records separately.
+    underestimate); callers tally such records separately.  A q-error past
+    the float range stays exact, its log taken from numerator and
+    denominator; the CSV writes it as inf.
     """
     if c < 1:
         raise ValueError("true count must be >= 1 (c = 0 records are invalid)")
@@ -66,7 +69,10 @@ def qerror(c: int, e: Fraction | int | float) -> tuple[Fraction | float, float]:
     ef = Fraction(e) if not isinstance(e, float) else e
     if isinstance(ef, Fraction):
         err = max(Fraction(c) / ef, ef / Fraction(c))
-        signed = math.log10(float(err)) if err > 1 else 0.0
+        try:
+            signed = math.log10(float(err)) if err > 1 else 0.0
+        except OverflowError:  # past the float range: the logs of its two parts
+            signed = math.log10(err.numerator) - math.log10(err.denominator)
         if ef < c:
             signed = -signed
         return err, signed
@@ -229,7 +235,7 @@ class RunResult:
                 r.sketch_k, r.true_count,
                 "" if r.estimate is None else repr(r.estimate),
                 "" if r.qerror is None else (
-                    "inf" if r.zero_estimate else repr(float(r.qerror))),
+                    "inf" if r.zero_estimate else repr(as_float(r.qerror))),
                 "" if r.signed_log is None else repr(r.signed_log),
                 f"{r.elapsed_ms:.3f}",
             ])
@@ -253,7 +259,6 @@ def run_workload(
     seed: int = 0,
     walk_budget: int | None = 1000,
     sketch_k: int = 1,
-    starts: str = "anchored",
     catalogue: Catalogue | None = None,
 ) -> RunResult:
     """Estimate every (query, method) pair against the cached oracle count.
@@ -289,8 +294,8 @@ def run_workload(
             estimate: Estimate | None = None
             error: str | None = None
             try:
-                estimate = _run_method(item.query, g, stats, spec, h, seed, walk_budget,
-                                       sketch_k, starts, true_count, ceg_cache)
+                estimate = _run_method(item.query, g, stats, spec, seed, walk_budget,
+                                       sketch_k, true_count, ceg_cache)
             except CardestError as exc:
                 error = f"{type(exc).__name__}: {exc}"
             elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -312,23 +317,20 @@ def run_workload(
     return RunResult(records, method_summaries, template_summaries, meta)
 
 
-def _run_method(query, g, stats, spec, h, seed, walk_budget, sketch_k, starts,
-                true_count, ceg_cache) -> Estimate:
-    if spec.name == "bound":
-        if sketch_k > 1:
-            return estimate_with_sketch(query, g, sketch_k, "molp", h=h, seed=seed,
-                                        walk_budget=walk_budget, catalogue=stats)
-        return estimate_molp(query, stats)
-    if spec.name == "optimistic" and sketch_k > 1:
+def _run_method(query, g, stats, spec, seed, walk_budget, sketch_k, true_count,
+                ceg_cache) -> Estimate:
+    if sketch_k > 1 and spec.name != "pstar":
         # avg-aggr has no chosen path to partition; the row records the failure
-        return estimate_with_sketch(query, g, sketch_k, "optimistic", h=h, seed=seed,
+        base = "molp" if spec.name == "bound" else "optimistic"
+        return estimate_with_sketch(query, g, sketch_k, base, stats, seed=seed,
                                     walk_budget=walk_budget, choice=spec.choice,
-                                    ceg_kind=spec.ceg_kind, starts=starts,
-                                    catalogue=stats)
+                                    ceg_kind=spec.ceg_kind)
+    if spec.name == "bound":
+        return estimate_molp(query, stats)
     kind = spec.ceg_kind
     ceg = ceg_cache.get(kind)
     if ceg is None:
-        ceg = ceg_cache[kind] = optimistic_ceg(query, stats, kind, starts)
+        ceg = ceg_cache[kind] = optimistic_ceg(query, stats, kind)
     if spec.name == "pstar":
         paths = ceg_cache.get(("paths", kind))
         if paths is None:

@@ -181,7 +181,7 @@ def sample_label_paths(g: LabeledGraph, label_seq: Sequence[LabelStep],
                        p: int, seed: int) -> list[tuple[int, ...]]:
     """Sample up to p random walks realizing label_seq (with replacement).
 
-    A walk starts on a uniformly chosen edge matching the first step and
+    A walk begins on a uniformly chosen edge matching the first step and
     extends uniformly among admissible continuations; a dead end costs one
     sample and yields no walk.  Walks may revisit vertices.
     """
@@ -190,12 +190,12 @@ def sample_label_paths(g: LabeledGraph, label_seq: Sequence[LabelStep],
     if not label_seq:
         raise ValueError("label sequence must be non-empty")
     rng = random.Random(seed)
-    starts = _first_edges(g, label_seq[0])
-    if not starts:
+    firsts = _first_edges(g, label_seq[0])
+    if not firsts:
         return []
     walks: list[tuple[int, ...]] = []
     for _ in range(p):
-        w0, w1 = starts[rng.randrange(len(starts))]
+        w0, w1 = firsts[rng.randrange(len(firsts))]
         walk = [w0, w1]
         dead = False
         for step in label_seq[1:]:

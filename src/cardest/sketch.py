@@ -23,10 +23,10 @@ graph labels each edge by its query edge, `e{i}`, as does the
 component's query, so the closing rates are sampled and keyed under those
 tags.  Each vertex is hashed at most once per plan.
 
-The unpartitioned plan reads the caller's catalogue when one is given (as
-`run_workload` does): a catalogue lacking the query's patterns fails with
-MissingStatisticError, and closing-rate plans use that catalogue's closing
-rates.
+The unpartitioned plan reads the caller's catalogue (`run_workload` passes
+the run's), and the components take its h: a catalogue lacking the query's
+patterns fails with MissingStatisticError, and closing-rate plans use that
+catalogue's closing rates.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ from functools import cache, cached_property, partial
 from itertools import product
 from typing import Callable
 
-from .catalogue import (Catalogue, QueryStats, add_closing_rates, build_catalogue,
-                        partition_catalogues)
+from .catalogue import Catalogue, QueryStats, add_closing_rates, partition_catalogues
 from .errors import SketchPlanError
 from .estgraph import BOUND, CYCLE_CLOSING, EXTENSION, PathEstimate
 from .estimators import (Estimate, HeuristicChoice, estimate_molp,
@@ -196,11 +195,10 @@ def _integer_root(k: int, degree: int) -> int | None:
 # ---------------------------------------------------------------------------
 
 def estimate_with_sketch(q: QueryGraph, g: LabeledGraph, k: int, base: str,
-                         h: int = 2, seed: int = 0, walk_budget: int | None = 1000,
+                         catalogue: Catalogue | QueryStats, seed: int = 0,
+                         walk_budget: int | None = 1000,
                          choice: HeuristicChoice | None = None,
-                         ceg_kind: str = "avg-degree",
-                         starts: str = "anchored",
-                         catalogue: Catalogue | QueryStats | None = None) -> Estimate:
+                         ceg_kind: str = "avg-degree") -> Estimate:
     """Sum of per-component base estimates under a K-way bound sketch.
 
     base="molp": the sketch follows the unpartitioned minimum-weight path and
@@ -208,19 +206,16 @@ def estimate_with_sketch(q: QueryGraph, g: LabeledGraph, k: int, base: str,
     the heuristic's chosen path on the unpartitioned graph is fixed and its
     formula re-evaluated per component (min/max aggregators only).
 
-    The unpartitioned plan reads `catalogue` (a Catalogue or a QueryStats of
-    q) when given; one built from another graph or at another h raises
-    ConfigError, one without q's patterns MissingStatisticError, and
-    closing-rate plans use its closing rates.  Without one, a catalogue of q
-    alone is built from g.  Component counts and degree tables come from the
-    full graph's adjacency maps split by bucket, or its grouped matches
+    The unpartitioned plan reads `catalogue` (a Catalogue of g or a
+    QueryStats of q over one), and the components take its h: one built from
+    another graph raises ConfigError, one without q's patterns
+    MissingStatisticError, and closing-rate plans use its closing rates.
+    Component counts and degree tables come from the full graph's adjacency
+    maps split by bucket, or its grouped matches
     (`catalogue.partition_catalogues`); only a fixed path with a
     cycle-closing edge also samples closing rates on each component's graph.
     """
-    if catalogue is None:
-        catalogue = build_catalogue(g, [q], h, walk_budget=walk_budget, seed=seed)
     stats = QueryStats.of(q, catalogue)
-    stats.cat.check_h(h)
     stats.cat.check_graph(g)
     fixed_path: PathEstimate | None = None
     if base == "molp":
@@ -235,7 +230,7 @@ def estimate_with_sketch(q: QueryGraph, g: LabeledGraph, k: int, base: str,
     elif base == "optimistic":
         if choice is None or choice.aggr == "avg-aggr":
             raise SketchPlanError("optimistic sketches need a min-aggr or max-aggr choice")
-        unsketched = estimate_optimistic(q, stats, ceg_kind, choice, starts=starts)
+        unsketched = estimate_optimistic(q, stats, ceg_kind, choice)
         sketch_path = unsketched.chosen_path
         fixed_path = sketch_path
         sketch_ceg_kind = "edges"
@@ -246,7 +241,8 @@ def estimate_with_sketch(q: QueryGraph, g: LabeledGraph, k: int, base: str,
     if k > 1 and not sketch_attributes(sketch_path, q, sketch_ceg_kind):
         k = 1  # every join attribute is bound: partitioning degenerates (identity)
     plan, components = make_sketch(q, g, sketch_path, k, ceg_kind=sketch_ceg_kind, seed=seed)
-    parts = partition_catalogues(g, q, h, [dict(zip(plan.attrs, c.index)) for c in components],
+    parts = partition_catalogues(g, q, stats.cat.h,
+                                 [dict(zip(plan.attrs, c.index)) for c in components],
                                  plan.buckets)
     closing = fixed_path is not None and any(e.kind == CYCLE_CLOSING for e in fixed_path.edges)
 

@@ -42,6 +42,16 @@ def path_template(k: int) -> QueryGraph:
                       allow_template=True)
 
 
+def layered_overshoot_graph() -> LabeledGraph:
+    """Three complete 100-vertex A layers plus a 200-edge A chain.  The
+    average-degree estimate of the 183-edge A path, about 10^312, is past the
+    float range, its true count 18."""
+    layers = [range(100 * i, 100 * i + 100) for i in range(3)]
+    edges = [(u, v, "A") for a, b in zip(layers, layers[1:]) for u in a for v in b]
+    edges += [(1000 + i, 1001 + i, "A") for i in range(200)]
+    return LabeledGraph(edges)
+
+
 def star_template(k: int, out: bool = True) -> QueryGraph:
     edges = [QEdge("a0", f"a{i+1}", "?") if out else QEdge(f"a{i+1}", "a0", "?")
              for i in range(k)]

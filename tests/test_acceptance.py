@@ -24,7 +24,7 @@ from cardest.estgraph import (CYCLE_CLOSING, CegEdge, PathEstimate, build_cover,
 from cardest.estimators import (ALL_CHOICES, HeuristicChoice, KIND_AVG,
                                 KIND_CLOSING, ceg_paths, ceg_summary, estimate_molp,
                                 estimate_optimistic, estimate_pstar,
-                                optimistic_ceg, optimistic_paths)
+                                optimistic_ceg)
 from cardest.evalharness import (WorkloadItem, expand_methods, qerror,
                                  run_workload, summarize)
 from cardest.oracle import count_hom, group_degree
@@ -32,7 +32,7 @@ from cardest.querymodel import (connected_index_sets, cycles, instantiate_templa
                                 parse_query)
 from cardest.sketch import estimate_with_sketch, make_sketch
 
-from _summary_check import summary_mismatches
+from _summary_check import aggregate_paths, summary_mismatches
 from _synth import (correlated_graph, make_instances, path_template,
                     star_template, tree_template, cycle_template)
 from conftest import identity_triangle
@@ -255,8 +255,9 @@ def safety_run(corpus):
             kinds.append(KIND_CLOSING)
             cyclic += 1
         for kind in kinds:
-            _, paths = optimistic_paths(q, cat, kind)
-            est = {c: estimate_optimistic(q, cat, kind, c, paths=paths)
+            ceg = optimistic_ceg(q, cat, kind)
+            paths, summary = ceg_paths(ceg), ceg_summary(ceg)
+            est = {c: estimate_optimistic(q, cat, kind, c, summary=summary)
                    for c in ALL_CHOICES}
             span = {}
             for hop in ("max-hop", "min-hop", "all-hops"):
@@ -331,12 +332,11 @@ def test_criterion_9_pstar_dominance_over_avg_aggr_as_stated(safety_run):
     # The literal clause fails on the counterexample above.  Paths are given,
     # so no query or catalogue is read.
     paths = [_rate_path([Fraction(1, 2)]), _rate_path([2])]
-    mean = estimate_optimistic(None, None, KIND_AVG,
-                               HeuristicChoice("all-hops", "avg-aggr"), paths=paths)
+    mean, _, _ = aggregate_paths(paths, HeuristicChoice("all-hops", "avg-aggr"))
     star = estimate_pstar(None, None, KIND_AVG, 1, paths=paths)
-    assert mean.exact == Fraction(5, 4)
+    assert mean == Fraction(5, 4)
     assert star.exact == Fraction(1, 2)
-    assert qerror(1, mean.exact)[0] == Fraction(5, 4)
+    assert qerror(1, mean)[0] == Fraction(5, 4)
     assert qerror(1, star.exact)[0] == 2
 
     # On the corpus, every avg-aggr win has the truth strictly inside its span.
@@ -361,7 +361,7 @@ def test_path_summary_equals_enumeration_on_corpus(corpus):
             ceg = optimistic_ceg(q, cat, kind)
             n += 1
             mismatches += [f"{qid}:{kind}:{m}" for m in
-                           summary_mismatches(ceg_summary(ceg), ceg_paths(ceg), q, cat, kind)]
+                           summary_mismatches(ceg_summary(ceg), ceg_paths(ceg))]
     assert n >= 1000
     assert mismatches == [], mismatches[:5]
 
@@ -573,8 +573,7 @@ def test_criterion_10_bound_sketch(corpus):
         assert sum(count_hom(c.graph, c.query).value for c in components) == truth, qid
         for k in (4, 16):
             try:
-                sk = estimate_with_sketch(q, g, k, "molp", h=2, seed=17,
-                                          walk_budget=300)
+                sk = estimate_with_sketch(q, g, k, "molp", cat, seed=17, walk_budget=300)
             except SketchPlanError:
                 raise AssertionError(f"{qid}: K={k} should be compatible") from None
             assert truth <= sk.exact <= unsketched.exact, (qid, k)
@@ -607,8 +606,8 @@ def test_sketched_values_pinned(corpus):
         for qid, _, q in items:
             for k, (base, choice, kind) in runs:
                 try:
-                    est = estimate_with_sketch(q, g, k, base, h=2, seed=17, walk_budget=300,
-                                               choice=choice, ceg_kind=kind, catalogue=cat)
+                    est = estimate_with_sketch(q, g, k, base, cat, seed=17, walk_budget=300,
+                                               choice=choice, ceg_kind=kind)
                 except SketchPlanError:
                     value = "SketchPlanError"
                 else:

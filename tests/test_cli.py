@@ -10,6 +10,7 @@ from cardest import catalogue as cat_mod
 from cardest.cli import main
 from cardest.evalharness import expand_methods
 
+from _synth import layered_overshoot_graph, path_template
 from conftest import fixture_path
 
 
@@ -70,6 +71,39 @@ def test_estimate_rejects_catalogue_built_at_another_h(tmp_path, capsys):
                        "--methods", "bound", "--h", h)
         assert code == expected
     assert "catalogue's h=3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["closingRates", "counts", "degStats", "meta",
+                                   "meta.graph"])
+def test_estimate_catalogue_field_that_is_not_an_object_exits_with_parse_code(
+        tmp_path, capsys, field):
+    cat = tmp_path / "cat.json"
+    assert run_cli("build-catalogue", "--graph", fixture_path("f1.edges"),
+                   "--query", fixture_path("q3p.query"), "--out", str(cat)) == 0
+    payload = json.loads(cat.read_text())
+    if field == "degStats":  # one pattern's table
+        payload[field][next(iter(payload[field]))] = [1]
+    elif field == "meta.graph":
+        payload["meta"]["graph"] = [1]
+    else:
+        payload[field] = [1]
+    cat.write_text(json.dumps(payload))
+    code = run_cli("estimate", "--graph", fixture_path("f1.edges"),
+                   "--query", fixture_path("q3p.query"), "--catalogue", str(cat),
+                   "--methods", "bound")
+    assert code == 4
+    assert "is not an object" in capsys.readouterr().err
+
+
+def test_estimate_prints_inf_for_a_qerror_beyond_float_range(tmp_path, capsys):
+    graph, query = tmp_path / "g.edges", tmp_path / "q.query"
+    graph.write_text("".join(f"{u} {v} {label}\n" for u, v, label in
+                             layered_overshoot_graph().edges))
+    query.write_text(path_template(183).with_labels(["A"] * 183).to_text())
+    code = run_cli("estimate", "--graph", str(graph), "--query", str(query),
+                   "--methods", "optimistic:avg:max-hop:max-aggr")
+    assert code == 0
+    assert capsys.readouterr().out.endswith("\tinf\ttrue=18\tqerror=inf\n")
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -10,8 +10,8 @@ from cardest.errors import ConfigError
 from cardest.estgraph import MAX_ATTR_VARS, build_maxdeg
 from cardest.estimators import (ALL_CHOICES, HeuristicChoice, KIND_AVG,
                                 KIND_CLOSING, estimate_molp,
-                                estimate_optimistic, estimate_pstar,
-                                optimistic_paths)
+                                ceg_paths, estimate_optimistic, estimate_pstar,
+                                optimistic_ceg)
 from cardest.oracle import count_hom, group_degree
 from cardest.querymodel import instantiate_template, parse_query
 
@@ -51,10 +51,8 @@ def test_f1_three_path_is_six_for_every_choice(f1_graph, q3p):
 
 def test_fork_aggregator_ordering(fork_graph, q5f):
     cat = build_catalogue(fork_graph, [q5f], 2)
-    _, paths = optimistic_paths(q5f, cat)
-    assert len(paths) == 36
-    by_choice = {c: estimate_optimistic(q5f, cat, KIND_AVG, c, paths=paths)
-                 for c in ALL_CHOICES}
+    assert len(ceg_paths(optimistic_ceg(q5f, cat))) == 36
+    by_choice = {c: estimate_optimistic(q5f, cat, KIND_AVG, c) for c in ALL_CHOICES}
     for hop in ("max-hop", "min-hop", "all-hops"):
         lo = by_choice[HeuristicChoice(hop, "min-aggr")].exact
         mid = by_choice[HeuristicChoice(hop, "avg-aggr")].exact
@@ -85,7 +83,7 @@ def test_pstar_exact_hit_gives_qerror_one(fork_graph, q5f):
 def test_pstar_dominates_every_heuristic(fork_graph, q5f):
     cat = build_catalogue(fork_graph, [q5f], 2)
     truth = count_hom(fork_graph, q5f).value
-    _, paths = optimistic_paths(q5f, cat)
+    paths = ceg_paths(optimistic_ceg(q5f, cat))
     star = estimate_pstar(q5f, cat, KIND_AVG, truth, paths=paths)
     # P* is the best single path, so it beats the path-valued heuristics
     # anywhere.  avg-aggr is a mean, which can beat every path when the truth
@@ -97,7 +95,7 @@ def test_pstar_dominates_every_heuristic(fork_graph, q5f):
         return max(Fraction(truth) / value, value / Fraction(truth))
 
     for choice in ALL_CHOICES:
-        est = estimate_optimistic(q5f, cat, KIND_AVG, choice, paths=paths)
+        est = estimate_optimistic(q5f, cat, KIND_AVG, choice)
         assert qe(star.exact) <= qe(est.exact)
 
 

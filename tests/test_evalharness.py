@@ -13,7 +13,7 @@ from cardest.evalharness import (CSV_COLUMNS, QErrorRecord,
 from cardest.errors import ConfigError
 from cardest.querymodel import parse_query
 
-from _synth import random_graph
+from _synth import layered_overshoot_graph, path_template, random_graph
 from conftest import fixture_path
 
 
@@ -48,6 +48,29 @@ def test_qerror_zero_estimate_marker():
     err, signed = qerror(5, Fraction(0))
     assert err == float("inf")
     assert signed == float("-inf")
+
+
+@pytest.mark.parametrize("c, e, signed", [
+    (1, Fraction(10 ** 400), 400.0),                       # overestimate
+    (3, Fraction(1, 10 ** 400), -400 - math.log10(3)),     # underestimate
+])
+def test_qerror_beyond_float_range(c, e, signed):
+    err, got = qerror(c, e)
+    assert err == max(Fraction(c) / e, e / Fraction(c))
+    assert got == pytest.approx(signed, rel=1e-12)
+
+
+def test_run_workload_writes_inf_for_a_qerror_beyond_float_range():
+    g = layered_overshoot_graph()
+    q = path_template(183).with_labels(["A"] * 183)
+    result = run_workload(g, [q], expand_methods(["optimistic:avg:max-hop:max-aggr"]))
+    (record,) = result.records
+    assert record.error is None and record.true_count == 18
+    assert record.qerror > 10 ** 308 and record.signed_log > 308
+    (row,) = csv.DictReader(io.StringIO(result.csv_text()))
+    assert (row["estimate"], row["qerror"]) == ("inf", "inf")
+    assert float(row["signedLog"]) == record.signed_log
+    assert summarize(result.records).p50 == record.signed_log
 
 
 def test_qerror_rejects_zero_truth():

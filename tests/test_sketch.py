@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from cardest import oracle, sketch
+from cardest import evalharness, oracle, sketch
 from cardest.catalogue import QueryStats, build_catalogue, canonical_form, partition_catalogues
-from cardest.errors import ConfigError, SketchPlanError
+from cardest.errors import SketchPlanError
 from cardest.estgraph import BOUND, UNBOUND, CegEdge, PathEstimate
 from cardest.estimators import HeuristicChoice, KIND_AVG, estimate_molp, estimate_optimistic
 from cardest.evalharness import WorkloadItem, expand_methods, run_workload
@@ -141,27 +141,28 @@ def test_sketched_molp_between_truth_and_unsketched(fork_graph, q5f):
     unsketched = estimate_molp(q5f, cat).exact
     truth = count_hom(fork_graph, q5f).value
     for k in (4, 16):
-        sketched = estimate_with_sketch(q5f, fork_graph, k, "molp").exact
+        sketched = estimate_with_sketch(q5f, fork_graph, k, "molp", cat).exact
         assert truth <= sketched <= unsketched
 
 
 def test_sketched_molp_k1_equals_base(fork_graph, q5f):
     cat = build_catalogue(fork_graph, [q5f], 2)
-    assert estimate_with_sketch(q5f, fork_graph, 1, "molp").exact == \
+    assert estimate_with_sketch(q5f, fork_graph, 1, "molp", cat).exact == \
         estimate_molp(q5f, cat).exact
 
 
 def test_sketched_optimistic_k1_equals_base(fork_graph, q5f):
     cat = build_catalogue(fork_graph, [q5f], 2)
     choice = HeuristicChoice("max-hop", "max-aggr")
-    assert estimate_with_sketch(q5f, fork_graph, 1, "optimistic", choice=choice,
+    assert estimate_with_sketch(q5f, fork_graph, 1, "optimistic", cat, choice=choice,
                                 ceg_kind=KIND_AVG).exact == \
         estimate_optimistic(q5f, cat, KIND_AVG, choice).exact
 
 
 def test_sketched_optimistic_runs_partitioned(fork_graph, q5f):
     choice = HeuristicChoice("max-hop", "max-aggr")
-    est = estimate_with_sketch(q5f, fork_graph, 4, "optimistic", choice=choice,
+    cat = build_catalogue(fork_graph, [q5f], 2)
+    est = estimate_with_sketch(q5f, fork_graph, 4, "optimistic", cat, choice=choice,
                                ceg_kind=KIND_AVG)
     assert est.exact is not None
     assert est.exact >= 0
@@ -170,6 +171,7 @@ def test_sketched_optimistic_runs_partitioned(fork_graph, q5f):
 def test_sketched_optimistic_avg_rejected(fork_graph, q5f):
     with pytest.raises(SketchPlanError):
         estimate_with_sketch(q5f, fork_graph, 4, "optimistic",
+                             build_catalogue(fork_graph, [q5f], 2),
                              choice=HeuristicChoice("all-hops", "avg-aggr"),
                              ceg_kind=KIND_AVG)
 
@@ -177,8 +179,8 @@ def test_sketched_optimistic_avg_rejected(fork_graph, q5f):
 def test_empty_sketch_set_falls_back_to_identity():
     g = random_graph(20, 60, 2, seed=5)
     q = parse_query("a1 -A-> a2")  # no join attributes at all
-    est = estimate_with_sketch(q, g, 4, "molp")
     cat = build_catalogue(g, [q], 2)
+    est = estimate_with_sketch(q, g, 4, "molp", cat)
     assert est.exact == estimate_molp(q, cat).exact
 
 
@@ -206,58 +208,51 @@ def sketch_runs():
     return runs
 
 
-def _sketched(q, g, k, base, **kwargs):
+def _sketched(q, g, k, base, cat, **kwargs):
     try:
-        return estimate_with_sketch(q, g, k, base, **kwargs).exact
+        return estimate_with_sketch(q, g, k, base, cat, **kwargs).exact
     except SketchPlanError:
         return SketchPlanError
 
 
 def test_sketched_values_same_with_run_catalogue(sketch_runs):
+    # the run's catalogue, of every query, gives the values of one of q alone
     choices = (HeuristicChoice("max-hop", "max-aggr"), HeuristicChoice("min-hop", "min-aggr"))
     sandwiched = 0
     for g, queries, cat in sketch_runs:
         for q in queries:
+            own = build_catalogue(g, [q], 2)
             truth = count_hom(g, q).value
             unsketched = estimate_molp(q, cat).exact
             for k in (4, 16):
-                reused = _sketched(q, g, k, "molp", catalogue=cat)
-                assert reused == _sketched(q, g, k, "molp")
+                reused = _sketched(q, g, k, "molp", cat)
+                assert reused == _sketched(q, g, k, "molp", own)
                 if reused is not SketchPlanError:
                     assert truth <= reused <= unsketched
                     sandwiched += 1
                 for choice in choices:
-                    assert _sketched(q, g, k, "optimistic", choice=choice,
-                                     ceg_kind=KIND_AVG, catalogue=cat) == \
-                        _sketched(q, g, k, "optimistic", choice=choice, ceg_kind=KIND_AVG)
+                    assert _sketched(q, g, k, "optimistic", cat, choice=choice,
+                                     ceg_kind=KIND_AVG) == \
+                        _sketched(q, g, k, "optimistic", own, choice=choice, ceg_kind=KIND_AVG)
     assert sandwiched >= 12
 
 
 def test_sketched_run_reads_its_catalogue(sketch_runs, monkeypatch):
     g, queries, cat = sketch_runs[0]
     full_graph_builds = []
-    original = sketch.build_catalogue
+    original = evalharness.build_catalogue
 
     def counting(graph, *args, **kwargs):
         if graph is g:
             full_graph_builds.append(args)
         return original(graph, *args, **kwargs)
 
-    monkeypatch.setattr(sketch, "build_catalogue", counting)
-    estimate_with_sketch(queries[0], g, 4, "molp")
-    assert len(full_graph_builds) == 1   # without a catalogue the row builds its own
-    full_graph_builds.clear()
+    monkeypatch.setattr(evalharness, "build_catalogue", counting)
     methods = expand_methods(["bound", "optimistic:avg:max-hop:max-aggr"])
     result = run_workload(g, [WorkloadItem(f"q{i}", "", q) for i, q in enumerate(queries)],
                           methods, sketch_k=4, catalogue=cat)
     assert sum(r.error is None for r in result.records) >= 4
     assert full_graph_builds == []
-
-
-def test_sketch_rejects_catalogue_at_other_h(f1_graph, q3p):
-    cat = build_catalogue(f1_graph, [q3p], 2)
-    with pytest.raises(ConfigError):
-        estimate_with_sketch(q3p, f1_graph, 4, "molp", h=3, catalogue=cat)
 
 
 def _p2() -> PathEstimate:
@@ -378,8 +373,7 @@ def test_molp_and_avg_degree_sketches_build_no_graph_and_sample_no_walk(sketch_r
     for g, queries, cat in sketch_runs:
         for q in queries:
             for base, choice in methods:
-                value = _sketched(q, g, 4, base, choice=choice, ceg_kind=KIND_AVG,
-                                  catalogue=cat)
+                value = _sketched(q, g, 4, base, cat, choice=choice, ceg_kind=KIND_AVG)
                 sketched[base] += value is not SketchPlanError
     assert sketched["molp"] >= 8
     assert sketched["optimistic"] >= 8
