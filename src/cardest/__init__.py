@@ -10,8 +10,8 @@ from .estimators import (ALL_CHOICES, Estimate, HeuristicChoice, estimate_molp,
 from .evalharness import (MethodSpec, QErrorRecord, QErrorSummary, RunResult,
                           WorkloadItem, expand_methods, qerror, run_workload,
                           summarize)
-from .graphstore import LabeledGraph, Relation, load_graph, max_degree, relation
-from .oracle import MatchCount, count_hom, group_degree, sample_label_paths
+from .graphstore import LabeledGraph, load_graph
+from .oracle import MatchCount, count_hom, sample_label_paths
 from .querymodel import (CycleSet, QueryGraph, connected_index_sets, cycles,
                          instantiate_template, parse_query)
 from .sketch import SketchPlan, estimate_with_sketch, make_sketch

@@ -27,7 +27,7 @@ import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from itertools import chain, compress, permutations, product
 from operator import itemgetter, mul
 from typing import IO, Callable, Collection, Iterable, Mapping, Sequence
@@ -454,20 +454,24 @@ def partition_catalogues(g: LabeledGraph, q: QueryGraph, h: int,
     QueryStats per part, without closing rates.
 
     Part j keeps the matches whose variables v in parts[j] (every part names
-    the same variables) bind vertices x with part_of[x] == parts[j][v]
-    (`part_of` may fill itself on a miss, as `sketch.BucketMemo` does).  Each
-    connected index set of at most h edges gets one degree table per distinct
-    group of those values that a part reads, so an index set without such a
-    variable has one table for every part, and an empty group the all-zero
-    table.  The tables come from the kernel `build_catalogue` uses: one edge,
-    or two edges over three variables, read g's label adjacency maps, each
-    split once per call into cells by the buckets of its sketched ends (a
-    neighbour list keeps, in order, the neighbours in the cell's bucket, and a
-    vertex left without one is dropped); any other index set is matched once,
-    with q's own edges, and its rows grouped.
+    the same variables) bind vertices x with part_of[x] == parts[j][v].
+    `part_of` is a `sketch.BucketMemo` of g: it fills itself on a miss, and
+    its `splits` and `tables` keep what this call builds for later calls.
+    Each connected index set of at most h edges gets one degree table per
+    distinct group of those values that a part reads, so an index set
+    without such a variable has one table for every part, and an empty group
+    the all-zero table.  The tables come from the kernel `build_catalogue`
+    uses: one edge, or two edges over three variables, read g's label
+    adjacency maps, each split once per `part_of` into cells by the buckets
+    of its sketched ends (a neighbour list keeps, in order, the neighbours
+    in the cell's bucket, and a vertex left without one is dropped); any
+    other index set is matched, with q's own edges, and its rows grouped,
+    once per call and only when a table is missing.  A table is kept under
+    its subquery's labelled edges by variable position and each variable's
+    value (None where not in the parts), which fix it on either route.
     """
     stats = [QueryStats(q, Catalogue(h=h)) for _ in parts]
-    splits: dict[tuple[str, str, bool, bool], dict] = {}
+    splits, built = part_of.splits, part_of.tables
 
     def cell(part: Mapping[str, int], e: QEdge, side: str) -> Mapping[int, list[int]]:
         """e's neighbour map at `side` in part's buckets of e's ends."""
@@ -481,20 +485,24 @@ def partition_catalogues(g: LabeledGraph, q: QueryGraph, h: int,
 
     for s in connected_index_sets(q, h):
         sub = QueryGraph([q.edges[i] for i in sorted(s)])
-        sketched = [(p, v) for p, v in enumerate(sub.vars) if v in parts[0]]
-        groups = {} if _reads_adjacency(sub) else \
-            _group_rows(oracle.matches(g, sub), [p for p, _ in sketched], part_of)
-        tables: dict[tuple[int, ...], tuple[int, DegreeTable]] = {}
+        shape = tuple((sub.vars.index(e.src), sub.vars.index(e.dst), e.label) for e in sub.edges)
+        sketched = [p for p, v in enumerate(sub.vars) if v in parts[0]]
+        grouped = cache(lambda: _group_rows(oracle.matches(g, sub), sketched, part_of))
+        tables: dict[tuple, tuple[int, DegreeTable]] = {}
         # each table's entries come in `_table_layout` order: key them once by names
         named = {x: tuple(sorted(sub.vars[i] for i in x)) for x in subsets(range(len(sub.vars)))}
         keys = [(named[x], named[y]) for y, xs, _ in _table_layout(len(sub.vars)) for x in xs]
         for st, part in zip(stats, parts):
-            group = tuple(part[v] for _, v in sketched)
-            got = tables.get(group)
+            buckets = tuple(map(part.get, sub.vars))
+            got = tables.get(buckets)
             if got is None:
-                entries = _pattern_table(partial(cell, part), sub, partial(groups.get, group, []))
+                entries = built.get((shape, buckets))
+                if entries is None:
+                    group = tuple(buckets[p] for p in sketched)
+                    entries = built[shape, buckets] = _pattern_table(
+                        partial(cell, part), sub, lambda: grouped().get(group, []))
                 table = dict(zip(keys, entries.values()))
-                got = tables[group] = table[(), tuple(sorted(sub.vars))], table
+                got = tables[buckets] = table[(), tuple(sorted(sub.vars))], table
             st._counts[s], st._tables[s] = got
     return stats
 

@@ -26,7 +26,7 @@ from .estimators import (ALL_CHOICES, KIND_AVG, KIND_CLOSING, Estimate,
 from .graphstore import LabeledGraph
 from .oracle import count_hom
 from .querymodel import QueryGraph
-from .sketch import estimate_with_sketch
+from .sketch import SketchCache, estimate_with_sketch
 
 CSV_COLUMNS = ("queryId", "template", "method", "cegKind", "hop", "aggr", "sketchK",
                "trueCount", "estimate", "qerror", "signedLog", "elapsedMs")
@@ -270,7 +270,7 @@ def run_workload(
     sketch_k below 1 raises ConfigError before any row runs.  Per query, the
     methods share one QueryStats of the catalogue, and each optimistic graph
     kind is built once; its path summary serves the heuristics and its path
-    list only the path oracle.
+    list only the path oracle.  All sketched rows share one SketchCache.
     """
     if sketch_k < 1:
         raise ConfigError(f"sketch K must be >= 1 (1: no sketch), got {sketch_k}")
@@ -285,6 +285,7 @@ def run_workload(
         check_walk_budget(walk_budget)
         cat = catalogue
     records: list[QErrorRecord] = []
+    sketches = SketchCache(g)
     for item in items:
         true_count = count_hom(g, item.query).value
         stats = QueryStats(item.query, cat)
@@ -295,7 +296,7 @@ def run_workload(
             error: str | None = None
             try:
                 estimate = _run_method(item.query, g, stats, spec, seed, walk_budget,
-                                       sketch_k, true_count, ceg_cache)
+                                       sketch_k, true_count, ceg_cache, sketches)
             except CardestError as exc:
                 error = f"{type(exc).__name__}: {exc}"
             elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -318,13 +319,13 @@ def run_workload(
 
 
 def _run_method(query, g, stats, spec, seed, walk_budget, sketch_k, true_count,
-                ceg_cache) -> Estimate:
+                ceg_cache, sketches) -> Estimate:
     if sketch_k > 1 and spec.name != "pstar":
         # avg-aggr has no chosen path to partition; the row records the failure
         base = "molp" if spec.name == "bound" else "optimistic"
         return estimate_with_sketch(query, g, sketch_k, base, stats, seed=seed,
                                     walk_budget=walk_budget, choice=spec.choice,
-                                    ceg_kind=spec.ceg_kind)
+                                    ceg_kind=spec.ceg_kind, cache=sketches)
     if spec.name == "bound":
         return estimate_molp(query, stats)
     kind = spec.ceg_kind

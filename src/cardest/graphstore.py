@@ -77,23 +77,6 @@ class LabeledGraph:
         return hashlib.sha256(dump_graph(self).encode("utf-8")).hexdigest()
 
 
-class Relation:
-    """Read-only (src, dst) tuple view over one label of a graph."""
-
-    def __init__(self, graph: LabeledGraph, label: str):
-        self.graph = graph
-        self.label = label
-
-    def __len__(self) -> int:
-        return self.graph.label_count(self.label)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return self.graph.edges_with_label(self.label)
-
-    def __repr__(self) -> str:
-        return f"Relation({self.label!r}, |tuples|={len(self)})"
-
-
 def load_graph(source: IO[str] | Iterable[str]) -> LabeledGraph:
     """Parse an edge-list stream: one `src dst label` triple per line.
 
@@ -129,17 +112,3 @@ def dump_graph(graph: LabeledGraph) -> str:
     """Serialize a graph back to edge-list text (sorted, hence canonical)."""
     return "".join(f"{s} {d} {label}\n" for s, d, label in graph.sorted_edges())
 
-
-def relation(graph: LabeledGraph, label: str) -> Relation:
-    """Relation view for `label`; unknown labels give an empty relation."""
-    return Relation(graph, label)
-
-
-def max_degree(rel: Relation, position: str) -> int:
-    """Maximum multiplicity of any value at `position` ("src" or "dst")."""
-    if position not in (SRC, DST):
-        raise ValueError(f"position must be 'src' or 'dst', got {position!r}")
-    adjacency = rel.graph.adjacency(rel.label, position)
-    if not adjacency:
-        return 0
-    return max(len(neighbors) for neighbors in adjacency.values())

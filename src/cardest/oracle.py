@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Collection, Sequence
 
-from .errors import QueryValidationError
 from .graphstore import DST, SRC, LabeledGraph
 from .querymodel import QueryGraph
 
@@ -122,23 +121,6 @@ def _run(g: LabeledGraph, steps: list[tuple], start: int, binding: list, rows: l
     if rows is not None:
         rows.append(tuple(binding))
     return factor
-
-
-def group_degree(g: LabeledGraph, q: QueryGraph, x_vars: Sequence[str], y_vars: Sequence[str]) -> int:
-    """deg(X, Y, Q): max over X-bindings of the number of distinct Y-bindings.
-
-    With X empty this is the size of the projection of the match set onto Y.
-    Returns 0 when q has no matches.
-    """
-    xs = frozenset(x_vars)
-    ys = frozenset(y_vars)
-    if not xs <= ys:
-        raise QueryValidationError("X must be a subset of Y")
-    if not ys <= set(q.vars):
-        raise QueryValidationError("Y must be a subset of the query variables")
-    x_idx = [i for i, v in enumerate(q.vars) if v in xs]
-    y_idx = [i for i, v in enumerate(q.vars) if v in ys]
-    return degrees(set(matches(g, q)), y_idx, [x_idx])[0]
 
 
 def degrees(rows: Collection[tuple[int, ...]], y_idx: Sequence[int],

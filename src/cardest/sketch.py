@@ -21,7 +21,12 @@ full graph only when read: for closing rates, which a path with a
 cycle-closing edge needs, and by callers of `make_sketch`.  A component's
 graph labels each edge by its query edge, `e{i}`, as does the
 component's query, so the closing rates are sampled and keyed under those
-tags.  Each vertex is hashed at most once per plan.
+tags.
+
+A `SketchCache` holds what the sketched rows of one run share: per (bucket
+count, seed), one `BucketMemo`, under which each vertex is hashed at most
+once, each adjacency map split once and each component degree table built
+once.  `run_workload` makes one per run; a call without one makes its own.
 
 The unpartitioned plan reads the caller's catalogue (`run_workload` passes
 the run's), and the components take its h: a catalogue lacking the query's
@@ -33,12 +38,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property, partial
+from functools import cached_property, lru_cache, partial
 from itertools import product
 from typing import Callable
 
 from .catalogue import Catalogue, QueryStats, add_closing_rates, partition_catalogues
-from .errors import SketchPlanError
+from .errors import ConfigError, SketchPlanError
 from .estgraph import BOUND, CYCLE_CLOSING, EXTENSION, PathEstimate
 from .estimators import (Estimate, HeuristicChoice, estimate_molp,
                          estimate_optimistic, evaluate_optimistic_path)
@@ -96,15 +101,38 @@ class SketchComponent:
 
 
 class BucketMemo(dict):
-    """vertex -> bucket_of(vertex, parts, seed), each vertex hashed once."""
+    """vertex -> bucket_of(vertex, parts, seed), each vertex hashed once, with
+    the adjacency splits and degree tables `partition_catalogues` builds
+    under these buckets, kept for its later calls on the same graph."""
 
     def __init__(self, parts: int, seed: int):
         super().__init__()
         self.parts, self.seed = parts, seed
+        self.splits: dict = {}
+        self.tables: dict = {}
 
     def __missing__(self, vertex: int) -> int:
         b = self[vertex] = bucket_of(vertex, self.parts, self.seed)
         return b
+
+
+class SketchCache:
+    """One BucketMemo per (bucket count, seed) for the sketches of one graph."""
+
+    def __init__(self, g: LabeledGraph):
+        self.graph = g
+        self._memos: dict[tuple[int, int], BucketMemo] = {}
+
+    def check_graph(self, g: LabeledGraph) -> None:
+        """Raise ConfigError unless made for `g`: its splits hold g's edges."""
+        if g is not self.graph and g.sha256 != self.graph.sha256:
+            raise ConfigError("sketch cache was made for a different graph")
+
+    def buckets(self, parts: int, seed: int) -> BucketMemo:
+        memo = self._memos.get((parts, seed))
+        if memo is None:
+            memo = self._memos[parts, seed] = BucketMemo(parts, seed)
+        return memo
 
 
 @dataclass
@@ -115,25 +143,26 @@ class SketchPlan:
     per_attr_parts: int             # K ** (1/|S|)
     partition_assignments: dict[int, tuple[tuple[str, ...], int]]  # edge -> (PA, pieces)
     seed: int
-    buckets: BucketMemo = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.buckets = BucketMemo(self.per_attr_parts, self.seed)
+    buckets: BucketMemo = field(repr=False, compare=False)
 
 
 def make_sketch(q: QueryGraph, g: LabeledGraph, path: PathEstimate | None, k: int,
-                ceg_kind: str = "attrs", seed: int = 0,
+                ceg_kind: str = "attrs", seed: int = 0, cache: SketchCache | None = None,
                 ) -> tuple[SketchPlan, list[SketchComponent]]:
     """Partition plan plus the K component instances (disjoint, exhaustive).
 
     k=1 is the identity sketch.  Otherwise k must be a perfect |S|-th power of
-    an integer >= 2 and S must be non-empty.  Nothing is split until a
-    component's graph is read; then each query edge's relation is split once
-    into bucket cells, which every component graph concatenates.
+    an integer >= 2 and S must be non-empty.  The plan's buckets come from
+    `cache` (a fresh one when None; ConfigError when made for another graph).
+    Nothing is split until a component's graph is read; then each query
+    edge's relation is split once into bucket cells, which every component
+    graph concatenates.
     """
+    cache = cache or SketchCache(g)
+    cache.check_graph(g)
     if k == 1:
         plan = SketchPlan(path=path, attrs=(), k=1, per_attr_parts=1,
-                          partition_assignments={}, seed=seed)
+                          partition_assignments={}, seed=seed, buckets=cache.buckets(1, seed))
         return plan, [SketchComponent((), q, lambda: g)]
     if path is None:
         raise SketchPlanError("k > 1 needs a sketch path")
@@ -151,9 +180,10 @@ def make_sketch(q: QueryGraph, g: LabeledGraph, path: PathEstimate | None, k: in
         pa = tuple(v for v in attrs if v in (e.src, e.dst))
         assignments[i] = (pa, parts ** len(pa))
     plan = SketchPlan(path=path, attrs=tuple(attrs), k=k, per_attr_parts=parts,
-                      partition_assignments=assignments, seed=seed)
+                      partition_assignments=assignments, seed=seed,
+                      buckets=cache.buckets(parts, seed))
 
-    @cache
+    @lru_cache(maxsize=None)
     def cells() -> list[dict[tuple[int | None, int | None], list[tuple[int, int, str]]]]:
         """Per query edge, edge (u, v) in the cell keyed by the buckets of its
         sketched endpoints (None where the end is not in S)."""
@@ -198,7 +228,8 @@ def estimate_with_sketch(q: QueryGraph, g: LabeledGraph, k: int, base: str,
                          catalogue: Catalogue | QueryStats, seed: int = 0,
                          walk_budget: int | None = 1000,
                          choice: HeuristicChoice | None = None,
-                         ceg_kind: str = "avg-degree") -> Estimate:
+                         ceg_kind: str = "avg-degree",
+                         cache: SketchCache | None = None) -> Estimate:
     """Sum of per-component base estimates under a K-way bound sketch.
 
     base="molp": the sketch follows the unpartitioned minimum-weight path and
@@ -214,6 +245,8 @@ def estimate_with_sketch(q: QueryGraph, g: LabeledGraph, k: int, base: str,
     maps split by bucket, or its grouped matches
     (`catalogue.partition_catalogues`); only a fixed path with a
     cycle-closing edge also samples closing rates on each component's graph.
+    Buckets, splits and tables come from `cache` (see `make_sketch`), which
+    `run_workload` shares across its rows.
     """
     stats = QueryStats.of(q, catalogue)
     stats.cat.check_graph(g)
@@ -240,7 +273,8 @@ def estimate_with_sketch(q: QueryGraph, g: LabeledGraph, k: int, base: str,
 
     if k > 1 and not sketch_attributes(sketch_path, q, sketch_ceg_kind):
         k = 1  # every join attribute is bound: partitioning degenerates (identity)
-    plan, components = make_sketch(q, g, sketch_path, k, ceg_kind=sketch_ceg_kind, seed=seed)
+    plan, components = make_sketch(q, g, sketch_path, k, ceg_kind=sketch_ceg_kind, seed=seed,
+                                   cache=cache)
     parts = partition_catalogues(g, q, stats.cat.h,
                                  [dict(zip(plan.attrs, c.index)) for c in components],
                                  plan.buckets)

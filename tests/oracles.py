@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations, product
 
+from cardest.errors import QueryValidationError
 from cardest.graphstore import LabeledGraph
 from cardest.querymodel import QueryGraph
 
@@ -39,7 +40,12 @@ def nested_loop_count(g: LabeledGraph, q: QueryGraph) -> int:
     return len(nested_loop_matches(g, q))
 
 
-def brute_group_degree(g: LabeledGraph, q: QueryGraph, x_vars, y_vars) -> int:
+def group_degree(g: LabeledGraph, q: QueryGraph, x_vars, y_vars) -> int:
+    """deg(X, Y, Q): max over X-bindings of the number of distinct Y-bindings
+    among the nested-loop matches; 0 without matches.  X must be a subset of
+    Y, and Y of q's variables (QueryValidationError)."""
+    if not set(x_vars) <= set(y_vars) <= set(q.vars):
+        raise QueryValidationError("need X within Y within the query variables")
     x_idx = [i for i, v in enumerate(q.vars) if v in set(x_vars)]
     y_idx = [i for i, v in enumerate(q.vars) if v in set(y_vars)]
     buckets: dict[tuple, set] = {}
@@ -55,7 +61,7 @@ def brute_deg_table(g: LabeledGraph, q: QueryGraph) -> dict[str, int]:
     n = len(q.vars)
     idx = [c for k in range(n + 1) for c in combinations(range(n), k)]
     return {f"{','.join(map(str, x))}|{','.join(map(str, y))}":
-            brute_group_degree(g, q, [f"x{i}" for i in x], [f"x{i}" for i in y])
+            group_degree(g, q, [f"x{i}" for i in x], [f"x{i}" for i in y])
             for y in idx for x in idx if set(x) <= set(y)}
 
 

@@ -13,13 +13,14 @@ from cardest.catalogue import (Catalogue, QueryStats, _key_to_query, build_catal
 from cardest.errors import CatalogueFormatError, ConfigError, MissingStatisticError
 from cardest import oracle
 from cardest.graphstore import LabeledGraph
-from cardest.oracle import count_hom, group_degree
+from cardest.oracle import count_hom
 from cardest.querymodel import (QEdge, QueryGraph, connected_index_sets, cycles, index_pattern,
                                 parse_query)
 
 from _synth import cycle_template, random_graph, tree_template
 from cardest.querymodel import instantiate_template
-from oracles import brute_deg_table, brute_isomorphic, brute_label_walks, nested_loop_count
+from oracles import (brute_deg_table, brute_isomorphic, brute_label_walks, group_degree,
+                     nested_loop_count)
 
 
 def _count(cat, q, indices):

@@ -12,12 +12,12 @@ from cardest.estimators import (ALL_CHOICES, HeuristicChoice, KIND_AVG,
                                 KIND_CLOSING, estimate_molp,
                                 ceg_paths, estimate_optimistic, estimate_pstar,
                                 optimistic_ceg)
-from cardest.oracle import count_hom, group_degree
+from cardest.oracle import count_hom
 from cardest.querymodel import instantiate_template, parse_query
 
 from _synth import random_graph, tree_template
 from conftest import identity_triangle
-from oracles import dag_min_product
+from oracles import dag_min_product, group_degree
 
 TRIANGLE = parse_query("a -R-> b\nb -S-> c\nc -T-> a")
 

@@ -1,12 +1,11 @@
 from __future__ import annotations
 
 import io
-import random
 
 import pytest
 
 from cardest.errors import GraphParseError
-from cardest.graphstore import (dump_graph, load_graph, max_degree, relation)
+from cardest.graphstore import DST, SRC, dump_graph, load_graph
 
 from _synth import random_graph
 
@@ -44,6 +43,10 @@ def test_string_vertex_rejected():
         load_graph(io.StringIO("x y A\n"))
 
 
+def _max_degree(g, label: str, position: str) -> int:
+    return max(map(len, g.adjacency(label, position).values()), default=0)
+
+
 def test_per_label_sizes_match_line_scan():
     lines = ["1 2 A", "2 3 A", "3 4 B", "4 5 B", "5 6 B", "1 2 A",  # dup
              "6 7 C", "7 8 C", "8 9 C", "9 1 C"]
@@ -53,63 +56,63 @@ def test_per_label_sizes_match_line_scan():
         s, d, lab = line.split()
         expected.setdefault(lab, set()).add((int(s), int(d)))
     for lab, tuples in expected.items():
-        assert len(relation(g, lab)) == len(tuples)
+        assert g.label_count(lab) == len(tuples)
+        assert set(g.edges_with_label(lab)) == tuples
 
 
 def test_relation_absent_label_empty():
     g = load_graph(io.StringIO("1 2 A\n"))
-    assert len(relation(g, "Z")) == 0
+    assert g.label_count("Z") == 0
+    assert list(g.edges_with_label("Z")) == []
+    assert g.adjacency("Z", SRC) == {} and g.adjacency("Z", DST) == {}
 
 
 def test_relation_sizes_sum_to_edge_count():
     g = random_graph(40, 150, 5, seed=3)
-    assert sum(len(relation(g, lab)) for lab in g.labels) == len(g.edges)
+    assert sum(g.label_count(lab) for lab in g.labels) == len(g.edges)
 
 
 def test_max_degree_identity_relation():
     g = load_graph(io.StringIO("".join(f"{i} {i} I\n" for i in range(1, 9))))
-    r = relation(g, "I")
-    assert max_degree(r, "src") == 1
-    assert max_degree(r, "dst") == 1
+    assert _max_degree(g, "I", SRC) == 1
+    assert _max_degree(g, "I", DST) == 1
 
 
 def test_max_degree_star():
     g = load_graph(io.StringIO("".join(f"0 {i} S\n" for i in range(1, 6))))
-    assert max_degree(relation(g, "S"), "src") == 5
-    assert max_degree(relation(g, "S"), "dst") == 1
+    assert _max_degree(g, "S", SRC) == 5
+    assert _max_degree(g, "S", DST) == 1
 
 
 def test_max_degree_empty_relation():
     g = load_graph(io.StringIO("1 2 A\n"))
-    assert max_degree(relation(g, "Z"), "src") == 0
+    assert _max_degree(g, "Z", SRC) == 0
 
 
 def test_max_degree_matches_group_by_oracle():
-    rng = random.Random(7)
     for trial in range(20):
         g = random_graph(15, 60, 3, seed=trial)
         for lab in g.labels:
-            pairs = list(g.edges_with_label(lab))
-            by_src: dict[int, int] = {}
-            by_dst: dict[int, int] = {}
-            for s, d in pairs:
-                by_src[s] = by_src.get(s, 0) + 1
-                by_dst[d] = by_dst.get(d, 0) + 1
-            assert max_degree(relation(g, lab), "src") == max(by_src.values())
-            assert max_degree(relation(g, lab), "dst") == max(by_dst.values())
-    assert rng  # rng reserved for future variation
+            by_src: dict[int, list[int]] = {}
+            by_dst: dict[int, list[int]] = {}
+            for s, d in g.edges_with_label(lab):
+                by_src.setdefault(s, []).append(d)
+                by_dst.setdefault(d, []).append(s)
+            assert g.adjacency(lab, SRC) == {s: sorted(ds) for s, ds in by_src.items()}
+            assert g.adjacency(lab, DST) == {d: sorted(ss) for d, ss in by_dst.items()}
+            assert _max_degree(g, lab, SRC) == max(map(len, by_src.values()))
+            assert _max_degree(g, lab, DST) == max(map(len, by_dst.values()))
 
 
 def test_pigeonhole_projection_bound():
     for trial in range(10):
         g = random_graph(20, 80, 4, seed=100 + trial)
         for lab in g.labels:
-            r = relation(g, lab)
-            pairs = list(r)
+            pairs = list(g.edges_with_label(lab))
             srcs = {s for s, _ in pairs}
             dsts = {d for _, d in pairs}
-            assert len(srcs) * max_degree(r, "src") >= len(r)
-            assert len(dsts) * max_degree(r, "dst") >= len(r)
+            assert len(srcs) * _max_degree(g, lab, SRC) >= g.label_count(lab)
+            assert len(dsts) * _max_degree(g, lab, DST) >= g.label_count(lab)
 
 
 def test_load_is_idempotent_on_own_dump():

@@ -6,13 +6,12 @@ import pytest
 
 from cardest.errors import QueryValidationError
 from cardest.graphstore import LabeledGraph
-from cardest.oracle import (FWD, REV, count_hom, group_degree, matches,
-                            sample_label_paths)
+from cardest.oracle import FWD, REV, count_hom, degrees, matches, sample_label_paths
 from cardest.querymodel import QEdge, QueryGraph, instantiate_template, parse_query
 
 from _synth import random_graph, tree_template, cycle_template
 from conftest import identity_triangle
-from oracles import brute_group_degree, nested_loop_count, nested_loop_matches
+from oracles import group_degree, nested_loop_count, nested_loop_matches
 
 TRIANGLE = parse_query("a -R-> b\nb -S-> c\nc -T-> a")
 
@@ -93,13 +92,13 @@ def test_group_degree_empty_x_equals_count_on_all_vars():
 
 
 def test_group_degree_wedge_matches_brute():
+    # the library's grouping of its matcher's rows against the nested-loop reference
     for seed in range(10):
         g = random_graph(15, 70, 3, seed=700 + seed)
         q = parse_query("a1 -A-> a2\na2 -B-> a3")
-        assert group_degree(g, q, ["a2"], list(q.vars)) == \
-            brute_group_degree(g, q, ["a2"], q.vars)
-        assert group_degree(g, q, [], ["a1", "a3"]) == \
-            brute_group_degree(g, q, [], ["a1", "a3"])
+        rows = set(matches(g, q))
+        assert degrees(rows, [0, 1, 2], [[1]]) == [group_degree(g, q, ["a2"], q.vars)]
+        assert degrees(rows, [0, 2], [[]]) == [group_degree(g, q, [], ["a1", "a3"])]
 
 
 def test_group_degree_validates_subsets():

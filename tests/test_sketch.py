@@ -6,16 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from cardest import evalharness, oracle, sketch
+from cardest import catalogue, evalharness, oracle, sketch
 from cardest.catalogue import QueryStats, build_catalogue, canonical_form, partition_catalogues
-from cardest.errors import SketchPlanError
+from cardest.errors import ConfigError, SketchPlanError
 from cardest.estgraph import BOUND, UNBOUND, CegEdge, PathEstimate
 from cardest.estimators import HeuristicChoice, KIND_AVG, estimate_molp, estimate_optimistic
+from cardest.graphstore import LabeledGraph
 from cardest.evalharness import WorkloadItem, expand_methods, run_workload
 from cardest.oracle import count_hom
 from cardest.querymodel import (connected_index_sets, index_pattern, instantiate_template,
                                 parse_query)
-from cardest.sketch import (bucket_of, estimate_with_sketch, join_attributes,
+from cardest.sketch import (SketchCache, bucket_of, estimate_with_sketch, join_attributes,
                             make_sketch, sketch_attributes)
 
 from _synth import cycle_template, random_graph, tree_template
@@ -253,6 +254,61 @@ def test_sketched_run_reads_its_catalogue(sketch_runs, monkeypatch):
                           methods, sketch_k=4, catalogue=cat)
     assert sum(r.error is None for r in result.records) >= 4
     assert full_graph_builds == []
+
+
+SKETCHED_METHODS = ("bound", "optimistic:avg:max-hop:max-aggr", "optimistic:avg:min-hop:min-aggr",
+                    "optimistic:closing:max-hop:max-aggr")
+
+
+@pytest.mark.parametrize("k", [4, 16])
+def test_run_rows_equal_sketches_each_with_a_fresh_cache(sketch_runs, k):
+    methods = expand_methods(list(SKETCHED_METHODS))
+    sketched = 0
+    for g, queries, cat in sketch_runs:
+        result = run_workload(g, queries, methods, sketch_k=k, catalogue=cat)
+        got = [r.estimate_exact if r.error is None else r.error.split(":")[0]
+               for r in result.records]
+        want = [_sketched(q, g, k, "molp" if m.name == "bound" else "optimistic", cat,
+                          choice=m.choice, ceg_kind=m.ceg_kind)
+                for q in queries for m in methods]
+        assert got == ["SketchPlanError" if w is SketchPlanError else w for w in want]
+        sketched += sum(w is not SketchPlanError for w in want)
+    assert sketched >= 12
+
+
+def test_run_splits_each_map_and_hashes_each_vertex_once(sketch_runs, monkeypatch):
+    splits, hashed = Counter(), Counter()
+    split, hash_ = catalogue._split_adjacency, sketch.bucket_of
+
+    def counted_split(adj, part_of, by_near, by_far):
+        splits[id(adj), by_near, by_far, part_of.parts, part_of.seed] += 1
+        return split(adj, part_of, by_near, by_far)
+
+    def counted_hash(vertex, buckets, seed):
+        hashed[vertex, buckets, seed] += 1
+        return hash_(vertex, buckets, seed)
+
+    monkeypatch.setattr(catalogue, "_split_adjacency", counted_split)
+    monkeypatch.setattr(sketch, "bucket_of", counted_hash)
+    methods = expand_methods(list(SKETCHED_METHODS))
+    for g, queries, cat in sketch_runs:
+        splits.clear()
+        hashed.clear()
+        run_workload(g, queries, methods, sketch_k=4, catalogue=cat)
+        assert splits and set(splits.values()) == {1}
+        assert hashed and set(hashed.values()) == {1}
+
+
+def test_sketch_cache_of_another_graph_rejected(sketch_runs):
+    (g, queries, cat), (other, _, _) = sketch_runs[:2]
+    q = queries[0]
+    with pytest.raises(ConfigError, match="different graph"):
+        estimate_with_sketch(q, g, 4, "molp", cat, cache=SketchCache(other))
+    with pytest.raises(ConfigError, match="different graph"):
+        make_sketch(q, g, None, 1, cache=SketchCache(other))
+    # a cache of an equal graph, loaded separately, is the same graph's
+    assert estimate_with_sketch(q, g, 4, "molp", cat, cache=SketchCache(LabeledGraph(g.edges))) \
+        == estimate_with_sketch(q, g, 4, "molp", cat)
 
 
 def _p2() -> PathEstimate:
