@@ -555,11 +555,9 @@ def add_closing_rates(cat: Catalogue, g: LabeledGraph, workload: Sequence[QueryG
             cat.closing[key] = ClosingStat(oracle.count_hom(g, walks).value,
                                            oracle.count_hom(g, closed).value)
             continue
-        closures = 0
-        for walk in oracle.sample_label_paths(g, spec.walk, walk_budget, seed + i):
-            a, b = (walk[-1], walk[0]) if spec.close_from_end else (walk[0], walk[-1])
-            if g.has_edge(a, b, spec.close_label):
-                closures += 1
+        walks = oracle.sample_label_paths(g, spec.walk, walk_budget, seed + i)
+        a, b = (-1, 0) if spec.close_from_end else (0, -1)
+        closures = sum((w[a], w[b], spec.close_label) in g.edges for w in walks)
         cat.closing[key] = ClosingStat(walk_budget, closures)
 
 

@@ -31,12 +31,13 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .catalogue import Catalogue, QueryStats
 from .errors import ConfigError, EstimationError, PathOverflowError, QueryValidationError
-from .querymodel import QueryGraph, connected_index_sets, cycles, subsets
+from .querymodel import QueryGraph, connected_index_sets, cycles, indices_connected, subsets
 
 START = "start"
 EXTENSION = "extension"
@@ -97,9 +98,10 @@ class Ceg:
     `out(v)` returns v's out-edges, ordered by destination, then rate, unbound
     first on ties.  They are derived once, on v's first `out`, by the graph's
     per-source function `derive` and cached.  `sources` lists every vertex
-    `derive` may give out-edges; `all_edges` and `vertices` derive them all
-    first, so a listing never depends on which vertices were visited before
-    it.  Only an `AttrCeg` may hold projection edges.
+    `derive` may give out-edges; it is read once, on the first `all_edges` or
+    `vertices`, so it may be a lazy iterator.  Both listings derive every
+    source first, so a listing never depends on which vertices were visited
+    before it.  Only an `AttrCeg` may hold projection edges.
     """
 
     def __init__(self, kind: str, query: QueryGraph, top: frozenset,
@@ -112,8 +114,12 @@ class Ceg:
         self._derive = derive
         self._dst_keys: dict[frozenset, tuple] = {}
         self._adj: dict[frozenset, tuple[CegEdge, ...]] = {}
-        self._sources = list(sources)
+        self._source_iter = sources
         self._projections = False
+
+    @cached_property
+    def _sources(self) -> list[frozenset]:
+        return list(self._source_iter)
 
     def _ordered(self, edges: Iterable[CegEdge]) -> tuple[CegEdge, ...]:
         keys = self._dst_keys
@@ -170,7 +176,8 @@ def build_optimistic(q: QueryGraph, cat: Catalogue | QueryStats, closing: bool =
 
     The sources are the empty vertex and every connected index set of at
     least min(h, |Q|) edges but the top.  Each decides its own out-edges, on
-    its first `out`, so an estimate derives only the sources its paths reach.
+    its first `out`, so an estimate derives only the sources its paths reach;
+    the full lattice of sources is listed only for `all_edges` or `vertices`.
     The hops of a source are grouped by target.  With closing=True, a hop that
     completes a cycle longer than h takes that cycle's sampled closing rate
     instead of its count ratios, or no edge when it adds more than the
@@ -187,8 +194,7 @@ def build_optimistic(q: QueryGraph, cat: Catalogue | QueryStats, closing: bool =
     stats = QueryStats.of(q, cat)
     m, h = len(q), stats.cat.h
     start_size = min(h, m)
-    lattice = connected_index_sets(q, m)
-    patterns = [s for s in lattice if len(s) <= h]
+    patterns = connected_index_sets(q, start_size)
     known = set(patterns)
     firsts = [s for s in patterns if len(s) == start_size]
     if starts == "anchored":
@@ -211,11 +217,16 @@ def build_optimistic(q: QueryGraph, cat: Catalogue | QueryStats, closing: bool =
         return got
 
     top = frozenset(range(m))
-    sources = [frozenset()] + [s for s in lattice if len(s) >= start_size and s != top]
-    is_source = set(sources)
+
+    def sources() -> Iterator[frozenset]:
+        yield frozenset()
+        yield from (s for s in connected_index_sets(q, m) if len(s) >= start_size and s != top)
+
+    reached: set[frozenset] = set()  # every hop target is connected: no search for them
 
     def derive(src: frozenset) -> list[CegEdge]:
-        if src not in is_source:
+        if src and not (len(src) >= start_size and src < top
+                        and (src in reached or indices_connected(q, src))):
             return []
         hops: dict[frozenset, list[tuple[Fraction, tuple]]] = {}
         if src:
@@ -254,10 +265,11 @@ def build_optimistic(q: QueryGraph, cat: Catalogue | QueryStats, closing: bool =
                 edges[target] = [CegEdge(src, target, rate, hop_kind, tuple(sorted(provs)))
                                  for rate, provs in merged]
         fresh = [c for c in all_cycles if not c <= src]
+        reached.update(edges)
         closers = [t for t in edges if any(c <= t for c in fresh)]
         return [e for t in (closers or edges) for e in edges[t]]
 
-    return Ceg("edges", q, top, derive, sources)
+    return Ceg("edges", q, top, derive, sources())
 
 
 # ---------------------------------------------------------------------------

@@ -143,13 +143,6 @@ def degrees(rows: Collection[tuple[int, ...]], y_idx: Sequence[int],
             for x in x_idxs]
 
 
-def _step_neighbors(g: LabeledGraph, vertex: int, step: LabelStep) -> list[int]:
-    label, direction = step
-    if direction == FWD:
-        return g.out_neighbors(vertex, label)
-    return g.in_neighbors(vertex, label)
-
-
 def _first_edges(g: LabeledGraph, step: LabelStep) -> list[tuple[int, int]]:
     """(w0, w1) pairs realizing the first step."""
     label, direction = step
@@ -166,26 +159,45 @@ def sample_label_paths(g: LabeledGraph, label_seq: Sequence[LabelStep],
     A walk begins on a uniformly chosen edge matching the first step and
     extends uniformly among admissible continuations; a dead end costs one
     sample and yields no walk.  Walks may revisit vertices.
+
+    Draw rule: every choice among n items, n = 1 included, takes
+    k = n.bit_length() bits from `random.Random(seed).getrandbits` and draws
+    again while the value is >= n; that value is the index.  The pinned
+    closing rates depend on this exact stream.  The `random` module promises
+    only that `random()`'s sequence stays stable across Python versions, so
+    the rule is written out here rather than left to `randrange` (which
+    applies it today).
     """
     if p < 1:
         raise ValueError("sample count must be >= 1")
     if not label_seq:
         raise ValueError("label sequence must be non-empty")
-    rng = random.Random(seed)
     firsts = _first_edges(g, label_seq[0])
     if not firsts:
         return []
+    bits = random.Random(seed).getrandbits
+    n_firsts = len(firsts)
+    k_firsts = n_firsts.bit_length()
+    steps = [g.adjacency(label, SRC if direction == FWD else DST)
+             for label, direction in label_seq[1:]]
     walks: list[tuple[int, ...]] = []
     for _ in range(p):
-        w0, w1 = firsts[rng.randrange(len(firsts))]
-        walk = [w0, w1]
-        dead = False
-        for step in label_seq[1:]:
-            nbrs = _step_neighbors(g, walk[-1], step)
-            if not nbrs:
-                dead = True
+        i = bits(k_firsts)
+        while i >= n_firsts:
+            i = bits(k_firsts)
+        walk = list(firsts[i])
+        v = walk[1]
+        for adjacency in steps:
+            nbrs = adjacency.get(v)
+            if nbrs is None:  # adjacency lists are never empty
                 break
-            walk.append(nbrs[rng.randrange(len(nbrs))])
-        if not dead:
+            n = len(nbrs)
+            k = n.bit_length()
+            i = bits(k)
+            while i >= n:
+                i = bits(k)
+            v = nbrs[i]
+            walk.append(v)
+        else:
             walks.append(tuple(walk))
     return walks

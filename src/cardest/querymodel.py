@@ -51,7 +51,7 @@ class QueryGraph:
             raise QueryValidationError("duplicate identical query edge")
         self.edges: tuple[QEdge, ...] = tuple(qedges)
         self.vars: tuple[str, ...] = tuple(seen_vars)
-        if not _indices_connected(self, range(len(self.edges))):
+        if not indices_connected(self, range(len(self.edges))):
             raise QueryValidationError("query graph is disconnected")
 
     def __len__(self) -> int:
@@ -117,7 +117,8 @@ def index_pattern(q: QueryGraph, indices: Iterable[int]) -> tuple[tuple[str, str
     return tuple(sorted((q.edges[i].src, q.edges[i].dst, q.edges[i].label) for i in indices))
 
 
-def _indices_connected(q: QueryGraph, indices: Iterable[int]) -> bool:
+def indices_connected(q: QueryGraph, indices: Iterable[int]) -> bool:
+    """Whether the edges of q at `indices` (valid edge indices) form one non-empty component."""
     idx = set(indices)
     if not idx:
         return False

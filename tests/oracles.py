@@ -7,6 +7,7 @@ power set, isomorphism tries every bijection.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, permutations, product
 
 from cardest.errors import QueryValidationError
@@ -193,6 +194,31 @@ def brute_label_walks(g: LabeledGraph, label_seq) -> list[tuple[int, ...]]:
 
     for w0, w1 in sorted(firsts):
         rec([w0, w1])
+    return walks
+
+
+def randrange_label_walks(g: LabeledGraph, label_seq, p: int, seed: int) -> list[tuple[int, ...]]:
+    """`sample_label_paths`'s walks drawn with `random.Random.randrange`:
+    a uniform first edge (pairs sorted as (w0, w1)), then a uniform neighbour
+    per step from `out_neighbors` / `in_neighbors`; a dead end yields no walk."""
+    from cardest.oracle import FWD
+
+    rng = random.Random(seed)
+    lab, direction = label_seq[0]
+    firsts = sorted((s, d) if direction == FWD else (d, s) for s, d in g.edges_with_label(lab))
+    if not firsts:
+        return []
+    walks = []
+    for _ in range(p):
+        walk = list(firsts[rng.randrange(len(firsts))])
+        for lab, direction in label_seq[1:]:
+            nbrs = (g.out_neighbors(walk[-1], lab) if direction == FWD
+                    else g.in_neighbors(walk[-1], lab))
+            if not nbrs:
+                break
+            walk.append(nbrs[rng.randrange(len(nbrs))])
+        else:
+            walks.append(tuple(walk))
     return walks
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from cardest import estimators
+from cardest import estgraph, estimators
 from cardest.catalogue import build_catalogue, canonical_form, closing_spec
 from cardest.errors import EstimationError, MissingStatisticError, PathOverflowError
 from cardest.estgraph import (EXTENSION, Ceg, CegEdge, PathEstimate, build_cover,
@@ -403,6 +403,25 @@ def test_estimate_derives_only_the_vertices_its_summary_visits(monkeypatch):
     unforced: list = []
     assert not _recording(build_optimistic(STAR4, cat), unforced).has_projection_edges()
     assert unforced == []
+
+
+def test_optimistic_build_lists_the_lattice_only_for_listings(monkeypatch):
+    g = random_graph(30, 150, 2, seed=11)
+    cat = _cat(g, [PATH4])
+    sizes: list[int] = []
+    monkeypatch.setattr(estgraph, "connected_index_sets",
+                        lambda q, n: sizes.append(n) or connected_index_sets(q, n))
+    ceg = build_optimistic(PATH4, cat, starts="all")
+    path_summary(ceg)
+    assert sizes == [2]  # the h-edge patterns only
+    assert {e.src for e in ceg.all_edges()} == {frozenset(), frozenset({0, 1}), frozenset({1, 2}),
+                                               frozenset({2, 3}), frozenset({0, 1, 2}),
+                                               frozenset({1, 2, 3})}
+    assert sizes == [2, 4]
+    # not sources: too small, disconnected, the top, outside the query
+    for v in ({0}, {0, 2}, {0, 1, 3}, {0, 1, 2, 3}, {1, 7}):
+        assert build_optimistic(PATH4, cat).out(frozenset(v)) == ()
+    assert build_optimistic(PATH4, cat).out(frozenset({1, 2}))
 
 
 def _required_keys(q, h: int, closing: bool) -> list[tuple[str, str]]:

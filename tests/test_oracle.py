@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -11,7 +12,7 @@ from cardest.querymodel import QEdge, QueryGraph, instantiate_template, parse_qu
 
 from _synth import random_graph, tree_template, cycle_template
 from conftest import identity_triangle
-from oracles import group_degree, nested_loop_count, nested_loop_matches
+from oracles import group_degree, nested_loop_count, nested_loop_matches, randrange_label_walks
 
 TRIANGLE = parse_query("a -R-> b\nb -S-> c\nc -T-> a")
 
@@ -142,6 +143,26 @@ def test_walks_respect_directions():
     g = LabeledGraph([(1, 2, "A"), (3, 2, "B"), (3, 4, "C")])
     walks = sample_label_paths(g, [("A", FWD), ("B", REV), ("C", FWD)], p=50, seed=1)
     assert set(walks) == {(1, 2, 3, 4)}
+
+
+def test_walks_equal_the_randrange_reference_walk_for_walk():
+    # hub n (1..9) has n B-successors and n C-predecessors; the A-edge 0 -> 99
+    # ends every walk that steps on from 99, and A- from a hub is one-element
+    hubs = range(1, 10)
+    g = LabeledGraph([(0, n, "A") for n in hubs] + [(0, 99, "A")]
+                     + [(n, 100 * n + j, "B") for n in hubs for j in range(n)]
+                     + [(100 * n + j, n, "C") for n in hubs for j in range(n)])
+    seqs = [[("A", FWD), ("B", FWD)], [("A", FWD), ("C", REV)], [("A", REV), ("A", FWD), ("B", FWD)],
+            [("B", REV), ("A", REV), ("A", FWD), ("C", REV)], [("C", FWD)]]
+    for seed, seq in enumerate(seqs):
+        walks = sample_label_paths(g, seq, p=300, seed=seed)
+        assert walks == randrange_label_walks(g, seq, 300, seed)
+        assert 0 < len(walks) < 300 or len(seq) == 1
+    for seed in range(20):
+        rng = random.Random(seed)
+        g = random_graph(15, 60, 3, seed=900 + seed)
+        seq = [(rng.choice("ABC"), rng.choice((FWD, REV))) for _ in range(rng.randint(1, 4))]
+        assert sample_label_paths(g, seq, p=200, seed=seed) == randrange_label_walks(g, seq, 200, seed)
 
 
 def test_walk_frequencies_match_generation_law():
