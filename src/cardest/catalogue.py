@@ -278,11 +278,18 @@ def _named_table(entries: Mapping[str, int], names: Mapping[str, str]) -> Degree
     table = {}
     try:
         for entry, deg in entries.items():
-            x, y = entry.split("|")
+            x, y = _entry_parts(entry)
             table[part_vars(x), part_vars(y)] = deg
     except (KeyError, ValueError):  # an entry key outside the pattern's indices
         return None
     return table
+
+
+@lru_cache(maxsize=4096)
+def _entry_parts(entry: str) -> tuple[str, str]:
+    """The X and Y parts of a stored entry key "x|y", split once per process."""
+    x, y = entry.split("|")
+    return x, y
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ max-degree graph whose minimum-weight path is the pessimistic bound, and the
 cover graph induced by a per-relation attribute cover (a sub-graph of the
 max-degree graph).  Attribute-subset graphs (`AttrCeg`) are held as move
 tables, filled from one whole degree table per catalogue pattern; they are
-the only graphs `min_weight_path` searches, its moves grouped by X,
+the only graphs `min_weight_path` searches, its moves grouped by Y,
 zero-degree moves included.
 
 Every rate is a statistic of an index set of q, read through one
@@ -276,14 +276,15 @@ def build_optimistic(q: QueryGraph, cat: Catalogue | QueryStats, closing: bool =
 # Max-degree and cover builds (attribute-subset vertices)
 # ---------------------------------------------------------------------------
 
-Move = tuple[frozenset, frozenset, int, tuple]   # (X, Y, deg, provenance)
+Move = tuple[tuple[str, ...], tuple[str, ...], int, tuple]   # (X, Y, deg, provenance)
 
 
 class AttrCeg(Ceg):
     """Attribute-subset graph held as its move table.
 
-    A move (X, Y, deg, provenance) is an edge W -> W|Y of rate deg from every
-    vertex W containing X: unbound when X is empty, bound otherwise.  Vertices
+    A move (X, Y, deg, provenance), X a proper subset of Y, is an edge W -> W|Y
+    of rate deg from every vertex W containing X: unbound when X is empty,
+    bound otherwise.  X and Y are tuples (or sets) of names.  Vertices
     are bitmasks over the sorted variables inside; `moves` holds the table
     with X and Y as masks, `out` derives and caches a vertex's merged CegEdges
     on first use, and `min_weight_path` searches the moves directly.  Listing
@@ -295,11 +296,16 @@ class AttrCeg(Ceg):
         self._names = tuple(sorted(query.vars))
         self._bit = {v: 1 << i for i, v in enumerate(self._names)}
         self._keys: dict[int, tuple[str, ...]] = {}
+        self._masks: dict[Iterable[str], int] = {}
         self.moves = [(self._mask(x), self._mask(y), deg, prov) for x, y, deg, prov in moves]
         self._projections = projections
 
     def _mask(self, vertex: Iterable[str]) -> int:
-        return sum(self._bit[v] for v in vertex)
+        """The bitmask of a name tuple or frozenset, computed once per distinct one."""
+        got = self._masks.get(vertex)
+        if got is None:
+            got = self._masks[vertex] = sum(self._bit[v] for v in vertex)
+        return got
 
     def _key(self, mask: int) -> tuple[str, ...]:
         got = self._keys.get(mask)
@@ -312,7 +318,7 @@ class AttrCeg(Ceg):
         w, only = self._mask(vertex), None if dst is None else self._mask(dst)
         merged: dict[tuple[int, int, str], set] = {}
         for xm, ym, deg, prov in self.moves:
-            if xm & w == xm and ym & ~w:
+            if xm & w == xm and ym & ~w and (only is None or w | ym == only):
                 merged.setdefault((w | ym, deg, BOUND if xm else UNBOUND), set()).add(prov)
         if self._projections:
             for v in vertex:
@@ -340,7 +346,7 @@ def maxdeg_moves(q: QueryGraph, cat: Catalogue | QueryStats) -> list[Move]:
     moves: list[Move] = []
     for s in connected_index_sets(q, stats.cat.h):
         indices = tuple(sorted(s))
-        moves += [(frozenset(x), frozenset(y), deg, ("deg", indices, x, y))
+        moves += [(x, y, deg, ("deg", indices, x, y))
                   for (x, y), deg in stats.degrees(s).items() if x != y]
     return moves
 
@@ -382,8 +388,8 @@ def build_cover(q: QueryGraph, cat: Catalogue | QueryStats,
     moves: list[Move] = []
     for edge_idx, attrs in normalized:
         table = stats.degrees(frozenset({edge_idx}))
-        moves += [(frozenset(ajp), frozenset(attrs), table[ajp, attrs],
-                   ("cover", edge_idx, attrs, ajp)) for ajp in subsets(attrs) if ajp != attrs]
+        moves += [(ajp, attrs, table[ajp, attrs], ("cover", edge_idx, attrs, ajp))
+                  for ajp in subsets(attrs) if ajp != attrs]
     return AttrCeg(q, moves)
 
 
@@ -579,34 +585,33 @@ def min_weight_path(ceg: AttrCeg) -> PathEstimate:
     same rate.  Degrees are integers, and so are the weights.  Any other graph
     raises ValueError.
 
-    The de-duplicated moves are grouped by X, and each pop tests a group's X
-    once and pushes only the cheapest move into each target.  No move is
-    dropped as dominated.  So the pops, and the result, do not depend on the
-    order the moves are pushed in: with every degree positive, the result is
-    the minimum (weight, vertex-key sequence) path.
+    The moves are grouped by Y.  For each proper submask Z of a group's Y,
+    a table holds the cheapest degree over the group's moves whose X lies in
+    Z.  A move (X, Y) applies at w when X ⊆ w, and X ⊆ Y, so exactly when X ⊆
+    Y ∩ w: a pop at w reads one entry, table[Y ∩ w], for each Y not within w,
+    and pushes only the cheapest move into each target.  No move is dropped as
+    dominated, and no degree is assumed monotone in X.  So the pops, and the
+    result, do not depend on the order the moves are pushed in: with every
+    degree positive, the result is the minimum (weight, vertex-key sequence)
+    path.
     """
     if not isinstance(ceg, AttrCeg):
         raise ValueError("min_weight_path searches max-degree and cover graphs only")
-    cheapest: dict[tuple[int, int], int] = {}
-    for xm, ym, deg, _ in ceg.moves:
-        cheapest[xm, ym] = min(deg, cheapest.get((xm, ym), deg))
-    by_x: dict[int, list[tuple[int, int]]] = {}
-    for (xm, ym), deg in cheapest.items():
-        by_x.setdefault(xm, []).append((ym, deg))
-    groups = list(by_x.items())
+    tables = _tables_by_y(ceg.moves)
     bits = list(ceg._bit.values()) if ceg._projections else []
     key_of, goal = ceg._key, (1 << len(ceg._bit)) - 1
 
     def step(w: int) -> dict[int, int]:
         """The cheapest rate from w into each vertex one move away."""
         reach: dict[int, int] = {}
-        for xm, group in groups:
-            if xm & w == xm:
-                for ym, deg in group:
-                    if ym & ~w:
-                        dst = w | ym
-                        if deg < reach.get(dst, deg + 1):
-                            reach[dst] = deg
+        free = ~w
+        for ym, table in tables:
+            if ym & free:
+                deg = table.get(ym & w)
+                if deg is not None:
+                    dst = w | ym
+                    if deg < reach.get(dst, deg + 1):
+                        reach[dst] = deg
         for b in bits:
             if w & b:
                 reach[w & ~b] = 1
@@ -635,6 +640,27 @@ def min_weight_path(ceg: AttrCeg) -> PathEstimate:
             counter += 1
             heapq.heappush(heap, (total, keys + (key_of(dst),), counter, dst))
     raise EstimationError("top vertex unreachable; statistics missing")
+
+
+def _tables_by_y(moves: Iterable[tuple[int, int, int, tuple]]) -> list[tuple[int, dict[int, int]]]:
+    """(Y, table) for each distinct Y mask of the moves: table[Z], for each
+    proper submask Z of Y, is the cheapest degree of a move into Y whose X
+    lies within Z; Z has no entry when no such move exists."""
+    by_y: dict[int, dict[int, int]] = {}
+    for xm, ym, deg, _ in moves:
+        group = by_y.setdefault(ym, {})
+        group[xm] = min(deg, group.get(xm, deg))
+    tables = []
+    for ym, group in by_y.items():
+        table: dict[int, int] = {}
+        for xm, deg in group.items():
+            rest = s = ym ^ xm
+            while s:  # every proper submask of ym that holds xm: xm | s, s ⊊ rest
+                s = (s - 1) & rest
+                if deg < table.get(xm | s, deg + 1):
+                    table[xm | s] = deg
+        tables.append((ym, table))
+    return tables
 
 
 # ---------------------------------------------------------------------------

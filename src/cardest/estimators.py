@@ -5,7 +5,7 @@ all-hops) and aggregates their estimates (max-aggr / min-aggr / avg-aggr),
 giving 9 heuristics per graph kind, each read from one `path_summary` of
 the anchored graph (per hop count: max, min, sum and count of the path
 estimates).  Only the path oracle, which picks the single most accurate path
-given the true count, and the geometric mean list the paths, capped.
+given the true count, lists the paths, capped.
 The pessimistic bound is the minimum-weight path of the max-degree graph,
 found combinatorially after one pass over q's catalogue patterns reads
 their degree tables.
@@ -101,32 +101,15 @@ def ceg_summary(ceg: Ceg) -> PathSummary:
 
 
 def estimate_optimistic(q: QueryGraph, cat: Catalogue | QueryStats, ceg_kind: str,
-                        choice: HeuristicChoice, average: str = "arithmetic",
-                        cap: int = DEFAULT_PATH_CAP,
+                        choice: HeuristicChoice,
                         summary: PathSummary | None = None) -> Estimate:
     """One 3x3 heuristic on the optimistic graph of `ceg_kind`.
 
     Reads `summary` (built from the graph when not given); the chosen path is
-    the first extreme one in `iter_paths` order.  Only avg-aggr with
-    average="geometric" lists the paths instead, capped: PathOverflowError
-    past `cap` paths.
+    the first extreme one in `iter_paths` order.  No path is listed, so no
+    path count caps it.
     """
     method = f"optimistic:{choice}"
-    if choice.aggr == "avg-aggr" and average == "geometric":
-        pool = ceg_paths(optimistic_ceg(q, cat, ceg_kind), cap)
-        if choice.hop != "all-hops":
-            hops = (max if choice.hop == "max-hop" else min)(p.hops for p in pool)
-            pool = [p for p in pool if p.hops == hops]
-        value = 0.0
-        if all(p.estimate for p in pool):  # the mean of the logs: the product can overflow
-            mean = math.fsum(math.log(p.estimate.numerator) - math.log(p.estimate.denominator)
-                             for p in pool) / len(pool)
-            try:
-                value = math.exp(mean)
-            except OverflowError:
-                value = math.inf
-        return Estimate(value=value, exact=None, method=method + ":geo", ceg_kind=ceg_kind,
-                        considered_paths=len(pool), chosen_path=None)
     if summary is None:
         summary = ceg_summary(optimistic_ceg(q, cat, ceg_kind))
     hops = None

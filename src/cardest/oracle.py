@@ -7,10 +7,19 @@ depends only on which variables are bound, never on the vertices bound to
 them, so the search order is planned once per call, as in Graphflow's query
 plans, rather than chosen again at every search node.  Each round of the
 plan checks the edges whose endpoints are both bound, then, when counting,
-folds every pendant edge (one endpoint bound, the other used by no remaining
-edge) into a degree factor instead of branching on it, then branches on the
-first edge touching a bound variable, or on the smallest relation when none
-is bound.  Listing folds nothing, since a row needs every variable bound.
+folds every free variable whose remaining edges all reach bound variables
+instead of branching on it, then branches on the first edge touching a bound
+variable, or on the smallest relation when none is bound.  A folded variable
+multiplies the count by the number of its candidates: with one such edge (a
+pendant edge), the length of the bound end's adjacency list; with k >= 2, the
+size of the intersection of the k lists, the extend/intersect step of
+worst-case optimal joins (Ngo, Ré & Rudra, "Skew strikes back", 2013;
+Graphflow, Mhedhbi & Salihoglu, VLDB 2019).  That intersection is a set of
+the list of the variable bound first, made once per vertex it binds within
+one call, intersected in C with the other lists; so a cycle's last variable
+closes it without a search.  Listing folds nothing, since a row needs every
+variable bound, so its plan, and the order of its rows, are the same as
+without folds.
 """
 
 from __future__ import annotations
@@ -47,7 +56,7 @@ def matches(g: LabeledGraph, q: QueryGraph) -> list[tuple[int, ...]]:
     return rows
 
 
-_CHECK, _FOLD, _EXTEND, _SCAN = range(4)
+_CHECK, _FOLD, _MEET, _EXTEND, _SCAN = range(5)
 
 
 def _plan(g: LabeledGraph, q: QueryGraph, fold: bool) -> list[tuple]:
@@ -56,12 +65,17 @@ def _plan(g: LabeledGraph, q: QueryGraph, fold: bool) -> list[tuple]:
 
     A step is (kind, slot a, slot b, arg): CHECK tests the data edge
     binding[a] -arg-> binding[b]; FOLD multiplies by the number of neighbours
-    of binding[a] in the adjacency map arg; EXTEND binds b to each of them;
-    SCAN binds (a, b) to each edge labelled arg.
+    of binding[a] in the adjacency map arg; MEET multiplies by the size of the
+    intersection of k >= 2 neighbour lists: binding[a]'s in the map arg[0] (a
+    is bound before the other arms' slots), binding[b]'s in arg[1], and
+    binding[c]'s in m for each (c, m) in arg[3], where arg[2] holds the set of
+    each list of a, made once per call and vertex; EXTEND binds b to each
+    neighbour of binding[a] in the map arg; SCAN binds (a, b) to each edge of
+    the out-neighbour map arg, in `edges_with_label` order.
     """
     slot = {v: i for i, v in enumerate(q.vars)}
     rest = [(slot[e.src], slot[e.dst], e.label) for e in q.edges]
-    bound: set[int] = set()
+    bound: dict[int, int] = {}  # slot -> its place in binding order
     steps: list[tuple] = []
     while rest:
         edges, rest = rest, []
@@ -71,15 +85,27 @@ def _plan(g: LabeledGraph, q: QueryGraph, fold: bool) -> list[tuple]:
             else:
                 rest.append((u, v, lab))
         if fold:
-            uses = Counter(s for u, v, _ in rest for s in (u, v))
-            edges, rest = rest, []
-            for u, v, lab in edges:
-                if u in bound and uses[v] == 1:
-                    steps.append((_FOLD, u, v, g.adjacency(lab, SRC)))
-                elif v in bound and uses[u] == 1:
-                    steps.append((_FOLD, v, u, g.adjacency(lab, DST)))
+            # a free variable whose every remaining edge reaches a bound one
+            # folds: its arms are those edges as (bound slot, adjacency map)
+            arms: dict[int, list | None] = {}
+            for u, v, lab in rest:
+                for near, far, side in ((u, v, SRC), (v, u, DST)):
+                    if far in bound or arms.get(far, ()) is None:
+                        continue
+                    if near in bound:
+                        arms.setdefault(far, []).append((near, g.adjacency(lab, side)))
+                    else:
+                        arms[far] = None
+            for b, arm in arms.items():
+                if arm is None:
+                    continue
+                if len(arm) == 1:
+                    steps.append((_FOLD, arm[0][0], b, arm[0][1]))
                 else:
-                    rest.append((u, v, lab))
+                    arm.sort(key=lambda e: bound[e[0]])
+                    (a, first), (c, second), *more = arm
+                    steps.append((_MEET, a, c, (first, second, {}, more)))
+            rest = [e for e in rest if arms.get(e[0]) is None and arms.get(e[1]) is None]  # unfolded
         if not rest:
             break
         touching = [e for e in rest if e[0] in bound or e[1] in bound]
@@ -90,8 +116,9 @@ def _plan(g: LabeledGraph, q: QueryGraph, fold: bool) -> list[tuple]:
         elif v in bound:
             steps.append((_EXTEND, v, u, g.adjacency(lab, DST)))
         else:
-            steps.append((_SCAN, u, v, lab))
-        bound.update((u, v))
+            steps.append((_SCAN, u, v, g.adjacency(lab, SRC)))
+        for s in (u, v):
+            bound.setdefault(s, len(bound))
     return steps
 
 
@@ -108,6 +135,18 @@ def _run(g: LabeledGraph, steps: list[tuple], start: int, binding: list, rows: l
             factor *= len(arg.get(binding[a], ()))
             if not factor:
                 return 0
+        elif kind == _MEET:
+            first, second, sets, more = arg
+            x = binding[a]
+            common = sets.get(x)
+            if common is None:
+                common = sets[x] = set(first.get(x, ()))
+            common = common.intersection(second.get(binding[b], ()))
+            for c, adjacency in more:
+                common.intersection_update(adjacency.get(binding[c], ()))
+            factor *= len(common)
+            if not factor:
+                return 0
         else:
             total = 0
             if kind == _EXTEND:
@@ -115,8 +154,9 @@ def _run(g: LabeledGraph, steps: list[tuple], start: int, binding: list, rows: l
                     binding[b] = w
                     total += _run(g, steps, i + 1, binding, rows)
             else:
-                for binding[a], binding[b] in g.edges_with_label(arg):
-                    total += _run(g, steps, i + 1, binding, rows)
+                for binding[a] in sorted(arg):
+                    for binding[b] in arg[binding[a]]:
+                        total += _run(g, steps, i + 1, binding, rows)
             return factor * total
     if rows is not None:
         rows.append(tuple(binding))

@@ -16,7 +16,8 @@ from itertools import combinations
 
 import pytest
 
-from cardest.catalogue import QueryStats, build_catalogue, serialize
+from cardest.catalogue import (QueryStats, _key_to_query, _reads_adjacency,
+                               build_catalogue, serialize)
 from cardest.errors import SketchPlanError
 from cardest.estgraph import (CYCLE_CLOSING, CegEdge, PathEstimate, build_cover,
                               build_maxdeg, build_optimistic, count_paths,
@@ -27,7 +28,7 @@ from cardest.estimators import (ALL_CHOICES, HeuristicChoice, KIND_AVG,
                                 optimistic_ceg)
 from cardest.evalharness import (WorkloadItem, expand_methods, qerror,
                                  run_workload, summarize)
-from cardest.oracle import count_hom
+from cardest.oracle import count_hom, matches
 from cardest.querymodel import (connected_index_sets, cycles, instantiate_template,
                                 parse_query)
 from cardest.sketch import estimate_with_sketch, make_sketch
@@ -157,6 +158,24 @@ def test_catalogues_pinned(corpus, h3_catalogues, f1_graph):
     for cat in cats + [build_catalogue(f1_graph, None, 2, exhaustive=True)]:
         digest.update(serialize(cat).encode())
     assert digest.hexdigest() == CATALOGUE_SHA256
+
+
+# sha256 of the `matches` row lists, in the order the matcher lists them, of
+# every catalogue pattern whose table is built from match rows (not adjacency
+# lists): those of the corpus catalogues (h=2), then of the h=3 catalogues above
+MATCHES_SHA256 = "5abd561dcc5e6cd98fdd6309e2c30dd0efa9823f16af1156fa45c3dc3b7595c3"
+
+
+def test_match_row_order_pinned(corpus, h3_catalogues):
+    graphs = [g for g, _, _ in corpus.entries]
+    cats = [cat for _, cat, _ in corpus.entries] + [cat3 for cat3, _ in h3_catalogues]
+    digest = hashlib.sha256()
+    for g, cat in zip(graphs + graphs[:len(h3_catalogues)], cats):
+        for key in cat.deg_stats:
+            rep = _key_to_query(key)
+            if not _reads_adjacency(rep):
+                digest.update(f"{key}\n{matches(g, rep)!r}\n".encode())
+    assert digest.hexdigest() == MATCHES_SHA256
 
 
 # ---------------------------------------------------------------------------

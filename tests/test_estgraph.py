@@ -10,7 +10,7 @@ import pytest
 from cardest import estgraph, estimators
 from cardest.catalogue import build_catalogue, canonical_form, closing_spec
 from cardest.errors import EstimationError, MissingStatisticError, PathOverflowError
-from cardest.estgraph import (EXTENSION, Ceg, CegEdge, PathEstimate, build_cover,
+from cardest.estgraph import (EXTENSION, AttrCeg, Ceg, CegEdge, PathEstimate, build_cover,
                               build_maxdeg, build_optimistic, count_paths,
                               enumerate_paths, iter_paths, min_weight_path,
                               path_summary, to_dot)
@@ -252,31 +252,14 @@ def test_path_passes_leave_no_reference_cycle_holding_the_graph(fork_graph, q5f,
 
 
 def test_optimistic_estimates_have_no_path_cap(fork_graph, q5f):
-    # 36 paths against a cap of 10: only the path-listing estimators overflow
+    # 36 paths against a cap of 10: only the path oracle, which lists them, overflows
     cat = _cat(fork_graph, [q5f])
     paths = enumerate_paths(build_optimistic(q5f, cat))
     for choice in ALL_CHOICES:
-        got = estimate_optimistic(q5f, cat, KIND_AVG, choice, cap=10)
+        got = estimate_optimistic(q5f, cat, KIND_AVG, choice)
         assert (got.exact, got.considered_paths) == aggregate_paths(paths, choice)[:2]
     with pytest.raises(PathOverflowError):
         estimate_pstar(q5f, cat, KIND_AVG, 42, cap=10)
-    with pytest.raises(PathOverflowError):
-        estimate_optimistic(q5f, cat, KIND_AVG, HeuristicChoice("all-hops", "avg-aggr"),
-                            average="geometric", cap=10)
-
-
-def test_geometric_mean_of_paths_whose_product_overflows_a_float(monkeypatch):
-    # path estimates 10^400 and 10^200 / 3: their product 10^600 / 3 is past 1e308
-    ceg = _hand_ceg([((), (0,), 10 ** 200), ((0,), (9,), 10 ** 200),
-                     ((), (1,), Fraction(10 ** 100, 3)), ((1,), (9,), 10 ** 100)])
-    paths = enumerate_paths(ceg)
-    assert paths[0].estimate * paths[1].estimate > 1e308
-    zero = _hand_ceg([((), (0,), 0), ((0,), (9,), 10 ** 200), ((), (9,), 10 ** 400)])
-    avg = HeuristicChoice("all-hops", "avg-aggr")
-    for hand, value in ((ceg, pytest.approx(1e300 / 3 ** 0.5, rel=1e-12)), (zero, 0.0)):
-        monkeypatch.setattr(estimators, "optimistic_ceg", lambda q, cat, kind: hand)
-        geo = estimate_optimistic(None, None, KIND_AVG, avg, average="geometric")
-        assert geo.value == value and geo.considered_paths == 2
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +500,25 @@ def test_maxdeg_min_equals_enumeration_minimum(fork_graph, q5f):
     cat = _cat(fork_graph, [q5f])
     ceg = build_maxdeg(q5f, cat)
     assert min_weight_path(ceg).estimate == dag_min_product(ceg)
+
+
+def test_min_weight_path_assumes_no_degree_monotone_in_x():
+    # for Y = {a, b, c}, deg({a, b}, Y) = 50 > deg({a}, Y) = 4 and
+    # deg({b, c}, Y) = 30 > deg({c}, Y) = 2: at {a, b} the cheapest move into
+    # the top is the one of X = {a}, not of the largest X within the vertex
+    q = parse_query("a -A-> b\nb -B-> c")
+    degrees = [((), ("a",), 60), ((), ("b",), 5), ((), ("c",), 90), ((), ("a", "b"), 2),
+               (("a",), ("a", "b"), 3), (("b",), ("a", "b"), 8), (("b",), ("b", "c"), 7),
+               ((), ("a", "b", "c"), 100), (("a",), ("a", "b", "c"), 4),
+               (("a", "b"), ("a", "b", "c"), 50), (("c",), ("a", "b", "c"), 2),
+               (("b", "c"), ("a", "b", "c"), 30)]
+    ceg = AttrCeg(q, [(x, y, deg, ("hand", i)) for i, (x, y, deg) in enumerate(degrees)])
+    best = min_weight_path(ceg)
+    want = min(iter_paths(ceg), key=lambda p: (p.estimate,
+                                               [tuple(sorted(v)) for v in p.vertices()]))
+    assert best.estimate == dag_min_product(ceg) == 8
+    assert best.edges == want.edges
+    assert [e.provenance for e in best.edges] == [(("hand", 3),), (("hand", 8),)]
 
 
 def test_projection_edges_do_not_change_minimum(fork_graph, q5f):

@@ -64,16 +64,6 @@ def test_fork_aggregator_ordering(fork_graph, q5f):
         by_choice[HeuristicChoice("min-hop", "min-aggr")].exact
 
 
-def test_geometric_average_exposed_not_default(fork_graph, q5f):
-    cat = build_catalogue(fork_graph, [q5f], 2)
-    arith = estimate_optimistic(q5f, cat, KIND_AVG, HeuristicChoice("all-hops", "avg-aggr"))
-    geo = estimate_optimistic(q5f, cat, KIND_AVG, HeuristicChoice("all-hops", "avg-aggr"),
-                              average="geometric")
-    assert arith.exact is not None
-    assert geo.exact is None
-    assert 0 < geo.value < arith.value  # AM-GM, strict: estimates differ
-
-
 def test_pstar_exact_hit_gives_qerror_one(fork_graph, q5f):
     cat = build_catalogue(fork_graph, [q5f], 2)
     est = estimate_pstar(q5f, cat, KIND_AVG, true_count=56)  # 56 is a path value

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import product
 
 import pytest
 
@@ -49,6 +50,22 @@ def test_count_matches_nested_loop_cyclic():
         if q is None:
             continue
         assert count_hom(g, q).value == nested_loop_count(g, q)
+
+
+def test_count_matches_nested_loop_on_planted_cycles():
+    # the counting plan folds a cycle's last variable into the intersection of
+    # its two bound neighbours' lists, so every cycle query takes that route
+    nonzero = 0
+    for seed in range(3):
+        g = random_graph(12, 30, 2, seed=600 + seed, plant_cycles=6)
+        for k in (4, 5):
+            for labels in product("AB", repeat=k):
+                q = QueryGraph([QEdge(f"a{i}", f"a{(i + 1) % k}", lab)
+                                for i, lab in enumerate(labels)])
+                count = count_hom(g, q).value
+                assert count == nested_loop_count(g, q)
+                nonzero += count > 0
+    assert nonzero > 0
 
 
 def test_count_monotone_when_adding_edge_over_bound_vars():

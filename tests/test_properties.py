@@ -12,7 +12,7 @@ from hypothesis import strategies as st  # noqa: E402
 from cardest.catalogue import (QueryStats, _rows_table, _key_to_query,  # noqa: E402
                                build_catalogue, partition_catalogues)
 from cardest.errors import SketchPlanError  # noqa: E402
-from cardest.estgraph import build_maxdeg, iter_paths, min_weight_path  # noqa: E402
+from cardest.estgraph import build_cover, build_maxdeg, iter_paths, min_weight_path  # noqa: E402
 from cardest.estimators import estimate_molp  # noqa: E402
 from cardest.graphstore import LabeledGraph  # noqa: E402
 from cardest.oracle import count_hom, matches  # noqa: E402
@@ -58,6 +58,11 @@ def queries(draw, max_edges: int = 6, labels: str = QUERY_LABELS) -> QueryGraph:
 
 TRIANGLE_WITH_PARALLEL = LabeledGraph([(0, 1, "A"), (1, 2, "B"), (2, 0, "A"), (1, 0, "B"),
                                        (0, 0, "A"), (2, 2, "B"), (1, 3, "A")])
+# every ordered pair of distinct vertices of four over A, the increasing ones
+# over B, and a self-loop: most queries over A and B have matches here
+DENSE = LabeledGraph([(u, v, "A") for u in range(4) for v in range(4) if u != v]
+                     + [(u, v, "B") for u in range(4) for v in range(u + 1, 4)]
+                     + [(2, 2, "A")])
 
 
 @SETTINGS
@@ -66,6 +71,18 @@ TRIANGLE_WITH_PARALLEL = LabeledGraph([(0, 1, "A"), (1, 2, "B"), (2, 0, "A"), (1
 @example(g=TRIANGLE_WITH_PARALLEL, q=parse_query("a -A-> b\nb -B-> a\nb -A-> c\nb -B-> d"))
 @example(g=TRIANGLE_WITH_PARALLEL, q=parse_query("a -A-> b\na -B-> b\nb -A-> c"))
 @example(g=TRIANGLE_WITH_PARALLEL, q=parse_query("a -A-> b\nb -Z-> c\nc -A-> d"))
+# B is the smaller relation of DENSE, so the counting plan scans the first
+# edge labelled B; then the last variable folds into the intersection of:
+# two bound neighbours' lists (d, on a 4-cycle)
+@example(g=DENSE, q=parse_query("a -A-> b\nb -B-> c\nc -A-> d\nd -B-> a"))
+# three (d, on a 4-cycle with the chord b -> d)
+@example(g=DENSE, q=parse_query("a -B-> b\nb -A-> c\nc -A-> d\nd -A-> a\nb -A-> d"))
+# three (a, on K4 minus the edge c - d)
+@example(g=DENSE, q=parse_query("b -B-> c\nb -A-> d\na -A-> b\na -A-> c\na -A-> d"))
+# three, two of them labels on one variable pair that close the cycle (c)
+@example(g=DENSE, q=parse_query("a -B-> b\nb -A-> c\nc -A-> a\nc -B-> a"))
+# three, two of them an antiparallel pair (c)
+@example(g=DENSE, q=parse_query("a -B-> b\nb -A-> c\nc -A-> a\na -A-> c"))
 def test_matcher_equals_nested_loop_join(g, q):
     assert count_hom(g, q).value == nested_loop_count(g, q)
     assert sorted(matches(g, q)) == sorted(nested_loop_matches(g, q))
@@ -98,16 +115,24 @@ def test_molp_bound_is_at_least_the_truth(g, q, h):
 
 
 @settings(SETTINGS, max_examples=100)
-@given(g=graphs(min_edges=6), q=queries(max_edges=5, labels=GRAPH_LABELS))
-def test_bound_path_is_the_first_lightest_smallest_path_in_enumeration(g, q):
+@given(g=graphs(min_edges=6), q=queries(max_edges=5, labels=GRAPH_LABELS), data=st.data())
+def test_bound_path_is_the_first_lightest_smallest_path_in_enumeration(g, q, data):
     # the path a sketch partitions on: min_weight_path must return the same
-    # edges as enumeration, not only the same weight
+    # edges as enumeration, not only the same weight; on the max-degree graph,
+    # and on a cover graph when the drawn cover spans q
     assume(len(q.vars) <= 4)
-    ceg = build_maxdeg(q, build_catalogue(g, [q], 2, walk_budget=10))
+    cat = build_catalogue(g, [q], 2, walk_budget=10)
+    ceg = build_maxdeg(q, cat)
     assume(all(deg for _, _, deg, _ in ceg.moves))   # every pattern has matches
-    want = min(iter_paths(ceg), key=lambda p: (p.estimate,
-                                               [tuple(sorted(v)) for v in p.vertices()]))
-    assert min_weight_path(ceg).edges == want.edges
+    cover = [(i, data.draw(st.sampled_from([e.vars(), (e.src,), (e.dst,)])))
+             for i, e in enumerate(q.edges)]
+    cegs = [ceg]
+    if {v for _, attrs in cover for v in attrs} == set(q.vars):
+        cegs.append(build_cover(q, cat, cover))
+    for graph in cegs:
+        want = min(iter_paths(graph), key=lambda p: (p.estimate,
+                                                     [tuple(sorted(v)) for v in p.vertices()]))
+        assert min_weight_path(graph).edges == want.edges
 
 
 @settings(SETTINGS, max_examples=100)
