@@ -11,24 +11,24 @@ resolves each connected index set of at most h edges, on first use, to its
 count and its whole degree table under the query's own variable names, and
 each (cycle, closing edge) to its closing rate.
 
-One table kernel serves `build_catalogue` and `partition_catalogues`.  It
-fills the table of a one-edge pattern, and of a two-edge pattern over three
-variables (every pattern with two edges except parallel and antiparallel
-pairs), from per-label adjacency maps without listing a match row: the
-graph's own maps, or, for a sketch component, those maps split by the hash
-buckets of the sketched variables.  Every other pattern lists its distinct
-match rows (grouped by bucket for a component) and projects them onto each
-variable subset.
+One table kernel, `pattern_table`, serves `build_catalogue` and the sketch
+components' statistics (`sketch.partition_catalogues`).  It fills the table
+of a one-edge pattern, and of a two-edge pattern over three variables (every
+pattern with two edges except parallel and antiparallel pairs), from the
+per-label adjacency maps it is given without listing a match row: the
+graph's own maps, or a sketch component's cells of them.  Every other
+pattern lists its distinct match rows and projects them onto each variable
+subset, in `table_layout` order.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, lru_cache, partial
-from itertools import chain, compress, permutations, product
+from functools import lru_cache
+from itertools import chain, permutations, product
 from operator import itemgetter, mul
 from typing import IO, Callable, Collection, Iterable, Mapping, Sequence
 
@@ -336,8 +336,8 @@ def build_catalogue(
     cat = Catalogue(h=h)
     for key in sorted(keys):
         rep = _key_to_query(key)
-        table = _pattern_table(lambda e, side: g.adjacency(e.label, side), rep,
-                               lambda: set(oracle.matches(g, rep)))
+        table = pattern_table(lambda e, side: g.adjacency(e.label, side), rep,
+                              lambda: set(oracle.matches(g, rep)))
         cat.counts[key] = table[_deg_entry_key((), range(len(rep.vars)))]
         cat.deg_stats[key] = table
 
@@ -366,8 +366,8 @@ def check_walk_budget(walk_budget: int | None) -> None:
         raise ConfigError(f"walk budget must be >= 1 (None: exact rates), got {walk_budget}")
 
 
-def _pattern_table(adjacency: Adjacency, rep: QueryGraph,
-                   rows: Callable[[], Collection[tuple[int, ...]]]) -> dict[str, int]:
+def pattern_table(adjacency: Adjacency, rep: QueryGraph,
+                  rows: Callable[[], Collection[tuple[int, ...]]]) -> dict[str, int]:
     """deg(X, Y) of rep's edges over the neighbour maps `adjacency` gives them,
     for one edge or two edges over three variables, else over `rows()`, the
     distinct matches of rep in rep.vars order."""
@@ -435,13 +435,13 @@ def _rows_table(rep: QueryGraph, rows: Collection[tuple[int, ...]]) -> dict[str,
     """deg(X, Y) for every X subseteq Y over the representative's variables,
     from its distinct match rows."""
     table: dict[str, int] = {}
-    for y, xs, keys in _table_layout(len(rep.vars)):
+    for y, xs, keys in table_layout(len(rep.vars)):
         table.update(zip(keys, oracle.degrees(rows, y, xs)))
     return table
 
 
 @lru_cache(maxsize=None)
-def _table_layout(n: int) -> tuple[tuple[tuple, list[tuple], tuple[str, ...]], ...]:
+def table_layout(n: int) -> tuple[tuple[tuple, list[tuple], tuple[str, ...]], ...]:
     """Per Y over n variables, in table order: Y, its subsets X and their entry keys."""
     return tuple((y, xs, tuple(_deg_entry_key(x, y) for x in xs))
                  for y in subsets(range(n)) for xs in [subsets(y)])
@@ -449,100 +449,9 @@ def _table_layout(n: int) -> tuple[tuple[tuple, list[tuple], tuple[str, ...]], .
 
 @lru_cache(maxsize=None)
 def _mask_layout(n: int) -> tuple[tuple[str, int, int], ...]:
-    """`_table_layout(n)` flattened: each entry key with the bitmasks of its X and Y."""
+    """`table_layout(n)` flattened: each entry key with the bitmasks of its X and Y."""
     return tuple((key, sum(1 << i for i in x), sum(1 << i for i in y))
-                 for y, xs, keys in _table_layout(n) for x, key in zip(xs, keys))
-
-
-def partition_catalogues(g: LabeledGraph, q: QueryGraph, h: int,
-                         parts: Sequence[Mapping[str, int]],
-                         part_of: Mapping[int, int]) -> list[QueryStats]:
-    """q's counts and degree tables on each part of g's matches of q, one
-    QueryStats per part, without closing rates.
-
-    Part j keeps the matches whose variables v in parts[j] (every part names
-    the same variables) bind vertices x with part_of[x] == parts[j][v].
-    `part_of` is a `sketch.BucketMemo` of g: it fills itself on a miss, and
-    its `splits` and `tables` keep what this call builds for later calls.
-    Each connected index set of at most h edges gets one degree table per
-    distinct group of those values that a part reads, so an index set
-    without such a variable has one table for every part, and an empty group
-    the all-zero table.  The tables come from the kernel `build_catalogue`
-    uses: one edge, or two edges over three variables, read g's label
-    adjacency maps, each split once per `part_of` into cells by the buckets
-    of its sketched ends (a neighbour list keeps, in order, the neighbours
-    in the cell's bucket, and a vertex left without one is dropped); any
-    other index set is matched, with q's own edges, and its rows grouped,
-    once per call and only when a table is missing.  A table is kept under
-    its subquery's labelled edges by variable position and each variable's
-    value (None where not in the parts), which fix it on either route.
-    """
-    stats = [QueryStats(q, Catalogue(h=h)) for _ in parts]
-    splits, built = part_of.splits, part_of.tables
-
-    def cell(part: Mapping[str, int], e: QEdge, side: str) -> Mapping[int, list[int]]:
-        """e's neighbour map at `side` in part's buckets of e's ends."""
-        near, far = (part.get(v) for v in (e.vars() if side == SRC else e.vars()[::-1]))
-        if near is None and far is None:
-            return g.adjacency(e.label, side)
-        key = e.label, side, near is not None, far is not None
-        if key not in splits:
-            splits[key] = _split_adjacency(g.adjacency(e.label, side), part_of, *key[2:])
-        return splits[key].get((near, far), {})
-
-    for s in connected_index_sets(q, h):
-        sub = QueryGraph([q.edges[i] for i in sorted(s)])
-        shape = tuple((sub.vars.index(e.src), sub.vars.index(e.dst), e.label) for e in sub.edges)
-        sketched = [p for p, v in enumerate(sub.vars) if v in parts[0]]
-        grouped = cache(lambda: _group_rows(oracle.matches(g, sub), sketched, part_of))
-        tables: dict[tuple, tuple[int, DegreeTable]] = {}
-        # each table's entries come in `_table_layout` order: key them once by names
-        named = {x: tuple(sorted(sub.vars[i] for i in x)) for x in subsets(range(len(sub.vars)))}
-        keys = [(named[x], named[y]) for y, xs, _ in _table_layout(len(sub.vars)) for x in xs]
-        for st, part in zip(stats, parts):
-            buckets = tuple(map(part.get, sub.vars))
-            got = tables.get(buckets)
-            if got is None:
-                entries = built.get((shape, buckets))
-                if entries is None:
-                    group = tuple(buckets[p] for p in sketched)
-                    entries = built[shape, buckets] = _pattern_table(
-                        partial(cell, part), sub, lambda: grouped().get(group, []))
-                table = dict(zip(keys, entries.values()))
-                got = tables[buckets] = table[(), tuple(sorted(sub.vars))], table
-            st._counts[s], st._tables[s] = got
-    return stats
-
-
-def _split_adjacency(adj: Mapping[int, list[int]], part_of: Mapping[int, int],
-                     by_near: bool, by_far: bool) -> Mapping[tuple, dict[int, list[int]]]:
-    """adj's cells keyed by (near bucket, far bucket): part_of of the keyed
-    vertex when `by_near` and of each neighbour when `by_far`, else None."""
-    cells: defaultdict[tuple, dict[int, list[int]]] = defaultdict(dict)
-    bucket = part_of.__getitem__
-    for u, nbrs in adj.items():
-        near = bucket(u) if by_near else None
-        if not by_far:
-            cells[near, None][u] = nbrs
-        elif len(nbrs) == 1:
-            cells[near, bucket(nbrs[0])][u] = nbrs
-        else:
-            fars = list(map(bucket, nbrs))
-            for far in set(fars):
-                cells[near, far][u] = list(compress(nbrs, map(far.__eq__, fars)))
-    return cells
-
-
-def _group_rows(rows: list[tuple[int, ...]], positions: Sequence[int],
-                part_of: Mapping[int, int]) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-    """`rows` grouped by the part_of values at `positions`, in row order."""
-    if not positions:
-        return {(): rows}
-    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    row_groups = zip(*[map(part_of.__getitem__, map(itemgetter(p), rows)) for p in positions])
-    for group, row in zip(row_groups, rows):
-        groups.setdefault(group, []).append(row)
-    return groups
+                 for y, xs, keys in table_layout(n) for x, key in zip(xs, keys))
 
 
 def add_closing_rates(cat: Catalogue, g: LabeledGraph, workload: Sequence[QueryGraph],
@@ -590,21 +499,9 @@ def _exhaustive_pattern_keys(g: LabeledGraph, h: int, cap: int) -> set[str]:
         raise ConfigError(
             f"exhaustive catalogue would hold ~{estimated} patterns (cap {cap}); "
             "use workload mode")
-    keys: set[str] = set()
-    for shape in shapes:
-        keys |= _label_shape(shape, labels, 0, [])
-    return keys
-
-
-def _label_shape(shape, labels, i, acc) -> set[str]:
-    if i == len(shape):
-        pattern = tuple(sorted((f"x{s}", f"x{d}", lab)
-                               for (s, d), lab in zip(shape, acc)))
-        return {canonical_form(pattern)[0]}
-    out: set[str] = set()
-    for lab in labels:
-        out |= _label_shape(shape, labels, i + 1, acc + [lab])
-    return out
+    return {canonical_form(tuple(sorted((f"x{s}", f"x{d}", lab)
+                                        for (s, d), lab in zip(shape, labs))))[0]
+            for shape in shapes for labs in product(labels, repeat=len(shape))}
 
 
 def _connected_shapes(h: int) -> list[tuple[tuple[int, int], ...]]:

@@ -14,12 +14,13 @@ import sys
 import time
 
 from . import catalogue as cat_mod
+from . import errors
 from .errors import (CardestError, CatalogueFormatError, ConfigError,
                      GraphParseError, MissingStatisticError, PathOverflowError,
                      QueryParseError, QueryValidationError, SketchPlanError)
 from .estgraph import build_maxdeg, build_optimistic, to_dot
 from .estimators import KIND_CLOSING, as_float
-from .evalharness import WorkloadItem, expand_methods, run_workload
+from .evalharness import ZERO_TRUE_COUNT, WorkloadItem, expand_methods, run_workload
 from .graphstore import load_graph_file
 from .oracle import count_hom
 from .querymodel import (QueryGraph, connected_index_sets, instantiate_template, parse_query,
@@ -36,6 +37,26 @@ EXIT_OVERFLOW = 6
 
 class UsageError(CardestError):
     """A flag value the command cannot use (exit 2, like argparse's own errors)."""
+
+
+# (exception types, exit code, stderr tag), in priority order: an error, or a
+# set of failed rows, exits with the first entry that one of them matches.
+EXITS = (
+    (UsageError, EXIT_USAGE, "usage"),
+    ((GraphParseError, QueryParseError, QueryValidationError, CatalogueFormatError,
+      ConfigError), EXIT_PARSE, "parse"),
+    (MissingStatisticError, EXIT_MISSING_STATS, "statistics"),
+    (SketchPlanError, EXIT_SKETCH, "sketch"),
+    (PathOverflowError, EXIT_OVERFLOW, "enumeration"),
+    (CardestError, EXIT_OTHER, None),
+    (OSError, EXIT_OTHER, "io"),
+)
+
+
+def _exit_for(kinds: list[type[Exception]]) -> tuple[int, str | None]:
+    """The first EXITS entry that one of `kinds` matches, or (EXIT_OK, None)."""
+    return next(((code, tag) for types, code, tag in EXITS
+                 if any(issubclass(kind, types) for kind in kinds)), (EXIT_OK, None))
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -161,28 +182,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _apply_config(args, argv)
         return _dispatch(args)
-    except UsageError as exc:
-        print(f"error (usage): {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (GraphParseError, QueryParseError, QueryValidationError,
-            CatalogueFormatError, ConfigError) as exc:
-        print(f"error (parse): {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except MissingStatisticError as exc:
-        print(f"error (statistics): {exc}", file=sys.stderr)
-        return EXIT_MISSING_STATS
-    except SketchPlanError as exc:
-        print(f"error (sketch): {exc}", file=sys.stderr)
-        return EXIT_SKETCH
-    except PathOverflowError as exc:
-        print(f"error (enumeration): {exc}", file=sys.stderr)
-        return EXIT_OVERFLOW
-    except CardestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OTHER
-    except OSError as exc:
-        print(f"error (io): {exc}", file=sys.stderr)
-        return EXIT_OTHER
+    except (CardestError, OSError) as exc:
+        code, tag = _exit_for([type(exc)])
+        print(f"error ({tag}): {exc}" if tag else f"error: {exc}", file=sys.stderr)
+        return code
 
 
 def _methods(args):
@@ -269,15 +272,10 @@ def _cmd_estimate(args) -> int:
         if any(r.ceg_kind == KIND_CLOSING for r in result.records):
             with open(f"{base}.closing{ext or '.dot'}", "w", encoding="utf-8") as handle:
                 handle.write(to_dot(build_optimistic(query, cat, closing=True)))
-    failed = [r.error for r in result.records
-              if r.error and "zero true count" not in r.error]
-    if any("MissingStatistic" in err for err in failed):
-        return EXIT_MISSING_STATS
-    if any("SketchPlan" in err for err in failed):
-        return EXIT_SKETCH
-    if any("PathOverflow" in err for err in failed):
-        return EXIT_OVERFLOW
-    return EXIT_OK
+    # a failed row's error is "<error class>: <message>"
+    failed = [getattr(errors, r.error.split(":", 1)[0], CardestError) for r in result.records
+              if r.error and r.error != ZERO_TRUE_COUNT]
+    return _exit_for(failed)[0]
 
 
 def _cmd_gen_workload(args) -> int:

@@ -54,16 +54,15 @@ ALL_CHOICES = tuple(HeuristicChoice(h, a) for h in HOP_CHOICES for a in AGGR_CHO
 
 @dataclass
 class Estimate:
-    value: float
-    exact: Fraction | None
+    exact: Fraction
     method: str
     ceg_kind: str
     considered_paths: int
     chosen_path: PathEstimate | None
 
-    @staticmethod
-    def from_exact(exact: Fraction, **kw) -> "Estimate":
-        return Estimate(value=as_float(exact), exact=exact, **kw)
+    @property
+    def value(self) -> float:
+        return as_float(self.exact)
 
 
 def as_float(x: Fraction | float) -> float:
@@ -117,11 +116,11 @@ def estimate_optimistic(q: QueryGraph, cat: Catalogue | QueryStats, ceg_kind: st
         hops = summary.hop_counts[-1 if choice.hop == "max-hop" else 0]
     n = summary.count(hops)
     if choice.aggr == "avg-aggr":
-        return Estimate.from_exact(summary.total(hops) / n, method=method, ceg_kind=ceg_kind,
-                                   considered_paths=n, chosen_path=None)
+        return Estimate(summary.total(hops) / n, method=method, ceg_kind=ceg_kind,
+                        considered_paths=n, chosen_path=None)
     best = summary.extreme(choice.aggr == "max-aggr", hops)
-    return Estimate.from_exact(best.estimate, method=method, ceg_kind=ceg_kind,
-                               considered_paths=n, chosen_path=best)
+    return Estimate(best.estimate, method=method, ceg_kind=ceg_kind,
+                    considered_paths=n, chosen_path=best)
 
 
 def estimate_pstar(q: QueryGraph, cat: Catalogue | QueryStats, ceg_kind: str,
@@ -139,8 +138,8 @@ def estimate_pstar(q: QueryGraph, cat: Catalogue | QueryStats, ceg_kind: str,
         return max(Fraction(true_count) / p.estimate, p.estimate / Fraction(true_count))
 
     best = min(paths, key=lambda p: (qerr(p), p.estimate))
-    return Estimate.from_exact(best.estimate, method="pstar", ceg_kind=ceg_kind,
-                               considered_paths=len(paths), chosen_path=best)
+    return Estimate(best.estimate, method="pstar", ceg_kind=ceg_kind,
+                    considered_paths=len(paths), chosen_path=best)
 
 
 # ---------------------------------------------------------------------------
@@ -157,11 +156,11 @@ def estimate_molp(q: QueryGraph, cat: Catalogue | QueryStats) -> Estimate:
     """
     ceg = build_maxdeg(q, cat)
     if any(deg == 0 for _, _, deg, _ in ceg.moves):
-        return Estimate.from_exact(Fraction(0), method="bound", ceg_kind=KIND_MAXDEG,
-                                   considered_paths=0, chosen_path=None)
+        return Estimate(Fraction(0), method="bound", ceg_kind=KIND_MAXDEG,
+                        considered_paths=0, chosen_path=None)
     path = min_weight_path(ceg)
-    return Estimate.from_exact(path.estimate, method="bound", ceg_kind=KIND_MAXDEG,
-                               considered_paths=1, chosen_path=path)
+    return Estimate(path.estimate, method="bound", ceg_kind=KIND_MAXDEG,
+                    considered_paths=1, chosen_path=path)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .sketch import SketchCache, estimate_with_sketch
 
 CSV_COLUMNS = ("queryId", "template", "method", "cegKind", "hop", "aggr", "sketchK",
                "trueCount", "estimate", "qerror", "signedLog", "elapsedMs")
+ZERO_TRUE_COUNT = "zero true count"  # the error of a row whose query has no match
 
 
 @dataclass
@@ -44,15 +45,14 @@ class QErrorRecord:
     true_count: int
     estimate: float | None
     estimate_exact: Fraction | None
-    qerror: Fraction | None          # None for failed rows; inf encoded via zero_estimate
+    qerror: Fraction | None          # None for failed and zero-estimate rows
     signed_log: float | None
     elapsed_ms: float
     zero_estimate: bool = False
-    invalid: bool = False
     error: str | None = None
 
 
-def qerror(c: int, e: Fraction | int | float) -> tuple[Fraction | float, float]:
+def qerror(c: int, e: Fraction | int) -> tuple[Fraction | float, float]:
     """(q-error, signed log10) for true count c >= 1 and estimate e >= 0.
 
     e == 0 maps to the infinite-q-error marker (signed log -inf, an
@@ -66,21 +66,13 @@ def qerror(c: int, e: Fraction | int | float) -> tuple[Fraction | float, float]:
         raise ValueError("estimate must be non-negative")
     if e == 0:
         return float("inf"), float("-inf")
-    ef = Fraction(e) if not isinstance(e, float) else e
-    if isinstance(ef, Fraction):
-        err = max(Fraction(c) / ef, ef / Fraction(c))
-        try:
-            signed = math.log10(float(err)) if err > 1 else 0.0
-        except OverflowError:  # past the float range: the logs of its two parts
-            signed = math.log10(err.numerator) - math.log10(err.denominator)
-        if ef < c:
-            signed = -signed
-        return err, signed
-    err = max(c / ef, ef / c)
-    signed = math.log10(err) if err > 1 else 0.0
-    if ef < c:
-        signed = -signed
-    return err, signed
+    e = Fraction(e)
+    err = max(c / e, e / c)
+    try:
+        signed = math.log10(float(err)) if err > 1 else 0.0
+    except OverflowError:  # past the float range: the logs of its two parts
+        signed = math.log10(err.numerator) - math.log10(err.denominator)
+    return err, -signed if e < c else signed
 
 
 @dataclass
@@ -119,10 +111,7 @@ def summarize(records: Sequence[QErrorRecord]) -> QErrorSummary:
     excluded from the distribution and tallied.  The trimmed mean drops the
     floor(0.1 n) records with the largest q-error magnitude.
     """
-    invalid = sum(1 for r in records if r.invalid or r.error is not None)
-    zero = sum(1 for r in records if r.zero_estimate and not r.invalid)
-    usable = [r for r in records
-              if not r.invalid and r.error is None and not r.zero_estimate]
+    usable = list(filter(_usable, records))
     if not usable:
         raise ValueError("no summarizable records")
     logs = sorted(r.signed_log for r in usable)
@@ -137,9 +126,14 @@ def summarize(records: Sequence[QErrorRecord]) -> QErrorSummary:
         p75=percentile(logs, 0.75),
         trimmed_mean=trimmed,
         n=len(usable),
-        zero_estimates=zero,
-        invalid=invalid,
+        zero_estimates=sum(r.zero_estimate for r in records),
+        invalid=sum(r.error is not None for r in records),
     )
+
+
+def _usable(r: QErrorRecord) -> bool:
+    """Whether r enters a summary: neither failed nor a zero estimate."""
+    return r.error is None and not r.zero_estimate
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +228,7 @@ class RunResult:
                 r.query_id, r.template, r.method, r.ceg_kind, r.hop, r.aggr,
                 r.sketch_k, r.true_count,
                 "" if r.estimate is None else repr(r.estimate),
-                "" if r.qerror is None else (
-                    "inf" if r.zero_estimate else repr(as_float(r.qerror))),
+                "" if r.qerror is None else repr(as_float(r.qerror)),
                 "" if r.signed_log is None else repr(r.signed_log),
                 f"{r.elapsed_ms:.3f}",
             ])
@@ -307,11 +300,11 @@ def run_workload(
     for spec in methods:
         mid = spec.method_id()
         rows = [r for r in records if r.method == mid]
-        if any(not r.invalid and r.error is None and not r.zero_estimate for r in rows):
+        if any(map(_usable, rows)):
             method_summaries[mid] = summarize(rows)
         for template in sorted({r.template for r in rows}):
             trows = [r for r in rows if r.template == template]
-            if any(not r.invalid and r.error is None and not r.zero_estimate for r in trows):
+            if any(map(_usable, trows)):
                 template_summaries[(mid, template)] = summarize(trows)
     meta = {"h": h, "seed": seed, "sketchK": sketch_k, "walkBudget": walk_budget,
             "queries": len(items), "methods": [m.method_id() for m in methods]}
@@ -347,19 +340,17 @@ def _make_record(item, spec, sketch_k, true_count, estimate, error, elapsed_ms):
     mid = spec.method_id()
     hop = spec.choice.hop if spec.choice else ""
     aggr = spec.choice.aggr if spec.choice else ""
-    if error is not None or estimate is None:
+    if estimate is None:
         return QErrorRecord(item.query_id, item.template, mid, spec.ceg_kind, hop,
                             aggr, sketch_k, true_count, None, None, None, None,
-                            elapsed_ms, invalid=True, error=error)
-    value = estimate.exact if estimate.exact is not None else estimate.value
+                            elapsed_ms, error=error)
     if true_count == 0:
         return QErrorRecord(item.query_id, item.template, mid, spec.ceg_kind, hop,
                             aggr, sketch_k, true_count, estimate.value,
-                            estimate.exact, None, None, elapsed_ms, invalid=True,
-                            error="zero true count")
-    err, signed = qerror(true_count, value)
-    zero = value == 0
+                            estimate.exact, None, None, elapsed_ms,
+                            error=ZERO_TRUE_COUNT)
+    err, signed = qerror(true_count, estimate.exact)
+    zero = estimate.exact == 0
     return QErrorRecord(item.query_id, item.template, mid, spec.ceg_kind, hop, aggr,
                         sketch_k, true_count, estimate.value, estimate.exact,
-                        None if zero else Fraction(err) if isinstance(err, Fraction) else err,
-                        signed, elapsed_ms, zero_estimate=zero)
+                        None if zero else err, signed, elapsed_ms, zero_estimate=zero)

@@ -184,12 +184,10 @@ def degrees(rows: Collection[tuple[int, ...]], y_idx: Sequence[int],
 
 
 def _first_edges(g: LabeledGraph, step: LabelStep) -> list[tuple[int, int]]:
-    """(w0, w1) pairs realizing the first step."""
+    """(w0, w1) pairs realizing the first step, in sorted order."""
     label, direction = step
-    pairs = list(g.edges_with_label(label))
-    if direction == FWD:
-        return pairs
-    return sorted((d, s) for s, d in pairs)
+    adj = g.adjacency(label, SRC if direction == FWD else DST)
+    return [(u, v) for u in sorted(adj) for v in adj[u]]
 
 
 def sample_label_paths(g: LabeledGraph, label_seq: Sequence[LabelStep],

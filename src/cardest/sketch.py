@@ -11,22 +11,24 @@ A component's matches of a subquery are exactly the full-graph matches whose
 sketched variables hash to that component's buckets.  So, as in the original
 bound sketch (Cai, Balazinska & Suciu, SIGMOD 2019), the component statistics
 are those of the full graph's relations restricted to one bucket per
-sketched attribute: `catalogue.partition_catalogues` returns one
+sketched attribute.  Each label's adjacency map is split once into cells by
+the buckets of its sketched ends (`BucketMemo.cell`), and everything a
+component reads comes from those cells.  `partition_catalogues` returns one
 `QueryStats` of q per component, its counts and degree tables filled in from
-the label adjacency maps split by bucket (one edge, or two edges over three
-variables) or from one full-graph match of the subquery with its rows
-grouped by bucket (any other connected subquery of at most h edges), and no
-component graph is built for them.  Component graphs are split from the
-full graph only when read: for closing rates, which a path with a
-cycle-closing edge needs, and by callers of `make_sketch`.  A component's
-graph labels each edge by its query edge, `e{i}`, as does the
-component's query, so the closing rates are sampled and keyed under those
-tags.
+the cells (one edge, or two edges over three variables) or from one
+full-graph match of the subquery with its rows grouped by bucket (any other
+connected subquery of at most h edges).  A component's graph is built only
+when read (for closing rates, which a path with a cycle-closing edge needs,
+and by callers of `make_sketch`), from each query edge's cell of the same
+split, not split a second time.  It labels each edge by its query edge,
+`e{i}`, as does the component's query, so the closing rates are sampled and
+keyed under those tags.
 
 A `SketchCache` holds what the sketched rows of one run share: per (bucket
-count, seed), one `BucketMemo`, under which each vertex is hashed at most
-once, each adjacency map split once and each component degree table built
-once.  `run_workload` makes one per run; a call without one makes its own.
+count, seed), one `BucketMemo` of the graph, under which each vertex is
+hashed at most once, each adjacency map split once and each component
+degree table built once.  `run_workload` makes one per run; a call without
+one makes its own.
 
 The unpartitioned plan reads the caller's catalogue (`run_workload` passes
 the run's), and the components take its h: a catalogue lacking the query's
@@ -36,19 +38,23 @@ catalogue's closing rates.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from itertools import product
-from typing import Callable
+from itertools import compress, product
+from operator import itemgetter
+from typing import Callable, Mapping, Sequence
 
-from .catalogue import Catalogue, QueryStats, add_closing_rates, partition_catalogues
+from . import oracle
+from .catalogue import (Catalogue, DegreeTable, QueryStats, add_closing_rates, pattern_table,
+                        table_layout)
 from .errors import ConfigError, SketchPlanError
 from .estgraph import BOUND, CYCLE_CLOSING, EXTENSION, PathEstimate
 from .estimators import (Estimate, HeuristicChoice, estimate_molp,
                          estimate_optimistic, evaluate_optimistic_path)
-from .graphstore import LabeledGraph
-from .querymodel import QEdge, QueryGraph
+from .graphstore import SRC, LabeledGraph
+from .querymodel import QEdge, QueryGraph, connected_index_sets, subsets
 
 MIX = 0x9E3779B97F4A7C15
 MASK = (1 << 64) - 1
@@ -88,32 +94,72 @@ def sketch_attributes(path: PathEstimate, q: QueryGraph, ceg_kind: str) -> froze
 
 @dataclass(frozen=True)
 class SketchComponent:
-    """One of the K instances; its graph is split from the full graph when
-    first read."""
+    """One of the K instances; its graph is built from its cells when first
+    read."""
 
     index: tuple[int, ...]
     query: QueryGraph
-    split: Callable[[], LabeledGraph] = field(repr=False, compare=False)
+    build: Callable[[], LabeledGraph] = field(repr=False, compare=False)
 
     @cached_property
     def graph(self) -> LabeledGraph:
-        return self.split()
+        return self.build()
 
 
 class BucketMemo(dict):
-    """vertex -> bucket_of(vertex, parts, seed), each vertex hashed once, with
-    the adjacency splits and degree tables `partition_catalogues` builds
-    under these buckets, kept for its later calls on the same graph."""
+    """vertex -> bucket_of(vertex, parts, seed) over `graph`, each vertex
+    hashed once, with the cells of the graph's adjacency maps under these
+    buckets and the component degree tables built from them, kept for every
+    later sketch of the graph."""
 
-    def __init__(self, parts: int, seed: int):
+    def __init__(self, graph: LabeledGraph, parts: int, seed: int):
         super().__init__()
-        self.parts, self.seed = parts, seed
+        self.graph, self.parts, self.seed = graph, parts, seed
         self.splits: dict = {}
         self.tables: dict = {}
 
     def __missing__(self, vertex: int) -> int:
         b = self[vertex] = bucket_of(vertex, self.parts, self.seed)
         return b
+
+    def cell(self, part: Mapping[str, int], e: QEdge, side: str) -> Mapping[int, list[int]]:
+        """e's neighbour map at `side` in part's buckets of e's ends (an end
+        that part does not name is not split on).  A neighbour list keeps,
+        in order, the neighbours in the far end's bucket, and a vertex left
+        without one is dropped.  Each map is split once per memo."""
+        near, far = (part.get(v) for v in (e.vars() if side == SRC else e.vars()[::-1]))
+        adj = self.graph.adjacency(e.label, side)
+        if near is None and far is None:
+            return adj
+        key = e.label, side, near is not None, far is not None
+        if key not in self.splits:
+            self.splits[key] = _split_adjacency(adj, self, *key[2:])
+        return self.splits[key].get((near, far), {})
+
+
+def _split_adjacency(adj: Mapping[int, list[int]], part_of: Mapping[int, int],
+                     by_near: bool, by_far: bool) -> Mapping[tuple, dict[int, list[int]]]:
+    """adj's cells keyed by (near bucket, far bucket): part_of of the keyed
+    vertex when `by_near` and of each neighbour when `by_far`, else None."""
+    cells: defaultdict[tuple, dict[int, list[int]]] = defaultdict(dict)
+    bucket = part_of.__getitem__
+    for u, nbrs in adj.items():
+        near = bucket(u) if by_near else None
+        if not by_far:
+            cells[near, None][u] = nbrs
+        elif len(nbrs) == 1:
+            cells[near, bucket(nbrs[0])][u] = nbrs
+        else:
+            fars = list(map(bucket, nbrs))
+            for far in set(fars):
+                cells[near, far][u] = list(compress(nbrs, map(far.__eq__, fars)))
+    return cells
+
+
+def _component_graph(memo: BucketMemo, q: QueryGraph, part: Mapping[str, int]) -> LabeledGraph:
+    """The component in part's buckets: each query edge's SRC cell, tagged e{i}."""
+    return LabeledGraph((u, v, f"e{i}") for i, e in enumerate(q.edges)
+                        for u, nbrs in memo.cell(part, e, SRC).items() for v in nbrs)
 
 
 class SketchCache:
@@ -131,7 +177,7 @@ class SketchCache:
     def buckets(self, parts: int, seed: int) -> BucketMemo:
         memo = self._memos.get((parts, seed))
         if memo is None:
-            memo = self._memos[parts, seed] = BucketMemo(parts, seed)
+            memo = self._memos[parts, seed] = BucketMemo(self.graph, parts, seed)
         return memo
 
 
@@ -141,7 +187,6 @@ class SketchPlan:
     attrs: tuple[str, ...]          # S, sorted
     k: int
     per_attr_parts: int             # K ** (1/|S|)
-    partition_assignments: dict[int, tuple[tuple[str, ...], int]]  # edge -> (PA, pieces)
     seed: int
     buckets: BucketMemo = field(repr=False, compare=False)
 
@@ -154,15 +199,14 @@ def make_sketch(q: QueryGraph, g: LabeledGraph, path: PathEstimate | None, k: in
     k=1 is the identity sketch.  Otherwise k must be a perfect |S|-th power of
     an integer >= 2 and S must be non-empty.  The plan's buckets come from
     `cache` (a fresh one when None; ConfigError when made for another graph).
-    Nothing is split until a component's graph is read; then each query
-    edge's relation is split once into bucket cells, which every component
-    graph concatenates.
+    A component's graph is built when first read, from the cells its
+    statistics read (`BucketMemo.cell`).
     """
     cache = cache or SketchCache(g)
     cache.check_graph(g)
     if k == 1:
-        plan = SketchPlan(path=path, attrs=(), k=1, per_attr_parts=1,
-                          partition_assignments={}, seed=seed, buckets=cache.buckets(1, seed))
+        plan = SketchPlan(path=path, attrs=(), k=1, per_attr_parts=1, seed=seed,
+                          buckets=cache.buckets(1, seed))
         return plan, [SketchComponent((), q, lambda: g)]
     if path is None:
         raise SketchPlanError("k > 1 needs a sketch path")
@@ -174,42 +218,72 @@ def make_sketch(q: QueryGraph, g: LabeledGraph, path: PathEstimate | None, k: in
         raise SketchPlanError(
             f"K={k} is not a perfect |S|-th power >= 2**|S| for |S|={len(attrs)}")
 
-    s_set = set(attrs)
-    assignments: dict[int, tuple[tuple[str, ...], int]] = {}
-    for i, e in enumerate(q.edges):
-        pa = tuple(v for v in attrs if v in (e.src, e.dst))
-        assignments[i] = (pa, parts ** len(pa))
-    plan = SketchPlan(path=path, attrs=tuple(attrs), k=k, per_attr_parts=parts,
-                      partition_assignments=assignments, seed=seed,
+    plan = SketchPlan(path=path, attrs=tuple(attrs), k=k, per_attr_parts=parts, seed=seed,
                       buckets=cache.buckets(parts, seed))
-
-    @lru_cache(maxsize=None)
-    def cells() -> list[dict[tuple[int | None, int | None], list[tuple[int, int, str]]]]:
-        """Per query edge, edge (u, v) in the cell keyed by the buckets of its
-        sketched endpoints (None where the end is not in S)."""
-        out, buckets = [], plan.buckets
-        for i, e in enumerate(q.edges):
-            hash_src, hash_dst, tag = e.src in s_set, e.dst in s_set, f"e{i}"
-            split: dict = {}
-            for u, v in g.edges_with_label(e.label):
-                key = (buckets[u] if hash_src else None, buckets[v] if hash_dst else None)
-                split.setdefault(key, []).append((u, v, tag))
-            out.append(split)
-        return out
-
-    def component_graph(sigma: dict[str, int]) -> LabeledGraph:
-        edges = []
-        for e, split in zip(q.edges, cells()):
-            edges.extend(split.get((sigma.get(e.src), sigma.get(e.dst)), ()))
-        return LabeledGraph(edges)
-
     comp_query = QueryGraph([QEdge(e.src, e.dst, f"e{i}") for i, e in enumerate(q.edges)])
     components = []
     for rev in product(range(parts), repeat=len(attrs)):  # first attribute varies fastest
         index = rev[::-1]
-        components.append(SketchComponent(index, comp_query,
-                                          partial(component_graph, dict(zip(attrs, index)))))
+        components.append(SketchComponent(index, comp_query, partial(
+            _component_graph, plan.buckets, q, dict(zip(attrs, index)))))
     return plan, components
+
+
+def partition_catalogues(q: QueryGraph, h: int, parts: Sequence[Mapping[str, int]],
+                         memo: BucketMemo) -> list[QueryStats]:
+    """q's counts and degree tables on each part of memo.graph's matches of
+    q, one QueryStats per part, without closing rates.
+
+    Part j keeps the matches whose variables v in parts[j] (every part names
+    the same variables) bind vertices x with memo[x] == parts[j][v].  Each
+    connected index set of at most h edges gets one degree table per
+    distinct group of those values that a part reads, so an index set
+    without such a variable has one table for every part, and an empty group
+    the all-zero table.  The tables come from the kernel `build_catalogue`
+    uses (`catalogue.pattern_table`): one edge, or two edges over three
+    variables, read the part's cells (`BucketMemo.cell`); any other index
+    set is matched, with q's own edges, and its rows grouped, once per call
+    and only when a table is missing.  A table is kept in memo.tables under
+    its subquery's labelled edges by variable position and each variable's
+    value (None where not in the parts), which fix it on either route.
+    """
+    stats = [QueryStats(q, Catalogue(h=h)) for _ in parts]
+    built = memo.tables
+    for s in connected_index_sets(q, h):
+        sub = QueryGraph([q.edges[i] for i in sorted(s)])
+        shape = tuple((sub.vars.index(e.src), sub.vars.index(e.dst), e.label) for e in sub.edges)
+        sketched = [p for p, v in enumerate(sub.vars) if v in parts[0]]
+        grouped = lru_cache(None)(lambda: _group_rows(oracle.matches(memo.graph, sub),
+                                                      sketched, memo))
+        tables: dict[tuple, tuple[int, DegreeTable]] = {}
+        # each table's entries come in `table_layout` order: key them once by names
+        named = {x: tuple(sorted(sub.vars[i] for i in x)) for x in subsets(range(len(sub.vars)))}
+        keys = [(named[x], named[y]) for y, xs, _ in table_layout(len(sub.vars)) for x in xs]
+        for st, part in zip(stats, parts):
+            buckets = tuple(map(part.get, sub.vars))
+            got = tables.get(buckets)
+            if got is None:
+                entries = built.get((shape, buckets))
+                if entries is None:
+                    group = tuple(buckets[p] for p in sketched)
+                    entries = built[shape, buckets] = pattern_table(
+                        partial(memo.cell, part), sub, lambda: grouped().get(group, []))
+                table = dict(zip(keys, entries.values()))
+                got = tables[buckets] = table[(), tuple(sorted(sub.vars))], table
+            st._counts[s], st._tables[s] = got
+    return stats
+
+
+def _group_rows(rows: list[tuple[int, ...]], positions: Sequence[int],
+                part_of: Mapping[int, int]) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """`rows` grouped by the part_of values at `positions`, in row order."""
+    if not positions:
+        return {(): rows}
+    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    row_groups = zip(*[map(part_of.__getitem__, map(itemgetter(p), rows)) for p in positions])
+    for group, row in zip(row_groups, rows):
+        groups.setdefault(group, []).append(row)
+    return groups
 
 
 def _integer_root(k: int, degree: int) -> int | None:
@@ -242,9 +316,9 @@ def estimate_with_sketch(q: QueryGraph, g: LabeledGraph, k: int, base: str,
     another graph raises ConfigError, one without q's patterns
     MissingStatisticError, and closing-rate plans use its closing rates.
     Component counts and degree tables come from the full graph's adjacency
-    maps split by bucket, or its grouped matches
-    (`catalogue.partition_catalogues`); only a fixed path with a
-    cycle-closing edge also samples closing rates on each component's graph.
+    maps split by bucket, or its grouped matches (`partition_catalogues`);
+    only a fixed path with a cycle-closing edge also samples closing rates on
+    each component's graph, built from the same cells.
     Buckets, splits and tables come from `cache` (see `make_sketch`), which
     `run_workload` shares across its rows.
     """
@@ -257,9 +331,8 @@ def estimate_with_sketch(q: QueryGraph, g: LabeledGraph, k: int, base: str,
         sketch_ceg_kind = "attrs"
         method = f"sketch:bound:k{k}"
         if sketch_path is None:  # zero short-circuit upstream
-            return Estimate.from_exact(Fraction(0), method=method,
-                                       ceg_kind=unsketched.ceg_kind,
-                                       considered_paths=0, chosen_path=None)
+            return Estimate(Fraction(0), method=method, ceg_kind=unsketched.ceg_kind,
+                            considered_paths=0, chosen_path=None)
     elif base == "optimistic":
         if choice is None or choice.aggr == "avg-aggr":
             raise SketchPlanError("optimistic sketches need a min-aggr or max-aggr choice")
@@ -275,7 +348,7 @@ def estimate_with_sketch(q: QueryGraph, g: LabeledGraph, k: int, base: str,
         k = 1  # every join attribute is bound: partitioning degenerates (identity)
     plan, components = make_sketch(q, g, sketch_path, k, ceg_kind=sketch_ceg_kind, seed=seed,
                                    cache=cache)
-    parts = partition_catalogues(g, q, stats.cat.h,
+    parts = partition_catalogues(q, stats.cat.h,
                                  [dict(zip(plan.attrs, c.index)) for c in components],
                                  plan.buckets)
     closing = fixed_path is not None and any(e.kind == CYCLE_CLOSING for e in fixed_path.edges)
@@ -289,6 +362,6 @@ def estimate_with_sketch(q: QueryGraph, g: LabeledGraph, k: int, base: str,
                 add_closing_rates(part.cat, comp.graph, [comp.query], walk_budget, seed)
                 part.query = comp.query  # q's index sets and variables, under the tags
             total += evaluate_optimistic_path(fixed_path, part.query, part)
-    return Estimate.from_exact(total, method=method, ceg_kind=unsketched.ceg_kind,
-                               considered_paths=unsketched.considered_paths,
-                               chosen_path=sketch_path)
+    return Estimate(total, method=method, ceg_kind=unsketched.ceg_kind,
+                    considered_paths=unsketched.considered_paths,
+                    chosen_path=sketch_path)

@@ -7,7 +7,9 @@ import os
 import pytest
 
 from cardest import catalogue as cat_mod
+from cardest import evalharness
 from cardest.cli import main
+from cardest.errors import EstimationError
 from cardest.evalharness import expand_methods
 
 from _synth import layered_overshoot_graph, path_template
@@ -123,6 +125,21 @@ def test_sketch_error_exit_code(capsys):
     # the failure is isolated into a row, then surfaced as the exit code
     assert code == 5
     assert "ERROR" in capsys.readouterr().out
+
+
+def test_failed_row_of_another_error_exits_with_other_code(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise EstimationError("no path")
+
+    monkeypatch.setattr(evalharness, "estimate_molp", fail)
+    code = run_cli("estimate", "--graph", fixture_path("f1.edges"),
+                   "--query", fixture_path("q3p.query"),
+                   "--methods", "bound,optimistic:avg:max-hop:max-aggr")
+    # the bound row fails with EstimationError, the optimistic row runs
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "bound\tERROR\tEstimationError: no path" in out
+    assert "\t6\t" in out
 
 
 def test_build_catalogue_and_eval(tmp_path, capsys):

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from cardest.catalogue import (QueryStats, _rows_table, _key_to_query,  # noqa: E402
-                               build_catalogue, partition_catalogues)
+                               build_catalogue)
 from cardest.errors import SketchPlanError  # noqa: E402
 from cardest.estgraph import build_cover, build_maxdeg, iter_paths, min_weight_path  # noqa: E402
 from cardest.estimators import estimate_molp  # noqa: E402
@@ -18,7 +18,7 @@ from cardest.graphstore import LabeledGraph  # noqa: E402
 from cardest.oracle import count_hom, matches  # noqa: E402
 from cardest.querymodel import (QEdge, QueryGraph, connected_index_sets,  # noqa: E402
                                 parse_query)
-from cardest.sketch import make_sketch  # noqa: E402
+from cardest.sketch import make_sketch, partition_catalogues  # noqa: E402
 
 from oracles import brute_deg_table, nested_loop_count, nested_loop_matches  # noqa: E402
 
@@ -160,7 +160,7 @@ def test_grouped_statistics_equal_component_catalogues(g, q, k, seed, h):
         plan, components = make_sketch(q, g, path, k=k, seed=seed)
     except SketchPlanError:
         return
-    grouped = partition_catalogues(g, q, h, [dict(zip(plan.attrs, c.index)) for c in components],
+    grouped = partition_catalogues(q, h, [dict(zip(plan.attrs, c.index)) for c in components],
                                    plan.buckets)
     for comp, got in zip(components, grouped):
         want = QueryStats(comp.query, build_catalogue(comp.graph, [comp.query], h, walk_budget=10))

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from cardest import catalogue, evalharness, oracle, sketch
-from cardest.catalogue import QueryStats, build_catalogue, canonical_form, partition_catalogues
+from cardest import evalharness, oracle, sketch
+from cardest.catalogue import QueryStats, build_catalogue, canonical_form
 from cardest.errors import ConfigError, SketchPlanError
 from cardest.estgraph import BOUND, UNBOUND, CegEdge, PathEstimate
 from cardest.estimators import HeuristicChoice, KIND_AVG, estimate_molp, estimate_optimistic
@@ -17,7 +17,7 @@ from cardest.oracle import count_hom
 from cardest.querymodel import (connected_index_sets, index_pattern, instantiate_template,
                                 parse_query)
 from cardest.sketch import (SketchCache, bucket_of, estimate_with_sketch, join_attributes,
-                            make_sketch, sketch_attributes)
+                            make_sketch, partition_catalogues, sketch_attributes)
 
 from _synth import cycle_template, random_graph, tree_template
 from oracles import filtered_sketch_components
@@ -80,10 +80,16 @@ def test_piece_counts_s2_k4(fork_graph, q5f):
     assert plan.per_attr_parts == 2
     assert len(components) == 4
     # A carries one sketch attribute -> 2 pieces; B carries both -> 4 pieces
-    assert plan.partition_assignments[0] == (("a2",), 2)
-    assert plan.partition_assignments[1] == (("a2", "a3"), 4)
-    for i in (2, 3, 4):
-        assert plan.partition_assignments[i] == (("a3",), 2)
+    ends = [tuple(v for v in plan.attrs if v in e.vars()) for e in q5f.edges]
+    assert ends == [("a2",), ("a2", "a3"), ("a3",), ("a3",), ("a3",)]
+    for i, e in enumerate(q5f.edges):
+        pieces: dict = {}
+        for c in components:
+            piece = {(u, v) for u, v, tag in c.graph.edges if tag == f"e{i}"}
+            buckets = dict(zip(plan.attrs, c.index))
+            assert pieces.setdefault(tuple(buckets[v] for v in ends[i]), piece) == piece
+        assert len(pieces) == 2 ** len(ends[i])
+        assert set().union(*pieces.values()) == set(fork_graph.edges_with_label(e.label))
 
 
 def test_k1_identity(fork_graph, q5f):
@@ -277,8 +283,10 @@ def test_run_rows_equal_sketches_each_with_a_fresh_cache(sketch_runs, k):
 
 
 def test_run_splits_each_map_and_hashes_each_vertex_once(sketch_runs, monkeypatch):
-    splits, hashed = Counter(), Counter()
-    split, hash_ = catalogue._split_adjacency, sketch.bucket_of
+    # component statistics and, at K=8, the 3- and 4-cycles' closing rows'
+    # component graphs read one split
+    splits, hashed, graphs = Counter(), Counter(), []
+    split, hash_, build = sketch._split_adjacency, sketch.bucket_of, sketch.LabeledGraph
 
     def counted_split(adj, part_of, by_near, by_far):
         splits[id(adj), by_near, by_far, part_of.parts, part_of.seed] += 1
@@ -288,15 +296,44 @@ def test_run_splits_each_map_and_hashes_each_vertex_once(sketch_runs, monkeypatc
         hashed[vertex, buckets, seed] += 1
         return hash_(vertex, buckets, seed)
 
-    monkeypatch.setattr(catalogue, "_split_adjacency", counted_split)
+    monkeypatch.setattr(sketch, "_split_adjacency", counted_split)
     monkeypatch.setattr(sketch, "bucket_of", counted_hash)
+    monkeypatch.setattr(sketch, "LabeledGraph", lambda edges: graphs.append(1) or build(edges))
     methods = expand_methods(list(SKETCHED_METHODS))
-    for g, queries, cat in sketch_runs:
-        splits.clear()
-        hashed.clear()
-        run_workload(g, queries, methods, sketch_k=4, catalogue=cat)
-        assert splits and set(splits.values()) == {1}
-        assert hashed and set(hashed.values()) == {1}
+    for k in (4, 8):
+        graphs.clear()
+        for g, queries, cat in sketch_runs:
+            splits.clear()
+            hashed.clear()
+            run_workload(g, queries, methods, sketch_k=k, catalogue=cat)
+            assert splits and set(splits.values()) == {1}
+            assert hashed and set(hashed.values()) == {1}
+        assert bool(graphs) == (k == 8)
+
+
+def test_closing_rate_sketches_list_no_edge_of_the_full_graph(sketch_runs, monkeypatch):
+    # component graphs come from the statistics' cells, not from a second
+    # split; at K=8 the 3- and 4-cycles' paths close a cycle on three attributes
+    methods = expand_methods(["optimistic:closing:max-hop:max-aggr",
+                              "optimistic:closing:min-hop:min-aggr"])
+    runs = [(g, queries, cat, run_workload(g, queries, methods, sketch_k=8, catalogue=cat))
+            for g, queries, cat in sketch_runs]
+    full = {id(g) for g, _, _ in sketch_runs}
+    edges_with_label, build, graphs = LabeledGraph.edges_with_label, sketch.LabeledGraph, []
+
+    def guarded(graph, label):
+        assert id(graph) not in full, "listed an edge of the full graph"
+        return edges_with_label(graph, label)
+
+    monkeypatch.setattr(LabeledGraph, "edges_with_label", guarded)
+    monkeypatch.setattr(sketch, "LabeledGraph", lambda edges: graphs.append(1) or build(edges))
+    sketched = 0
+    for g, queries, cat, want in runs:
+        got = run_workload(g, queries, methods, sketch_k=8, catalogue=cat)
+        assert [(r.estimate_exact, r.error) for r in got.records] == \
+            [(r.estimate_exact, r.error) for r in want.records]
+        sketched += sum(r.error is None for r in got.records)
+    assert graphs and sketched >= 8
 
 
 def test_sketch_cache_of_another_graph_rejected(sketch_runs):
@@ -363,8 +400,8 @@ def test_grouped_statistics_equal_component_catalogues(fork_graph, q5f, sketch_r
         # two index sets of one canonical pattern still get their own statistics
         shared_patterns += len({canonical_form(index_pattern(q, s))[0]
                                 for s in index_sets}) < len(index_sets)
-        grouped = partition_catalogues(g, q, 2, [dict(zip(plan.attrs, c.index))
-                                                 for c in components], plan.buckets)
+        grouped = partition_catalogues(q, 2, [dict(zip(plan.attrs, c.index))
+                                              for c in components], plan.buckets)
         for comp, got in zip(components, grouped):
             want = QueryStats(comp.query, build_catalogue(comp.graph, [comp.query], 2))
             for s in index_sets:
@@ -390,7 +427,7 @@ def test_grouped_statistics_list_match_rows_only_for_matched_shapes(fork_graph, 
             except SketchPlanError:
                 continue
             checked += 1
-            partition_catalogues(g, q, 2, [dict(zip(plan.attrs, c.index)) for c in components],
+            partition_catalogues(q, 2, [dict(zip(plan.attrs, c.index)) for c in components],
                                  plan.buckets)
     assert checked >= 10
     # one edge, or two edges over three variables, read the split adjacency maps
@@ -403,7 +440,7 @@ def test_grouped_statistics_list_match_rows_only_for_matched_shapes(fork_graph, 
     plan, components = make_sketch(q, g, path, 4)
     assert plan.attrs == ("a", "b")
     listed.clear()
-    grouped = partition_catalogues(g, q, 3, [dict(zip(plan.attrs, c.index)) for c in components],
+    grouped = partition_catalogues(q, 3, [dict(zip(plan.attrs, c.index)) for c in components],
                                    plan.buckets)
     index_sets = connected_index_sets(q, 3)
     matched = [s for s in index_sets if len(s) == 3 or len(s) == 2 and len(q.vars_of(s)) == 2]
