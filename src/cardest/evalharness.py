@@ -116,8 +116,10 @@ def summarize(records: Sequence[QErrorRecord]) -> QErrorSummary:
         raise ValueError("no summarizable records")
     logs = sorted(r.signed_log for r in usable)
     drop = math.floor(0.1 * len(usable))
-    by_magnitude = sorted(usable, key=lambda r: (r.qerror, abs(r.signed_log),
-                                                 r.query_id, r.method))
+    # floats order the q-errors as their exact values do (rounding is
+    # monotone); only equal floats compare the exact Fractions
+    by_magnitude = sorted(usable, key=lambda r: (as_float(r.qerror), r.qerror,
+                                                 abs(r.signed_log), r.query_id, r.method))
     kept = by_magnitude[:len(usable) - drop] if drop else by_magnitude
     trimmed = math.fsum(r.signed_log for r in kept) / len(kept)
     return QErrorSummary(

@@ -27,8 +27,12 @@ keyed under those tags.
 A `SketchCache` holds what the sketched rows of one run share: per (bucket
 count, seed), one `BucketMemo` of the graph, under which each vertex is
 hashed at most once, each adjacency map split once and each component
-degree table built once.  `run_workload` makes one per run; a call without
-one makes its own.
+degree table built once.  The memo keeps each table twice: its entries by
+variable position, shared by every subquery of that shape, and, with its
+count, keyed by the variable names a query gave it.  So a row whose tables
+are all kept, such as an optimistic row after its query's bound row on the
+same sketch attributes, does one lookup per index set and component.
+`run_workload` makes one per run; a call without one makes its own.
 
 The unpartitioned plan reads the caller's catalogue (`run_workload` passes
 the run's), and the components take its h: a catalogue lacking the query's
@@ -110,13 +114,17 @@ class BucketMemo(dict):
     """vertex -> bucket_of(vertex, parts, seed) over `graph`, each vertex
     hashed once, with the cells of the graph's adjacency maps under these
     buckets and the component degree tables built from them, kept for every
-    later sketch of the graph."""
+    later sketch of the graph.  `tables` keys a table's entries by variable
+    position under (subquery shape, buckets); `named` keeps (count, table
+    keyed by variable names) under (shape, buckets, names), so a query
+    whose tables are kept finds each with one lookup."""
 
     def __init__(self, graph: LabeledGraph, parts: int, seed: int):
         super().__init__()
         self.graph, self.parts, self.seed = graph, parts, seed
         self.splits: dict = {}
         self.tables: dict = {}
+        self.named: dict = {}
 
     def __missing__(self, vertex: int) -> int:
         b = self[vertex] = bucket_of(vertex, self.parts, self.seed)
@@ -243,35 +251,56 @@ def partition_catalogues(q: QueryGraph, h: int, parts: Sequence[Mapping[str, int
     uses (`catalogue.pattern_table`): one edge, or two edges over three
     variables, read the part's cells (`BucketMemo.cell`); any other index
     set is matched, with q's own edges, and its rows grouped, once per call
-    and only when a table is missing.  A table is kept in memo.tables under
-    its subquery's labelled edges by variable position and each variable's
-    value (None where not in the parts), which fix it on either route.
+    and only when a table is missing.  A table's entries are kept in
+    memo.tables under (shape, buckets): its subquery's labelled edges by
+    variable position and each variable's value (None where not in the
+    parts), which fix it on either route.  The table keyed by q's variable
+    names is kept with its count in memo.named under (shape, buckets,
+    names).  So a call whose tables are all kept does one lookup per index
+    set and part, and builds the subquery, its row grouping and the name
+    layout only for a missing table.  Kept tables are shared: read them,
+    never change them.
     """
     stats = [QueryStats(q, Catalogue(h=h)) for _ in parts]
-    built = memo.tables
     for s in connected_index_sets(q, h):
-        sub = QueryGraph([q.edges[i] for i in sorted(s)])
-        shape = tuple((sub.vars.index(e.src), sub.vars.index(e.dst), e.label) for e in sub.edges)
-        sketched = [p for p, v in enumerate(sub.vars) if v in parts[0]]
-        grouped = lru_cache(None)(lambda: _group_rows(oracle.matches(memo.graph, sub),
-                                                      sketched, memo))
-        tables: dict[tuple, tuple[int, DegreeTable]] = {}
-        # each table's entries come in `table_layout` order: key them once by names
-        named = {x: tuple(sorted(sub.vars[i] for i in x)) for x in subsets(range(len(sub.vars)))}
-        keys = [(named[x], named[y]) for y, xs, _ in table_layout(len(sub.vars)) for x in xs]
+        edges = [q.edges[i] for i in sorted(s)]
+        names = tuple(dict.fromkeys(v for e in edges for v in e.vars()))  # the subquery's vars
+        shape = tuple((names.index(e.src), names.index(e.dst), e.label) for e in edges)
+        build = None
         for st, part in zip(stats, parts):
-            buckets = tuple(map(part.get, sub.vars))
-            got = tables.get(buckets)
+            buckets = tuple(map(part.get, names))
+            got = memo.named.get((shape, buckets, names))
             if got is None:
-                entries = built.get((shape, buckets))
-                if entries is None:
-                    group = tuple(buckets[p] for p in sketched)
-                    entries = built[shape, buckets] = pattern_table(
-                        partial(memo.cell, part), sub, lambda: grouped().get(group, []))
-                table = dict(zip(keys, entries.values()))
-                got = tables[buckets] = table[(), tuple(sorted(sub.vars))], table
+                build = build or _table_builder(memo, QueryGraph(edges), shape, parts[0])
+                got = memo.named[shape, buckets, names] = build(part, buckets)
             st._counts[s], st._tables[s] = got
     return stats
+
+
+def _table_builder(memo: BucketMemo, sub: QueryGraph, shape: tuple,
+                   sketched_vars: Mapping[str, int],
+                   ) -> Callable[[Mapping[str, int], tuple], tuple[int, DegreeTable]]:
+    """A function of (part, buckets) that gives sub's count and table on
+    that part, keyed by sub's variable names, from memo.tables' entries under
+    (shape, buckets), which it builds and keeps when missing.  sub's matches,
+    listed only if a table needs them, are grouped by the buckets of
+    `sketched_vars` once."""
+    sketched = [p for p, v in enumerate(sub.vars) if v in sketched_vars]
+    grouped = lru_cache(None)(lambda: _group_rows(oracle.matches(memo.graph, sub),
+                                                  sketched, memo))
+    # each table's entries come in `table_layout` order: key them once by names
+    named = {x: tuple(sorted(sub.vars[i] for i in x)) for x in subsets(range(len(sub.vars)))}
+    keys = [(named[x], named[y]) for y, xs, _ in table_layout(len(sub.vars)) for x in xs]
+
+    def build(part: Mapping[str, int], buckets: tuple) -> tuple[int, DegreeTable]:
+        entries = memo.tables.get((shape, buckets))
+        if entries is None:
+            group = tuple(buckets[p] for p in sketched)
+            entries = memo.tables[shape, buckets] = pattern_table(
+                partial(memo.cell, part), sub, lambda: grouped().get(group, []))
+        table = dict(zip(keys, entries.values()))
+        return table[(), tuple(sorted(sub.vars))], table
+    return build
 
 
 def _group_rows(rows: list[tuple[int, ...]], positions: Sequence[int],

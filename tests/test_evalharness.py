@@ -123,6 +123,18 @@ def test_summary_permutation_invariant():
     assert (a.p25, a.p50, a.p75, a.trimmed_mean) == (b.p25, b.p50, b.p75, b.trimmed_mean)
 
 
+def test_summary_trim_orders_qerrors_equal_as_floats_exactly():
+    # 10(1 + 10^-20) and 10(1 + 2*10^-20) round to one float; the larger,
+    # an underestimate whose query id sorts first, is the one trimmed
+    tiny = Fraction(1, 10 ** 20)
+    over = _rec(1, 10 * (1 + tiny), query_id="b")
+    under = _rec(1, 1 / (10 * (1 + 2 * tiny)), query_id="a")
+    assert float(over.qerror) == float(under.qerror) and over.qerror < under.qerror
+    records = [_rec(10, Fraction(10), query_id=f"q{i}") for i in range(8)] + [over, under]
+    assert summarize(records).trimmed_mean == over.signed_log / 9 > 0
+    assert summarize(records[::-1]).trimmed_mean == over.signed_log / 9
+
+
 def test_summary_zero_estimates_tallied():
     records = [_rec(10, Fraction(10)), _rec(10, Fraction(0))]
     s = summarize(records)

@@ -439,18 +439,51 @@ def test_grouped_statistics_list_match_rows_only_for_matched_shapes(fork_graph, 
                        ({"a", "b", "c", "d"}, BOUND, 1)])
     plan, components = make_sketch(q, g, path, 4)
     assert plan.attrs == ("a", "b")
+    parts = [dict(zip(plan.attrs, c.index)) for c in components]
     listed.clear()
-    grouped = partition_catalogues(q, 3, [dict(zip(plan.attrs, c.index)) for c in components],
-                                   plan.buckets)
+    grouped = partition_catalogues(q, 3, parts, plan.buckets)
     index_sets = connected_index_sets(q, 3)
     matched = [s for s in index_sets if len(s) == 3 or len(s) == 2 and len(q.vars_of(s)) == 2]
     assert Counter(tuple(p.edges) for p in listed) == \
         Counter(tuple(q.edges[i] for i in sorted(s)) for s in matched)
     assert {(len(p.edges), len(p.vars)) for p in listed} >= {(2, 2), (3, 3), (3, 4)}
+    # a repeat call finds every table kept
+    listed.clear()
+    partition_catalogues(q, 3, parts, plan.buckets)
+    assert listed == []
     for comp, got in zip(components, grouped):
         want = QueryStats(comp.query, build_catalogue(comp.graph, [comp.query], 3))
         for s in index_sets:
             assert (got.count(s), got.degrees(s)) == (want.count(s), want.degrees(s))
+
+
+@pytest.mark.parametrize("k", [4, 9])
+def test_repeat_partition_only_looks_up_kept_tables(fork_graph, q5f, sketch_runs, monkeypatch,
+                                                    k):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built on a call whose tables are all kept")
+
+    checked = 0
+    for g, q, path in _sketch_cases(fork_graph, q5f, sketch_runs):
+        try:
+            plan, components = make_sketch(q, g, path, k)
+        except SketchPlanError:
+            continue
+        checked += 1
+        parts = [dict(zip(plan.attrs, c.index)) for c in components]
+        first = partition_catalogues(q, 2, parts, plan.buckets)
+        with monkeypatch.context() as patched:
+            for name in ("QueryGraph", "pattern_table", "_split_adjacency"):
+                patched.setattr(sketch, name, forbidden)
+            patched.setattr(oracle, "matches", forbidden)
+            again = partition_catalogues(q, 2, parts, plan.buckets)
+        fresh = partition_catalogues(q, 2, parts,
+                                     SketchCache(g).buckets(plan.per_attr_parts, plan.seed))
+        for was, got, want in zip(first, again, fresh):
+            for s in connected_index_sets(q, 2):
+                assert got.degrees(s) is was.degrees(s)
+                assert (got.count(s), got.degrees(s)) == (want.count(s), want.degrees(s))
+    assert checked >= 10
 
 
 def test_molp_and_avg_degree_sketches_build_no_graph_and_sample_no_walk(sketch_runs,
