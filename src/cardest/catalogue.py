@@ -580,10 +580,13 @@ def load(source: IO[str] | str) -> Catalogue:
     try:
         cat = Catalogue(
             h=int(payload["h"]),
-            counts={k: int(v) for k, v in _object(payload["counts"], "counts").items()},
-            deg_stats={k: {kk: int(vv) for kk, vv in _object(v, f"degStats {k}").items()}
+            counts={k: _natural(v, f"count {k}")
+                    for k, v in _object(payload["counts"], "counts").items()},
+            deg_stats={k: {kk: _natural(vv, f"degree {k} {kk}")
+                           for kk, vv in _object(v, f"degStats {k}").items()}
                        for k, v in _object(payload["degStats"], "degStats").items()},
-            closing={k: ClosingStat(int(v["samples"]), int(v["closures"]))
+            closing={k: ClosingStat(n := _natural(v["samples"], f"samples of {k}"),
+                                    _natural(v["closures"], f"closures of {k}", n))
                      for k, v in _object(payload["closingRates"], "closingRates").items()},
             meta=_object(payload["meta"], "meta"),
         )
@@ -591,6 +594,16 @@ def load(source: IO[str] | str) -> Catalogue:
     except (KeyError, TypeError, ValueError) as exc:
         raise CatalogueFormatError(f"malformed catalogue file: {exc}") from None
     return cat
+
+
+def _natural(value, what: str, most: int | None = None) -> int:
+    """`value`, which a catalogue file must hold as an int (not a bool) from 0
+    to `most`, if given."""
+    if type(value) is not int or value < 0 or most is not None and value > most:
+        bound = "a non-negative integer" if most is None else f"an integer from 0 to {most}"
+        raise CatalogueFormatError(
+            f"malformed catalogue file: {what} is {json.dumps(value)}, not {bound}")
+    return value
 
 
 def _object(value, what: str) -> dict:

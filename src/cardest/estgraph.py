@@ -1,29 +1,29 @@
 """Estimation graphs: subqueries as vertices, extension rates as edge weights.
 
 Four builds share one graph type, whose out-edges are derived per vertex on
-its first `out` and cached, so an estimate does only the work its paths
+its first read and cached, so an estimate does only the work its paths
 reach.  Over edge subsets: the optimistic graph (average-degree rates from
 pattern counts) and its cycle-closing-rate variant, each source vertex
 deciding its own out-edges (closing rates, merging, early cycle closing) from
-the connected index sets of q; the build itself only checks that every
-statistic a source may read is there.  Over attribute subsets: the
-max-degree graph whose minimum-weight path is the pessimistic bound, and the
-cover graph induced by a per-relation attribute cover (a sub-graph of the
-max-degree graph).  Attribute-subset graphs (`AttrCeg`) are held as move
-tables, filled from one whole degree table per catalogue pattern; they are
-the only graphs `min_weight_path` searches, its moves grouped by Y,
-zero-degree moves included.
+the connected index sets of q.  Over attribute subsets: the max-degree graph
+whose minimum-weight path is the pessimistic bound, and the cover graph of a
+per-relation attribute cover.  Attribute-subset graphs (`AttrCeg`) are held
+as move tables, one whole degree table per catalogue pattern, which
+`min_weight_path` searches directly.
+
+Both kinds code a vertex one way: as a bitmask over the graph's sorted names
+(query-edge indices or variable names).  The builds, `path_summary` and
+`min_weight_path` run on those ints, each rate an exact (numerator,
+denominator) pair in lowest terms.  Frozensets, `Fraction` rates and
+`CegEdge`s are made only at the API boundary: `out`, `all_edges`,
+`vertices`, `to_dot`, `PathSummary.rows` and the chosen paths.
 
 Every rate is a statistic of an index set of q, read through one
-`catalogue.QueryStats` per build: each build takes a Catalogue, which it
-wraps, or a QueryStats of q, which callers share across builds.
-
+`catalogue.QueryStats` per build, which callers may share across builds.
 Every bottom-to-top path yields an estimate: the exact rational product of
-its rates.  Base-2 log weights are carried alongside for the additive view.
-`path_summary` aggregates those estimates per hop count (max, min, sum,
-count, and the DFS-first extreme paths) in one pass over the DAG, in integer
-numerator/denominator pairs; `iter_paths` / `enumerate_paths` list them one
-by one.
+its rates, with base-2 log weights alongside for the additive view.
+`path_summary` aggregates them per hop count in one pass over the DAG;
+`iter_paths` / `enumerate_paths` list them one by one.
 """
 
 from __future__ import annotations
@@ -88,72 +88,108 @@ class PathEstimate:
         return sum(e.log_weight for e in self.edges)
 
 
-def _vkey(vertex: frozenset) -> tuple:
-    return tuple(sorted(vertex))
+Arc = tuple[int, int, int, str, tuple]   # (dst mask, numerator, denominator, kind, provenance)
+
+
+def _mask_of(indices: Iterable[int]) -> int:
+    return sum(1 << i for i in indices)
+
+
+class _Memo(dict):
+    """A dict that makes a missing value from its key, once."""
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        got = self[key] = self.make(key)
+        return got
 
 
 class Ceg:
-    """Weighted DAG-ish graph over subquery vertices, its out-edges derived on demand.
+    """Weighted DAG over subquery vertices, its out-edges derived on demand.
 
-    `out(v)` returns v's out-edges, ordered by destination, then rate, unbound
-    first on ties.  They are derived once, on v's first `out`, by the graph's
-    per-source function `derive` and cached.  `sources` lists every vertex
-    `derive` may give out-edges; it is read once, on the first `all_edges` or
-    `vertices`, so it may be a lazy iterator.  Both listings derive every
-    source first, so a listing never depends on which vertices were visited
-    before it.  Only an `AttrCeg` may hold projection edges.
+    Vertices are bitmasks over the sorted `names`, `top` among them.
+    `derive(v)` lists the arcs (dst, numerator, denominator, kind, provenance)
+    leaving the mask v; they are ordered and cached on v's first read.
+    `out(v)` hands them out as CegEdges: by destination key, then rate,
+    unbound first on ties.  `sources` lists, as masks, every vertex `derive`
+    may give out-edges; it is read once, by the first listing (`all_edges`,
+    `vertices`), so it may be a lazy iterator, and a listing derives every
+    source first.  `_keys`, `_sets` and `_masks` turn a mask into its key
+    (sorted names) or frozenset and back, each made once.  Only an `AttrCeg`
+    may hold projection edges.
     """
 
-    def __init__(self, kind: str, query: QueryGraph, top: frozenset,
-                 derive: Callable[[frozenset], list[CegEdge]] | None = None,
-                 sources: Iterable[frozenset] = ()):
+    bottom: frozenset = frozenset()
+
+    def __init__(self, kind: str, query: QueryGraph | None, names: Iterable, top: int,
+                 derive: Callable[[int], Iterable[Arc]] | None = None,
+                 sources: Iterable[int] = ()):
         self.kind = kind
         self.query = query
-        self.top = top
-        self.bottom: frozenset = frozenset()
         self._derive = derive
-        self._dst_keys: dict[frozenset, tuple] = {}
-        self._adj: dict[frozenset, tuple[CegEdge, ...]] = {}
         self._source_iter = sources
         self._projections = False
+        self._arcs: dict[int, tuple[Arc, ...]] = {}
+        self._edges: dict[tuple[int, int], CegEdge] = {}   # (src mask, arc index) -> edge
+        self._bit = bit = {v: 1 << i for i, v in enumerate(names)}
+        self._keys = keys = _Memo(lambda mask: tuple(v for v, b in bit.items() if mask & b))
+        self._sets = _Memo(lambda mask: frozenset(keys[mask]))
+        self._masks = _Memo(lambda vertex: sum(bit[v] for v in vertex))   # KeyError off the graph
+        self._top = top
+        self.top = self._sets[top]
 
     @cached_property
-    def _sources(self) -> list[frozenset]:
+    def _sources(self) -> list[int]:
         return list(self._source_iter)
 
-    def _ordered(self, edges: Iterable[CegEdge]) -> tuple[CegEdge, ...]:
-        keys = self._dst_keys
-
-        def order(e: CegEdge) -> tuple:  # by destination, then rate, unbound first on ties
-            key = keys.get(e.dst)
-            if key is None:
-                key = keys[e.dst] = _vkey(e.dst)
-            return (key, e.rate, e.kind != UNBOUND, e.kind, e.provenance)
-
-        return tuple(sorted(edges, key=order))
-
-    def out(self, vertex: frozenset) -> tuple[CegEdge, ...]:
-        got = self._adj.get(vertex)
+    def _arcs_of(self, mask: int) -> tuple[Arc, ...]:
+        """The arcs leaving `mask` in `out` order, derived on its first read."""
+        got = self._arcs.get(mask)
         if got is None:
-            got = self._adj[vertex] = self._edges(vertex)
+            got = self._arcs[mask] = self._ordered(self._derived(mask))
         return got
 
-    def _edges(self, vertex: frozenset) -> tuple[CegEdge, ...]:
-        """`vertex`'s out-edges, in `out` order, from the per-source function."""
-        return self._ordered(self._derive(vertex)) if self._derive else ()
+    def _derived(self, mask: int) -> Iterable[Arc]:
+        return self._derive(mask) if self._derive else ()
+
+    def _ordered(self, arcs: Iterable[Arc]) -> tuple[Arc, ...]:
+        """In `out` order: floats order the rates, and the exact rates only
+        when two distinct rates share a float."""
+        key = self._keys.__getitem__
+        rows = sorted(arcs, key=lambda a: (key(a[0]), a[1] / a[2], a[3] != UNBOUND, a[3], a[4]))
+        if len(rows) > 1 and len({(a[0], a[1] / a[2]) for a in rows}) < len({a[:3] for a in rows}):
+            rows.sort(key=lambda a: (key(a[0]), Fraction(a[1], a[2]),
+                                     a[3] != UNBOUND, a[3], a[4]))
+        return tuple(rows)
+
+    def _edge(self, src: int, arc: Arc) -> CegEdge:
+        dst, num, den, kind, provenance = arc
+        return CegEdge(self._sets[src], self._sets[dst], Fraction(num, den), kind, provenance)
+
+    def _edge_at(self, src: int, i: int) -> CegEdge:
+        got = self._edges.get((src, i))
+        if got is None:
+            got = self._edges[src, i] = self._edge(src, self._arcs_of(src)[i])
+        return got
+
+    def out(self, vertex: frozenset) -> tuple[CegEdge, ...]:
+        try:
+            mask = self._masks[vertex]
+        except KeyError:  # a name outside the graph: not one of its vertices
+            return ()
+        return tuple(self._edge_at(mask, i) for i in range(len(self._arcs_of(mask))))
 
     def all_edges(self) -> Iterator[CegEdge]:
-        for v in sorted(self._sources, key=_vkey):
-            yield from self.out(v)
+        for v in sorted(self._sources, key=self._keys.__getitem__):
+            yield from self.out(self._sets[v])
 
     def vertices(self) -> list[frozenset]:
         seen = {self.bottom, self.top}
-        for v in self._sources:
-            edges = self.out(v)
-            if edges:
-                seen.add(v)
-                seen.update(e.dst for e in edges)
-        return sorted(seen, key=_vkey)
+        seen.update(v for e in self.all_edges() for v in (e.src, e.dst))
+        return sorted(seen, key=lambda v: self._keys[self._masks[v]])
 
     def has_projection_edges(self) -> bool:
         """Known from how the graph was built; derives no out-edge."""
@@ -176,7 +212,7 @@ def build_optimistic(q: QueryGraph, cat: Catalogue | QueryStats, closing: bool =
 
     The sources are the empty vertex and every connected index set of at
     least min(h, |Q|) edges but the top.  Each decides its own out-edges, on
-    its first `out`, so an estimate derives only the sources its paths reach;
+    its first read, so an estimate derives only the sources its paths reach;
     the full lattice of sources is listed only for `all_edges` or `vertices`.
     The hops of a source are grouped by target.  With closing=True, a hop that
     completes a cycle longer than h takes that cycle's sampled closing rate
@@ -195,81 +231,81 @@ def build_optimistic(q: QueryGraph, cat: Catalogue | QueryStats, closing: bool =
     m, h = len(q), stats.cat.h
     start_size = min(h, m)
     patterns = connected_index_sets(q, start_size)
-    known = set(patterns)
-    firsts = [s for s in patterns if len(s) == start_size]
+    counts = {_mask_of(s): (stats.count(s), s) for s in patterns}   # (count, index set)
+    firsts = [p for p, (_, s) in counts.items() if len(s) == start_size]
     if starts == "anchored":
         firsts = firsts[:1]
     elif starts != "all":
         raise ValueError(f"starts must be 'anchored' or 'all', got {starts!r}")
 
-    counts = {s: stats.count(s) for s in patterns}
-    all_cycles = cycles(q).cycles
-    long_cycles = [c for c in all_cycles if len(c) > h] if closing else []
-    closing_rates = {(c, i): stats.closing_rate(c, i) for c in long_cycles for i in sorted(c)}
-    ratios: dict[tuple[frozenset, frozenset], tuple[Fraction, tuple]] = {}
+    all_cycles = {_mask_of(c): c for c in cycles(q).cycles}
+    long_cycles = [c for c, indices in all_cycles.items() if len(indices) > h] if closing else []
+    closing_rates = {}   # (cycle, closing edge) masks -> (rate, provenance)
+    for c in long_cycles:
+        cyc = all_cycles[c]
+        for i in sorted(cyc):
+            rate, key = stats.closing_rate(cyc, i)
+            closing_rates[c, 1 << i] = ((rate.numerator, rate.denominator),
+                                        ("closing", key, tuple(sorted(cyc))))
+    ratios: dict[tuple[int, int], tuple[tuple[int, int], tuple]] = {}
 
-    def ratio(ext: frozenset, inter: frozenset) -> tuple[Fraction, tuple]:
+    def ratio(ext: int, inter: int) -> tuple[tuple[int, int], tuple]:
         got = ratios.get((ext, inter))
         if got is None:
-            c_ext, c_int = counts[ext], counts[inter]
-            got = ratios[ext, inter] = (Fraction(c_ext, c_int) if c_int else Fraction(0),
-                                        ("ratio", _vkey(ext), _vkey(inter)))
+            (c_ext, s_ext), (c_int, s_int) = counts[ext], counts[inter]
+            g = math.gcd(c_ext, c_int)
+            got = ratios[ext, inter] = ((c_ext // g, c_int // g) if c_int else (0, 1),
+                                        ("ratio", tuple(sorted(s_ext)), tuple(sorted(s_int))))
         return got
 
-    top = frozenset(range(m))
+    top = (1 << m) - 1
 
-    def sources() -> Iterator[frozenset]:
-        yield frozenset()
-        yield from (s for s in connected_index_sets(q, m) if len(s) >= start_size and s != top)
+    def sources() -> Iterator[int]:
+        yield 0
+        yield from (_mask_of(s) for s in connected_index_sets(q, m) if start_size <= len(s) < m)
 
-    reached: set[frozenset] = set()  # every hop target is connected: no search for them
+    reached: set[int] = set()  # every hop target is connected: no search for them
 
-    def derive(src: frozenset) -> list[CegEdge]:
-        if src and not (len(src) >= start_size and src < top
-                        and (src in reached or indices_connected(q, src))):
+    def derive(src: int) -> list[Arc]:
+        if src and not (src != top and src.bit_count() >= start_size and (
+                src in reached or indices_connected(q, [i for i in range(m) if src >> i & 1]))):
             return []
-        hops: dict[frozenset, list[tuple[Fraction, tuple]]] = {}
+        hops: dict[int, list[tuple[tuple[int, int], tuple]]] = {}
         if src:
             kind = EXTENSION
-            for ext in patterns:
+            for ext, (_, indices) in counts.items():
                 inter = ext & src
-                if not inter or inter == ext or inter not in known:
+                if not inter or inter == ext or inter not in counts:
                     continue
                 target = src | ext
-                if len(ext) == min(h, len(target)):
+                if len(indices) == min(h, target.bit_count()):
                     hops.setdefault(target, []).append(ratio(ext, inter))
         else:
             kind = START
-            hops = {s: [(Fraction(counts[s]), ("count", _vkey(s)))] for s in firsts}
+            hops = {p: [((counts[p][0], 1), ("count", tuple(sorted(counts[p][1]))))]
+                    for p in firsts}
 
-        edges: dict[frozenset, list[CegEdge]] = {}
+        arcs: dict[int, list[Arc]] = {}
         for target, rated in hops.items():
             hop_kind = kind
-            added = target - src
-            closable = [c for c in long_cycles if c <= target and len(c & src) == len(c) - 1]
+            added = target & ~src
+            closable = [c for c in long_cycles
+                        if c & target == c and (c & ~src).bit_count() == 1]
             if closable:  # closing rates replace the ratios; a hop adding more gets no edge
-                hop_kind, rated = CYCLE_CLOSING, []
-                for c in closable:
-                    if c - src == added:
-                        rate, key = closing_rates[(c, *added)]
-                        rated.append((rate, ("closing", key, tuple(sorted(c)))))
-            merged: list[tuple[Fraction, list]] = []
-            for rate, prov in rated:  # a list scan: no Fraction is hashed
-                for seen, provs in merged:
-                    if seen == rate:
-                        provs.append(prov)
-                        break
-                else:
-                    merged.append((rate, [prov]))
+                hop_kind = CYCLE_CLOSING
+                rated = [closing_rates[c, added] for c in closable if c & ~src == added]
+            merged: dict[tuple[int, int], list] = {}
+            for rate, prov in rated:  # exact pairs in lowest terms: equal rates, equal keys
+                merged.setdefault(rate, []).append(prov)
             if merged:
-                edges[target] = [CegEdge(src, target, rate, hop_kind, tuple(sorted(provs)))
-                                 for rate, provs in merged]
-        fresh = [c for c in all_cycles if not c <= src]
-        reached.update(edges)
-        closers = [t for t in edges if any(c <= t for c in fresh)]
-        return [e for t in (closers or edges) for e in edges[t]]
+                arcs[target] = [(target, num, den, hop_kind, tuple(sorted(provs)))
+                                for (num, den), provs in merged.items()]
+        fresh = [c for c in all_cycles if c & src != c]
+        reached.update(arcs)
+        closers = [t for t in arcs if any(c & t == c for c in fresh)]
+        return [a for t in (closers or arcs) for a in arcs[t]]
 
-    return Ceg("edges", q, top, derive, sources())
+    return Ceg("edges", q, range(m), top, derive, sources())
 
 
 # ---------------------------------------------------------------------------
@@ -284,59 +320,36 @@ class AttrCeg(Ceg):
 
     A move (X, Y, deg, provenance), X a proper subset of Y, is an edge W -> W|Y
     of rate deg from every vertex W containing X: unbound when X is empty,
-    bound otherwise.  X and Y are tuples (or sets) of names.  Vertices
-    are bitmasks over the sorted variables inside; `moves` holds the table
-    with X and Y as masks, `out` derives and caches a vertex's merged CegEdges
-    on first use, and `min_weight_path` searches the moves directly.  Listing
-    every vertex is capped at MAX_ATTR_VARS variables.
+    bound otherwise.  X and Y are tuples (or sets) of names; `moves` holds
+    them as masks.  Listing every vertex is capped at MAX_ATTR_VARS variables.
     """
 
     def __init__(self, query: QueryGraph, moves: Iterable[Move], projections: bool = False):
-        super().__init__("attrs", query, frozenset(query.vars))
-        self._names = tuple(sorted(query.vars))
-        self._bit = {v: 1 << i for i, v in enumerate(self._names)}
-        self._keys: dict[int, tuple[str, ...]] = {}
-        self._masks: dict[Iterable[str], int] = {}
-        self.moves = [(self._mask(x), self._mask(y), deg, prov) for x, y, deg, prov in moves]
+        super().__init__("attrs", query, sorted(query.vars), (1 << len(query.vars)) - 1)
+        self.moves = [(self._masks[x], self._masks[y], deg, prov) for x, y, deg, prov in moves]
         self._projections = projections
 
-    def _mask(self, vertex: Iterable[str]) -> int:
-        """The bitmask of a name tuple or frozenset, computed once per distinct one."""
-        got = self._masks.get(vertex)
-        if got is None:
-            got = self._masks[vertex] = sum(self._bit[v] for v in vertex)
-        return got
+    @cached_property
+    def _sources(self) -> list[int]:
+        if len(self._bit) > MAX_ATTR_VARS:
+            raise ConfigError(f"attribute-subset graphs are capped at {MAX_ATTR_VARS} variables")
+        return list(range(self._top + 1))
 
-    def _key(self, mask: int) -> tuple[str, ...]:
-        got = self._keys.get(mask)
-        if got is None:
-            got = self._keys[mask] = tuple(v for v in self._names if mask & self._bit[v])
-        return got
-
-    def _edges(self, vertex: frozenset, dst: frozenset | None = None) -> tuple[CegEdge, ...]:
-        """Merged edges leaving `vertex` (only those into `dst`, if given) in Ceg order."""
-        w, only = self._mask(vertex), None if dst is None else self._mask(dst)
+    def _derived(self, w: int, only: int | None = None) -> list[Arc]:
+        """Merged arcs leaving w (only the extensions into `only`, if given)."""
         merged: dict[tuple[int, int, str], set] = {}
         for xm, ym, deg, prov in self.moves:
             if xm & w == xm and ym & ~w and (only is None or w | ym == only):
                 merged.setdefault((w | ym, deg, BOUND if xm else UNBOUND), set()).add(prov)
-        if self._projections:
-            for v in vertex:
-                merged[(w & ~self._bit[v], 1, PROJECTION)] = {("proj", v)}
-        rows = sorted((self._key(dm), rate, kind != UNBOUND, kind, tuple(sorted(provs)))
-                      for (dm, rate, kind), provs in merged.items()
-                      if dst is None or dm == only)  # Ceg's out-edge order
-        return tuple(CegEdge(vertex, frozenset(key), Fraction(rate), kind, provs)
-                     for key, rate, _, kind, provs in rows)
+        if self._projections and only is None:
+            for v, b in self._bit.items():
+                if w & b:
+                    merged[(w & ~b, 1, PROJECTION)] = {("proj", v)}
+        return [(dst, deg, 1, kind, tuple(sorted(provs)))
+                for (dst, deg, kind), provs in merged.items()]
 
     def vertices(self) -> list[frozenset]:
-        if len(self._names) > MAX_ATTR_VARS:
-            raise ConfigError(f"attribute-subset graphs are capped at {MAX_ATTR_VARS} variables")
-        return [frozenset(s) for s in sorted(subsets(self._names))]
-
-    def all_edges(self) -> Iterator[CegEdge]:
-        for v in self.vertices():
-            yield from self.out(v)
+        return [self._sets[v] for v in sorted(self._sources, key=self._keys.__getitem__)]
 
 
 def maxdeg_moves(q: QueryGraph, cat: Catalogue | QueryStats) -> list[Move]:
@@ -398,14 +411,13 @@ def build_cover(q: QueryGraph, cat: Catalogue | QueryStats,
 # ---------------------------------------------------------------------------
 
 def count_paths(ceg: Ceg) -> int:
-    return _count_paths(ceg.out, {ceg.top: 1}, ceg.bottom)
+    return _count_paths(ceg._arcs_of, {ceg._top: 1}, 0)
 
 
-def _count_paths(out: Callable[[frozenset], tuple[CegEdge, ...]],
-                 memo: dict[frozenset, int], v: frozenset) -> int:
+def _count_paths(arcs: Callable[[int], tuple[Arc, ...]], memo: dict[int, int], v: int) -> int:
     got = memo.get(v)
     if got is None:
-        got = memo[v] = sum(_count_paths(out, memo, e.dst) for e in out(v))
+        got = memo[v] = sum(_count_paths(arcs, memo, a[0]) for a in arcs(v))
     return got
 
 
@@ -413,16 +425,17 @@ def iter_paths(ceg: Ceg) -> Iterator[PathEstimate]:
     """All simple bottom-to-top paths in deterministic order (DFS)."""
     if ceg.has_projection_edges():
         raise ValueError("path enumeration needs an extension-only graph")
-    yield from _walk_paths(ceg.out, ceg.top, ceg.bottom, (), Fraction(1))
+    yield from _walk_paths(ceg, 0, (), Fraction(1))
 
 
-def _walk_paths(out: Callable[[frozenset], tuple[CegEdge, ...]], top: frozenset,
-                v: frozenset, edges: tuple[CegEdge, ...], prod: Fraction) -> Iterator[PathEstimate]:
-    if v == top:
+def _walk_paths(ceg: Ceg, v: int, edges: tuple[CegEdge, ...],
+                prod: Fraction) -> Iterator[PathEstimate]:
+    if v == ceg._top:
         yield PathEstimate(edges, prod)
         return
-    for e in out(v):
-        yield from _walk_paths(out, top, e.dst, edges + (e,), prod * e.rate)
+    for i, arc in enumerate(ceg._arcs_of(v)):
+        e = ceg._edge_at(v, i)
+        yield from _walk_paths(ceg, arc[0], edges + (e,), prod * e.rate)
 
 
 def enumerate_paths(ceg: Ceg, cap: int = DEFAULT_PATH_CAP) -> list[PathEstimate]:
@@ -450,15 +463,21 @@ class PathSummary:
     `iter_paths` lists the same paths one by one.  `count`, `total` and
     `extreme` hand the values out as Fractions, made once per summary from
     bottom's rows: readers such as the 3x3 heuristics share one summary.
+    The rows are kept by vertex mask; `rows` keys them by frozenset.
     """
 
-    def __init__(self, ceg: Ceg, rows: dict[frozenset, dict[int, HopRow]]):
+    def __init__(self, ceg: Ceg, rows: dict[int, dict[int, HopRow]]):
         self.ceg = ceg
-        self.rows = rows
-        self._bottom = rows[ceg.bottom]
+        self._rows = rows
+        self._bottom = rows[0]
         self._values = {k: tuple(Fraction(*row[slot]) for slot in (_MAX, _MIN, _SUM))
                         for k, row in self._bottom.items()}   # indexed by slot
         self.hop_counts: tuple[int, ...] = tuple(sorted(self._bottom))  # ascending
+        self._paths: dict[tuple[int, int], PathEstimate] = {}
+
+    @cached_property
+    def rows(self) -> dict[frozenset, dict[int, HopRow]]:
+        return {self.ceg._sets[v]: row for v, row in self._rows.items()}
 
     def count(self, hops: int | None = None) -> int:
         """Number of paths with `hops` hops (every path when None)."""
@@ -474,40 +493,44 @@ class PathSummary:
 
     def extreme(self, largest: bool, hops: int | None = None) -> PathEstimate:
         """The first path in `iter_paths` order whose estimate is the max (or min)
-        among the paths with `hops` hops (among every path when None)."""
+        among the paths with `hops` hops (among every path when None).  Each
+        (hops, slot) path is made once per summary."""
         slot = _MAX if largest else _MIN
-        if hops is not None:
-            return self._walk(hops, slot)[1]
-        values = [(values[slot], k) for k, values in self._values.items()]
-        target = max(values)[0] if largest else min(values)[0]
-        walks = [self._walk(k, slot) for value, k in values if value == target]
-        return min(walks, key=lambda walk: walk[0])[1]
+        if hops is None:
+            values = [(values[slot], k) for k, values in self._values.items()]
+            target = max(values)[0] if largest else min(values)[0]
+            hops = min((k for value, k in values if value == target),
+                       key=lambda k: self._walk(k, slot))
+        got = self._paths.get((hops, slot))
+        if got is None:
+            ceg = self.ceg
+            got = self._paths[hops, slot] = PathEstimate(
+                tuple(ceg._edge_at(v, i) for v, i in self._walk(hops, slot)),
+                self._values[hops][slot])
+        return got
 
-    def _walk(self, hops: int, slot: int) -> tuple[tuple[int, ...], PathEstimate]:
-        """(out-edge indices, path) of the DFS-first `hops`-hop path whose
+    def _walk(self, hops: int, slot: int) -> list[tuple[int, int]]:
+        """The (vertex, out-edge index) hops of the DFS-first `hops`-hop path whose
         estimate is the row's value in `slot` (_MAX or _MIN).
 
         It follows the argmax (argmin) pointers down from bottom.  After a
         zero-rate edge every suffix multiplies to 0, so it follows the
-        first-suffix pointers instead.  Index tuples compare in `iter_paths`
-        order.
+        first-suffix pointers instead.  Walks compare in `iter_paths` order,
+        as each hop's vertex follows from the indices before it.
         """
-        ceg, rows = self.ceg, self.rows
-        v = ceg.bottom
-        value = self._values[hops][slot]
+        rows, arcs = self._rows, self.ceg._arcs_of
+        v = 0
         pointer = _ARGMAX if slot == _MAX else _ARGMIN
-        picks: list[int] = []
-        edges: list[CegEdge] = []
+        walk: list[tuple[int, int]] = []
         while hops:
             i = rows[v][hops][pointer]
-            e = ceg.out(v)[i]
-            picks.append(i)
-            edges.append(e)
-            if not e.rate:
+            arc = arcs(v)[i]
+            walk.append((v, i))
+            if not arc[1]:
                 pointer = _FIRST
-            v = e.dst
+            v = arc[0]
             hops -= 1
-        return tuple(picks), PathEstimate(tuple(edges), value)
+        return walk
 
 
 def path_summary(ceg: Ceg) -> PathSummary:
@@ -516,13 +539,13 @@ def path_summary(ceg: Ceg) -> PathSummary:
 
     Agrees exactly with aggregating `iter_paths(ceg)`, without listing the
     paths: the work is one step per (edge, hop count) pair, not per path.
-    It reads `out` only for the vertices bottom reaches.
+    It derives only the vertices bottom reaches.
     """
     if ceg.has_projection_edges():
         raise ValueError("path summaries need an extension-only graph")
     one = (1, 1)
-    rows: dict[frozenset, dict[int, HopRow]] = {ceg.top: {0: [one, one, one, 1, -1, -1, -1]}}
-    _summarize(ceg.out, rows, ceg.bottom)
+    rows: dict[int, dict[int, HopRow]] = {ceg._top: {0: [one, one, one, 1, -1, -1, -1]}}
+    _summarize(ceg._arcs_of, rows, 0)
     return PathSummary(ceg, rows)
 
 
@@ -533,16 +556,15 @@ def _reduced(value: tuple[int, int]) -> tuple[int, int]:
     return (n // g, d // g) if g > 1 else value
 
 
-def _summarize(out: Callable[[frozenset], tuple[CegEdge, ...]],
-               rows: dict[frozenset, dict[int, HopRow]], v: frozenset) -> dict[int, HopRow]:
+def _summarize(arcs: Callable[[int], tuple[Arc, ...]],
+               rows: dict[int, dict[int, HopRow]], v: int) -> dict[int, HopRow]:
     """v's rows, after those of every vertex it reaches (a module function, so
     the recursion leaves no closure cycle holding the graph)."""
     got: dict[int, HopRow] = {}
-    for i, e in enumerate(out(v)):
-        rn, rd = e.rate.numerator, e.rate.denominator
-        suffixes = rows.get(e.dst)
+    for i, (dst, rn, rd, _, _) in enumerate(arcs(v)):
+        suffixes = rows.get(dst)
         if suffixes is None:
-            suffixes = _summarize(out, rows, e.dst)
+            suffixes = _summarize(arcs, rows, dst)
         for k, (mx, mn, total, n, _, _, _) in suffixes.items():
             # a row built from a single suffix holds one pair in its max, min
             # and sum slots, so that product is computed once
@@ -574,72 +596,77 @@ def _summarize(out: Callable[[frozenset], tuple[CegEdge, ...]],
 
 def min_weight_path(ceg: AttrCeg) -> PathEstimate:
     """Minimum-weight bottom-to-top path of a max-degree or cover graph
-    (Dijkstra on degree products, straight off its move table).
+    (Dijkstra on degree products, straight off its move table; any other
+    graph raises ValueError).
 
-    Zero-degree moves stay in the search.  deg(X, Y) is 0 only for an empty
-    pattern, whose unbound move out of bottom is then 0 too, so the first
-    vertex popped after bottom has weight 0 and every path through it ends at
-    weight 0: the result is a weight-0 path, found without listing the graph.
-    Ties break toward the lexicographically smallest vertex sequence, then
-    toward the first-listed edge, so an unbound edge beats a bound one of the
-    same rate.  Degrees are integers, and so are the weights.  Any other graph
-    raises ValueError.
+    The result is the minimum (weight, vertex-key sequence) path, each hop
+    taking its first edge in `out` order (unbound before bound at one rate).
+    The heap holds (weight, -mask) pairs; each vertex keeps one distance and
+    its tight predecessors u, with dist(u) * rate = dist(v).  Popping goes on
+    until the weight passes the top's, then the path walks up from bottom,
+    each step to the smallest key among the tight successors that reach the
+    top.  Only extension moves are searched: a projection edge never makes a
+    path lighter, so a graph built with projection edges gives its
+    extension-only path.  (A search that took them picked a path through
+    one, at the same weight, for 55 of the 446 acceptance-corpus queries of
+    at most 7 variables.)  A degree is 0 only for an empty pattern, whose
+    unbound move out of bottom is then 0 too: the search then pops weight-0
+    vertices, the largest mask first, and stops at the top's first pop.
 
-    The moves are grouped by Y.  For each proper submask Z of a group's Y,
-    a table holds the cheapest degree over the group's moves whose X lies in
-    Z.  A move (X, Y) applies at w when X ⊆ w, and X ⊆ Y, so exactly when X ⊆
-    Y ∩ w: a pop at w reads one entry, table[Y ∩ w], for each Y not within w,
-    and pushes only the cheapest move into each target.  No move is dropped as
-    dominated, and no degree is assumed monotone in X.  So the pops, and the
-    result, do not depend on the order the moves are pushed in: with every
-    degree positive, the result is the minimum (weight, vertex-key sequence)
-    path.
+    The moves are grouped by Y: for each proper submask Z of Y, a table holds
+    the cheapest degree over the group's moves whose X lies in Z.  A move
+    applies at w exactly when X ⊆ Y ∩ w, so a pop at w reads table[Y ∩ w]
+    per Y not within w.  No move is dropped as dominated, and no degree is
+    assumed monotone in X.
     """
     if not isinstance(ceg, AttrCeg):
         raise ValueError("min_weight_path searches max-degree and cover graphs only")
     tables = _tables_by_y(ceg.moves)
-    bits = list(ceg._bit.values()) if ceg._projections else []
-    key_of, goal = ceg._key, (1 << len(ceg._bit)) - 1
-
-    def step(w: int) -> dict[int, int]:
-        """The cheapest rate from w into each vertex one move away."""
-        reach: dict[int, int] = {}
+    goal = ceg._top
+    dist = {0: 1}
+    preds: dict[int, list[int]] = {0: []}
+    heap = [(1, 0)]
+    limit = math.inf   # the top's weight, once popped
+    while heap:
+        weight, w = heapq.heappop(heap)
+        w = -w
+        if weight != dist[w]:  # a lighter push of w came later
+            continue
+        if weight > limit:
+            break
+        if w == goal:  # it has no move out
+            limit = weight
+            if not weight:
+                break
         free = ~w
         for ym, table in tables:
             if ym & free:
                 deg = table.get(ym & w)
                 if deg is not None:
-                    dst = w | ym
-                    if deg < reach.get(dst, deg + 1):
-                        reach[dst] = deg
-        for b in bits:
-            if w & b:
-                reach[w & ~b] = 1
-        return reach
-
-    counter = 0  # breaks exact heap ties before unorderable vertices
-    heap: list[tuple] = [(1, (key_of(0),), counter, 0)]
-    settled: set[int] = set()
-    best: dict[int, int] = {}  # lowest weight pushed per vertex; a heavier push would pop too late
-    while heap:
-        weight, keys, _, vertex = heapq.heappop(heap)
-        if vertex in settled:
-            continue
-        settled.add(vertex)
-        if vertex == goal:
-            path = [frozenset(k) for k in keys]
-            return PathEstimate(tuple(ceg._edges(v, w)[0] for v, w in zip(path, path[1:])),
-                                Fraction(weight))
-        for dst, rate in step(vertex).items():
-            if dst in settled:
-                continue
-            total = weight * rate
-            if best.get(dst, total) < total:
-                continue
-            best[dst] = total
-            counter += 1
-            heapq.heappush(heap, (total, keys + (key_of(dst),), counter, dst))
-    raise EstimationError("top vertex unreachable; statistics missing")
+                    dst, total = w | ym, weight * deg
+                    known = dist.get(dst)
+                    if known is None or total < known:
+                        dist[dst] = total
+                        preds[dst] = [w]
+                        heapq.heappush(heap, (total, -dst))
+                    elif total == known and preds[dst][-1] != w:
+                        preds[dst].append(w)
+    if limit == math.inf:
+        raise EstimationError("top vertex unreachable; statistics missing")
+    tight: dict[int, list[int]] = {}  # u -> its tight successors that reach the goal
+    stack = [goal]
+    while stack:
+        v = stack.pop()
+        for u in preds[v]:
+            if u not in tight:
+                tight[u] = []
+                stack.append(u)
+            tight[u].append(v)
+    path = [0]
+    while path[-1] != goal:
+        path.append(min(tight[path[-1]], key=ceg._keys.__getitem__))
+    hops = (ceg._edge(v, ceg._ordered(ceg._derived(v, w))[0]) for v, w in zip(path, path[1:]))
+    return PathEstimate(tuple(hops), Fraction(limit))  # each hop's first edge in `out` order
 
 
 def _tables_by_y(moves: Iterable[tuple[int, int, int, tuple]]) -> list[tuple[int, dict[int, int]]]:

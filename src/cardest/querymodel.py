@@ -104,9 +104,6 @@ class CycleSet:
     def __len__(self) -> int:
         return len(self.cycles)
 
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.cycles)
-
     def longer_than(self, h: int) -> tuple[frozenset[int], ...]:
         return tuple(c for c in self.cycles if len(c) > h)
 

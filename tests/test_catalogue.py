@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -395,6 +396,35 @@ def test_load_rejects_malformed():
     for not_an_object in ("[1,2]", "3"):
         with pytest.raises(CatalogueFormatError):
             load(io.StringIO(not_an_object))
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, True])
+@pytest.mark.parametrize("where", ["count", "degree", "samples", "closures"])
+def test_load_rejects_a_number_that_is_not_a_non_negative_integer(where, bad):
+    # read with int(), -1 fails later with a traceback and 1.5 and true load as 1
+    cat = build_catalogue(_square_graph(3, 2), [SQUARE], h=2, walk_budget=100, seed=9)
+    payload = json.loads(serialize(cat))
+    if where == "count":
+        payload["counts"][next(iter(payload["counts"]))] = bad
+    elif where == "degree":
+        table = payload["degStats"][next(iter(payload["degStats"]))]
+        table[next(iter(table))] = bad
+    else:
+        payload["closingRates"][next(iter(payload["closingRates"]))][where] = bad
+    with pytest.raises(CatalogueFormatError, match=f"is {re.escape(json.dumps(bad))}, not "):
+        load(io.StringIO(json.dumps(payload)))
+
+
+def test_load_rejects_more_closures_than_samples():
+    cat = build_catalogue(_square_graph(3, 2), [SQUARE], h=2, walk_budget=100, seed=9)
+    payload = json.loads(serialize(cat))
+    stat = payload["closingRates"][next(iter(payload["closingRates"]))]
+    stat["closures"] = stat["samples"] + 1
+    with pytest.raises(CatalogueFormatError, match="an integer from 0 to 100"):
+        load(io.StringIO(json.dumps(payload)))
+    stat["closures"] = stat["samples"]   # at most as many is well-formed
+    assert load(io.StringIO(json.dumps(payload))).closing_rate(
+        next(iter(payload["closingRates"]))) == 1
 
 
 def test_save_load_file_round_trip(tmp_path, f1_graph, q3p):

@@ -97,6 +97,26 @@ def test_estimate_catalogue_field_that_is_not_an_object_exits_with_parse_code(
     assert "is not an object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [-1, 1.5, True])
+def test_estimate_catalogue_degree_that_is_not_a_non_negative_integer_exits_with_parse_code(
+        tmp_path, capsys, bad):
+    # read as 1, the 1.5 and true entries would print a bound of 3 against a
+    # true count of 7; the -1 entry would end in a traceback
+    cat = tmp_path / "cat.json"
+    assert run_cli("build-catalogue", "--graph", fixture_path("f1.edges"),
+                   "--query", fixture_path("q3p.query"), "--out", str(cat)) == 0
+    payload = json.loads(cat.read_text())
+    assert payload["degStats"]['[[0,1,"C"]]']["|1"] == 3
+    payload["degStats"]['[[0,1,"C"]]']["|1"] = bad
+    cat.write_text(json.dumps(payload))
+    code = run_cli("estimate", "--graph", fixture_path("f1.edges"),
+                   "--query", fixture_path("q3p.query"), "--catalogue", str(cat),
+                   "--methods", "bound")
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "not a non-negative integer" in err and "Traceback" not in err
+
+
 def test_estimate_prints_inf_for_a_qerror_beyond_float_range(tmp_path, capsys):
     graph, query = tmp_path / "g.edges", tmp_path / "q.query"
     graph.write_text("".join(f"{u} {v} {label}\n" for u, v, label in

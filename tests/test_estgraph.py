@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import random
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -167,17 +168,28 @@ def test_enumeration_cap_enforced(fork_graph, q5f):
 # ---------------------------------------------------------------------------
 
 def _hand_ceg(edges) -> Ceg:
-    """A Ceg from (src, dst, rate) triples over int-set vertices; top is {9}."""
+    """A Ceg from (src, dst, rate) triples over subsets of {0, 1, 2, 9}; top is {9}."""
+    names = (0, 1, 2, 9)
+    mask = lambda v: sum(1 << names.index(i) for i in v)  # noqa: E731
     adjacency: dict = {}
     for n, (src, dst, rate) in enumerate(edges):
-        src, dst = frozenset(src), frozenset(dst)
-        adjacency.setdefault(src, []).append(
-            CegEdge(src, dst, Fraction(rate), EXTENSION, (("hand", n),)))
-    return Ceg("edges", None, frozenset({9}), lambda v: adjacency.get(v, []), adjacency)
+        rate = Fraction(rate)
+        adjacency.setdefault(mask(src), []).append(
+            (mask(dst), rate.numerator, rate.denominator, EXTENSION, (("hand", n),)))
+    return Ceg("edges", None, names, mask({9}), lambda v: adjacency.get(v, []), adjacency)
 
 
 def _route(path: PathEstimate) -> list[tuple]:
     return [tuple(sorted(v)) for v in path.vertices()]
+
+
+def test_out_orders_rates_that_share_a_float_exactly():
+    # 1 + 2**-60 and 1 + 2**-61 both round to the float 1.0
+    big, small = Fraction(2 ** 60 + 1, 2 ** 60), Fraction(2 ** 61 + 1, 2 ** 61)
+    assert float(big) == float(small) == 1.0
+    ceg = _hand_ceg([((), (0,), big), ((), (0,), 1), ((), (0,), small), ((0,), (9,), 1)])
+    assert [e.rate for e in ceg.out(frozenset())] == [1, small, big]
+    assert path_summary(ceg).extreme(False).estimate == 1
 
 
 def test_summary_follows_first_suffix_after_zero_rate_edge():
@@ -364,8 +376,9 @@ PATH4 = parse_query("a1 -A-> a2\na2 -B-> a3\na3 -A-> a4\na4 -B-> a5")
 
 
 def _recording(ceg: Ceg, derived: list) -> Ceg:
-    derive = ceg._derive
-    ceg._derive = lambda v: derived.append(v) or derive(v)
+    """`ceg`, noting in `derived` the vertex of each mask it derives."""
+    derive, vertex = ceg._derive, ceg._sets.__getitem__
+    ceg._derive = lambda v: derived.append(vertex(v)) or derive(v)
     return ceg
 
 
@@ -519,6 +532,44 @@ def test_min_weight_path_assumes_no_degree_monotone_in_x():
     assert best.estimate == dag_min_product(ceg) == 8
     assert best.edges == want.edges
     assert [e.provenance for e in best.edges] == [(("hand", 3),), (("hand", 8),)]
+
+
+def test_min_weight_path_breaks_ties_over_every_tight_edge():
+    # five paths weigh 6.  Three reach {a, b} at weight 2: straight from
+    # bottom, from {b}, and, first in key order, from {a} by a degree-1 move
+    # that the search meets after popping {a, b} (larger masks pop first on
+    # equal weights).  The paths through {a, c} tie too, but sort after.
+    q = parse_query("a -A-> b\nb -B-> c")
+    degrees = [((), ("a",), 2), ((), ("b",), 2), ((), ("a", "b"), 2),
+               (("a",), ("a", "b"), 1), (("b",), ("a", "b"), 1), (("b",), ("b", "c"), 3),
+               (("a",), ("a", "c"), 3), (("c",), ("b", "c"), 1)]
+    ceg = AttrCeg(q, [(x, y, deg, ("hand", i)) for i, (x, y, deg) in enumerate(degrees)])
+    key = lambda p: (p.estimate, [tuple(sorted(v)) for v in p.vertices()])  # noqa: E731
+    paths = sorted(iter_paths(ceg), key=key)
+    assert [p.estimate for p in paths[:6]] == [6, 6, 6, 6, 6, 12]
+    best = min_weight_path(ceg)
+    assert best.edges == paths[0].edges
+    assert [tuple(sorted(v)) for v in best.vertices()] == [(), ("a",), ("a", "b"),
+                                                           ("a", "b", "c")]
+    assert [e.rate for e in best.edges] == [2, 1, 3]
+
+
+def test_bound_search_memory_on_a_long_chain():
+    # a 12-edge chain on a graph with real degrees pushes tens of thousands of
+    # vertices.  One distance and predecessor list per vertex peaks at about
+    # 2.9 MB on Python 3.10 to 3.13; a key tuple per push took about 5.5 MB.
+    rng = random.Random(1)
+    g = LabeledGraph([(rng.randrange(400), rng.randrange(400), "A") for _ in range(2000)])
+    q = parse_query("\n".join(f"a{i} -A-> a{i + 1}" for i in range(12)))
+    cat = _cat(g, [q])
+    tracemalloc.start()
+    try:
+        bound = estimate_molp(q, cat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bound.exact == 26583327205897
+    assert peak < 4_000_000
 
 
 def test_projection_edges_do_not_change_minimum(fork_graph, q5f):

@@ -11,8 +11,8 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from cardest.catalogue import build_catalogue  # noqa: E402
-from cardest.estgraph import (EXTENSION, Ceg, CegEdge, count_paths,  # noqa: E402
-                              enumerate_paths, path_summary)
+from cardest.estgraph import (EXTENSION, Ceg, count_paths, enumerate_paths,  # noqa: E402
+                              path_summary)
 from cardest.estimators import KIND_AVG, KIND_CLOSING, optimistic_ceg  # noqa: E402
 
 from _summary_check import summary_mismatches  # noqa: E402
@@ -27,15 +27,16 @@ def random_dags(draw):
     """A Ceg on vertices {} = 0 < {1} < ... < {n} = top, edges only upward,
     parallel edges allowed, rates drawn from RATES (zero included)."""
     n = draw(st.integers(2, 6))
-    names = [frozenset()] + [frozenset({i}) for i in range(1, n + 1)]
+    masks = [0] + [1 << (i - 1) for i in range(1, n + 1)]   # {i} is bit i - 1 of names 1..n
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n + 1)]
     chosen = draw(st.lists(st.tuples(st.sampled_from(pairs), st.sampled_from(RATES)),
                            min_size=1, max_size=18))
     adjacency: dict = {}
     for k, ((i, j), rate) in enumerate(chosen):
-        adjacency.setdefault(names[i], []).append(
-            CegEdge(names[i], names[j], rate, EXTENSION, (("random", k),)))
-    return Ceg("edges", None, names[n], lambda v: adjacency.get(v, []), adjacency)
+        adjacency.setdefault(masks[i], []).append(
+            (masks[j], rate.numerator, rate.denominator, EXTENSION, (("random", k),)))
+    return Ceg("edges", None, range(1, n + 1), masks[n], lambda v: adjacency.get(v, []),
+               adjacency)
 
 
 @SETTINGS
