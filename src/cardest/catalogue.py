@@ -8,8 +8,9 @@ deg(X, Y) for every X ⊆ Y of its 3^|vars| variable-subset pairs.
 
 `QueryStats` is how estimators read a catalogue: one query's view, which
 resolves each connected index set of at most h edges, on first use, to its
-count and its whole degree table under the query's own variable names, and
-each (cycle, closing edge) to its closing rate.
+count and its degree table, keyed by (X, Y) masks over `QueryGraph.var_bits`
+instead of the stored "x|y" pattern positions, and each (cycle, closing
+edge) to its closing rate.
 
 One table kernel, `pattern_table`, serves `build_catalogue` and the sketch
 components' statistics (`sketch.partition_catalogues`).  It fills the table
@@ -42,7 +43,7 @@ from .querymodel import QEdge, QueryGraph, connected_index_sets, cycles, index_p
 FORMAT_VERSION = 1
 
 Pattern = tuple[tuple[str, str, str], ...]  # (srcVar, dstVar, label) triples
-DegreeTable = dict[tuple[tuple[str, ...], tuple[str, ...]], int]  # (X, Y) -> deg(X, Y)
+DegreeTable = dict[tuple[int, int], int]  # (X mask, Y mask) -> deg(X, Y), in query bits
 Adjacency = Callable[[QEdge, str], Mapping[int, list[int]]]  # (edge, side) -> sorted lists
 
 
@@ -214,10 +215,10 @@ class QueryStats:
     """The statistics of one query q, resolved from a catalogue on first use.
 
     Each connected index set s of at most h edges has a count and a degree
-    table, the table keyed by (X, Y) as sorted tuples of q's own variable
-    names for every X ⊆ Y ⊆ vars(s); each (cycle, closing edge) has a closing
-    rate.  A statistic the catalogue lacks, or a degree table short of its
-    3^|vars| entries, raises MissingStatisticError.
+    table, the table keyed by (X, Y) as bitmasks over q.var_bits for every
+    X ⊆ Y ⊆ vars(s); each (cycle, closing edge) has a closing rate.  A
+    statistic the catalogue lacks, or a degree table that does not hold
+    exactly its 3^|vars| entry keys, raises MissingStatisticError.
     """
 
     def __init__(self, q: QueryGraph, cat: Catalogue):
@@ -244,9 +245,9 @@ class QueryStats:
         got = self._tables.get(s)
         if got is None:
             key, mapping = canonical_form(index_pattern(self.query, s))
-            entries = self.cat.deg_stats.get(key)
-            if entries is not None:
-                got = _named_table(entries, {str(i): v for v, i in mapping})
+            by_position = sorted(mapping, key=itemgetter(1))   # (variable, position) pairs
+            got = query_table(self.cat.deg_stats.get(key, {}),
+                              [self.query.var_bits[v] for v, _ in by_position])
             if got is None:
                 raise MissingStatisticError(f"degree table for pattern {key}")
             self._tables[s] = got
@@ -261,35 +262,27 @@ class QueryStats:
         return rate, key
 
 
-def _named_table(entries: Mapping[str, int], names: Mapping[str, str]) -> DegreeTable | None:
-    """A stored table, its entries keyed by index, keyed by (X, Y) as sorted
-    tuples of the indices' `names`; None when it has fewer than the 3^|names|
-    entries of a complete table or an entry names another index."""
-    if len(entries) < 3 ** len(names):
+def query_table(entries: Mapping[str, int], bits: Sequence[int]) -> DegreeTable | None:
+    """A stored table, its entries keyed "x|y" by pattern position, keyed by
+    (X, Y) masks in which position i stands for bits[i]; None unless it holds
+    exactly the 3^len(bits) keys of `_mask_layout`."""
+    layout = _mask_layout(len(bits))
+    if len(entries) != len(layout):
         return None
-    parts: dict[str, tuple[str, ...]] = {}  # "0,2" -> its sorted variables
-
-    def part_vars(part: str) -> tuple[str, ...]:
-        got = parts.get(part)
-        if got is None:
-            got = parts[part] = tuple(sorted(names[i] for i in part.split(",") if i))
-        return got
-
-    table = {}
+    union = _unions(tuple(bits))
     try:
-        for entry, deg in entries.items():
-            x, y = _entry_parts(entry)
-            table[part_vars(x), part_vars(y)] = deg
-    except (KeyError, ValueError):  # an entry key outside the pattern's indices
+        return {(union[x], union[y]): entries[key] for key, x, y in layout}
+    except KeyError:
         return None
-    return table
 
 
 @lru_cache(maxsize=4096)
-def _entry_parts(entry: str) -> tuple[str, str]:
-    """The X and Y parts of a stored entry key "x|y", split once per process."""
-    x, y = entry.split("|")
-    return x, y
+def _unions(bits: tuple[int, ...]) -> tuple[int, ...]:
+    """The union of the bits at the positions of each position mask, by mask."""
+    out = [0]
+    for b in bits:
+        out += [u | b for u in out]
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -265,13 +265,14 @@ def _cmd_estimate(args) -> int:
                   f"\tqerror={as_float(record.qerror) if record.qerror else 'inf'}")
     if args.dump_ceg:
         base, ext = os.path.splitext(args.dump_ceg)
-        with open(args.dump_ceg, "w", encoding="utf-8") as handle:
-            handle.write(to_dot(build_optimistic(query, cat)))
-        with open(f"{base}.maxdeg{ext or '.dot'}", "w", encoding="utf-8") as handle:
-            handle.write(to_dot(build_maxdeg(query, cat)))
+        dumps = {args.dump_ceg: to_dot(build_optimistic(query, cat)),
+                 f"{base}.maxdeg{ext or '.dot'}": to_dot(build_maxdeg(query, cat))}
         if any(r.ceg_kind == KIND_CLOSING for r in result.records):
-            with open(f"{base}.closing{ext or '.dot'}", "w", encoding="utf-8") as handle:
-                handle.write(to_dot(build_optimistic(query, cat, closing=True)))
+            dumps[f"{base}.closing{ext or '.dot'}"] = to_dot(build_optimistic(query, cat,
+                                                                              closing=True))
+        for path, text in dumps.items():  # every text rendered first: no partial file
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
     # a failed row's error is "<error class>: <message>"
     failed = [getattr(errors, r.error.split(":", 1)[0], CardestError) for r in result.records
               if r.error and r.error != ZERO_TRUE_COUNT]

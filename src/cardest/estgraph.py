@@ -9,7 +9,8 @@ the connected index sets of q.  Over attribute subsets: the max-degree graph
 whose minimum-weight path is the pessimistic bound, and the cover graph of a
 per-relation attribute cover.  Attribute-subset graphs (`AttrCeg`) are held
 as move tables, one whole degree table per catalogue pattern, which
-`min_weight_path` searches directly.
+`min_weight_path` searches directly; a table's (X, Y) masks (`QueryStats`)
+are already the graph's vertex bits (`QueryGraph.var_bits`).
 
 Both kinds code a vertex one way: as a bitmask over the graph's sorted names
 (query-edge indices or variable names).  The builds, `path_summary` and
@@ -41,7 +42,6 @@ from .querymodel import QueryGraph, connected_index_sets, cycles, indices_connec
 
 START = "start"
 EXTENSION = "extension"
-PROJECTION = "projection"
 CYCLE_CLOSING = "cycle-closing"
 UNBOUND = "unbound"
 BOUND = "bound"
@@ -118,8 +118,7 @@ class Ceg:
     may give out-edges; it is read once, by the first listing (`all_edges`,
     `vertices`), so it may be a lazy iterator, and a listing derives every
     source first.  `_keys`, `_sets` and `_masks` turn a mask into its key
-    (sorted names) or frozenset and back, each made once.  Only an `AttrCeg`
-    may hold projection edges.
+    (sorted names) or frozenset and back, each made once.
     """
 
     bottom: frozenset = frozenset()
@@ -131,7 +130,6 @@ class Ceg:
         self.query = query
         self._derive = derive
         self._source_iter = sources
-        self._projections = False
         self._arcs: dict[int, tuple[Arc, ...]] = {}
         self._edges: dict[tuple[int, int], CegEdge] = {}   # (src mask, arc index) -> edge
         self._bit = bit = {v: 1 << i for i, v in enumerate(names)}
@@ -190,10 +188,6 @@ class Ceg:
         seen = {self.bottom, self.top}
         seen.update(v for e in self.all_edges() for v in (e.src, e.dst))
         return sorted(seen, key=lambda v: self._keys[self._masks[v]])
-
-    def has_projection_edges(self) -> bool:
-        """Known from how the graph was built; derives no out-edge."""
-        return self._projections
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +306,7 @@ def build_optimistic(q: QueryGraph, cat: Catalogue | QueryStats, closing: bool =
 # Max-degree and cover builds (attribute-subset vertices)
 # ---------------------------------------------------------------------------
 
-Move = tuple[tuple[str, ...], tuple[str, ...], int, tuple]   # (X, Y, deg, provenance)
+Move = tuple[int, int, int, tuple]   # (X mask, Y mask, deg, provenance)
 
 
 class AttrCeg(Ceg):
@@ -320,14 +314,13 @@ class AttrCeg(Ceg):
 
     A move (X, Y, deg, provenance), X a proper subset of Y, is an edge W -> W|Y
     of rate deg from every vertex W containing X: unbound when X is empty,
-    bound otherwise.  X and Y are tuples (or sets) of names; `moves` holds
-    them as masks.  Listing every vertex is capped at MAX_ATTR_VARS variables.
+    bound otherwise.  X and Y are masks over the graph's vertex bits,
+    query.var_bits.  Listing every vertex is capped at MAX_ATTR_VARS variables.
     """
 
-    def __init__(self, query: QueryGraph, moves: Iterable[Move], projections: bool = False):
-        super().__init__("attrs", query, sorted(query.vars), (1 << len(query.vars)) - 1)
-        self.moves = [(self._masks[x], self._masks[y], deg, prov) for x, y, deg, prov in moves]
-        self._projections = projections
+    def __init__(self, query: QueryGraph, moves: Iterable[Move] = ()):
+        super().__init__("attrs", query, query.var_bits, (1 << len(query.vars)) - 1)
+        self.moves = list(moves)
 
     @cached_property
     def _sources(self) -> list[int]:
@@ -341,10 +334,6 @@ class AttrCeg(Ceg):
         for xm, ym, deg, prov in self.moves:
             if xm & w == xm and ym & ~w and (only is None or w | ym == only):
                 merged.setdefault((w | ym, deg, BOUND if xm else UNBOUND), set()).add(prov)
-        if self._projections and only is None:
-            for v, b in self._bit.items():
-                if w & b:
-                    merged[(w & ~b, 1, PROJECTION)] = {("proj", v)}
         return [(dst, deg, 1, kind, tuple(sorted(provs)))
                 for (dst, deg, kind), provs in merged.items()]
 
@@ -352,28 +341,22 @@ class AttrCeg(Ceg):
         return [self._sets[v] for v in sorted(self._sources, key=self._keys.__getitem__)]
 
 
-def maxdeg_moves(q: QueryGraph, cat: Catalogue | QueryStats) -> list[Move]:
-    """(X, Y, deg, provenance) extension moves from every catalogue pattern of q,
-    one degree-table lookup per pattern."""
-    stats = QueryStats.of(q, cat)
-    moves: list[Move] = []
-    for s in connected_index_sets(q, stats.cat.h):
-        indices = tuple(sorted(s))
-        moves += [(x, y, deg, ("deg", indices, x, y))
-                  for (x, y), deg in stats.degrees(s).items() if x != y]
-    return moves
-
-
-def build_maxdeg(q: QueryGraph, cat: Catalogue | QueryStats,
-                 with_projection_edges: bool = False) -> AttrCeg:
+def build_maxdeg(q: QueryGraph, cat: Catalogue | QueryStats) -> AttrCeg:
     """Pessimistic graph: one vertex per attribute subset, max-degree rates.
 
     For every catalogue pattern P of q, every X subset Y over P's variables,
     and every vertex W1 containing X there is an edge W1 -> W1|Y with rate
-    deg(X, Y, P).  Projection edges (weight 0, downward one attribute) are
-    included only on request; they never change minimum path weights.
+    deg(X, Y, P): one move per entry of P's degree table, with the
+    provenance ("deg", P's edge indices, X names, Y names).
     """
-    return AttrCeg(q, maxdeg_moves(q, cat), with_projection_edges)
+    stats = QueryStats.of(q, cat)
+    ceg = AttrCeg(q)
+    names = ceg._keys
+    for s in connected_index_sets(q, stats.cat.h):
+        indices = tuple(sorted(s))
+        ceg.moves += [(x, y, deg, ("deg", indices, names[x], names[y]))
+                      for (x, y), deg in stats.degrees(s).items() if x != y]
+    return ceg
 
 
 def build_cover(q: QueryGraph, cat: Catalogue | QueryStats,
@@ -383,27 +366,24 @@ def build_cover(q: QueryGraph, cat: Catalogue | QueryStats,
     cover lists (query-edge index, covered variable subset) pairs whose
     subsets must union to all query variables.  Edges W1 -> W1|(Aj-Aj') with
     rate deg(Aj', Aj, R_j) exist for every Aj' subset of Aj contained in W1.
-    No projection edges.  The result is a sub-graph of the max-degree graph.
+    The result is a sub-graph of the max-degree graph.
     """
-    covered: set[str] = set()
-    normalized: list[tuple[int, tuple[str, ...]]] = []
+    stats = QueryStats.of(q, cat)
+    ceg = AttrCeg(q)
+    mask = ceg._masks
+    covered = 0
     for edge_idx, attr_set in cover:
         attrs = tuple(sorted(set(attr_set)))
         if not set(attrs) <= set(q.edge_vars(edge_idx)):
             raise QueryValidationError(
                 f"cover entry {list(attrs)} not within edge {edge_idx} vars")
-        covered.update(attrs)
-        normalized.append((edge_idx, attrs))
-    if covered != set(q.vars):
+        table, ym = stats.degrees(frozenset({edge_idx})), mask[attrs]
+        covered |= ym
+        ceg.moves += [(mask[x], ym, table[mask[x], ym], ("cover", edge_idx, attrs, x))
+                      for x in subsets(attrs) if x != attrs]
+    if covered != ceg._top:
         raise QueryValidationError("cover does not span all query variables")
-
-    stats = QueryStats.of(q, cat)
-    moves: list[Move] = []
-    for edge_idx, attrs in normalized:
-        table = stats.degrees(frozenset({edge_idx}))
-        moves += [(ajp, attrs, table[ajp, attrs], ("cover", edge_idx, attrs, ajp))
-                  for ajp in subsets(attrs) if ajp != attrs]
-    return AttrCeg(q, moves)
+    return ceg
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +403,6 @@ def _count_paths(arcs: Callable[[int], tuple[Arc, ...]], memo: dict[int, int], v
 
 def iter_paths(ceg: Ceg) -> Iterator[PathEstimate]:
     """All simple bottom-to-top paths in deterministic order (DFS)."""
-    if ceg.has_projection_edges():
-        raise ValueError("path enumeration needs an extension-only graph")
     yield from _walk_paths(ceg, 0, (), Fraction(1))
 
 
@@ -541,8 +519,6 @@ def path_summary(ceg: Ceg) -> PathSummary:
     paths: the work is one step per (edge, hop count) pair, not per path.
     It derives only the vertices bottom reaches.
     """
-    if ceg.has_projection_edges():
-        raise ValueError("path summaries need an extension-only graph")
     one = (1, 1)
     rows: dict[int, dict[int, HopRow]] = {ceg._top: {0: [one, one, one, 1, -1, -1, -1]}}
     _summarize(ceg._arcs_of, rows, 0)
@@ -605,11 +581,7 @@ def min_weight_path(ceg: AttrCeg) -> PathEstimate:
     its tight predecessors u, with dist(u) * rate = dist(v).  Popping goes on
     until the weight passes the top's, then the path walks up from bottom,
     each step to the smallest key among the tight successors that reach the
-    top.  Only extension moves are searched: a projection edge never makes a
-    path lighter, so a graph built with projection edges gives its
-    extension-only path.  (A search that took them picked a path through
-    one, at the same weight, for 55 of the 446 acceptance-corpus queries of
-    at most 7 variables.)  A degree is 0 only for an empty pattern, whose
+    top.  A degree is 0 only for an empty pattern, whose
     unbound move out of bottom is then 0 too: the search then pops weight-0
     vertices, the largest mask first, and stops at the top's first pop.
 

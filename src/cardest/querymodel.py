@@ -70,6 +70,12 @@ class QueryGraph:
             out.add(self.edges[i].dst)
         return frozenset(out)
 
+    @cached_property
+    def var_bits(self) -> dict[str, int]:
+        """Each variable's bit in the masks of degree tables and attribute-subset
+        graphs, in sorted name order."""
+        return {v: 1 << i for i, v in enumerate(sorted(self.vars))}
+
     def edge_adjacency(self) -> tuple[frozenset[int], ...]:
         """adjacency over edge indices: i ~ j iff the edges share a variable."""
         return self._edge_adjacency

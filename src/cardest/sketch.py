@@ -29,9 +29,9 @@ count, seed), one `BucketMemo` of the graph, under which each vertex is
 hashed at most once, each adjacency map split once and each component
 degree table built once.  The memo keeps each table twice: its entries by
 variable position, shared by every subquery of that shape, and, with its
-count, keyed by the variable names a query gave it.  So a row whose tables
-are all kept, such as an optimistic row after its query's bound row on the
-same sketch attributes, does one lookup per index set and component.
+count, keyed by the query masks a query's variable bits give it.  So a row
+whose tables are all kept, such as an optimistic row after its query's bound
+row on the same sketch attributes, does one lookup per index set and component.
 `run_workload` makes one per run; a call without one makes its own.
 
 The unpartitioned plan reads the caller's catalogue (`run_workload` passes
@@ -52,13 +52,13 @@ from typing import Callable, Mapping, Sequence
 
 from . import oracle
 from .catalogue import (Catalogue, DegreeTable, QueryStats, add_closing_rates, pattern_table,
-                        table_layout)
+                        query_table)
 from .errors import ConfigError, SketchPlanError
 from .estgraph import BOUND, CYCLE_CLOSING, EXTENSION, PathEstimate
 from .estimators import (Estimate, HeuristicChoice, estimate_molp,
                          estimate_optimistic, evaluate_optimistic_path)
 from .graphstore import SRC, LabeledGraph
-from .querymodel import QEdge, QueryGraph, connected_index_sets, subsets
+from .querymodel import QEdge, QueryGraph, connected_index_sets
 
 MIX = 0x9E3779B97F4A7C15
 MASK = (1 << 64) - 1
@@ -87,7 +87,7 @@ def join_attributes(q: QueryGraph) -> frozenset[str]:
 def sketch_attributes(path: PathEstimate, q: QueryGraph, ceg_kind: str) -> frozenset[str]:
     """Join attributes not extended through a bound edge.
 
-    Start and unbound edges are unbound; projection edges extend nothing.
+    Start and unbound edges are unbound.
     """
     bound_ext: set[str] = set()
     for e in path.edges:
@@ -115,16 +115,16 @@ class BucketMemo(dict):
     hashed once, with the cells of the graph's adjacency maps under these
     buckets and the component degree tables built from them, kept for every
     later sketch of the graph.  `tables` keys a table's entries by variable
-    position under (subquery shape, buckets); `named` keeps (count, table
-    keyed by variable names) under (shape, buckets, names), so a query
-    whose tables are kept finds each with one lookup."""
+    position under (subquery shape, buckets); `query_tables` keeps (count,
+    table keyed by query masks) under (shape, buckets, each position's query
+    bit), so a query whose tables are kept finds each with one lookup."""
 
     def __init__(self, graph: LabeledGraph, parts: int, seed: int):
         super().__init__()
         self.graph, self.parts, self.seed = graph, parts, seed
         self.splits: dict = {}
         self.tables: dict = {}
-        self.named: dict = {}
+        self.query_tables: dict = {}
 
     def __missing__(self, vertex: int) -> int:
         b = self[vertex] = bucket_of(vertex, self.parts, self.seed)
@@ -254,43 +254,41 @@ def partition_catalogues(q: QueryGraph, h: int, parts: Sequence[Mapping[str, int
     and only when a table is missing.  A table's entries are kept in
     memo.tables under (shape, buckets): its subquery's labelled edges by
     variable position and each variable's value (None where not in the
-    parts), which fix it on either route.  The table keyed by q's variable
-    names is kept with its count in memo.named under (shape, buckets,
-    names).  So a call whose tables are all kept does one lookup per index
-    set and part, and builds the subquery, its row grouping and the name
-    layout only for a missing table.  Kept tables are shared: read them,
-    never change them.
+    parts), which fix it on either route.  The table keyed by q's masks
+    (`catalogue.query_table`) is kept with its count in memo.query_tables
+    under (shape, buckets, bits), bits holding each position's q.var_bits
+    bit.  So a call whose tables are all kept does one lookup per index set
+    and part, and builds the subquery and its row grouping only for a
+    missing table.  Kept tables are shared: read them, never change them.
     """
     stats = [QueryStats(q, Catalogue(h=h)) for _ in parts]
     for s in connected_index_sets(q, h):
         edges = [q.edges[i] for i in sorted(s)]
         names = tuple(dict.fromkeys(v for e in edges for v in e.vars()))  # the subquery's vars
         shape = tuple((names.index(e.src), names.index(e.dst), e.label) for e in edges)
+        bits = tuple(map(q.var_bits.__getitem__, names))
         build = None
         for st, part in zip(stats, parts):
             buckets = tuple(map(part.get, names))
-            got = memo.named.get((shape, buckets, names))
+            got = memo.query_tables.get((shape, buckets, bits))
             if got is None:
-                build = build or _table_builder(memo, QueryGraph(edges), shape, parts[0])
-                got = memo.named[shape, buckets, names] = build(part, buckets)
+                build = build or _table_builder(memo, QueryGraph(edges), shape, parts[0], bits)
+                got = memo.query_tables[shape, buckets, bits] = build(part, buckets)
             st._counts[s], st._tables[s] = got
     return stats
 
 
 def _table_builder(memo: BucketMemo, sub: QueryGraph, shape: tuple,
-                   sketched_vars: Mapping[str, int],
+                   sketched_vars: Mapping[str, int], bits: tuple[int, ...],
                    ) -> Callable[[Mapping[str, int], tuple], tuple[int, DegreeTable]]:
     """A function of (part, buckets) that gives sub's count and table on
-    that part, keyed by sub's variable names, from memo.tables' entries under
-    (shape, buckets), which it builds and keeps when missing.  sub's matches,
-    listed only if a table needs them, are grouped by the buckets of
-    `sketched_vars` once."""
+    that part, keyed by masks in which sub's variable at position i is
+    bits[i], from memo.tables' entries under (shape, buckets), which it
+    builds and keeps when missing.  sub's matches, listed only if a table
+    needs them, are grouped by the buckets of `sketched_vars` once."""
     sketched = [p for p, v in enumerate(sub.vars) if v in sketched_vars]
     grouped = lru_cache(None)(lambda: _group_rows(oracle.matches(memo.graph, sub),
                                                   sketched, memo))
-    # each table's entries come in `table_layout` order: key them once by names
-    named = {x: tuple(sorted(sub.vars[i] for i in x)) for x in subsets(range(len(sub.vars)))}
-    keys = [(named[x], named[y]) for y, xs, _ in table_layout(len(sub.vars)) for x in xs]
 
     def build(part: Mapping[str, int], buckets: tuple) -> tuple[int, DegreeTable]:
         entries = memo.tables.get((shape, buckets))
@@ -298,8 +296,8 @@ def _table_builder(memo: BucketMemo, sub: QueryGraph, shape: tuple,
             group = tuple(buckets[p] for p in sketched)
             entries = memo.tables[shape, buckets] = pattern_table(
                 partial(memo.cell, part), sub, lambda: grouped().get(group, []))
-        table = dict(zip(keys, entries.values()))
-        return table[(), tuple(sorted(sub.vars))], table
+        table = query_table(entries, bits)
+        return table[0, sum(bits)], table
     return build
 
 

@@ -44,3 +44,14 @@ def identity_triangle(n: int) -> LabeledGraph:
     for i in range(1, n + 1):
         edges += [(i, i, "R"), (i, i, "S"), (i, i, "T")]
     return LabeledGraph(edges)
+
+
+def edited_degree_tables(entries: dict[str, int]) -> dict[str, dict[str, int]]:
+    """Copies of a stored three-variable degree table that a catalogue must
+    refuse: one key short, one key over (a second spelling of an entry), and
+    one key spelt out of order."""
+    assert "0|0,1" in entries and len(entries) == 27
+    short = {k: v for k, v in entries.items() if k != "0|0,1"}
+    return {"short": short,
+            "extra": dict(entries, **{"0|1,0": entries["0|0,1"]}),
+            "unsorted": dict(short, **{"0|1,0": entries["0|0,1"]})}

@@ -7,6 +7,7 @@ power set, isomorphism tries every bijection.
 
 from __future__ import annotations
 
+import heapq
 import random
 from itertools import combinations, permutations, product
 
@@ -168,6 +169,39 @@ def dag_min_product(ceg):
         return best
 
     return rec(ceg.bottom)
+
+
+def projection_molp(q: QueryGraph, stats) -> int:
+    """The lightest bottom-to-top degree product over every attribute subset
+    of q, by a Dijkstra of its own, with projection edges.
+
+    Vertices are all 2^|vars| masks of the degree tables' bits, the top
+    being the union of every table's Y.  From each vertex W there is an
+    extension edge W -> W|Y of rate deg(X, Y) for every entry X ⊊ Y of a
+    pattern's table (`stats.degrees`) with X within W, and a rate-1
+    projection edge to W minus each of its variables.  An improved vertex is
+    pushed again whenever its weight drops, so degree-0 entries need no
+    special case.
+    """
+    moves = [(x, y, deg) for s in sorted(brute_connected_subsets(q, stats.cat.h), key=sorted)
+             for (x, y), deg in stats.degrees(s).items() if x != y]
+    top = 0
+    for _, y, _ in moves:
+        top |= y
+    variables = [b for b in (1 << i for i in range(top.bit_length())) if top & b]
+    dist = {0: 1}
+    heap = [(1, 0)]
+    while heap:
+        weight, w = heapq.heappop(heap)
+        if weight > dist[w]:
+            continue
+        steps = [(w | y, weight * deg) for x, y, deg in moves if x & w == x and y & ~w]
+        steps += [(w & ~b, weight) for b in variables if w & b]
+        for v, total in steps:
+            if total < dist.get(v, total + 1):
+                dist[v] = total
+                heapq.heappush(heap, (total, v))
+    return dist[top]
 
 
 def brute_label_walks(g: LabeledGraph, label_seq) -> list[tuple[int, ...]]:

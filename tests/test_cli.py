@@ -13,7 +13,7 @@ from cardest.errors import EstimationError
 from cardest.evalharness import expand_methods
 
 from _synth import layered_overshoot_graph, path_template
-from conftest import fixture_path
+from conftest import edited_degree_tables, fixture_path
 
 
 def run_cli(*argv) -> int:
@@ -115,6 +115,26 @@ def test_estimate_catalogue_degree_that_is_not_a_non_negative_integer_exits_with
     assert code == 4
     err = capsys.readouterr().err
     assert "not a non-negative integer" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit", ["short", "extra", "unsorted"])
+def test_estimate_catalogue_table_without_exactly_its_entry_keys_exits_with_missing_code(
+        tmp_path, capsys, edit):
+    # "unsorted" spells "0|0,1" as "0|1,0", which used to be read as the same entry
+    cat = tmp_path / "cat.json"
+    assert run_cli("build-catalogue", "--graph", fixture_path("f1.edges"),
+                   "--query", fixture_path("q3p.query"), "--out", str(cat)) == 0
+    payload = json.loads(cat.read_text())
+    key = '[[0,1,"A"],[1,2,"B"]]'
+    payload["degStats"][key] = edited_degree_tables(payload["degStats"][key])[edit]
+    cat.write_text(json.dumps(payload))
+    code = run_cli("estimate", "--graph", fixture_path("f1.edges"),
+                   "--query", fixture_path("q3p.query"), "--catalogue", str(cat),
+                   "--methods", "bound")
+    assert code == 3
+    out = capsys.readouterr().out
+    assert out.endswith("bound\tERROR\tMissingStatisticError: missing catalogue statistic: "
+                        f"degree table for pattern {key}\n")
 
 
 def test_estimate_prints_inf_for_a_qerror_beyond_float_range(tmp_path, capsys):
@@ -313,6 +333,23 @@ def test_dump_ceg(tmp_path, capsys):
     capsys.readouterr()
     assert dot.read_text().startswith("digraph")
     assert os.path.exists(tmp_path / "ceg.maxdeg.dot")
+
+
+def test_dump_ceg_past_the_attribute_cap_exits_with_parse_code_and_writes_no_file(
+        tmp_path, capsys):
+    # 13 variables: the max-degree graph is too large to list, so its DOT
+    # dump fails; it used to leave an empty ceg.maxdeg.dot behind
+    graph, query = tmp_path / "chain.edges", tmp_path / "chain.query"
+    graph.write_text("".join(f"{i} {i + 1} A\n" for i in range(13)))
+    query.write_text(path_template(12).with_labels(["A"] * 12).to_text())
+    dot = tmp_path / "ceg.dot"
+    code = run_cli("estimate", "--graph", str(graph), "--query", str(query),
+                   "--methods", "bound", "--dump-ceg", str(dot))
+    assert code == 4
+    out, err = capsys.readouterr()
+    assert out == "bound\t12\ttrue=2\tqerror=6.0\n"
+    assert "error (parse): attribute-subset graphs are capped at 12 variables" in err
+    assert sorted(os.listdir(tmp_path)) == ["chain.edges", "chain.query"]
 
 
 @pytest.mark.parametrize("command", ["eval", "build-catalogue"])

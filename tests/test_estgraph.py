@@ -397,7 +397,7 @@ def test_estimate_derives_only_the_vertices_its_summary_visits(monkeypatch):
     sources = {e.src for e in fresh.all_edges()}
     assert len(visited) < len(sources) == 11   # the empty vertex and 6 + 4 index sets
     unforced: list = []
-    assert not _recording(build_optimistic(STAR4, cat), unforced).has_projection_edges()
+    _recording(build_optimistic(STAR4, cat), unforced)
     assert unforced == []
 
 
@@ -515,6 +515,14 @@ def test_maxdeg_min_equals_enumeration_minimum(fork_graph, q5f):
     assert min_weight_path(ceg).estimate == dag_min_product(ceg)
 
 
+def _hand_moves(q, degrees):
+    """Moves ("hand", i) of the i-th (X names, Y names, deg), as masks over q's
+    variables in sorted name order."""
+    bit = {v: 1 << i for i, v in enumerate(sorted(q.vars))}
+    mask = lambda names: sum(bit[v] for v in names)  # noqa: E731
+    return [(mask(x), mask(y), deg, ("hand", i)) for i, (x, y, deg) in enumerate(degrees)]
+
+
 def test_min_weight_path_assumes_no_degree_monotone_in_x():
     # for Y = {a, b, c}, deg({a, b}, Y) = 50 > deg({a}, Y) = 4 and
     # deg({b, c}, Y) = 30 > deg({c}, Y) = 2: at {a, b} the cheapest move into
@@ -525,7 +533,7 @@ def test_min_weight_path_assumes_no_degree_monotone_in_x():
                ((), ("a", "b", "c"), 100), (("a",), ("a", "b", "c"), 4),
                (("a", "b"), ("a", "b", "c"), 50), (("c",), ("a", "b", "c"), 2),
                (("b", "c"), ("a", "b", "c"), 30)]
-    ceg = AttrCeg(q, [(x, y, deg, ("hand", i)) for i, (x, y, deg) in enumerate(degrees)])
+    ceg = AttrCeg(q, _hand_moves(q, degrees))
     best = min_weight_path(ceg)
     want = min(iter_paths(ceg), key=lambda p: (p.estimate,
                                                [tuple(sorted(v)) for v in p.vertices()]))
@@ -543,7 +551,7 @@ def test_min_weight_path_breaks_ties_over_every_tight_edge():
     degrees = [((), ("a",), 2), ((), ("b",), 2), ((), ("a", "b"), 2),
                (("a",), ("a", "b"), 1), (("b",), ("a", "b"), 1), (("b",), ("b", "c"), 3),
                (("a",), ("a", "c"), 3), (("c",), ("b", "c"), 1)]
-    ceg = AttrCeg(q, [(x, y, deg, ("hand", i)) for i, (x, y, deg) in enumerate(degrees)])
+    ceg = AttrCeg(q, _hand_moves(q, degrees))
     key = lambda p: (p.estimate, [tuple(sorted(v)) for v in p.vertices()])  # noqa: E731
     paths = sorted(iter_paths(ceg), key=key)
     assert [p.estimate for p in paths[:6]] == [6, 6, 6, 6, 6, 12]
@@ -570,19 +578,6 @@ def test_bound_search_memory_on_a_long_chain():
         tracemalloc.stop()
     assert bound.exact == 26583327205897
     assert peak < 4_000_000
-
-
-def test_projection_edges_do_not_change_minimum(fork_graph, q5f):
-    cat = _cat(fork_graph, [q5f])
-    without = min_weight_path(build_maxdeg(q5f, cat))
-    with_proj = min_weight_path(build_maxdeg(q5f, cat, with_projection_edges=True))
-    assert without.estimate == with_proj.estimate
-
-
-def test_enumeration_rejects_projection_edges(fork_graph, q3p):
-    ceg = build_maxdeg(q3p, _cat(fork_graph, [q3p]), with_projection_edges=True)
-    with pytest.raises(ValueError):
-        list(iter_paths(ceg))
 
 
 def test_maxdeg_zero_relation_short_circuits():
