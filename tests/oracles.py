@@ -183,7 +183,7 @@ def projection_molp(q: QueryGraph, stats) -> int:
     pushed again whenever its weight drops, so degree-0 entries need no
     special case.
     """
-    moves = [(x, y, deg) for s in sorted(brute_connected_subsets(q, stats.cat.h), key=sorted)
+    moves = [(x, y, deg) for s in brute_connected_subsets(q, stats.cat.h)
              for (x, y), deg in stats.degrees(s).items() if x != y]
     top = 0
     for _, y, _ in moves:
