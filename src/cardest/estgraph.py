@@ -23,8 +23,9 @@ Every rate is a statistic of an index set of q, read through one
 `catalogue.QueryStats` per build, which callers may share across builds.
 Every bottom-to-top path yields an estimate: the exact rational product of
 its rates, with base-2 log weights alongside for the additive view.
-`path_summary` aggregates them per hop count in one pass over the DAG;
-`iter_paths` / `enumerate_paths` list them one by one.
+`path_summary` aggregates them per hop count in one pass over the DAG, and
+`PathSummary.closest` (the path oracle's) keeps each vertex's distinct ones in
+another; `iter_paths` / `enumerate_paths` list them one by one.
 """
 
 from __future__ import annotations
@@ -390,17 +391,6 @@ def build_cover(q: QueryGraph, cat: Catalogue | QueryStats,
 # Path enumeration and minimum-weight search
 # ---------------------------------------------------------------------------
 
-def count_paths(ceg: Ceg) -> int:
-    return _count_paths(ceg._arcs_of, {ceg._top: 1}, 0)
-
-
-def _count_paths(arcs: Callable[[int], tuple[Arc, ...]], memo: dict[int, int], v: int) -> int:
-    got = memo.get(v)
-    if got is None:
-        got = memo[v] = sum(_count_paths(arcs, memo, a[0]) for a in arcs(v))
-    return got
-
-
 def iter_paths(ceg: Ceg) -> Iterator[PathEstimate]:
     """All simple bottom-to-top paths in deterministic order (DFS)."""
     yield from _walk_paths(ceg, 0, (), Fraction(1))
@@ -417,7 +407,7 @@ def _walk_paths(ceg: Ceg, v: int, edges: tuple[CegEdge, ...],
 
 
 def enumerate_paths(ceg: Ceg, cap: int = DEFAULT_PATH_CAP) -> list[PathEstimate]:
-    total = count_paths(ceg)
+    total = path_summary(ceg).count()
     if total > cap:
         raise PathOverflowError(total, cap)
     return list(iter_paths(ceg))
@@ -442,6 +432,7 @@ class PathSummary:
     `extreme` hand the values out as Fractions, made once per summary from
     bottom's rows: readers such as the 3x3 heuristics share one summary.
     The rows are kept by vertex mask; `rows` keys them by frozenset.
+    `closest`, the path oracle's read, makes a pass of its own on each call.
     """
 
     def __init__(self, ceg: Ceg, rows: dict[int, dict[int, HopRow]]):
@@ -486,6 +477,20 @@ class PathSummary:
                 tuple(ceg._edge_at(v, i) for v, i in self._walk(hops, slot)),
                 self._values[hops][slot])
         return got
+
+    def closest(self, key: Callable[[Fraction], object]) -> PathEstimate:
+        """The first path in `iter_paths` order whose estimate is least by `key`,
+        found by a second pass that keeps only the distinct estimates."""
+        ceg = self.ceg
+        values = {ceg._top: {(1, 1): (-1, (1, 1))}}
+        _distinct(ceg._arcs_of, values, 0)
+        best = value = min(values[0], key=lambda value: key(Fraction(*value)))
+        v, edges = 0, []
+        while v != ceg._top:
+            i, value = values[v][value]
+            edges.append(ceg._edge_at(v, i))
+            v = ceg._arcs_of(v)[i][0]
+        return PathEstimate(tuple(edges), Fraction(*best))
 
     def _walk(self, hops: int, slot: int) -> list[tuple[int, int]]:
         """The (vertex, out-edge index) hops of the DFS-first `hops`-hop path whose
@@ -567,6 +572,25 @@ def _summarize(arcs: Callable[[int], tuple[Arc, ...]],
         row[_MIN] = first if mn is mx else _reduced(mn)
         row[_SUM] = first if total is mx else _reduced(total)
     rows[v] = got
+    return got
+
+
+def _distinct(arcs: Callable[[int], tuple[Arc, ...]],
+              values: dict[int, dict[tuple[int, int], tuple[int, tuple[int, int]]]],
+              v: int) -> dict[tuple[int, int], tuple[int, tuple[int, int]]]:
+    """v's distinct suffix products (reduced pairs) in the order `iter_paths` first
+    meets them, each -> (index of the first out-edge reaching it, the product
+    left after that edge); PathOverflowError past DEFAULT_PATH_CAP of them."""
+    got: dict[tuple[int, int], tuple[int, tuple[int, int]]] = {}
+    for i, (dst, rn, rd, _, _) in enumerate(arcs(v)):
+        suffixes = values.get(dst)
+        if suffixes is None:
+            suffixes = _distinct(arcs, values, dst)
+        for rest in suffixes:
+            got.setdefault(_reduced((rn * rest[0], rd * rest[1])), (i, rest))
+        if len(got) > DEFAULT_PATH_CAP:
+            raise PathOverflowError(len(got), DEFAULT_PATH_CAP)
+    values[v] = got
     return got
 
 

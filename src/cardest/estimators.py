@@ -4,8 +4,8 @@ The optimistic family picks paths by a hop filter (max-hop / min-hop /
 all-hops) and aggregates their estimates (max-aggr / min-aggr / avg-aggr),
 giving 9 heuristics per graph kind, each read from one `path_summary` of
 the anchored graph (per hop count: max, min, sum and count of the path
-estimates).  Only the path oracle, which picks the single most accurate path
-given the true count, lists the paths, capped.
+estimates).  The path oracle, which picks the single most accurate path
+given the true count, reads the same summary's distinct path estimates.
 The pessimistic bound is the minimum-weight path of the max-degree graph,
 found combinatorially after one pass over q's catalogue patterns reads
 their degree tables.
@@ -19,9 +19,8 @@ from fractions import Fraction
 
 from .catalogue import Catalogue, QueryStats
 from .errors import EstimationError
-from .estgraph import (DEFAULT_PATH_CAP, Ceg, PathEstimate, PathSummary, build_maxdeg,
-                       build_optimistic, enumerate_paths, min_weight_path,
-                       path_summary)
+from .estgraph import (Ceg, PathEstimate, PathSummary, build_maxdeg, build_optimistic,
+                       min_weight_path, path_summary)
 from .querymodel import QueryGraph
 
 HOP_CHOICES = ("max-hop", "min-hop", "all-hops")
@@ -83,14 +82,6 @@ def optimistic_ceg(q: QueryGraph, cat: Catalogue | QueryStats, ceg_kind: str = K
     return build_optimistic(q, cat, closing=(ceg_kind == KIND_CLOSING))
 
 
-def ceg_paths(ceg: Ceg, cap: int = DEFAULT_PATH_CAP) -> list[PathEstimate]:
-    """Every bottom-to-top path; PathOverflowError past `cap` paths."""
-    paths = enumerate_paths(ceg, cap)
-    if not paths:
-        raise EstimationError(_NO_PATH)
-    return paths
-
-
 def ceg_summary(ceg: Ceg) -> PathSummary:
     """The graph's path summary; no cap, since no path is listed."""
     summary = path_summary(ceg)
@@ -124,22 +115,23 @@ def estimate_optimistic(q: QueryGraph, cat: Catalogue | QueryStats, ceg_kind: st
 
 
 def estimate_pstar(q: QueryGraph, cat: Catalogue | QueryStats, ceg_kind: str,
-                   true_count: int, cap: int = DEFAULT_PATH_CAP,
-                   paths: list[PathEstimate] | None = None) -> Estimate:
-    """Oracle pick: the path whose estimate minimizes q-error vs the true count."""
-    if paths is None:
-        paths = ceg_paths(optimistic_ceg(q, cat, ceg_kind), cap)
+                   true_count: int, summary: PathSummary | None = None) -> Estimate:
+    """Oracle pick: the first path in `iter_paths` order whose estimate minimizes
+    (q-error vs the true count, estimate), read from `summary` (built from the
+    graph when not given) without listing the paths."""
+    if summary is None:
+        summary = ceg_summary(optimistic_ceg(q, cat, ceg_kind))
 
-    def qerr(p: PathEstimate) -> Fraction | float:
-        if p.estimate == 0:
+    def qerr(estimate: Fraction) -> Fraction | float:
+        if estimate == 0:
             return float("inf") if true_count else Fraction(1)
         if true_count == 0:
             return float("inf")
-        return max(Fraction(true_count) / p.estimate, p.estimate / Fraction(true_count))
+        return max(Fraction(true_count) / estimate, estimate / Fraction(true_count))
 
-    best = min(paths, key=lambda p: (qerr(p), p.estimate))
+    best = summary.closest(lambda estimate: (qerr(estimate), estimate))
     return Estimate(best.estimate, method="pstar", ceg_kind=ceg_kind,
-                    considered_paths=len(paths), chosen_path=best)
+                    considered_paths=summary.count(), chosen_path=best)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import Sequence
 from .catalogue import Catalogue, QueryStats, build_catalogue, check_walk_budget
 from .errors import CardestError, ConfigError
 from .estimators import (ALL_CHOICES, KIND_AVG, KIND_CLOSING, Estimate,
-                         HeuristicChoice, as_float, ceg_paths, ceg_summary,
+                         HeuristicChoice, as_float, ceg_summary,
                          estimate_molp, estimate_optimistic, estimate_pstar,
                          optimistic_ceg)
 from .graphstore import LabeledGraph
@@ -264,8 +264,8 @@ def run_workload(
     built from another graph or at another h, a walk budget below 1, or a
     sketch_k below 1 raises ConfigError before any row runs.  Per query, the
     methods share one QueryStats of the catalogue, and each optimistic graph
-    kind is built once; its path summary serves the heuristics and its path
-    list only the path oracle.  All sketched rows share one SketchCache.
+    kind is built once; its one path summary serves the heuristics and the
+    path oracle.  All sketched rows share one SketchCache.
     """
     if sketch_k < 1:
         raise ConfigError(f"sketch K must be >= 1 (1: no sketch), got {sketch_k}")
@@ -324,17 +324,11 @@ def _run_method(query, g, stats, spec, seed, walk_budget, sketch_k, true_count,
     if spec.name == "bound":
         return estimate_molp(query, stats)
     kind = spec.ceg_kind
-    ceg = ceg_cache.get(kind)
-    if ceg is None:
-        ceg = ceg_cache[kind] = optimistic_ceg(query, stats, kind)
-    if spec.name == "pstar":
-        paths = ceg_cache.get(("paths", kind))
-        if paths is None:
-            paths = ceg_cache["paths", kind] = ceg_paths(ceg)
-        return estimate_pstar(query, stats, kind, true_count, paths=paths)
-    summary = ceg_cache.get(("summary", kind))
+    summary = ceg_cache.get(kind)
     if summary is None:
-        summary = ceg_cache["summary", kind] = ceg_summary(ceg)
+        summary = ceg_cache[kind] = ceg_summary(optimistic_ceg(query, stats, kind))
+    if spec.name == "pstar":
+        return estimate_pstar(query, stats, kind, true_count, summary=summary)
     return estimate_optimistic(query, stats, kind, spec.choice, summary=summary)
 
 

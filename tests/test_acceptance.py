@@ -20,10 +20,10 @@ from cardest.catalogue import (QueryStats, _key_to_query, _reads_adjacency,
                                build_catalogue, serialize)
 from cardest.errors import SketchPlanError
 from cardest.estgraph import (CYCLE_CLOSING, CegEdge, PathEstimate, build_cover,
-                              build_maxdeg, build_optimistic, count_paths,
-                              enumerate_paths, iter_paths, min_weight_path, to_dot)
+                              build_maxdeg, build_optimistic, enumerate_paths,
+                              iter_paths, min_weight_path, path_summary, to_dot)
 from cardest.estimators import (ALL_CHOICES, HeuristicChoice, KIND_AVG,
-                                KIND_CLOSING, ceg_paths, ceg_summary, estimate_molp,
+                                KIND_CLOSING, ceg_summary, estimate_molp,
                                 estimate_optimistic, estimate_pstar,
                                 optimistic_ceg)
 from cardest.evalharness import (WorkloadItem, expand_methods, qerror,
@@ -33,7 +33,8 @@ from cardest.querymodel import (connected_index_sets, cycles, instantiate_templa
                                 parse_query)
 from cardest.sketch import estimate_with_sketch, make_sketch
 
-from _summary_check import aggregate_paths, summary_mismatches
+from _summary_check import (aggregate_paths, pstar_mismatches, pstar_paths,
+                            summary_mismatches)
 from _synth import (correlated_graph, make_instances, path_template,
                     star_template, tree_template, cycle_template)
 from conftest import identity_triangle
@@ -275,7 +276,7 @@ def safety_run(corpus):
             cyclic += 1
         for kind in kinds:
             ceg = optimistic_ceg(q, cat, kind)
-            paths, summary = ceg_paths(ceg), ceg_summary(ceg)
+            summary = ceg_summary(ceg)
             est = {c: estimate_optimistic(q, cat, kind, c, summary=summary)
                    for c in ALL_CHOICES}
             span = {}
@@ -293,7 +294,7 @@ def safety_run(corpus):
                est[HeuristicChoice("min-hop", "min-aggr")].exact:
                 ordering_violations.append(f"{qid}:{kind}:all-min")
             if truth >= 1:
-                star = estimate_pstar(q, cat, kind, truth, paths=paths)
+                star = estimate_pstar(q, cat, kind, truth, summary=summary)
 
                 def qe(v):
                     if v == 0:
@@ -348,15 +349,15 @@ def test_criterion_9_pstar_dominance_over_avg_aggr_as_stated(safety_run):
     q(P*), and symmetrically if truth >= hi; so avg-aggr can beat P* only when
     lo < truth < hi.
     """
-    # The literal clause fails on the counterexample above.  Paths are given,
-    # so no query or catalogue is read.
+    # The literal clause fails on the counterexample above, checked with the
+    # path-list references of avg-aggr and P*.
     paths = [_rate_path([Fraction(1, 2)]), _rate_path([2])]
     mean, _, _ = aggregate_paths(paths, HeuristicChoice("all-hops", "avg-aggr"))
-    star = estimate_pstar(None, None, KIND_AVG, 1, paths=paths)
+    star, _, _ = pstar_paths(paths, 1)
     assert mean == Fraction(5, 4)
-    assert star.exact == Fraction(1, 2)
+    assert star == Fraction(1, 2)
     assert qerror(1, mean)[0] == Fraction(5, 4)
-    assert qerror(1, star.exact)[0] == 2
+    assert qerror(1, star)[0] == 2
 
     # On the corpus, every avg-aggr win has the truth strictly inside its span.
     assert safety_run["avg_outside_span"] >= 1000
@@ -372,16 +373,22 @@ def test_criterion_9_pstar_dominance_over_avg_aggr_as_stated(safety_run):
 
 
 def test_path_summary_equals_enumeration_on_corpus(corpus):
-    """The heuristics read one path summary; listing every path is the check."""
+    """The heuristics and P* read one path summary; listing every path is the
+    check.  P* is compared at the true count c and at 0, 1 and 3c + 7."""
     mismatches: list[str] = []
-    n = 0
+    n = zeros = 0
     for g, cat, qid, template, q in corpus.instances():
+        c = count_hom(g, q).value
         for kind in (KIND_AVG, KIND_CLOSING):
             ceg = optimistic_ceg(q, cat, kind)
+            summary, paths = ceg_summary(ceg), enumerate_paths(ceg)
             n += 1
-            mismatches += [f"{qid}:{kind}:{m}" for m in
-                           summary_mismatches(ceg_summary(ceg), ceg_paths(ceg))]
+            mismatches += [f"{qid}:{kind}:{m}" for m in summary_mismatches(summary, paths)]
+            truths = (c, 0, 1, 3 * c + 7)
+            mismatches += [f"{qid}:{kind}:{m}" for m in pstar_mismatches(summary, paths, truths)]
+            zeros += sum(pstar_paths(paths, truth)[0] == 0 for truth in truths)
     assert n >= 1000
+    assert zeros >= 1  # P* picks a zero estimate somewhere, at truth 0 at least
     assert mismatches == [], mismatches[:5]
 
 
@@ -405,7 +412,7 @@ def test_criterion_5_min_path_equals_enumeration(corpus):
         dp_min = dag_min_product(ceg)
         lazy = estimate_molp(q, cat).exact
         assert dijkstra == dp_min == lazy, qid
-        if count_paths(ceg) <= 20000:
+        if path_summary(ceg).count() <= 20000:
             literal += 1
             assert min(p.estimate for p in iter_paths(ceg)) == dijkstra, qid
     elapsed = time.perf_counter() - t0
@@ -456,7 +463,7 @@ def test_criterion_7_cover_paths_dominate(corpus):
         d_min = dag_min_product(dceg)
         assert d_min is not None, qid       # an (empty, all-vars) path exists
         assert d_min >= m_min, qid          # every cover path dominates the bound
-        if count_paths(dceg) <= 5000:
+        if path_summary(dceg).count() <= 5000:
             for p in iter_paths(dceg):
                 assert p.estimate >= m_min, qid
         covers += 1

@@ -148,6 +148,18 @@ def test_estimate_prints_inf_for_a_qerror_beyond_float_range(tmp_path, capsys):
     assert capsys.readouterr().out.endswith("\tinf\ttrue=18\tqerror=inf\n")
 
 
+def test_estimate_pstar_past_a_million_paths_exits_ok(tmp_path, capsys):
+    # a 12-leaf star on one label: 10! anchored paths, which P* does not list
+    graph, query = tmp_path / "star.edges", tmp_path / "star.query"
+    graph.write_text("".join(f"{h} {100 + 10 * h + i} A\n" for h in range(3)
+                             for i in range(5 + h)))
+    query.write_text("".join(f"a0 -A-> a{j}\n" for j in range(1, 13)))
+    code = run_cli("estimate", "--graph", str(graph), "--query", str(query),
+                   "--methods", "pstar:avg")
+    assert code == 0
+    assert "pstar:avg-degree\t7.99088e+09\ttrue=16262210162\t" in capsys.readouterr().out
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.edges"
     bad.write_text("x y A\n")

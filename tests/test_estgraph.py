@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import math
 import random
 import tracemalloc
 import weakref
@@ -12,7 +13,7 @@ from cardest import estgraph, estimators
 from cardest.catalogue import build_catalogue, canonical_form, closing_spec
 from cardest.errors import EstimationError, MissingStatisticError, PathOverflowError
 from cardest.estgraph import (EXTENSION, AttrCeg, Ceg, CegEdge, PathEstimate, build_cover,
-                              build_maxdeg, build_optimistic, count_paths,
+                              build_maxdeg, build_optimistic,
                               enumerate_paths, iter_paths, min_weight_path,
                               path_summary, to_dot)
 from cardest.estimators import (ALL_CHOICES, KIND_AVG, KIND_CLOSING, HeuristicChoice,
@@ -20,7 +21,7 @@ from cardest.estimators import (ALL_CHOICES, KIND_AVG, KIND_CLOSING, HeuristicCh
 from cardest.estimators import estimate_molp
 from cardest.graphstore import LabeledGraph
 from cardest.oracle import count_hom
-from cardest.querymodel import (connected_index_sets, cycles, index_pattern,
+from cardest.querymodel import (QueryGraph, connected_index_sets, cycles, index_pattern,
                                 instantiate_template, parse_query)
 
 from _summary_check import aggregate_paths, summary_mismatches
@@ -154,7 +155,7 @@ def test_paths_visit_strictly_growing_subqueries(fork_graph, q5f):
 
 def test_path_counts_match_plain_dfs(fork_graph, q5f):
     ceg = build_optimistic(q5f, _cat(fork_graph, [q5f]))
-    assert count_paths(ceg) == dfs_path_count(ceg) == 36
+    assert path_summary(ceg).count() == dfs_path_count(ceg) == 36
 
 
 def test_enumeration_cap_enforced(fork_graph, q5f):
@@ -249,7 +250,12 @@ def test_summary_equals_enumeration_on_fixtures(fork_graph, q5f, q3p):
                         aggregate_paths(paths, choice)
 
 
-@pytest.mark.parametrize("read", [path_summary, count_paths, enumerate_paths])
+def closest_path(ceg: Ceg) -> PathEstimate:
+    """P*'s pass over the distinct path estimates, here keyed by the estimate."""
+    return path_summary(ceg).closest(lambda estimate: estimate)
+
+
+@pytest.mark.parametrize("read", [path_summary, closest_path, enumerate_paths])
 def test_path_passes_leave_no_reference_cycle_holding_the_graph(fork_graph, q5f, read):
     # a graph derives its out-edges on demand, so it holds their statistics
     ceg = build_optimistic(q5f, _cat(fork_graph, [q5f]))
@@ -263,15 +269,46 @@ def test_path_passes_leave_no_reference_cycle_holding_the_graph(fork_graph, q5f,
         gc.enable()
 
 
-def test_optimistic_estimates_have_no_path_cap(fork_graph, q5f):
-    # 36 paths against a cap of 10: only the path oracle, which lists them, overflows
-    cat = _cat(fork_graph, [q5f])
-    paths = enumerate_paths(build_optimistic(q5f, cat))
-    for choice in ALL_CHOICES:
-        got = estimate_optimistic(q5f, cat, KIND_AVG, choice)
-        assert (got.exact, got.considered_paths) == aggregate_paths(paths, choice)[:2]
+def _star(leaves: int) -> tuple[LabeledGraph, QueryGraph]:
+    """Hubs 0, 1 and 2 with 5, 6 and 7 `A` out-edges, and the `leaves`-leaf
+    `A` star on a0."""
+    g = LabeledGraph([(hub, 100 + 10 * hub + i, "A") for hub in range(3)
+                      for i in range(5 + hub)])
+    return g, parse_query("\n".join(f"a0 -A-> a{j}" for j in range(1, leaves + 1)))
+
+
+def test_optimistic_estimates_have_no_path_cap(fork_graph, q5f, monkeypatch):
+    # The anchored graph of a 12-leaf star on one label has 10! paths, past
+    # enumerate_paths' cap of 10**6.  Every estimate, P* too, reads the path
+    # summary, so none of them lists a path or overflows.
+    g, q = _star(12)
+    cat = _cat(g, [q])
+    ceg = build_optimistic(q, cat)
     with pytest.raises(PathOverflowError):
-        estimate_pstar(q5f, cat, KIND_AVG, 42, cap=10)
+        enumerate_paths(ceg)
+    summary = ceg_summary(ceg)
+    truth = count_hom(g, q).value
+    assert (summary.count(), truth) == (3628800, 5 ** 12 + 6 ** 12 + 7 ** 12)
+    star = estimate_pstar(q, cat, KIND_AVG, truth, summary=summary)
+    assert star.considered_paths == 3628800
+    assert star.chosen_path.estimate == star.exact
+    assert math.prod(e.rate for e in star.chosen_path.edges) == star.exact
+
+    def qe(value: Fraction) -> Fraction:
+        return max(Fraction(truth) / value, value / Fraction(truth))
+
+    for choice in ALL_CHOICES:  # P* is the best single path
+        got = estimate_optimistic(q, cat, KIND_AVG, choice, summary=summary)
+        if choice.aggr != "avg-aggr":
+            assert qe(star.exact) <= qe(got.exact), choice
+    # The summary's cap is on the distinct estimates at one vertex: q5f's
+    # bottom holds 7 of them.
+    fork_cat = _cat(fork_graph, [q5f])
+    monkeypatch.setattr(estgraph, "DEFAULT_PATH_CAP", 7)
+    assert estimate_pstar(q5f, fork_cat, KIND_AVG, 42).considered_paths == 36
+    monkeypatch.setattr(estgraph, "DEFAULT_PATH_CAP", 6)
+    with pytest.raises(PathOverflowError):
+        estimate_pstar(q5f, fork_cat, KIND_AVG, 42)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,10 @@ import pytest
 
 from cardest.catalogue import build_catalogue
 from cardest.errors import ConfigError
-from cardest.estgraph import MAX_ATTR_VARS, build_maxdeg
+from cardest.estgraph import MAX_ATTR_VARS, build_maxdeg, enumerate_paths
 from cardest.estimators import (ALL_CHOICES, HeuristicChoice, KIND_AVG,
                                 KIND_CLOSING, estimate_molp,
-                                ceg_paths, estimate_optimistic, estimate_pstar,
+                                estimate_optimistic, estimate_pstar,
                                 optimistic_ceg)
 from cardest.oracle import count_hom
 from cardest.querymodel import instantiate_template, parse_query
@@ -51,7 +51,7 @@ def test_f1_three_path_is_six_for_every_choice(f1_graph, q3p):
 
 def test_fork_aggregator_ordering(fork_graph, q5f):
     cat = build_catalogue(fork_graph, [q5f], 2)
-    assert len(ceg_paths(optimistic_ceg(q5f, cat))) == 36
+    assert len(enumerate_paths(optimistic_ceg(q5f, cat))) == 36
     by_choice = {c: estimate_optimistic(q5f, cat, KIND_AVG, c) for c in ALL_CHOICES}
     for hop in ("max-hop", "min-hop", "all-hops"):
         lo = by_choice[HeuristicChoice(hop, "min-aggr")].exact
@@ -73,8 +73,8 @@ def test_pstar_exact_hit_gives_qerror_one(fork_graph, q5f):
 def test_pstar_dominates_every_heuristic(fork_graph, q5f):
     cat = build_catalogue(fork_graph, [q5f], 2)
     truth = count_hom(fork_graph, q5f).value
-    paths = ceg_paths(optimistic_ceg(q5f, cat))
-    star = estimate_pstar(q5f, cat, KIND_AVG, truth, paths=paths)
+    paths = enumerate_paths(optimistic_ceg(q5f, cat))
+    star = estimate_pstar(q5f, cat, KIND_AVG, truth)
     # P* is the best single path, so it beats the path-valued heuristics
     # anywhere.  avg-aggr is a mean, which can beat every path when the truth
     # lies strictly between the averaged estimates; with the truth at or above

@@ -1,4 +1,5 @@
-"""Property: the path summary agrees with path enumeration on random inputs."""
+"""Property: the path summary agrees with path enumeration on random inputs,
+for the 3x3 heuristics and for P*."""
 
 from __future__ import annotations
 
@@ -11,12 +12,12 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from cardest.catalogue import build_catalogue  # noqa: E402
-from cardest.estgraph import (EXTENSION, Ceg, count_paths, enumerate_paths,  # noqa: E402
-                              path_summary)
+from cardest.estgraph import EXTENSION, Ceg, enumerate_paths, path_summary  # noqa: E402
 from cardest.estimators import KIND_AVG, KIND_CLOSING, optimistic_ceg  # noqa: E402
 
-from _summary_check import summary_mismatches  # noqa: E402
+from _summary_check import pstar_mismatches, summary_mismatches  # noqa: E402
 from _synth import DEFAULT_LABELS, cycle_template, random_graph, tree_template  # noqa: E402
+from oracles import dfs_path_count  # noqa: E402
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 RATES = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3), Fraction(5, 3)]
@@ -43,7 +44,7 @@ def random_dags(draw):
 @given(random_dags())
 def test_summary_equals_enumeration_on_random_dags(ceg):
     summary = path_summary(ceg)
-    assert summary.count() == count_paths(ceg)
+    assert summary.count() == dfs_path_count(ceg)
     assume(summary.count() > 0)
     assert summary_mismatches(summary, enumerate_paths(ceg)) == []
 
@@ -65,3 +66,12 @@ def test_summary_equals_enumeration_on_small_random_graphs(graph_seed, shape, si
             assert enumerate_paths(ceg) == []
             continue
         assert summary_mismatches(summary, enumerate_paths(ceg)) == []
+
+
+@SETTINGS
+@given(random_dags(), st.lists(st.sampled_from([0, 1, 2, 3, 7]), min_size=1, max_size=3))
+def test_pstar_equals_path_list_oracle_on_random_dags(ceg, truths):
+    # zero rates give zero estimates, which P* takes against truth 0
+    summary = path_summary(ceg)
+    assume(summary.count() > 0)
+    assert pstar_mismatches(summary, enumerate_paths(ceg), truths) == []
