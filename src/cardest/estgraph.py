@@ -284,6 +284,8 @@ def build_optimistic(q: QueryGraph, cat: Catalogue | QueryStats, closing: bool =
         for target, rated in hops.items():
             hop_kind = kind
             added = target & ~src
+            if any(c & target == c and (c & added).bit_count() > 1 for c in long_cycles):
+                continue  # it completes a long cycle by adding two or more of its edges
             closable = [c for c in long_cycles
                         if c & target == c and (c & ~src).bit_count() == 1]
             if closable:  # closing rates replace the ratios; a hop adding more gets no edge

@@ -12,8 +12,8 @@ import pytest
 from cardest import estgraph, estimators
 from cardest.catalogue import build_catalogue, canonical_form, closing_spec
 from cardest.errors import EstimationError, MissingStatisticError, PathOverflowError
-from cardest.estgraph import (EXTENSION, AttrCeg, Ceg, CegEdge, PathEstimate, build_cover,
-                              build_maxdeg, build_optimistic,
+from cardest.estgraph import (CYCLE_CLOSING, EXTENSION, AttrCeg, Ceg, CegEdge, PathEstimate,
+                              build_cover, build_maxdeg, build_optimistic,
                               enumerate_paths, iter_paths, min_weight_path,
                               path_summary, to_dot)
 from cardest.estimators import (ALL_CHOICES, KIND_AVG, KIND_CLOSING, HeuristicChoice,
@@ -402,6 +402,34 @@ def test_ocr_missing_closing_rate_raises():
     cat.closing.clear()
     with pytest.raises(MissingStatisticError):
         build_optimistic(SQUARE, cat, closing=True)
+
+
+def _hexagon_blowup() -> tuple[LabeledGraph, QueryGraph]:
+    """Six classes of 2, 3, 4, 5, 2 and 3 vertices, label Li the complete
+    bipartite graph from class i to class i + 1 (mod 6), and the 6-cycle
+    xi -Li-> x(i+1).  Its labels force each variable's class, so its count is
+    2 * 3 * 4 * 5 * 2 * 3 = 720."""
+    sizes = (2, 3, 4, 5, 2, 3)
+    g = LabeledGraph([(10 * i + a, 10 * ((i + 1) % 6) + b, f"L{i}") for i in range(6)
+                      for a in range(sizes[i]) for b in range(sizes[(i + 1) % 6])])
+    return g, parse_query("\n".join(f"x{i} -L{i}-> x{(i + 1) % 6}" for i in range(6)))
+
+
+@pytest.mark.parametrize("h", [2, 3])
+def test_ocr_never_completes_a_long_cycle_with_a_count_ratio(h):
+    # At h=3 an extension adds two edges, so a hop could complete the 6-cycle
+    # by adding two of its edges at once; its count ratio would count the
+    # closing variable again (max-aggr read 5x the truth, avg-aggr 12/5x).
+    # Such a hop gets no edge, and every hop into the top adds one closing edge.
+    g, q = _hexagon_blowup()
+    assert count_hom(g, q).value == 720
+    cat = _cat(g, [q], h=h, walk_budget=None)
+    for choice in ALL_CHOICES:
+        assert estimate_optimistic(q, cat, KIND_CLOSING, choice).exact == 720, choice
+    into_top = [e for e in build_optimistic(q, cat, closing=True).all_edges()
+                if e.dst == frozenset(range(6))]
+    assert into_top
+    assert all(e.kind == CYCLE_CLOSING and len(e.dst - e.src) == 1 for e in into_top)
 
 
 # ---------------------------------------------------------------------------
