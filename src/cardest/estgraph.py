@@ -284,7 +284,8 @@ def build_optimistic(q: QueryGraph, cat: Catalogue | QueryStats, closing: bool =
         for target, rated in hops.items():
             hop_kind = kind
             added = target & ~src
-            if any(c & target == c and (c & added).bit_count() > 1 for c in long_cycles):
+            if added & added - 1 and any(c & target == c and (c & added).bit_count() > 1
+                                         for c in long_cycles):
                 continue  # it completes a long cycle by adding two or more of its edges
             closable = [c for c in long_cycles
                         if c & target == c and (c & ~src).bit_count() == 1]
@@ -418,6 +419,7 @@ def enumerate_paths(ceg: Ceg, cap: int = DEFAULT_PATH_CAP) -> list[PathEstimate]
 _MAX, _MIN, _SUM, _COUNT, _ARGMAX, _ARGMIN, _FIRST = range(7)   # HopRow slots
 
 HopRow = list   # [max, min, sum, count, argmax, argmin, first] of one (vertex, hops)
+Distinct = dict[tuple[int, int], tuple[int, tuple[int, int]]]   # value -> (first out-edge, rest)
 
 
 class PathSummary:
@@ -484,7 +486,7 @@ class PathSummary:
         """The first path in `iter_paths` order whose estimate is least by `key`,
         found by a second pass that keeps only the distinct estimates."""
         ceg = self.ceg
-        values = {ceg._top: {(1, 1): (-1, (1, 1))}}
+        values: dict[int, Distinct] = {ceg._top: {(1, 1): (-1, (1, 1))}}
         _distinct(ceg._arcs_of, values, 0)
         best = value = min(values[0], key=lambda value: key(Fraction(*value)))
         v, edges = 0, []
@@ -577,13 +579,11 @@ def _summarize(arcs: Callable[[int], tuple[Arc, ...]],
     return got
 
 
-def _distinct(arcs: Callable[[int], tuple[Arc, ...]],
-              values: dict[int, dict[tuple[int, int], tuple[int, tuple[int, int]]]],
-              v: int) -> dict[tuple[int, int], tuple[int, tuple[int, int]]]:
-    """v's distinct suffix products (reduced pairs) in the order `iter_paths` first
-    meets them, each -> (index of the first out-edge reaching it, the product
-    left after that edge); PathOverflowError past DEFAULT_PATH_CAP of them."""
-    got: dict[tuple[int, int], tuple[int, tuple[int, int]]] = {}
+def _distinct(arcs: Callable[[int], tuple[Arc, ...]], values: dict[int, Distinct],
+              v: int) -> Distinct:
+    """v's distinct suffix products in the order `iter_paths` first meets them,
+    each with its first out-edge; PathOverflowError past DEFAULT_PATH_CAP."""
+    got: Distinct = {}
     for i, (dst, rn, rd, _, _) in enumerate(arcs(v)):
         suffixes = values.get(dst)
         if suffixes is None:
