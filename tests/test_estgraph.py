@@ -19,6 +19,7 @@ from cardest.estgraph import (CYCLE_CLOSING, EXTENSION, AttrCeg, Ceg, CegEdge, P
 from cardest.estimators import (ALL_CHOICES, KIND_AVG, KIND_CLOSING, HeuristicChoice,
                                 ceg_summary, estimate_optimistic, estimate_pstar)
 from cardest.estimators import estimate_molp
+from cardest.evalharness import qerror
 from cardest.graphstore import LabeledGraph
 from cardest.oracle import count_hom
 from cardest.querymodel import (QueryGraph, connected_index_sets, cycles, index_pattern,
@@ -293,14 +294,10 @@ def test_optimistic_estimates_have_no_path_cap(fork_graph, q5f, monkeypatch):
     assert star.considered_paths == 3628800
     assert star.chosen_path.estimate == star.exact
     assert math.prod(e.rate for e in star.chosen_path.edges) == star.exact
-
-    def qe(value: Fraction) -> Fraction:
-        return max(Fraction(truth) / value, value / Fraction(truth))
-
     for choice in ALL_CHOICES:  # P* is the best single path
         got = estimate_optimistic(q, cat, KIND_AVG, choice, summary=summary)
         if choice.aggr != "avg-aggr":
-            assert qe(star.exact) <= qe(got.exact), choice
+            assert qerror(truth, star.exact)[0] <= qerror(truth, got.exact)[0], choice
     # The summary's cap is on the distinct estimates at one vertex: q5f's
     # bottom holds 7 of them.
     fork_cat = _cat(fork_graph, [q5f])
