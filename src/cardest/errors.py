@@ -50,12 +50,12 @@ class EstimationError(CardestError):
 
 
 class PathOverflowError(CardestError):
-    """Path enumeration would exceed the configured cap."""
+    """A path listing, or P*'s distinct estimates at one vertex, would exceed the cap."""
 
-    def __init__(self, count: int, cap: int):
+    def __init__(self, need: str, count: int, cap: int):
         self.count = count
         self.cap = cap
-        super().__init__(f"path enumeration needs {count} paths, cap is {cap}")
+        super().__init__(f"{need}, cap is {cap}")
 
 
 class SketchPlanError(CardestError):

@@ -3,14 +3,14 @@
 Four builds share one graph type, whose out-edges are derived per vertex on
 its first read and cached, so an estimate does only the work its paths
 reach.  Over edge subsets: the optimistic graph (average-degree rates from
-pattern counts) and its cycle-closing-rate variant, each source vertex
-deciding its own out-edges (closing rates, merging, early cycle closing) from
-the connected index sets of q.  Over attribute subsets: the max-degree graph
-whose minimum-weight path is the pessimistic bound, and the cover graph of a
-per-relation attribute cover.  Attribute-subset graphs (`AttrCeg`) are held
-as move tables, one whole degree table per catalogue pattern, which
-`min_weight_path` searches directly; a table's (X, Y) masks (`QueryStats`)
-are already the graph's vertex bits (`QueryGraph.var_bits`).
+pattern counts) and its cycle-closing-rate variant, whose shape (each
+source's hops: closing rates, merging, early cycle closing) is planned once
+per query and h, so each build reads only its rates.  Over attribute subsets:
+the max-degree graph whose minimum-weight path is the pessimistic bound, and
+the cover graph of a per-relation attribute cover.  Attribute-subset graphs
+(`AttrCeg`) are held as move tables, one whole degree table per catalogue
+pattern, which `min_weight_path` searches directly; a table's (X, Y) masks
+(`QueryStats`) are already the graph's vertex bits (`QueryGraph.var_bits`).
 
 Both kinds code a vertex one way: as a bitmask over the graph's sorted names
 (query-edge indices or variable names).  The builds, `path_summary` and
@@ -33,13 +33,15 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .catalogue import Catalogue, QueryStats
-from .errors import ConfigError, EstimationError, PathOverflowError, QueryValidationError
-from .querymodel import QueryGraph, connected_index_sets, cycles, indices_connected, subsets
+from .catalogue import Catalogue, QueryStats, canonical_form, closing_spec
+from .errors import (ConfigError, EstimationError, MissingStatisticError, PathOverflowError,
+                     QueryValidationError)
+from .querymodel import (QueryGraph, connected_index_sets, cycles, index_pattern,
+                         indices_connected, subsets)
 
 START = "start"
 EXTENSION = "extension"
@@ -113,13 +115,14 @@ class Ceg:
 
     Vertices are bitmasks over the sorted `names`, `top` among them.
     `derive(v)` lists the arcs (dst, numerator, denominator, kind, provenance)
-    leaving the mask v; they are ordered and cached on v's first read.
-    `out(v)` hands them out as CegEdges: by destination key, then rate,
-    unbound first on ties.  `sources` lists, as masks, every vertex `derive`
-    may give out-edges; it is read once, by the first listing (`all_edges`,
-    `vertices`), so it may be a lazy iterator, and a listing derives every
-    source first.  `_keys`, `_sets` and `_masks` turn a mask into its key
-    (sorted names) or frozenset and back, each made once.
+    leaving the mask v, put in `out` order (an optimistic graph's derive lists
+    them so) and cached on v's first read.  `out(v)` hands them out as
+    CegEdges: by destination key, then rate, unbound first on ties.
+    `sources` lists, as masks, every vertex `derive` may give out-edges; it is
+    read once, by the first listing (`all_edges`, `vertices`), so it may be a
+    lazy iterator, and a listing derives every source first.  `_keys`,
+    `_sets` and `_masks` turn a mask into its key (sorted names) or frozenset
+    and back, each made once.
     """
 
     bottom: frozenset = frozenset()
@@ -148,11 +151,11 @@ class Ceg:
         """The arcs leaving `mask` in `out` order, derived on its first read."""
         got = self._arcs.get(mask)
         if got is None:
-            got = self._arcs[mask] = self._ordered(self._derived(mask))
+            got = self._arcs[mask] = tuple(self._derived(mask))
         return got
 
     def _derived(self, mask: int) -> Iterable[Arc]:
-        return self._derive(mask) if self._derive else ()
+        return self._ordered(self._derive(mask)) if self._derive else ()
 
     def _ordered(self, arcs: Iterable[Arc]) -> tuple[Arc, ...]:
         """In `out` order: floats order the rates, and the exact rates only
@@ -195,6 +198,83 @@ class Ceg:
 # Optimistic builds (edge-subset vertices)
 # ---------------------------------------------------------------------------
 
+class _Plan:
+    """The shape of q's optimistic graph at one (h, closing, starts), from q
+    alone: the count key of each index set of at most h edges, and each
+    source's hops, planned on its first read (`hops_of`) in `out` order by
+    target, each rate (a, b, provenance) read by a build as count(a)/count(b)
+    (b empty for a start) or as the closing rate of the pair (a, b)."""
+
+    def __init__(self, q: QueryGraph, h: int, closing: bool, starts: str):
+        self.start_size = size = min(h, len(q))
+        self.patterns = {_mask_of(s): (canonical_form(index_pattern(q, s))[0], tuple(sorted(s)))
+                         for s in connected_index_sets(q, size)}
+        firsts = [p for p, (_, s) in self.patterns.items() if len(s) == size]
+        self.firsts = firsts[:1] if starts == "anchored" else firsts
+        all_cycles = {_mask_of(c): c for c in cycles(q).cycles}
+        self.cycles = list(all_cycles)
+        self.long_cycles = [c for c, s in all_cycles.items() if len(s) > h] if closing else []
+        self.closings = {(c, 1 << i): ("closing", closing_spec(q, all_cycles[c], i).key(),
+                                       tuple(sorted(all_cycles[c])))
+                         for c in self.long_cycles for i in sorted(all_cycles[c])}
+        self.hops: dict[int, tuple] = {}
+        self.reached: set[int] = set()   # known connected: no search for them
+        self.ratios: dict[tuple[int, int], tuple] = {}   # one rate per (ext, inter), shared
+
+    def hops_of(self, q: QueryGraph, src: int) -> tuple:
+        """src's hops, grouped by target: none unless src is a source."""
+        got = self.hops.get(src)
+        if got is not None:
+            return got
+        m, size, patterns, long_cycles = len(q), self.start_size, self.patterns, self.long_cycles
+        if src and (src == (1 << m) - 1 or src.bit_count() < size or src not in self.reached
+                    and not indices_connected(q, [i for i in range(m) if src >> i & 1])):
+            return ()
+        hops: dict[int, list[tuple]] = {}
+        if src:
+            kind = EXTENSION
+            for ext, (_, indices) in patterns.items():
+                inter = ext & src
+                if not inter or inter == ext or inter not in patterns:
+                    continue
+                target = src | ext
+                if len(indices) == min(size, target.bit_count()):   # size = min(h, |Q|)
+                    rate = self.ratios.get((ext, inter)) or self.ratios.setdefault(
+                        (ext, inter), (ext, inter, ("ratio", indices, patterns[inter][1])))
+                    hops.setdefault(target, []).append(rate)
+        else:
+            kind = START
+            hops = {p: [(p, 0, ("count", patterns[p][1]))] for p in self.firsts}
+        planned = []
+        for target, rates in hops.items():
+            hop_kind = kind
+            added = target & ~src
+            if added & added - 1 and any(c & target == c and (c & added).bit_count() > 1
+                                         for c in long_cycles):
+                continue  # it completes a long cycle by adding two or more of its edges
+            closable = [c for c in long_cycles
+                        if c & target == c and (c & ~src).bit_count() == 1]
+            if closable:  # closing rates replace the ratios; a hop adding more gets no edge
+                hop_kind = CYCLE_CLOSING
+                rates = sorted([(c, added, self.closings[c, added])
+                                for c in closable if c & ~src == added], key=lambda r: r[2])
+            if rates:  # ratios are in provenance order already: patterns are sorted
+                planned.append((target, hop_kind, tuple(rates)))
+        self.reached.update(hops)   # every hop target is connected
+        fresh = [c for c in self.cycles if c & src != c]
+        planned = [hop for hop in planned if any(c & hop[0] == c for c in fresh)] or planned
+        if len(planned) > 1:
+            planned.sort(key=lambda hop: [i for i in range(m) if hop[0] >> i & 1])
+        return self.hops.setdefault(src, tuple(planned))
+
+
+class _PlannedCeg(Ceg):
+    """An optimistic graph: its derive lists a source's arcs in `out` order."""
+
+    def _derived(self, mask: int) -> Iterable[Arc]:
+        return self._derive(mask)
+
+
 def build_optimistic(q: QueryGraph, cat: Catalogue | QueryStats, closing: bool = False,
                      starts: str = "anchored") -> Ceg:
     """Estimation graph over connected subqueries with average-degree rates.
@@ -217,93 +297,47 @@ def build_optimistic(q: QueryGraph, cat: Catalogue | QueryStats, closing: bool =
     targets close a cycle the source lacks, only those are kept (early cycle
     closing).
 
-    Every statistic a source may read is resolved here: the count of every
-    connected index set of at most h edges and, with closing=True, the
-    closing rate of every (long cycle, closing edge) pair.  So a missing one
-    raises MissingStatisticError from the build, never from a later `out`.
+    That shape is planned once per (h, closing, starts) and kept on q (`_Plan`):
+    a build reads only rates, every count of at most h edges and closing rate,
+    so a missing one raises MissingStatisticError from it, not a later `out`.
     """
-    stats = QueryStats.of(q, cat)
-    m, h = len(q), stats.cat.h
-    start_size = min(h, m)
-    patterns = connected_index_sets(q, start_size)
-    counts = {_mask_of(s): (stats.count(s), s) for s in patterns}   # (count, index set)
-    firsts = [p for p, (_, s) in counts.items() if len(s) == start_size]
-    if starts == "anchored":
-        firsts = firsts[:1]
-    elif starts != "all":
+    if starts not in ("anchored", "all"):
         raise ValueError(f"starts must be 'anchored' or 'all', got {starts!r}")
-
-    all_cycles = {_mask_of(c): c for c in cycles(q).cycles}
-    long_cycles = [c for c, indices in all_cycles.items() if len(indices) > h] if closing else []
-    closing_rates = {}   # (cycle, closing edge) masks -> (rate, provenance)
-    for c in long_cycles:
-        cyc = all_cycles[c]
-        for i in sorted(cyc):
-            rate, key = stats.closing_rate(cyc, i)
-            closing_rates[c, 1 << i] = ((rate.numerator, rate.denominator),
-                                        ("closing", key, tuple(sorted(cyc))))
-    ratios: dict[tuple[int, int], tuple[tuple[int, int], tuple]] = {}
-
-    def ratio(ext: int, inter: int) -> tuple[tuple[int, int], tuple]:
-        got = ratios.get((ext, inter))
-        if got is None:
-            (c_ext, s_ext), (c_int, s_int) = counts[ext], counts[inter]
-            g = math.gcd(c_ext, c_int)
-            got = ratios[ext, inter] = ((c_ext // g, c_int // g) if c_int else (0, 1),
-                                        ("ratio", tuple(sorted(s_ext)), tuple(sorted(s_int))))
-        return got
-
-    top = (1 << m) - 1
+    stats = QueryStats.of(q, cat)
+    h, m = stats.cat.h, len(q)
+    plan = q.ceg_plans.get((h, closing, starts)) or q.ceg_plans.setdefault(
+        (h, closing, starts), _Plan(q, h, closing, starts))
+    table = stats.cat.counts   # on a miss, stats raises (or gives a count it was handed)
+    counts = {p: table[key] if key in table else stats.count(frozenset(indices))
+              for p, (key, indices) in plan.patterns.items()}
+    counts[0] = 1   # the empty pattern's one match
+    closing_rates: dict[tuple[int, int], tuple[int, int]] = {}
+    for pair, (_, key, _) in plan.closings.items():
+        rate = stats.cat.closing_rate(key)
+        if rate is None:
+            raise MissingStatisticError(f"closing rate {key}")
+        closing_rates[pair] = (rate.numerator, rate.denominator)
 
     def sources() -> Iterator[int]:
         yield 0
-        yield from (_mask_of(s) for s in connected_index_sets(q, m) if start_size <= len(s) < m)
-
-    reached: set[int] = set()  # every hop target is connected: no search for them
+        yield from (_mask_of(s) for s in connected_index_sets(q, m)
+                    if plan.start_size <= len(s) < m)
 
     def derive(src: int) -> list[Arc]:
-        if src and not (src != top and src.bit_count() >= start_size and (
-                src in reached or indices_connected(q, [i for i in range(m) if src >> i & 1]))):
-            return []
-        hops: dict[int, list[tuple[tuple[int, int], tuple]]] = {}
-        if src:
-            kind = EXTENSION
-            for ext, (_, indices) in counts.items():
-                inter = ext & src
-                if not inter or inter == ext or inter not in counts:
-                    continue
-                target = src | ext
-                if len(indices) == min(h, target.bit_count()):
-                    hops.setdefault(target, []).append(ratio(ext, inter))
-        else:
-            kind = START
-            hops = {p: [((counts[p][0], 1), ("count", tuple(sorted(counts[p][1]))))]
-                    for p in firsts}
-
-        arcs: dict[int, list[Arc]] = {}
-        for target, rated in hops.items():
-            hop_kind = kind
-            added = target & ~src
-            if added & added - 1 and any(c & target == c and (c & added).bit_count() > 1
-                                         for c in long_cycles):
-                continue  # it completes a long cycle by adding two or more of its edges
-            closable = [c for c in long_cycles
-                        if c & target == c and (c & ~src).bit_count() == 1]
-            if closable:  # closing rates replace the ratios; a hop adding more gets no edge
-                hop_kind = CYCLE_CLOSING
-                rated = [closing_rates[c, added] for c in closable if c & ~src == added]
+        arcs: list[Arc] = []
+        for target, kind, rates in plan.hops_of(q, src):
             merged: dict[tuple[int, int], list] = {}
-            for rate, prov in rated:  # exact pairs in lowest terms: equal rates, equal keys
+            for a, b, prov in rates:  # exact pairs in lowest terms: equal rates, equal keys
+                rate = closing_rates[a, b] if kind == CYCLE_CLOSING else (
+                    _reduced((counts[a], counts[b])) if counts[b] else (0, 1))
                 merged.setdefault(rate, []).append(prov)
-            if merged:
-                arcs[target] = [(target, num, den, hop_kind, tuple(sorted(provs)))
-                                for (num, den), provs in merged.items()]
-        fresh = [c for c in all_cycles if c & src != c]
-        reached.update(arcs)
-        closers = [t for t in arcs if any(c & t == c for c in fresh)]
-        return [a for t in (closers or arcs) for a in arcs[t]]
+            rows = [(target, num, den, kind, tuple(provs)) for (num, den), provs in merged.items()]
+            if len(rows) > 1:  # by exact rate: denominators are positive
+                rows.sort(key=cmp_to_key(lambda x, y: x[1] * y[2] - y[1] * x[2]))
+            arcs += rows
+        return arcs
 
-    return Ceg("edges", q, range(m), top, derive, sources())
+    return _PlannedCeg("edges", q, range(m), (1 << m) - 1, derive, sources())
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +366,14 @@ class AttrCeg(Ceg):
             raise ConfigError(f"attribute-subset graphs are capped at {MAX_ATTR_VARS} variables")
         return list(range(self._top + 1))
 
-    def _derived(self, w: int, only: int | None = None) -> list[Arc]:
-        """Merged arcs leaving w (only the extensions into `only`, if given)."""
+    def _derived(self, w: int, only: int | None = None) -> tuple[Arc, ...]:
+        """Merged arcs leaving w in `out` order (only those into `only`, if given)."""
         merged: dict[tuple[int, int, str], set] = {}
         for xm, ym, deg, prov in self.moves:
             if xm & w == xm and ym & ~w and (only is None or w | ym == only):
                 merged.setdefault((w | ym, deg, BOUND if xm else UNBOUND), set()).add(prov)
-        return [(dst, deg, 1, kind, tuple(sorted(provs)))
-                for (dst, deg, kind), provs in merged.items()]
+        return self._ordered((dst, deg, 1, kind, tuple(sorted(provs)))
+                             for (dst, deg, kind), provs in merged.items())
 
     def vertices(self) -> list[frozenset]:
         return [self._sets[v] for v in sorted(self._sources, key=self._keys.__getitem__)]
@@ -412,7 +446,7 @@ def _walk_paths(ceg: Ceg, v: int, edges: tuple[CegEdge, ...],
 def enumerate_paths(ceg: Ceg, cap: int = DEFAULT_PATH_CAP) -> list[PathEstimate]:
     total = path_summary(ceg).count()
     if total > cap:
-        raise PathOverflowError(total, cap)
+        raise PathOverflowError(f"path enumeration needs {total} paths", total, cap)
     return list(iter_paths(ceg))
 
 
@@ -591,7 +625,8 @@ def _distinct(arcs: Callable[[int], tuple[Arc, ...]], values: dict[int, Distinct
         for rest in suffixes:
             got.setdefault(_reduced((rn * rest[0], rd * rest[1])), (i, rest))
         if len(got) > DEFAULT_PATH_CAP:
-            raise PathOverflowError(len(got), DEFAULT_PATH_CAP)
+            raise PathOverflowError(f"P* needs {len(got)} distinct path estimates at one vertex",
+                                    len(got), DEFAULT_PATH_CAP)
     values[v] = got
     return got
 
@@ -663,7 +698,7 @@ def min_weight_path(ceg: AttrCeg) -> PathEstimate:
     path = [0]
     while path[-1] != goal:
         path.append(min(tight[path[-1]], key=ceg._keys.__getitem__))
-    hops = (ceg._edge(v, ceg._ordered(ceg._derived(v, w))[0]) for v, w in zip(path, path[1:]))
+    hops = (ceg._edge(v, ceg._derived(v, w)[0]) for v, w in zip(path, path[1:]))
     return PathEstimate(tuple(hops), Fraction(limit))  # each hop's first edge in `out` order
 
 

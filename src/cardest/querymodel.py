@@ -76,6 +76,11 @@ class QueryGraph:
         graphs, in sorted name order."""
         return {v: 1 << i for i, v in enumerate(sorted(self.vars))}
 
+    @cached_property
+    def ceg_plans(self) -> dict:
+        """Estimation-graph plans of this query, which read no catalogue."""
+        return {}
+
     def edge_adjacency(self) -> tuple[frozenset[int], ...]:
         """adjacency over edge indices: i ~ j iff the edges share a variable."""
         return self._edge_adjacency

@@ -17,8 +17,8 @@ from itertools import combinations
 import pytest
 
 from cardest.catalogue import (QueryStats, _key_to_query, _reads_adjacency,
-                               build_catalogue, serialize)
-from cardest.errors import SketchPlanError
+                               build_catalogue, canonical_form, serialize)
+from cardest.errors import MissingStatisticError, SketchPlanError
 from cardest.estgraph import (CYCLE_CLOSING, CegEdge, PathEstimate, build_cover,
                               build_maxdeg, build_optimistic, enumerate_paths,
                               iter_paths, min_weight_path, path_summary, to_dot)
@@ -29,8 +29,8 @@ from cardest.estimators import (ALL_CHOICES, HeuristicChoice, KIND_AVG,
 from cardest.evalharness import (WorkloadItem, expand_methods, qerror,
                                  run_workload, summarize)
 from cardest.oracle import count_hom, matches
-from cardest.querymodel import (connected_index_sets, cycles, instantiate_template,
-                                parse_query)
+from cardest.querymodel import (connected_index_sets, cycles, index_pattern,
+                                instantiate_template, parse_query)
 from cardest.sketch import estimate_with_sketch, make_sketch
 
 from _summary_check import (aggregate_paths, pstar_mismatches, pstar_paths,
@@ -127,6 +127,42 @@ def test_optimistic_graphs_pinned(corpus, h3_catalogues):
         for q in small:
             digest.update(_ceg_text(build_optimistic(q, cat3, closing=True)).encode())
     assert digest.hexdigest() == CEG_SHA256
+
+
+def test_warm_plans_build_what_cold_ones_do(corpus, h3_catalogues):
+    # A query keeps the plans of its optimistic graphs, so a build after its
+    # first reuses one: each must equal a freshly parsed copy's graph, also
+    # after the same object was built against another corpus graph's
+    # catalogue and after one of its counts was edited in place.  Those two
+    # steps take one (kind, start rule) per query, in turn.
+    variants = [(closing, starts) for closing in (False, True) for starts in ("anchored", "all")]
+    groups = [[(cat, [q for _, _, q in items]) for _, cat, items in corpus.entries],
+              h3_catalogues]
+    for group in groups:
+        for n, (cat, queries) in enumerate(group):
+            other = group[(n + 1) % len(group)][0]
+            for i, q in enumerate(queries):
+                for closing, starts in variants:
+                    def text(query, c=cat):
+                        return _ceg_text(build_optimistic(query, c, closing=closing,
+                                                          starts=starts))
+                    cold = text(parse_query(q.to_text()))
+                    assert text(q) == cold
+                    if (closing, starts) != variants[i % len(variants)]:
+                        continue
+                    assert text(q) == cold   # every source already planned
+                    try:
+                        text(q, other)
+                    except MissingStatisticError:
+                        pass
+                    assert text(q) == cold
+                    start = min(connected_index_sets(q, cat.h), key=lambda s: (-len(s), sorted(s)))
+                    key = canonical_form(index_pattern(q, start))[0]   # the anchored start's
+                    cat.counts[key] += 1
+                    try:
+                        assert text(q) == text(parse_query(q.to_text())) != cold
+                    finally:
+                        cat.counts[key] -= 1
 
 
 # sha256 of `to_dot` (the text `--dump-ceg` writes) of the average-degree,

@@ -165,6 +165,18 @@ def test_enumeration_cap_enforced(fork_graph, q5f):
         enumerate_paths(ceg, cap=10)
 
 
+def test_overflow_messages_count_what_passed_the_cap(fork_graph, q5f, monkeypatch):
+    # q5f's graph has 36 paths, whose estimates take 7 distinct values at bottom
+    cat = _cat(fork_graph, [q5f])
+    with pytest.raises(PathOverflowError) as listing:
+        enumerate_paths(build_optimistic(q5f, cat), cap=10)
+    assert str(listing.value) == "path enumeration needs 36 paths, cap is 10"
+    monkeypatch.setattr(estgraph, "DEFAULT_PATH_CAP", 6)
+    with pytest.raises(PathOverflowError) as distinct:
+        estimate_pstar(q5f, cat, KIND_AVG, 42)
+    assert str(distinct.value) == "P* needs 7 distinct path estimates at one vertex, cap is 6"
+
+
 # ---------------------------------------------------------------------------
 # Path summary (the heuristics' one pass) against enumeration
 # ---------------------------------------------------------------------------
@@ -469,7 +481,8 @@ def test_optimistic_build_lists_the_lattice_only_for_listings(monkeypatch):
     sizes: list[int] = []
     monkeypatch.setattr(estgraph, "connected_index_sets",
                         lambda q, n: sizes.append(n) or connected_index_sets(q, n))
-    ceg = build_optimistic(PATH4, cat, starts="all")
+    q = parse_query(PATH4.to_text())   # PATH4 keeps the plans other tests' builds made
+    ceg = build_optimistic(q, cat, starts="all")
     path_summary(ceg)
     assert sizes == [2]  # the h-edge patterns only
     assert {e.src for e in ceg.all_edges()} == {frozenset(), frozenset({0, 1}), frozenset({1, 2}),
@@ -478,8 +491,8 @@ def test_optimistic_build_lists_the_lattice_only_for_listings(monkeypatch):
     assert sizes == [2, 4]
     # not sources: too small, disconnected, the top, outside the query
     for v in ({0}, {0, 2}, {0, 1, 3}, {0, 1, 2, 3}, {1, 7}):
-        assert build_optimistic(PATH4, cat).out(frozenset(v)) == ()
-    assert build_optimistic(PATH4, cat).out(frozenset({1, 2}))
+        assert build_optimistic(q, cat).out(frozenset(v)) == ()
+    assert build_optimistic(q, cat).out(frozenset({1, 2}))
 
 
 def _required_keys(q, h: int, closing: bool) -> list[tuple[str, str]]:
@@ -519,6 +532,28 @@ def test_build_raises_for_any_one_missing_statistic_and_later_reads_never_do(
                 list(ceg.all_edges())
             finally:
                 table[key] = value
+
+
+def test_a_warm_plan_still_checks_every_statistic_at_build_time(fork_graph, q5f, q3p):
+    squares = _square_graph(4, 2)
+    for g, q, h, closing in [(fork_graph, q5f, 2, False), (fork_graph, q5f, 3, False),
+                             (squares, SQUARE, 3, True)]:
+        cat = _cat(g, [q, q3p, STAR4], h=h, walk_budget=None)
+        q = parse_query(q.to_text())
+        list(build_optimistic(q, cat, closing=closing).all_edges())   # plans every source
+        for field, key in _required_keys(q, h, closing):
+            table = getattr(cat, field)
+            value = table.pop(key)
+            try:
+                with pytest.raises(MissingStatisticError):
+                    build_optimistic(q, cat, closing=closing)
+            finally:
+                table[key] = value
+        ceg = build_optimistic(q, cat, closing=closing)
+        cat.counts.clear()   # the build read every statistic: later reads need none
+        cat.closing.clear()
+        path_summary(ceg)
+        list(ceg.all_edges())
 
 
 # ---------------------------------------------------------------------------
