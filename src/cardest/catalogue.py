@@ -253,13 +253,13 @@ class QueryStats:
             self._tables[s] = got
         return got
 
-    def closing_rate(self, cycle: frozenset[int], close_idx: int) -> tuple[Fraction, str]:
-        """Sampled rate of closing `cycle` with query edge `close_idx`, and its key."""
+    def closing_rate(self, cycle: frozenset[int], close_idx: int) -> Fraction:
+        """Sampled rate of closing `cycle` with query edge `close_idx`."""
         key = closing_spec(self.query, cycle, close_idx).key()
         rate = self.cat.closing_rate(key)
         if rate is None:
             raise MissingStatisticError(f"closing rate {key}")
-        return rate, key
+        return rate
 
 
 def query_table(entries: Mapping[str, int], bits: Sequence[int]) -> DegreeTable | None:

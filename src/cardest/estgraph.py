@@ -2,7 +2,8 @@
 
 Four builds share one graph type, whose out-edges are derived per vertex on
 its first read and cached, so an estimate does only the work its paths
-reach.  Over edge subsets: the optimistic graph (average-degree rates from
+reach; each build's derive lists them in `out` order, and nothing re-sorts
+them.  Over edge subsets: the optimistic graph (average-degree rates from
 pattern counts) and its cycle-closing-rate variant, whose shape (each
 source's hops: closing rates, merging, early cycle closing) is planned once
 per query and h, so each build reads only its rates.  Over attribute subsets:
@@ -115,9 +116,9 @@ class Ceg:
 
     Vertices are bitmasks over the sorted `names`, `top` among them.
     `derive(v)` lists the arcs (dst, numerator, denominator, kind, provenance)
-    leaving the mask v, put in `out` order (an optimistic graph's derive lists
-    them so) and cached on v's first read.  `out(v)` hands them out as
-    CegEdges: by destination key, then rate, unbound first on ties.
+    leaving the mask v in `out` order: by destination key, then exact rate,
+    unbound first on ties.  They are cached as listed on v's first read, never
+    re-sorted, and `out(v)` hands them out as CegEdges.
     `sources` lists, as masks, every vertex `derive` may give out-edges; it is
     read once, by the first listing (`all_edges`, `vertices`), so it may be a
     lazy iterator, and a listing derives every source first.  `_keys`,
@@ -155,17 +156,7 @@ class Ceg:
         return got
 
     def _derived(self, mask: int) -> Iterable[Arc]:
-        return self._ordered(self._derive(mask)) if self._derive else ()
-
-    def _ordered(self, arcs: Iterable[Arc]) -> tuple[Arc, ...]:
-        """In `out` order: floats order the rates, and the exact rates only
-        when two distinct rates share a float."""
-        key = self._keys.__getitem__
-        rows = sorted(arcs, key=lambda a: (key(a[0]), a[1] / a[2], a[3] != UNBOUND, a[3], a[4]))
-        if len(rows) > 1 and len({(a[0], a[1] / a[2]) for a in rows}) < len({a[:3] for a in rows}):
-            rows.sort(key=lambda a: (key(a[0]), Fraction(a[1], a[2]),
-                                     a[3] != UNBOUND, a[3], a[4]))
-        return tuple(rows)
+        return self._derive(mask) if self._derive else ()
 
     def _edge(self, src: int, arc: Arc) -> CegEdge:
         dst, num, den, kind, provenance = arc
@@ -268,13 +259,6 @@ class _Plan:
         return self.hops.setdefault(src, tuple(planned))
 
 
-class _PlannedCeg(Ceg):
-    """An optimistic graph: its derive lists a source's arcs in `out` order."""
-
-    def _derived(self, mask: int) -> Iterable[Arc]:
-        return self._derive(mask)
-
-
 def build_optimistic(q: QueryGraph, cat: Catalogue | QueryStats, closing: bool = False,
                      starts: str = "anchored") -> Ceg:
     """Estimation graph over connected subqueries with average-degree rates.
@@ -337,7 +321,7 @@ def build_optimistic(q: QueryGraph, cat: Catalogue | QueryStats, closing: bool =
             arcs += rows
         return arcs
 
-    return _PlannedCeg("edges", q, range(m), (1 << m) - 1, derive, sources())
+    return Ceg("edges", q, range(m), (1 << m) - 1, derive, sources())
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +338,8 @@ class AttrCeg(Ceg):
     of rate deg from every vertex W containing X: unbound when X is empty,
     bound otherwise.  X and Y are masks over the graph's vertex bits,
     query.var_bits.  Listing every vertex is capped at MAX_ATTR_VARS variables.
+    A vertex's arcs merge on (target, degree, kind), so sorting them by
+    (target key, degree, unbound first) orders them fully, with no float pass.
     """
 
     def __init__(self, query: QueryGraph, moves: Iterable[Move] = ()):
@@ -372,8 +358,10 @@ class AttrCeg(Ceg):
         for xm, ym, deg, prov in self.moves:
             if xm & w == xm and ym & ~w and (only is None or w | ym == only):
                 merged.setdefault((w | ym, deg, BOUND if xm else UNBOUND), set()).add(prov)
-        return self._ordered((dst, deg, 1, kind, tuple(sorted(provs)))
-                             for (dst, deg, kind), provs in merged.items())
+        key = self._keys.__getitem__
+        return tuple(sorted(((dst, deg, 1, kind, tuple(sorted(provs)))
+                             for (dst, deg, kind), provs in merged.items()),
+                            key=lambda a: (key(a[0]), a[1], a[3] != UNBOUND)))
 
     def vertices(self) -> list[frozenset]:
         return [self._sets[v] for v in sorted(self._sources, key=self._keys.__getitem__)]

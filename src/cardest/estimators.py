@@ -142,15 +142,12 @@ def estimate_molp(q: QueryGraph, cat: Catalogue | QueryStats) -> Estimate:
     """Upper bound on the true count: the min-weight path of the max-degree graph.
 
     The graph is searched straight off its degree-statistic move table, never
-    materialized.  A move of degree 0 short-circuits to 0: deg(∅, vars(P)) is
-    count(P) and every degree of a matched pattern is at least 1, so this
-    happens exactly when a catalogue pattern of q is empty (and then so is q).
+    materialized.  The bound is 0 exactly when a catalogue pattern P of q is
+    empty (and then so is q): deg(∅, vars(P)) = count(P) = 0 and every degree
+    of a matched pattern is at least 1.  The search's weight-0 rule then
+    returns a weight-0 path, which is the chosen path as for any bound.
     """
-    ceg = build_maxdeg(q, cat)
-    if any(deg == 0 for _, _, deg, _ in ceg.moves):
-        return Estimate(Fraction(0), method="bound", ceg_kind=KIND_MAXDEG,
-                        considered_paths=0, chosen_path=None)
-    path = min_weight_path(ceg)
+    path = min_weight_path(build_maxdeg(q, cat))
     return Estimate(path.estimate, method="bound", ceg_kind=KIND_MAXDEG,
                     considered_paths=1, chosen_path=path)
 
@@ -159,14 +156,12 @@ def estimate_molp(q: QueryGraph, cat: Catalogue | QueryStats) -> Estimate:
 # Re-evaluating a fixed optimistic path against another catalogue
 # ---------------------------------------------------------------------------
 
-def evaluate_optimistic_path(path: PathEstimate, query: QueryGraph,
-                             cat: Catalogue | QueryStats) -> Fraction:
-    """Value of the formula behind `path` using `cat`'s statistics of `query`.
+def evaluate_optimistic_path(path: PathEstimate, stats: QueryStats) -> Fraction:
+    """Value of the formula behind `path` using the statistics `stats` of its query.
 
     Merged parallel provenances are disambiguated by the first (sorted) entry,
     so the same formula is applied to every statistics source.
     """
-    stats = QueryStats.of(query, cat)
     prod = Fraction(1)
     for e in path.edges:
         prov = e.provenance[0]
@@ -185,7 +180,7 @@ def evaluate_optimistic_path(path: PathEstimate, query: QueryGraph,
             if len(missing) != 1:
                 raise EstimationError("closing edge must add exactly one query edge")
             (close_idx,) = missing
-            prod *= stats.closing_rate(cyc, close_idx)[0]
+            prod *= stats.closing_rate(cyc, close_idx)
         else:
             raise EstimationError(f"cannot re-evaluate edge kind {e.kind!r}")
         if prod == 0:

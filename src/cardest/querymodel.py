@@ -327,9 +327,6 @@ def _random_connected_order(adj: Sequence[frozenset[int]], rng: random.Random, m
     present = {first}
     while len(order) < m:
         frontier = sorted({j for i in present for j in adj[i]} - present)
-        if not frontier:  # disconnected template is rejected at parse time
-            rest = sorted(set(range(m)) - present)
-            frontier = rest[:1]
         nxt = frontier[rng.randrange(len(frontier))]
         order.append(nxt)
         present.add(nxt)

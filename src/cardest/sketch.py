@@ -43,7 +43,7 @@ catalogue's closing rates.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import compress, product
@@ -357,9 +357,8 @@ def estimate_with_sketch(q: QueryGraph, g: LabeledGraph, k: int, base: str,
         sketch_path = unsketched.chosen_path
         sketch_ceg_kind = "attrs"
         method = f"sketch:bound:k{k}"
-        if sketch_path is None:  # zero short-circuit upstream
-            return Estimate(Fraction(0), method=method, ceg_kind=unsketched.ceg_kind,
-                            considered_paths=0, chosen_path=None)
+        if unsketched.exact == 0:  # an empty pattern: every component bound is 0 too
+            return replace(unsketched, method=method)
     elif base == "optimistic":
         if choice is None or choice.aggr == "avg-aggr":
             raise SketchPlanError("optimistic sketches need a min-aggr or max-aggr choice")
@@ -388,7 +387,7 @@ def estimate_with_sketch(q: QueryGraph, g: LabeledGraph, k: int, base: str,
             if closing:  # sampled on the component's graph, so keyed by its edge tags
                 add_closing_rates(part.cat, comp.graph, [comp.query], walk_budget, seed)
                 part.query = comp.query  # q's index sets and variables, under the tags
-            total += evaluate_optimistic_path(fixed_path, part.query, part)
+            total += evaluate_optimistic_path(fixed_path, part)
     return Estimate(total, method=method, ceg_kind=unsketched.ceg_kind,
                     considered_paths=unsketched.considered_paths,
                     chosen_path=sketch_path)

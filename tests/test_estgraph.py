@@ -182,11 +182,13 @@ def test_overflow_messages_count_what_passed_the_cap(fork_graph, q5f, monkeypatc
 # ---------------------------------------------------------------------------
 
 def _hand_ceg(edges) -> Ceg:
-    """A Ceg from (src, dst, rate) triples over subsets of {0, 1, 2, 9}; top is {9}."""
+    """A Ceg from (src, dst, rate) triples over subsets of {0, 1, 2, 9}; top is {9}.
+    Each source lists its arcs in `out` order: by target key, then exact rate."""
     names = (0, 1, 2, 9)
     mask = lambda v: sum(1 << names.index(i) for i in v)  # noqa: E731
     adjacency: dict = {}
-    for n, (src, dst, rate) in enumerate(edges):
+    for n in sorted(range(len(edges)), key=lambda n: (sorted(edges[n][1]), Fraction(edges[n][2]))):
+        src, dst, rate = edges[n]
         rate = Fraction(rate)
         adjacency.setdefault(mask(src), []).append(
             (mask(dst), rate.numerator, rate.denominator, EXTENSION, (("hand", n),)))
@@ -201,9 +203,15 @@ def test_out_orders_rates_that_share_a_float_exactly():
     # 1 + 2**-60 and 1 + 2**-61 both round to the float 1.0
     big, small = Fraction(2 ** 60 + 1, 2 ** 60), Fraction(2 ** 61 + 1, 2 ** 61)
     assert float(big) == float(small) == 1.0
-    ceg = _hand_ceg([((), (0,), big), ((), (0,), 1), ((), (0,), small), ((0,), (9,), 1)])
-    assert [e.rate for e in ceg.out(frozenset())] == [1, small, big]
-    assert path_summary(ceg).extreme(False).estimate == 1
+    q = parse_query("x -A-> a\nx -B-> b\nx -C-> c")
+    cat = _cat(LabeledGraph([(1, 2, "A"), (1, 3, "B"), (1, 4, "C")]), [q])
+    for s, count in (({0}, 2 ** 60), ({0, 2}, 2 ** 60 + 1), ({1}, 2 ** 61), ({1, 2}, 2 ** 61 + 1)):
+        cat.counts[canonical_form(index_pattern(q, s))[0]] = count
+    ceg = build_optimistic(q, cat)
+    # {0,1} reaches the top through {0,2} at rate big and through {1,2} at rate small
+    assert [e.rate for e in ceg.out(frozenset({0, 1}))] == [small, big]
+    lowest = path_summary(ceg).extreme(False)
+    assert lowest.edges[-1].rate == small and lowest.estimate == small
 
 
 def test_summary_follows_first_suffix_after_zero_rate_edge():

@@ -7,7 +7,7 @@ import pytest
 
 from cardest.catalogue import build_catalogue
 from cardest.errors import ConfigError
-from cardest.estgraph import MAX_ATTR_VARS, build_maxdeg, enumerate_paths
+from cardest.estgraph import MAX_ATTR_VARS, build_maxdeg, enumerate_paths, min_weight_path
 from cardest.estimators import (ALL_CHOICES, HeuristicChoice, KIND_AVG,
                                 KIND_CLOSING, estimate_molp,
                                 estimate_optimistic, estimate_pstar,
@@ -154,6 +154,7 @@ def test_molp_zero_relation_short_circuit():
     q = parse_query("a1 -A-> a2\na2 -B-> a3")
     cat = build_catalogue(g, [q], 2)
     assert estimate_molp(q, cat).exact == 0
+    assert estimate_molp(q, cat).chosen_path == min_weight_path(build_maxdeg(q, cat))
 
 
 def test_estimates_deterministic(fork_graph, q5f):

@@ -26,14 +26,16 @@ RATES = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3), Fra
 @st.composite
 def random_dags(draw):
     """A Ceg on vertices {} = 0 < {1} < ... < {n} = top, edges only upward,
-    parallel edges allowed, rates drawn from RATES (zero included)."""
+    parallel edges allowed, rates drawn from RATES (zero included).  Each
+    source lists its arcs in `out` order: by target, then rate."""
     n = draw(st.integers(2, 6))
     masks = [0] + [1 << (i - 1) for i in range(1, n + 1)]   # {i} is bit i - 1 of names 1..n
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n + 1)]
     chosen = draw(st.lists(st.tuples(st.sampled_from(pairs), st.sampled_from(RATES)),
                            min_size=1, max_size=18))
     adjacency: dict = {}
-    for k, ((i, j), rate) in enumerate(chosen):
+    for k in sorted(range(len(chosen)), key=lambda k: (chosen[k][0][1], chosen[k][1])):
+        (i, j), rate = chosen[k]
         adjacency.setdefault(masks[i], []).append(
             (masks[j], rate.numerator, rate.denominator, EXTENSION, (("random", k),)))
     return Ceg("edges", None, range(1, n + 1), masks[n], lambda v: adjacency.get(v, []),

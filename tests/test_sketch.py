@@ -191,6 +191,21 @@ def test_empty_sketch_set_falls_back_to_identity():
     assert est.exact == estimate_molp(q, cat).exact
 
 
+def test_sketched_bound_of_an_empty_query_is_zero():
+    # no A edge meets a B edge, though each label has edges; the 4-cycle's
+    # sketch, which needs K = 2**4 or more, is never planned
+    g = LabeledGraph([(1, 2, "A"), (3, 4, "B"), (2, 5, "A"), (6, 3, "B")])
+    for text in ("a1 -A-> a2\na2 -B-> a3", "a1 -A-> a2\na2 -B-> a3\na3 -A-> a4\na4 -B-> a1"):
+        q = parse_query(text)
+        assert count_hom(g, q).value == 0
+        cat = build_catalogue(g, [q], 2)
+        for k in (4, 8, 16):
+            assert estimate_with_sketch(q, g, k, "molp", cat).exact == 0
+        (row,) = run_workload(g, [q], expand_methods(["bound"]), sketch_k=4).records
+        assert (row.sketch_k, row.estimate_exact, row.error) == \
+            (4, 0, evalharness.ZERO_TRUE_COUNT)
+
+
 def test_hash_determinism(fork_graph, q5f):
     a = make_sketch(q5f, fork_graph, _p1(q5f), k=4, ceg_kind="attrs", seed=7)
     b = make_sketch(q5f, fork_graph, _p1(q5f), k=4, ceg_kind="attrs", seed=7)
