@@ -219,6 +219,8 @@ class QueryStats:
     X ⊆ Y ⊆ vars(s); each (cycle, closing edge) has a closing rate.  A
     statistic the catalogue lacks, or a degree table that does not hold
     exactly its 3^|vars| entry keys, raises MissingStatisticError.
+    `degree_values` is the one read of a degree table: `degrees` goes through
+    it, and so does a caller that already knows s's pattern key and bits.
     """
 
     def __init__(self, q: QueryGraph, cat: Catalogue):
@@ -244,13 +246,25 @@ class QueryStats:
     def degrees(self, s: frozenset[int]) -> DegreeTable:
         got = self._tables.get(s)
         if got is None:
-            key, mapping = canonical_form(index_pattern(self.query, s))
-            by_position = sorted(mapping, key=itemgetter(1))   # (variable, position) pairs
-            got = query_table(self.cat.deg_stats.get(key, {}),
-                              [self.query.var_bits[v] for v, _ in by_position])
-            if got is None:
-                raise MissingStatisticError(f"degree table for pattern {key}")
-            self._tables[s] = got
+            key, union = pattern_bits(self.query, s)
+            got = self._tables[s] = {
+                (union[x], union[y]): deg for (_, x, y), deg
+                in zip(mask_layout(len(union).bit_length() - 1),
+                       self.degree_values(s, key, union))}
+        return got
+
+    def degree_values(self, s: frozenset[int], key: str, union: Sequence[int]) -> list[int]:
+        """s's degrees in `mask_layout(n)` order, n = |vars(s)|, whose pattern
+        key is `key` and whose variable at position i is union[1 << i]: from
+        the table this view holds for s, else from the catalogue's table
+        under `key`, which must hold exactly its 3^n entry keys."""
+        layout = mask_layout(len(union).bit_length() - 1)
+        held = self._tables.get(s)
+        if held is not None:
+            return [held[union[x], union[y]] for _, x, y in layout]
+        got = _layout_values(self.cat.deg_stats.get(key, {}), layout)
+        if got is None:
+            raise MissingStatisticError(f"degree table for pattern {key}")
         return got
 
     def closing_rate(self, cycle: frozenset[int], close_idx: int) -> Fraction:
@@ -262,16 +276,33 @@ class QueryStats:
         return rate
 
 
+def pattern_bits(q: QueryGraph, s: Collection[int]) -> tuple[str, tuple[int, ...]]:
+    """The pattern key of q's index set s, and by each mask over the
+    pattern's variable positions, the union of those variables' q.var_bits."""
+    key, mapping = canonical_form(index_pattern(q, s))
+    bits = q.var_bits
+    return key, _unions(tuple(bits[v] for v, _ in sorted(mapping, key=itemgetter(1))))
+
+
 def query_table(entries: Mapping[str, int], bits: Sequence[int]) -> DegreeTable | None:
     """A stored table, its entries keyed "x|y" by pattern position, keyed by
     (X, Y) masks in which position i stands for bits[i]; None unless it holds
-    exactly the 3^len(bits) keys of `_mask_layout`."""
-    layout = _mask_layout(len(bits))
-    if len(entries) != len(layout):
+    exactly the 3^len(bits) keys of `mask_layout`."""
+    layout = mask_layout(len(bits))
+    values = _layout_values(entries, layout)
+    if values is None:
         return None
     union = _unions(tuple(bits))
+    return {(union[x], union[y]): deg for (_, x, y), deg in zip(layout, values)}
+
+
+def _layout_values(entries: Mapping[str, int],
+                   layout: Sequence[tuple[str, int, int]]) -> list[int] | None:
+    """The stored entries in `layout` order; None unless they are exactly its keys."""
+    if len(entries) != len(layout):
+        return None
     try:
-        return {(union[x], union[y]): entries[key] for key, x, y in layout}
+        return [entries[key] for key, _, _ in layout]
     except KeyError:
         return None
 
@@ -421,7 +452,7 @@ def _table_from_masks(n: int, count: int,
     and deg(X, X) is 1 when there is a match."""
     full = (1 << n) - 1
     return {key: (min(count, 1) if x == y else count if y == full and not x else values[x, y])
-            for key, x, y in _mask_layout(n)}
+            for key, x, y in mask_layout(n)}
 
 
 def _rows_table(rep: QueryGraph, rows: Collection[tuple[int, ...]]) -> dict[str, int]:
@@ -441,7 +472,7 @@ def table_layout(n: int) -> tuple[tuple[tuple, list[tuple], tuple[str, ...]], ..
 
 
 @lru_cache(maxsize=None)
-def _mask_layout(n: int) -> tuple[tuple[str, int, int], ...]:
+def mask_layout(n: int) -> tuple[tuple[str, int, int], ...]:
     """`table_layout(n)` flattened: each entry key with the bitmasks of its X and Y."""
     return tuple((key, sum(1 << i for i in x), sum(1 << i for i in y))
                  for y, xs, keys in table_layout(n) for x, key in zip(xs, keys))

@@ -7,7 +7,8 @@ them.  Over edge subsets: the optimistic graph (average-degree rates from
 pattern counts) and its cycle-closing-rate variant, whose shape (each
 source's hops: closing rates, merging, early cycle closing) is planned once
 per query and h, so each build reads only its rates.  Over attribute subsets:
-the max-degree graph whose minimum-weight path is the pessimistic bound, and
+the max-degree graph whose minimum-weight path is the pessimistic bound,
+likewise planned once per query and h, so each build reads only degrees, and
 the cover graph of a per-relation attribute cover.  Attribute-subset graphs
 (`AttrCeg`) are held as move tables, one whole degree table per catalogue
 pattern, which `min_weight_path` searches directly; a table's (X, Y) masks
@@ -38,7 +39,8 @@ from functools import cached_property, cmp_to_key
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .catalogue import Catalogue, QueryStats, canonical_form, closing_spec
+from .catalogue import (Catalogue, QueryStats, canonical_form, closing_spec, mask_layout,
+                        pattern_bits)
 from .errors import (ConfigError, EstimationError, MissingStatisticError, PathOverflowError,
                      QueryValidationError)
 from .querymodel import (QueryGraph, connected_index_sets, cycles, index_pattern,
@@ -374,15 +376,40 @@ def build_maxdeg(q: QueryGraph, cat: Catalogue | QueryStats) -> AttrCeg:
     and every vertex W1 containing X there is an edge W1 -> W1|Y with rate
     deg(X, Y, P): one move per entry of P's degree table, with the
     provenance ("deg", P's edge indices, X names, Y names).
+
+    What depends on q and h alone is planned once per h and kept on q
+    (`QueryGraph.ceg_plans`, `_maxdeg_plan`): each index set's pattern key,
+    the query bit of each pattern position, and the names of each position
+    mask.  A build reads only degree values (`QueryStats.degree_values`),
+    each table checked for exactly its 3^|vars| entry keys on every build,
+    and the plan keeps none of them.
     """
     stats = QueryStats.of(q, cat)
+    h = stats.cat.h
+    plan = q.ceg_plans.get(("maxdeg", h)) or q.ceg_plans.setdefault(
+        ("maxdeg", h), _maxdeg_plan(q, h))
     ceg = AttrCeg(q)
-    names = ceg._keys
-    for s in connected_index_sets(q, stats.cat.h):
-        indices = tuple(sorted(s))
-        ceg.moves += [(x, y, deg, ("deg", indices, names[x], names[y]))
-                      for (x, y), deg in stats.degrees(s).items() if x != y]
+    moves = ceg.moves
+    for s, key, union, layout, indices, names in plan:
+        moves += [(union[x], union[y], deg, ("deg", indices, names[x], names[y]))
+                  for (_, x, y), deg in zip(layout, stats.degree_values(s, key, union))
+                  if x != y]
     return ceg
+
+
+def _maxdeg_plan(q: QueryGraph, h: int) -> tuple[tuple, ...]:
+    """Per connected index set s of at most h edges: (s, its pattern key, the
+    union of query bits of each pattern-position mask, the table's
+    `mask_layout`, s's sorted indices, the sorted variable names of each
+    position mask)."""
+    bits, plan = q.var_bits, []
+    keys: dict[int, tuple[str, ...]] = {}   # one names tuple per query mask
+    for s in connected_index_sets(q, h):
+        key, union = pattern_bits(q, s)
+        names = tuple(keys.setdefault(u, tuple(v for v in bits if u & bits[v])) for u in union)
+        plan.append((s, key, union, mask_layout(len(union).bit_length() - 1),
+                     tuple(sorted(s)), names))
+    return tuple(plan)
 
 
 def build_cover(q: QueryGraph, cat: Catalogue | QueryStats,
@@ -639,6 +666,17 @@ def min_weight_path(ceg: AttrCeg) -> PathEstimate:
     applies at w exactly when X ⊆ Y ∩ w, so a pop at w reads table[Y ∩ w]
     per Y not within w.  No move is dropped as dominated, and no degree is
     assumed monotone in X.
+
+    A popped vertex w is not expanded when some w | {v}, popped already, is
+    strictly lighter.  Two premises make that safe.  Every move that applies
+    at w applies at each superset of w, leading to a superset of its target
+    or to no move at all.  And every degree is an integer of at least 1
+    unless the bound is 0, in which case only bottom and weight-0 vertices pop
+    before the top, and none of them has a strictly lighter superset.  So
+    each path on from w has a counterpart on from w | {v} that weighs no more,
+    and every path through w weighs strictly more than the bound.  A skipped
+    vertex is then on no lightest path, is the tight predecessor of no vertex
+    on one, and ties nothing: the chosen path is the one a full search finds.
     """
     if not isinstance(ceg, AttrCeg):
         raise ValueError("min_weight_path searches max-degree and cover graphs only")
@@ -660,6 +698,14 @@ def min_weight_path(ceg: AttrCeg) -> PathEstimate:
             if not weight:
                 break
         free = ~w
+        rest = goal & free
+        while rest:  # skip w if some popped w | v is strictly lighter
+            v = rest & -rest
+            if dist.get(w | v, weight) < weight:
+                break
+            rest ^= v
+        if rest:
+            continue
         for ym, table in tables:
             if ym & free:
                 deg = table.get(ym & w)

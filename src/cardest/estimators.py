@@ -141,11 +141,15 @@ def estimate_pstar(q: QueryGraph, cat: Catalogue | QueryStats, ceg_kind: str,
 def estimate_molp(q: QueryGraph, cat: Catalogue | QueryStats) -> Estimate:
     """Upper bound on the true count: the min-weight path of the max-degree graph.
 
-    The graph is searched straight off its degree-statistic move table, never
-    materialized.  The bound is 0 exactly when a catalogue pattern P of q is
-    empty (and then so is q): deg(∅, vars(P)) = count(P) = 0 and every degree
-    of a matched pattern is at least 1.  The search's weight-0 rule then
-    returns a weight-0 path, which is the chosen path as for any bound.
+    The graph's shape is planned once per (q, h) and kept on q, so a call
+    reads only the degree values of `cat`, each table checked for its 3^n
+    keys.  The graph is searched straight off its degree-statistic move
+    table, never materialized, and the search skips each popped vertex that
+    a popped superset one variable larger beats (`min_weight_path`).  The
+    bound is 0 exactly when a catalogue pattern P of q is empty (and then so
+    is q): deg(∅, vars(P)) = count(P) = 0 and every degree of a matched
+    pattern is at least 1.  The search's weight-0 rule then returns a
+    weight-0 path, which is the chosen path as for any bound.
     """
     path = min_weight_path(build_maxdeg(q, cat))
     return Estimate(path.estimate, method="bound", ceg_kind=KIND_MAXDEG,

@@ -78,7 +78,9 @@ class QueryGraph:
 
     @cached_property
     def ceg_plans(self) -> dict:
-        """Estimation-graph plans of this query, which read no catalogue."""
+        """Estimation-graph plans of this query, which read no catalogue and
+        keep no statistic: an optimistic graph's under (h, closing, starts),
+        the max-degree graph's under ("maxdeg", h)."""
         return {}
 
     def edge_adjacency(self) -> tuple[frozenset[int], ...]:

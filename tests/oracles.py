@@ -171,6 +171,36 @@ def dag_min_product(ceg):
     return rec(ceg.bottom)
 
 
+def dag_min_path(ceg) -> tuple:
+    """The edges of the least bottom-to-top path by (weight, vertex-key
+    sequence), a vertex's key being its sorted names, each hop on its first
+    edge in `out` order, by memoized DP over `ceg.out()`.
+
+    A suffix's best continuation is the same whatever leads into it only when
+    every weight is positive, so the result holds for positive bounds only.
+    """
+    from fractions import Fraction
+
+    memo: dict = {}
+
+    def rec(v):  # (weight, key sequence, edges) of v's best suffix; None: top unreachable
+        if v == ceg.top:
+            return Fraction(1), (), ()
+        if v not in memo:
+            best = None
+            for e in ceg.out(v):
+                tail = rec(e.dst)
+                if tail is None:
+                    continue
+                candidate = (e.rate * tail[0], (tuple(sorted(e.dst)),) + tail[1], (e,) + tail[2])
+                if best is None or candidate[:2] < best[:2]:
+                    best = candidate
+            memo[v] = best
+        return memo[v]
+
+    return rec(ceg.bottom)[2]
+
+
 def projection_molp(q: QueryGraph, stats) -> int:
     """The lightest bottom-to-top degree product over every attribute subset
     of q, by a Dijkstra of its own, with projection edges.

@@ -5,6 +5,7 @@ import math
 import random
 import tracemalloc
 import weakref
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -24,10 +25,12 @@ from cardest.graphstore import LabeledGraph
 from cardest.oracle import count_hom
 from cardest.querymodel import (QueryGraph, connected_index_sets, cycles, index_pattern,
                                 instantiate_template, parse_query)
+from cardest.sketch import make_sketch, partition_catalogues
 
 from _summary_check import aggregate_paths, summary_mismatches
-from _synth import random_graph, tree_template
-from oracles import dag_min_product, dfs_path_count
+from _synth import cycle_template, random_graph, star_template, tree_template
+from conftest import edited_degree_tables
+from oracles import dag_min_path, dag_min_product, dfs_path_count
 
 SEVEN_FORK_ESTIMATES = {
     Fraction(105, 2),   # 52.5
@@ -667,6 +670,49 @@ def test_min_weight_path_breaks_ties_over_every_tight_edge():
     assert [e.rate for e in best.edges] == [2, 1, 3]
 
 
+def _lighter_superset_vertices(ceg, bound) -> int:
+    """How many vertices W within `bound` of bottom have some W | {v} strictly
+    lighter: those min_weight_path may pop and then skip."""
+    dist = {ceg.bottom: Fraction(1)}
+    for size in range(len(ceg.top)):  # every edge grows its vertex: sizes order them
+        for v in [u for u in dist if len(u) == size]:
+            for e in ceg.out(v):
+                weight = dist[v] * e.rate
+                if weight < dist.get(e.dst, weight + 1):
+                    dist[e.dst] = weight
+    return sum(d <= bound and any(dist.get(v | {x}, d) < d for x in ceg.top - v)
+               for v, d in dist.items())
+
+
+def test_bound_path_is_the_dp_least_path_where_supersets_are_skipped():
+    # the enumeration property stops at 4 variables, where few popped vertices
+    # have a lighter superset; on 6 to 9 variables many do, so the search skips
+    # them, and its path must still be the least by (weight, vertex keys)
+    rng = random.Random(30)
+    templates = ([star_template(5), star_template(8, out=False)]
+                 + [tree_template(k, seed=k) for k in (5, 6, 7, 8)]
+                 + [cycle_template(k) for k in (6, 7, 8, 9)])
+    skippable = {"maxdeg": 0, "cover": 0}
+    for i, template in enumerate(templates):
+        g = random_graph(20, 70, 2, seed=3000 + i, plant_cycles=6)
+        q = instantiate_template(template, g, seed=rng.randrange(1 << 20), mode="edge-at-a-time")
+        assert q is not None and 6 <= len(q.vars) <= 9
+        cat = _cat(g, [q])
+        cover = [(j, e.vars()) for j, e in enumerate(q.edges)]
+        for _ in range(20):  # a cover of some single sides, if one spans q
+            drawn = [(j, rng.choice([e.vars(), e.vars(), (e.src,), (e.dst,)]))
+                     for j, e in enumerate(q.edges)]
+            if {v for _, attrs in drawn for v in attrs} == set(q.vars):
+                cover = drawn
+                break
+        for kind, ceg in (("maxdeg", build_maxdeg(q, cat)), ("cover", build_cover(q, cat, cover))):
+            best = min_weight_path(ceg)
+            assert best.estimate > 0   # a non-empty instance: every degree is at least 1
+            assert best.edges == dag_min_path(ceg)
+            skippable[kind] += _lighter_superset_vertices(ceg, best.estimate)
+    assert all(skippable.values()), skippable
+
+
 def test_bound_search_memory_on_a_long_chain():
     # a 12-edge chain on a graph with real degrees pushes tens of thousands of
     # vertices.  One distance and predecessor list per vertex peaks at about
@@ -683,6 +729,37 @@ def test_bound_search_memory_on_a_long_chain():
         tracemalloc.stop()
     assert bound.exact == 26583327205897
     assert peak < 4_000_000
+
+
+def test_maxdeg_plan_keeps_no_catalogue_value():
+    # every bound below reads the one plan kept on q, and only the degrees of
+    # the catalogue or statistics it is handed
+    g = random_graph(30, 140, 3, seed=1301)
+    q = parse_query("a -A-> b\nb -B-> c")
+    cat = _cat(g, [q])
+    bound = estimate_molp(q, cat).exact
+    assert bound > 1
+    kept = q.ceg_plans[("maxdeg", 2)]
+    key = canonical_form(index_pattern(q, range(2)))[0]
+
+    def with_table(table):
+        return replace(cat, deg_stats=dict(cat.deg_stats, **{key: table}))
+
+    # deg(∅, {a, b, c}) = 1 is a move straight to the top
+    assert estimate_molp(q, with_table(dict(cat.deg_stats[key], **{"|0,1,2": 1}))).exact == 1
+    assert estimate_molp(q, cat).exact == bound
+    edited = edited_degree_tables(cat.deg_stats[key])
+    for name in ("short", "extra"):
+        with pytest.raises(MissingStatisticError, match="degree table for pattern"):
+            estimate_molp(q, with_table(edited[name]))
+    # sketch components' statistics hold their own tables, keyed by q's masks
+    plan, components = make_sketch(q, g, estimate_molp(q, cat).chosen_path, 4)
+    parts = partition_catalogues(q, 2, [dict(zip(plan.attrs, c.index)) for c in components],
+                                 plan.buckets)
+    got = [estimate_molp(q, part).exact for part in parts]
+    assert got == [estimate_molp(c.query, _cat(c.graph, [c.query])).exact for c in components]
+    assert bound not in got
+    assert q.ceg_plans[("maxdeg", 2)] is kept
 
 
 def test_maxdeg_zero_relation_short_circuits():
