@@ -36,7 +36,7 @@ from typing import IO, Callable, Collection, Iterable, Mapping, Sequence
 from . import oracle
 from .errors import (CatalogueFormatError, ConfigError, MissingStatisticError,
                      QueryValidationError)
-from .graphstore import DST, SRC, LabeledGraph
+from .graphstore import DST, SRC, LabeledGraph, has_neighbor
 from .oracle import FWD, REV, LabelStep
 from .querymodel import QEdge, QueryGraph, connected_index_sets, cycles, index_pattern, subsets
 
@@ -497,7 +497,8 @@ def add_closing_rates(cat: Catalogue, g: LabeledGraph, workload: Sequence[QueryG
             continue
         walks = oracle.sample_label_paths(g, spec.walk, walk_budget, seed + i)
         a, b = (-1, 0) if spec.close_from_end else (0, -1)
-        closures = sum((w[a], w[b], spec.close_label) in g.edges for w in walks)
+        closing = g.adjacency(spec.close_label, SRC)
+        closures = sum(has_neighbor(closing.get(w[a], ()), w[b]) for w in walks)
         cat.closing[key] = ClosingStat(walk_budget, closures)
 
 

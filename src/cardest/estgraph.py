@@ -354,12 +354,17 @@ class AttrCeg(Ceg):
             raise ConfigError(f"attribute-subset graphs are capped at {MAX_ATTR_VARS} variables")
         return list(range(self._top + 1))
 
-    def _derived(self, w: int, only: int | None = None) -> tuple[Arc, ...]:
-        """Merged arcs leaving w in `out` order (only those into `only`, if given)."""
+    def _derived(self, w: int) -> tuple[Arc, ...]:
+        """Merged arcs leaving w in `out` order."""
         merged: dict[tuple[int, int, str], set] = {}
         for xm, ym, deg, prov in self.moves:
-            if xm & w == xm and ym & ~w and (only is None or w | ym == only):
+            if xm & w == xm and ym & ~w:
                 merged.setdefault((w | ym, deg, BOUND if xm else UNBOUND), set()).add(prov)
+        return self._merged_arcs(merged)
+
+    def _merged_arcs(self, merged: dict[tuple[int, int, str], set]) -> tuple[Arc, ...]:
+        """Arcs from their (target, degree, kind) merge keys and provenance
+        sets, in `out` order."""
         key = self._keys.__getitem__
         return tuple(sorted(((dst, deg, 1, kind, tuple(sorted(provs)))
                              for (dst, deg, kind), provs in merged.items()),
@@ -732,8 +737,22 @@ def min_weight_path(ceg: AttrCeg) -> PathEstimate:
     path = [0]
     while path[-1] != goal:
         path.append(min(tight[path[-1]], key=ceg._keys.__getitem__))
-    hops = (ceg._edge(v, ceg._derived(v, w)[0]) for v, w in zip(path, path[1:]))
-    return PathEstimate(tuple(hops), Fraction(limit))  # each hop's first edge in `out` order
+    return PathEstimate(_path_edges(ceg, path, [ym for ym, _ in tables]), Fraction(limit))
+
+
+def _path_edges(ceg: AttrCeg, path: list[int], y_masks: Sequence[int]) -> tuple[CegEdge, ...]:
+    """Each hop's first edge in `out` order, its arcs merged as
+    `AttrCeg._derived` merges them, from one pass over the moves.  A move
+    into Y makes the hop v -> w only if v | Y == w, and the path's masks grow,
+    so each of the moves' distinct `y_masks` makes at most one hop."""
+    hops = list(zip(path, path[1:]))
+    hop_of = {ym: i for i, (v, w) in enumerate(hops) for ym in y_masks if v | ym == w}
+    merged: list[dict[tuple[int, int, str], set]] = [{} for _ in hops]
+    for xm, ym, deg, prov in ceg.moves:
+        i = hop_of.get(ym)
+        if i is not None and xm & hops[i][0] == xm:
+            merged[i].setdefault((hops[i][1], deg, BOUND if xm else UNBOUND), set()).add(prov)
+    return tuple(ceg._edge(v, ceg._merged_arcs(arcs)[0]) for (v, _), arcs in zip(hops, merged))
 
 
 def _tables_by_y(moves: Iterable[tuple[int, int, int, tuple]]) -> list[tuple[int, dict[int, int]]]:

@@ -3,13 +3,25 @@
 A graph is loaded once from an edge-list stream, fully indexed, and then
 treated as immutable.  Every edge label doubles as a binary relation whose
 tuples are the (src, dst) pairs carrying that label.
+
+Each edge is held once, as per-label adjacency lists, the layout graph DBMSs
+such as Graphflow use: per label, an out-map from each source to its sorted,
+duplicate-free destinations and an in-map that mirrors it.  Vertex ids are
+interned, so each vertex is one int object however many lists hold it.  The
+maps are filled while the edges stream in; no list or set of (src, dst,
+label) triples is kept, or built at load.  On the 12,000-edge benchmark
+graph (seed 1) a load retains about 180 bytes per edge and peaks at about
+190 (Python 3.10 to 3.12; 190 and 202 on 3.13), where a frozenset of triples
+kept beside the maps retained 395 and peaked at 492.
 """
 
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
+from collections.abc import Set
 from functools import cached_property
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import GraphParseError
 
@@ -17,31 +29,93 @@ SRC = "src"
 DST = "dst"
 
 
+def has_neighbor(neighbors: Sequence[int], vertex: object) -> bool:
+    """Whether `vertex` is in the sorted list `neighbors`: one bisection, so
+    a hub's list costs O(log degree)."""
+    try:
+        i = bisect_left(neighbors, vertex)
+    except TypeError:  # not comparable with vertex ids, so not one of them
+        return False
+    return i < len(neighbors) and neighbors[i] == vertex
+
+
+class EdgeView(Set):
+    """The graph's (src, dst, label) triples as a read-only set view.
+
+    Membership bisects the source's sorted out-list, and `len` sums the label
+    counts; nothing is copied.  Iteration goes label by label, so its order
+    is not the canonical one (`LabeledGraph.sorted_edges`).  Like every
+    mutable-looking `Set`, a view is not hashable; set operators return
+    frozensets.
+    """
+
+    __slots__ = ("_graph",)
+
+    def __init__(self, graph: LabeledGraph):
+        self._graph = graph
+
+    @classmethod
+    def _from_iterable(cls, triples: Iterable) -> frozenset:
+        return frozenset(triples)
+
+    def __contains__(self, triple: object) -> bool:
+        return isinstance(triple, tuple) and len(triple) == 3 and self._graph.has_edge(*triple)
+
+    def __len__(self) -> int:
+        return sum(self._graph._label_counts.values())
+
+    def __iter__(self) -> Iterator[tuple[int, int, str]]:
+        for label, by_src in self._graph._out.items():
+            for src, dsts in by_src.items():
+                for dst in dsts:
+                    yield (src, dst, label)
+
+
 class LabeledGraph:
-    """Immutable edge-labeled directed graph with per-label adjacency indexes."""
+    """Immutable edge-labeled directed graph that holds each edge once, in
+    per-label out- and in-maps of sorted neighbour lists over interned ids
+    (about 180 bytes per edge, against 395 with a frozenset of triples too).
+
+    `edges` is a read-only `EdgeView` over the out-maps, not a frozenset: it
+    is not hashable, and its iteration order is not the canonical one.
+    `sorted_edges()` is the one call that lists every triple.
+    """
 
     def __init__(self, edges: Iterable[tuple[int, int, str]]):
-        edge_set: set[tuple[int, int, str]] = set(edges)
-        vertices: set[int] = set()
+        ids: dict[int, int] = {}   # each vertex id to the one int object kept for it
         out_index: dict[str, dict[int, list[int]]] = {}
         in_index: dict[str, dict[int, list[int]]] = {}
-        for src, dst, label in edge_set:
-            vertices.add(src)
-            vertices.add(dst)
-            out_index.setdefault(label, {}).setdefault(src, []).append(dst)
-            in_index.setdefault(label, {}).setdefault(dst, []).append(src)
+        for src, dst, label in edges:
+            src = ids.setdefault(src, src)
+            dst = ids.setdefault(dst, dst)
+            outs = out_index.get(label)
+            if outs is None:
+                outs = out_index[label] = {}
+                in_index[label] = {}
+            ins = in_index[label]
+            dsts = outs.get(src)
+            if dsts is None:  # a new list is sized for its first neighbour alone
+                outs[src] = [dst]
+            else:
+                dsts.append(dst)
+            srcs = ins.get(dst)
+            if srcs is None:
+                ins[dst] = [src]
+            else:
+                srcs.append(src)
         for index in (out_index, in_index):
             for adjacency in index.values():
-                for neighbors in adjacency.values():
-                    neighbors.sort()
-        self.edges = frozenset(edge_set)
-        self.vertices = frozenset(vertices)
+                for vertex, neighbors in adjacency.items():
+                    if len(neighbors) > 1:  # sorted, duplicate-free and exactly sized
+                        adjacency[vertex] = sorted(set(neighbors))
+        self.vertices = frozenset(ids)
         self.labels = tuple(sorted(out_index))
         self._out = out_index
         self._in = in_index
         self._label_counts = {
             label: sum(len(v) for v in out_index[label].values()) for label in self.labels
         }
+        self.edges = EdgeView(self)
 
     def __repr__(self) -> str:
         return f"LabeledGraph(|V|={len(self.vertices)}, |E|={len(self.edges)}, labels={len(self.labels)})"
@@ -58,7 +132,8 @@ class LabeledGraph:
         return (self._out if position == SRC else self._in).get(label, {})
 
     def has_edge(self, src: int, dst: int, label: str) -> bool:
-        return (src, dst, label) in self.edges
+        dsts = self._out.get(label, {}).get(src)
+        return dsts is not None and has_neighbor(dsts, dst)
 
     def label_count(self, label: str) -> int:
         return self._label_counts.get(label, 0)
@@ -68,22 +143,48 @@ class LabeledGraph:
             for dst in self._out[label][src]:
                 yield (src, dst)
 
+    def _out_by_source(self) -> Iterator[tuple[int, list[tuple[int, str]]]]:
+        """Each source vertex in order with its sorted (dst, label) pairs:
+        the canonical edge order, one source at a time."""
+        labels_of: dict[int, list[str]] = {}
+        for label in self.labels:
+            for src in self._out[label]:
+                labels_of.setdefault(src, []).append(label)
+        for src in sorted(labels_of):
+            pairs = [(dst, label) for label in labels_of[src] for dst in self._out[label][src]]
+            pairs.sort()
+            yield src, pairs
+
+    def _text_by_source(self) -> Iterator[str]:
+        """The canonical edge-list text (`dump_graph`), one source at a time."""
+        for src, pairs in self._out_by_source():
+            head = f"{src} "
+            yield "".join([f"{head}{dst} {label}\n" for dst, label in pairs])
+
     def sorted_edges(self) -> list[tuple[int, int, str]]:
-        return sorted(self.edges)
+        return [(src, dst, label) for src, pairs in self._out_by_source() for dst, label in pairs]
 
     @cached_property
     def sha256(self) -> str:
-        """Digest of the canonical edge-list text (`dump_graph`), computed once."""
-        return hashlib.sha256(dump_graph(self).encode("utf-8")).hexdigest()
+        """Digest of the canonical edge-list text (`dump_graph`), computed
+        once and streamed one source vertex at a time."""
+        digest = hashlib.sha256()
+        for text in self._text_by_source():
+            digest.update(text.encode("utf-8"))
+        return digest.hexdigest()
 
 
 def load_graph(source: IO[str] | Iterable[str]) -> LabeledGraph:
     """Parse an edge-list stream: one `src dst label` triple per line.
 
     Blank lines and `#` comment lines are ignored; duplicate triples collapse
-    to one edge.  Vertex ids must be non-negative integers.
+    to one edge.  Vertex ids must be non-negative integers.  The graph's maps
+    are filled as the lines are read.
     """
-    edges = []
+    return LabeledGraph(_parse_edges(source))
+
+
+def _parse_edges(source: IO[str] | Iterable[str]) -> Iterator[tuple[int, int, str]]:
     for line_no, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -99,8 +200,7 @@ def load_graph(source: IO[str] | Iterable[str]) -> LabeledGraph:
             raise GraphParseError(f"vertex ids must be integers, got {line!r}", line_no) from None
         if src < 0 or dst < 0:
             raise GraphParseError(f"vertex ids must be non-negative, got {line!r}", line_no)
-        edges.append((src, dst, label))
-    return LabeledGraph(edges)
+        yield src, dst, label
 
 
 def load_graph_file(path: str) -> LabeledGraph:
@@ -110,5 +210,4 @@ def load_graph_file(path: str) -> LabeledGraph:
 
 def dump_graph(graph: LabeledGraph) -> str:
     """Serialize a graph back to edge-list text (sorted, hence canonical)."""
-    return "".join(f"{s} {d} {label}\n" for s, d, label in graph.sorted_edges())
-
+    return "".join(graph._text_by_source())

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Collection, Sequence
 
-from .graphstore import DST, SRC, LabeledGraph
+from .graphstore import DST, SRC, LabeledGraph, has_neighbor
 from .querymodel import QueryGraph
 
 FWD = "+"
@@ -63,15 +63,16 @@ def _plan(g: LabeledGraph, q: QueryGraph, fold: bool) -> list[tuple]:
     """The search order for q, round by round as the module docstring says,
     as a list of steps over binding slots (q.vars order).
 
-    A step is (kind, slot a, slot b, arg): CHECK tests the data edge
-    binding[a] -arg-> binding[b]; FOLD multiplies by the number of neighbours
-    of binding[a] in the adjacency map arg; MEET multiplies by the size of the
-    intersection of k >= 2 neighbour lists: binding[a]'s in the map arg[0] (a
-    is bound before the other arms' slots), binding[b]'s in arg[1], and
-    binding[c]'s in m for each (c, m) in arg[3], where arg[2] holds the set of
-    each list of a, made once per call and vertex; EXTEND binds b to each
-    neighbour of binding[a] in the map arg; SCAN binds (a, b) to each edge of
-    the out-neighbour map arg, in `edges_with_label` order.
+    A step is (kind, slot a, slot b, arg): CHECK bisects binding[a]'s sorted
+    list in the out-neighbour map arg for binding[b]; FOLD multiplies by the
+    number of neighbours of binding[a] in the adjacency map arg; MEET
+    multiplies by the size of the intersection of k >= 2 neighbour lists:
+    binding[a]'s in the map arg[0] (a is bound before the other arms' slots),
+    binding[b]'s in arg[1], and binding[c]'s in m for each (c, m) in arg[3],
+    where arg[2] holds the set of each list of a, made once per call and
+    vertex; EXTEND binds b to each neighbour of binding[a] in the map arg;
+    SCAN binds (a, b) to each edge of the out-neighbour map arg, in
+    `edges_with_label` order.
     """
     slot = {v: i for i, v in enumerate(q.vars)}
     rest = [(slot[e.src], slot[e.dst], e.label) for e in q.edges]
@@ -81,7 +82,7 @@ def _plan(g: LabeledGraph, q: QueryGraph, fold: bool) -> list[tuple]:
         edges, rest = rest, []
         for u, v, lab in edges:
             if u in bound and v in bound:
-                steps.append((_CHECK, u, v, lab))
+                steps.append((_CHECK, u, v, g.adjacency(lab, SRC)))
             else:
                 rest.append((u, v, lab))
         if fold:
@@ -129,7 +130,7 @@ def _run(g: LabeledGraph, steps: list[tuple], start: int, binding: list, rows: l
     for i in range(start, len(steps)):
         kind, a, b, arg = steps[i]
         if kind == _CHECK:
-            if (binding[a], binding[b], arg) not in g.edges:
+            if not has_neighbor(arg.get(binding[a], ()), binding[b]):
                 return 0
         elif kind == _FOLD:
             factor *= len(arg.get(binding[a], ()))
