@@ -6,11 +6,12 @@ statistics are exact oracle values on the source graph; closing rates come
 from sampled walks, or from exact walk counts.  A pattern's degree table holds
 deg(X, Y) for every X ⊆ Y of its 3^|vars| variable-subset pairs.
 
-`QueryStats` is how estimators read a catalogue: one query's view, which
-resolves each connected index set of at most h edges, on first use, to its
-count and its degree table, keyed by (X, Y) masks over `QueryGraph.var_bits`
-instead of the stored "x|y" pattern positions, and each (cycle, closing
-edge) to its closing rate.
+One statistics plan per query and h (`StatsPlan`, kept on the query by
+`stats_plan`) lists what the query reads: its connected index sets of at
+most h edges, their pattern keys and the (X, Y) masks over `var_bits` of
+their degree-table entries, and its closing keys.  `build_catalogue`
+collects its workload's planned statistics, and `QueryStats`, the only
+reader of a catalogue, reads a query's through its plan.
 
 One table kernel, `pattern_table`, serves `build_catalogue` and the sketch
 components' statistics (`sketch.partition_catalogues`).  It fills the table
@@ -31,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, permutations, product
 from operator import itemgetter, mul
-from typing import IO, Callable, Collection, Iterable, Mapping, Sequence
+from typing import IO, Callable, Collection, Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
 from . import oracle
 from .errors import (CatalogueFormatError, ConfigError, MissingStatisticError,
@@ -52,8 +53,9 @@ Adjacency = Callable[[QEdge, str], Mapping[int, list[int]]]  # (edge, side) -> s
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=65536)
-def canonical_form(pattern: Pattern) -> tuple[str, tuple[tuple[str, int], ...]]:
-    """Isomorphism-invariant key plus one optimal variable->index mapping.
+def canonical_form(pattern: Pattern) -> tuple[str, tuple[str, ...]]:
+    """Isomorphism-invariant key plus, by index, the variable that one
+    optimal mapping sends there.
 
     Minimizes the sorted edge encoding over all variable orderings; any
     automorphic mapping gives identical degree statistics, so returning a
@@ -75,8 +77,7 @@ def canonical_form(pattern: Pattern) -> tuple[str, tuple[tuple[str, int], ...]]:
             best_enc = enc
             best_perm = perm
     key = json.dumps(best_enc, separators=(",", ":"))
-    mapping = tuple((var_list[i], best_perm[i]) for i in range(n))
-    return key, mapping
+    return key, tuple(var_list[best_perm.index(i)] for i in range(n))
 
 
 def _key_to_query(key: str) -> QueryGraph:
@@ -211,109 +212,141 @@ class Catalogue:
             raise ConfigError("catalogue was built from a different graph (sha256 mismatch)")
 
 
-class QueryStats:
-    """The statistics of one query q, resolved from a catalogue on first use.
+class Memo(dict):
+    """A dict that makes a missing value from its key, once."""
 
-    Each connected index set s of at most h edges has a count and a degree
-    table, the table keyed by (X, Y) as bitmasks over q.var_bits for every
-    X ⊆ Y ⊆ vars(s); each (cycle, closing edge) has a closing rate.  A
-    statistic the catalogue lacks, or a degree table that does not hold
-    exactly its 3^|vars| entry keys, raises MissingStatisticError.
-    `degree_values` is the one read of a degree table: `degrees` goes through
-    it, and so does a caller that already knows s's pattern key and bits.
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        got = self[key] = self.make(key)
+        return got
+
+
+class PlannedSet(NamedTuple):
+    """One connected index set s of q in q's statistics plan."""
+
+    key: str                   # s's pattern key
+    indices: tuple[int, ...]   # s, sorted
+    vars: tuple[str, ...]      # q's variable at each pattern position
+    bits: tuple[int, ...]      # their q.var_bits
+
+
+class StatsPlan:
+    """Which statistics q reads at h, worked out from q and h alone; it
+    holds no statistic.
+
+    `sets` maps each connected index set of at most h edges, in
+    `connected_index_sets` order, to its `PlannedSet`; `names` gives the
+    sorted variable names of each mask of a set's variables.  `closing` maps
+    each (cycle longer than h, closing edge), in `cycles` order, to its
+    closing key and `ClosingSpec`.  `layouts` gives, by a set's bits, its
+    table entries' (X, Y) query masks and a reader (`_query_layout`), made
+    on first read: a catalogue build, which reads keys only, makes none.
     """
 
-    def __init__(self, q: QueryGraph, cat: Catalogue):
+    def __init__(self, q: QueryGraph, h: int):
+        self.h = h
+        bits = q.var_bits
+        self.layouts = Memo(_query_layout)
+        self.sets: dict[frozenset[int], PlannedSet] = {}
+        names = self.names = {0: ()}
+        for s in connected_index_sets(q, h):
+            key, at = canonical_form(index_pattern(q, s))
+            var_bits = tuple(map(bits.__getitem__, at))
+            self.sets[s] = PlannedSet(key, tuple(sorted(s)), at, var_bits)
+            sub = full = sum(var_bits)
+            while sub:   # every non-empty submask of full
+                if sub not in names:
+                    names[sub] = tuple(v for v in bits if sub & bits[v])
+                sub = (sub - 1) & full
+        self.closing: dict[tuple[frozenset[int], int], tuple[str, ClosingSpec]] = {}
+        for cycle in cycles(q).longer_than(h):
+            for i in sorted(cycle):
+                spec = closing_spec(q, cycle, i)
+                self.closing[cycle, i] = spec.key(), spec
+
+
+def _query_layout(bits: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], itemgetter]:
+    """For a table whose position i stands for the query bit bits[i]: each
+    entry's (X, Y) query masks, in `mask_layout` order, and a reader of a
+    stored table's values in that order."""
+    union = [0]   # by each mask over the positions, its query mask
+    for b in bits:
+        union += [u | b for u in union]
+    entries, xs, ys = zip(*mask_layout(len(bits)))
+    return (tuple(zip(map(union.__getitem__, xs), map(union.__getitem__, ys))),
+            itemgetter(*entries))
+
+
+def stats_plan(q: QueryGraph, h: int) -> StatsPlan:
+    """q's statistics plan at h, made on first use and kept on q."""
+    return q.ceg_plans.get(("stats", h)) or q.ceg_plans.setdefault(("stats", h), StatsPlan(q, h))
+
+
+class QueryStats:
+    """The statistics of one query q, read through q's plan at the
+    catalogue's h (`stats_plan`): the only reader of a catalogue.
+
+    Each index set s of the plan has a count and a degree table, the table
+    keyed by (X, Y) as bitmasks over q.var_bits for every X ⊆ Y ⊆ vars(s)
+    and kept once read; each (cycle longer than h, closing edge) has a
+    closing rate.  A statistic the catalogue lacks, a table without exactly
+    its 3^|vars| entry keys, or an index set or cycle outside the plan
+    raises MissingStatisticError.  `counts` and `tables`, when given, hold
+    statistics made already (a sketch component's), and are read first.
+    """
+
+    def __init__(self, q: QueryGraph, cat: Catalogue,
+                 counts: dict[frozenset[int], int] | None = None,
+                 tables: dict[frozenset[int], DegreeTable] | None = None):
         self.query, self.cat = q, cat
-        self._counts: dict[frozenset[int], int] = {}
-        self._tables: dict[frozenset[int], DegreeTable] = {}
+        self.plan = stats_plan(q, cat.h)
+        self._counts = {} if counts is None else counts
+        self._tables = {} if tables is None else tables
 
     @classmethod
     def of(cls, q: QueryGraph, stats: Catalogue | QueryStats) -> QueryStats:
         """`stats` itself when it is a QueryStats (of q), else q's view of it."""
         return stats if isinstance(stats, QueryStats) else cls(q, stats)
 
+    def _unplanned(self, s: frozenset[int]) -> NoReturn:
+        raise MissingStatisticError(f"index set {sorted(s)}, not in the plan at h={self.cat.h}")
+
     def count(self, s: frozenset[int]) -> int:
         got = self._counts.get(s)
         if got is None:
-            key = canonical_form(index_pattern(self.query, s))[0]
+            key = (self.plan.sets.get(s) or self._unplanned(s)).key
             got = self.cat.counts.get(key)
             if got is None:
                 raise MissingStatisticError(f"count for pattern {key}")
-            self._counts[s] = got
         return got
 
     def degrees(self, s: frozenset[int]) -> DegreeTable:
         got = self._tables.get(s)
         if got is None:
-            key, union = pattern_bits(self.query, s)
-            got = self._tables[s] = {
-                (union[x], union[y]): deg for (_, x, y), deg
-                in zip(mask_layout(len(union).bit_length() - 1),
-                       self.degree_values(s, key, union))}
-        return got
-
-    def degree_values(self, s: frozenset[int], key: str, union: Sequence[int]) -> list[int]:
-        """s's degrees in `mask_layout(n)` order, n = |vars(s)|, whose pattern
-        key is `key` and whose variable at position i is union[1 << i]: from
-        the table this view holds for s, else from the catalogue's table
-        under `key`, which must hold exactly its 3^n entry keys."""
-        layout = mask_layout(len(union).bit_length() - 1)
-        held = self._tables.get(s)
-        if held is not None:
-            return [held[union[x], union[y]] for _, x, y in layout]
-        got = _layout_values(self.cat.deg_stats.get(key, {}), layout)
-        if got is None:
-            raise MissingStatisticError(f"degree table for pattern {key}")
+            planned = self.plan.sets.get(s) or self._unplanned(s)
+            pairs, read = self.plan.layouts[planned.bits]
+            entries = self.cat.deg_stats.get(planned.key, {})
+            try:
+                if len(entries) != len(pairs):
+                    raise KeyError
+                got = self._tables[s] = dict(zip(pairs, read(entries)))
+            except KeyError:
+                raise MissingStatisticError(f"degree table for pattern {planned.key}") from None
         return got
 
     def closing_rate(self, cycle: frozenset[int], close_idx: int) -> Fraction:
         """Sampled rate of closing `cycle` with query edge `close_idx`."""
-        key = closing_spec(self.query, cycle, close_idx).key()
-        rate = self.cat.closing_rate(key)
+        planned = self.plan.closing.get((cycle, close_idx))
+        if planned is None:
+            raise MissingStatisticError(
+                f"closing rate of {sorted(cycle)} by edge {close_idx}: not planned")
+        rate = self.cat.closing_rate(planned[0])
         if rate is None:
-            raise MissingStatisticError(f"closing rate {key}")
+            raise MissingStatisticError(f"closing rate {planned[0]}")
         return rate
-
-
-def pattern_bits(q: QueryGraph, s: Collection[int]) -> tuple[str, tuple[int, ...]]:
-    """The pattern key of q's index set s, and by each mask over the
-    pattern's variable positions, the union of those variables' q.var_bits."""
-    key, mapping = canonical_form(index_pattern(q, s))
-    bits = q.var_bits
-    return key, _unions(tuple(bits[v] for v, _ in sorted(mapping, key=itemgetter(1))))
-
-
-def query_table(entries: Mapping[str, int], bits: Sequence[int]) -> DegreeTable | None:
-    """A stored table, its entries keyed "x|y" by pattern position, keyed by
-    (X, Y) masks in which position i stands for bits[i]; None unless it holds
-    exactly the 3^len(bits) keys of `mask_layout`."""
-    layout = mask_layout(len(bits))
-    values = _layout_values(entries, layout)
-    if values is None:
-        return None
-    union = _unions(tuple(bits))
-    return {(union[x], union[y]): deg for (_, x, y), deg in zip(layout, values)}
-
-
-def _layout_values(entries: Mapping[str, int],
-                   layout: Sequence[tuple[str, int, int]]) -> list[int] | None:
-    """The stored entries in `layout` order; None unless they are exactly its keys."""
-    if len(entries) != len(layout):
-        return None
-    try:
-        return [entries[key] for key, _, _ in layout]
-    except KeyError:
-        return None
-
-
-@lru_cache(maxsize=4096)
-def _unions(bits: tuple[int, ...]) -> tuple[int, ...]:
-    """The union of the bits at the positions of each position mask, by mask."""
-    out = [0]
-    for b in bits:
-        out += [u | b for u in out]
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +387,7 @@ def build_catalogue(
     else:
         if workload is None:
             raise ConfigError("workload mode needs a workload")
-        keys = {canonical_form(index_pattern(q, s))[0]
-                for q in workload for s in connected_index_sets(q, h)}
+        keys = {planned.key for q in workload for planned in stats_plan(q, h).sets.values()}
 
     cat = Catalogue(h=h)
     for key in sorted(keys):
@@ -484,10 +516,8 @@ def add_closing_rates(cat: Catalogue, g: LabeledGraph, workload: Sequence[QueryG
     `build_catalogue` describes them."""
     demanded: dict[str, ClosingSpec] = {}
     for q in workload:
-        for cyc in cycles(q).longer_than(cat.h):
-            for close_idx in sorted(cyc):
-                spec = closing_spec(q, cyc, close_idx)
-                demanded.setdefault(spec.key(), spec)
+        for key, spec in stats_plan(q, cat.h).closing.values():
+            demanded.setdefault(key, spec)
     for i, key in enumerate(sorted(demanded)):
         spec = demanded[key]
         if walk_budget is None:

@@ -23,8 +23,7 @@ from .estimators import KIND_CLOSING, as_float
 from .evalharness import ZERO_TRUE_COUNT, WorkloadItem, expand_methods, run_workload
 from .graphstore import load_graph_file
 from .oracle import count_hom
-from .querymodel import (QueryGraph, connected_index_sets, instantiate_template, parse_query,
-                         parse_query_file)
+from .querymodel import QueryGraph, instantiate_template, parse_query, parse_query_file
 
 EXIT_OK = 0
 EXIT_OTHER = 1
@@ -241,7 +240,7 @@ def _estimate_query(args, g, query: QueryGraph):
         catalogue.check_h(args.h)
         # missing patterns exit as missing statistics (3) before the graph check (4)
         stats = cat_mod.QueryStats(query, catalogue)
-        for s in connected_index_sets(query, catalogue.h):
+        for s in stats.plan.sets:
             stats.count(s)
         catalogue.check_graph(g)
     else:

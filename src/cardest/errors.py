@@ -5,24 +5,22 @@ class CardestError(Exception):
     """Base class for all package errors."""
 
 
-class GraphParseError(CardestError):
+class InputParseError(CardestError):
+    """Malformed input text; the message names the line, when one is given."""
+
+    def __init__(self, message: str, line_no: int | None = None):
+        self.line_no = line_no
+        if line_no is not None:
+            message = f"line {line_no}: {message}"
+        super().__init__(message)
+
+
+class GraphParseError(InputParseError):
     """Malformed edge-list input."""
 
-    def __init__(self, message: str, line_no: int | None = None):
-        self.line_no = line_no
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
 
-
-class QueryParseError(CardestError):
+class QueryParseError(InputParseError):
     """Malformed query / template text."""
-
-    def __init__(self, message: str, line_no: int | None = None):
-        self.line_no = line_no
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
 
 
 class QueryValidationError(CardestError):

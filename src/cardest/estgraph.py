@@ -7,8 +7,7 @@ them.  Over edge subsets: the optimistic graph (average-degree rates from
 pattern counts) and its cycle-closing-rate variant, whose shape (each
 source's hops: closing rates, merging, early cycle closing) is planned once
 per query and h, so each build reads only its rates.  Over attribute subsets:
-the max-degree graph whose minimum-weight path is the pessimistic bound,
-likewise planned once per query and h, so each build reads only degrees, and
+the max-degree graph whose minimum-weight path is the pessimistic bound, and
 the cover graph of a per-relation attribute cover.  Attribute-subset graphs
 (`AttrCeg`) are held as move tables, one whole degree table per catalogue
 pattern, which `min_weight_path` searches directly; a table's (X, Y) masks
@@ -23,6 +22,8 @@ denominator) pair in lowest terms.  Frozensets, `Fraction` rates and
 
 Every rate is a statistic of an index set of q, read through one
 `catalogue.QueryStats` per build, which callers may share across builds.
+Both families build on q's statistics plan at h (`catalogue.StatsPlan`),
+which lists the index sets, their pattern keys and the closing keys.
 Every bottom-to-top path yields an estimate: the exact rational product of
 its rates, with base-2 log weights alongside for the additive view.
 `path_summary` aggregates them per hop count in one pass over the DAG, and
@@ -39,12 +40,9 @@ from functools import cached_property, cmp_to_key
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .catalogue import (Catalogue, QueryStats, canonical_form, closing_spec, mask_layout,
-                        pattern_bits)
-from .errors import (ConfigError, EstimationError, MissingStatisticError, PathOverflowError,
-                     QueryValidationError)
-from .querymodel import (QueryGraph, connected_index_sets, cycles, index_pattern,
-                         indices_connected, subsets)
+from .catalogue import Catalogue, Memo, QueryStats, StatsPlan
+from .errors import ConfigError, EstimationError, PathOverflowError, QueryValidationError
+from .querymodel import QueryGraph, connected_index_sets, cycles, indices_connected, subsets
 
 START = "start"
 EXTENSION = "extension"
@@ -101,18 +99,6 @@ def _mask_of(indices: Iterable[int]) -> int:
     return sum(1 << i for i in indices)
 
 
-class _Memo(dict):
-    """A dict that makes a missing value from its key, once."""
-
-    def __init__(self, make: Callable):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        got = self[key] = self.make(key)
-        return got
-
-
 class Ceg:
     """Weighted DAG over subquery vertices, its out-edges derived on demand.
 
@@ -140,9 +126,9 @@ class Ceg:
         self._arcs: dict[int, tuple[Arc, ...]] = {}
         self._edges: dict[tuple[int, int], CegEdge] = {}   # (src mask, arc index) -> edge
         self._bit = bit = {v: 1 << i for i, v in enumerate(names)}
-        self._keys = keys = _Memo(lambda mask: tuple(v for v, b in bit.items() if mask & b))
-        self._sets = _Memo(lambda mask: frozenset(keys[mask]))
-        self._masks = _Memo(lambda vertex: sum(bit[v] for v in vertex))   # KeyError off the graph
+        self._keys = keys = Memo(lambda mask: tuple(v for v, b in bit.items() if mask & b))
+        self._sets = Memo(lambda mask: frozenset(keys[mask]))
+        self._masks = Memo(lambda vertex: sum(bit[v] for v in vertex))   # KeyError off the graph
         self._top = top
         self.top = self._sets[top]
 
@@ -193,23 +179,22 @@ class Ceg:
 
 class _Plan:
     """The shape of q's optimistic graph at one (h, closing, starts), from q
-    alone: the count key of each index set of at most h edges, and each
-    source's hops, planned on its first read (`hops_of`) in `out` order by
-    target, each rate (a, b, provenance) read by a build as count(a)/count(b)
-    (b empty for a start) or as the closing rate of the pair (a, b)."""
+    and its statistics plan `stats` alone: each source's hops, planned on
+    its first read (`hops_of`) in `out` order by target, each rate (a, b,
+    provenance) read by a build as count(a)/count(b) (b empty for a start),
+    or as the closing rate of the (cycle, closing edge) `closings` gives."""
 
-    def __init__(self, q: QueryGraph, h: int, closing: bool, starts: str):
+    def __init__(self, q: QueryGraph, stats: StatsPlan, closing: bool, starts: str):
+        h = stats.h
         self.start_size = size = min(h, len(q))
-        self.patterns = {_mask_of(s): (canonical_form(index_pattern(q, s))[0], tuple(sorted(s)))
-                         for s in connected_index_sets(q, size)}
+        self.patterns = {_mask_of(s): (s, planned.indices) for s, planned in stats.sets.items()}
         firsts = [p for p, (_, s) in self.patterns.items() if len(s) == size]
         self.firsts = firsts[:1] if starts == "anchored" else firsts
         all_cycles = {_mask_of(c): c for c in cycles(q).cycles}
         self.cycles = list(all_cycles)
         self.long_cycles = [c for c, s in all_cycles.items() if len(s) > h] if closing else []
-        self.closings = {(c, 1 << i): ("closing", closing_spec(q, all_cycles[c], i).key(),
-                                       tuple(sorted(all_cycles[c])))
-                         for c in self.long_cycles for i in sorted(all_cycles[c])}
+        self.closings = {(_mask_of(c), 1 << i): (c, i, ("closing", key, tuple(sorted(c))))
+                         for (c, i), (key, _) in stats.closing.items()} if closing else {}
         self.hops: dict[int, tuple] = {}
         self.reached: set[int] = set()   # known connected: no search for them
         self.ratios: dict[tuple[int, int], tuple] = {}   # one rate per (ext, inter), shared
@@ -249,7 +234,7 @@ class _Plan:
                         if c & target == c and (c & ~src).bit_count() == 1]
             if closable:  # closing rates replace the ratios; a hop adding more gets no edge
                 hop_kind = CYCLE_CLOSING
-                rates = sorted([(c, added, self.closings[c, added])
+                rates = sorted([(c, added, self.closings[c, added][2])
                                 for c in closable if c & ~src == added], key=lambda r: r[2])
             if rates:  # ratios are in provenance order already: patterns are sorted
                 planned.append((target, hop_kind, tuple(rates)))
@@ -283,26 +268,22 @@ def build_optimistic(q: QueryGraph, cat: Catalogue | QueryStats, closing: bool =
     targets close a cycle the source lacks, only those are kept (early cycle
     closing).
 
-    That shape is planned once per (h, closing, starts) and kept on q (`_Plan`):
-    a build reads only rates, every count of at most h edges and closing rate,
-    so a missing one raises MissingStatisticError from it, not a later `out`.
+    That shape is planned once per (h, closing, starts) from q's statistics
+    plan and kept on q (`_Plan`): a build reads only rates, through
+    `QueryStats`, every count of at most h edges and closing rate, so a
+    missing one raises MissingStatisticError from it, not a later `out`.
     """
     if starts not in ("anchored", "all"):
         raise ValueError(f"starts must be 'anchored' or 'all', got {starts!r}")
     stats = QueryStats.of(q, cat)
     h, m = stats.cat.h, len(q)
     plan = q.ceg_plans.get((h, closing, starts)) or q.ceg_plans.setdefault(
-        (h, closing, starts), _Plan(q, h, closing, starts))
-    table = stats.cat.counts   # on a miss, stats raises (or gives a count it was handed)
-    counts = {p: table[key] if key in table else stats.count(frozenset(indices))
-              for p, (key, indices) in plan.patterns.items()}
+        (h, closing, starts), _Plan(q, stats.plan, closing, starts))
+    count = stats.count
+    counts = {p: count(s) for p, (s, _) in plan.patterns.items()}
     counts[0] = 1   # the empty pattern's one match
-    closing_rates: dict[tuple[int, int], tuple[int, int]] = {}
-    for pair, (_, key, _) in plan.closings.items():
-        rate = stats.cat.closing_rate(key)
-        if rate is None:
-            raise MissingStatisticError(f"closing rate {key}")
-        closing_rates[pair] = (rate.numerator, rate.denominator)
+    closing_rates = {pair: stats.closing_rate(c, i).as_integer_ratio()
+                     for pair, (c, i, _) in plan.closings.items()}
 
     def sources() -> Iterator[int]:
         yield 0
@@ -382,39 +363,19 @@ def build_maxdeg(q: QueryGraph, cat: Catalogue | QueryStats) -> AttrCeg:
     deg(X, Y, P): one move per entry of P's degree table, with the
     provenance ("deg", P's edge indices, X names, Y names).
 
-    What depends on q and h alone is planned once per h and kept on q
-    (`QueryGraph.ceg_plans`, `_maxdeg_plan`): each index set's pattern key,
-    the query bit of each pattern position, and the names of each position
-    mask.  A build reads only degree values (`QueryStats.degree_values`),
-    each table checked for exactly its 3^|vars| entry keys on every build,
-    and the plan keeps none of them.
+    The index sets and each mask's names come from q's statistics plan
+    (`catalogue.StatsPlan`), kept on q; a build reads only degree tables
+    (`QueryStats.degrees`), each checked for exactly its 3^|vars| keys.
     """
     stats = QueryStats.of(q, cat)
-    h = stats.cat.h
-    plan = q.ceg_plans.get(("maxdeg", h)) or q.ceg_plans.setdefault(
-        ("maxdeg", h), _maxdeg_plan(q, h))
+    names = stats.plan.names
     ceg = AttrCeg(q)
     moves = ceg.moves
-    for s, key, union, layout, indices, names in plan:
-        moves += [(union[x], union[y], deg, ("deg", indices, names[x], names[y]))
-                  for (_, x, y), deg in zip(layout, stats.degree_values(s, key, union))
-                  if x != y]
+    for s, planned in stats.plan.sets.items():
+        indices = planned.indices
+        moves += [(x, y, deg, ("deg", indices, names[x], names[y]))
+                  for (x, y), deg in stats.degrees(s).items() if x != y]
     return ceg
-
-
-def _maxdeg_plan(q: QueryGraph, h: int) -> tuple[tuple, ...]:
-    """Per connected index set s of at most h edges: (s, its pattern key, the
-    union of query bits of each pattern-position mask, the table's
-    `mask_layout`, s's sorted indices, the sorted variable names of each
-    position mask)."""
-    bits, plan = q.var_bits, []
-    keys: dict[int, tuple[str, ...]] = {}   # one names tuple per query mask
-    for s in connected_index_sets(q, h):
-        key, union = pattern_bits(q, s)
-        names = tuple(keys.setdefault(u, tuple(v for v in bits if u & bits[v])) for u in union)
-        plan.append((s, key, union, mask_layout(len(union).bit_length() - 1),
-                     tuple(sorted(s)), names))
-    return tuple(plan)
 
 
 def build_cover(q: QueryGraph, cat: Catalogue | QueryStats,

@@ -78,9 +78,10 @@ class QueryGraph:
 
     @cached_property
     def ceg_plans(self) -> dict:
-        """Estimation-graph plans of this query, which read no catalogue and
-        keep no statistic: an optimistic graph's under (h, closing, starts),
-        the max-degree graph's under ("maxdeg", h)."""
+        """Plans of this query, which read no catalogue and keep no statistic:
+        its statistics plan under ("stats", h) (`catalogue.stats_plan`), which
+        the max-degree graph reads as it is, and an optimistic graph's under
+        (h, closing, starts)."""
         return {}
 
     def edge_adjacency(self) -> tuple[frozenset[int], ...]:

@@ -13,23 +13,25 @@ bound sketch (Cai, Balazinska & Suciu, SIGMOD 2019), the component statistics
 are those of the full graph's relations restricted to one bucket per
 sketched attribute.  Each label's adjacency map is split once into cells by
 the buckets of its sketched ends (`BucketMemo.cell`), and everything a
-component reads comes from those cells.  `partition_catalogues` returns one
-`QueryStats` of q per component, its counts and degree tables filled in from
-the cells (one edge, or two edges over three variables) or from one
-full-graph match of the subquery with its rows grouped by bucket (any other
-connected subquery of at most h edges).  A component's graph is built only
+component reads comes from those cells.  `partition_catalogues` makes one
+`QueryStats` of q per component, handing it its counts and degree tables,
+one per index set of q's statistics plan (`catalogue.StatsPlan`): each
+built on the planned pattern from the cells (one edge, or two edges over
+three variables) or from one full-graph match of the pattern with its rows
+grouped by bucket (any other pattern).  A component's graph is built only
 when read (for closing rates, which a path with a cycle-closing edge needs,
 and by callers of `make_sketch`), from each query edge's cell of the same
 split, not split a second time.  It labels each edge by its query edge,
 `e{i}`, as does the component's query, so the closing rates are sampled and
-keyed under those tags.
+keyed under those tags: a closing-rate plan's components read their
+statistics as those of the tagged query.
 
 A `SketchCache` holds what the sketched rows of one run share: per (bucket
 count, seed), one `BucketMemo` of the graph, under which each vertex is
 hashed at most once, each adjacency map split once and each component
 degree table built once.  The memo keeps each table twice: its entries by
-variable position, shared by every subquery of that shape, and, with its
-count, keyed by the query masks a query's variable bits give it.  So a row
+pattern position, shared by every index set of that pattern key, and, with
+its count, keyed by the query masks the plan gives it.  So a row
 whose tables are all kept, such as an optimistic row after its query's bound
 row on the same sketch attributes, does one lookup per index set and component.
 `run_workload` makes one per run; a call without one makes its own.
@@ -51,14 +53,14 @@ from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
 from . import oracle
-from .catalogue import (Catalogue, DegreeTable, QueryStats, add_closing_rates, pattern_table,
-                        query_table)
+from .catalogue import (Catalogue, DegreeTable, PlannedSet, QueryStats, StatsPlan,
+                        _key_to_query, add_closing_rates, pattern_table, stats_plan)
 from .errors import ConfigError, SketchPlanError
 from .estgraph import BOUND, CYCLE_CLOSING, EXTENSION, PathEstimate
 from .estimators import (Estimate, HeuristicChoice, estimate_molp,
                          estimate_optimistic, evaluate_optimistic_path)
 from .graphstore import SRC, LabeledGraph
-from .querymodel import QEdge, QueryGraph, connected_index_sets
+from .querymodel import QEdge, QueryGraph
 
 MIX = 0x9E3779B97F4A7C15
 MASK = (1 << 64) - 1
@@ -114,10 +116,10 @@ class BucketMemo(dict):
     """vertex -> bucket_of(vertex, parts, seed) over `graph`, each vertex
     hashed once, with the cells of the graph's adjacency maps under these
     buckets and the component degree tables built from them, kept for every
-    later sketch of the graph.  `tables` keys a table's entries by variable
-    position under (subquery shape, buckets); `query_tables` keeps (count,
-    table keyed by query masks) under (shape, buckets, each position's query
-    bit), so a query whose tables are kept finds each with one lookup."""
+    later sketch of the graph.  `tables` keys a table's entries by pattern
+    position under (pattern key, buckets); `query_tables` keeps (count,
+    table keyed by query masks) under (pattern key, buckets, each position's
+    query bit), so a query whose tables are kept finds each with one lookup."""
 
     def __init__(self, graph: LabeledGraph, parts: int, seed: int):
         super().__init__()
@@ -238,66 +240,64 @@ def make_sketch(q: QueryGraph, g: LabeledGraph, path: PathEstimate | None, k: in
 
 
 def partition_catalogues(q: QueryGraph, h: int, parts: Sequence[Mapping[str, int]],
-                         memo: BucketMemo) -> list[QueryStats]:
+                         memo: BucketMemo, query: QueryGraph | None = None) -> list[QueryStats]:
     """q's counts and degree tables on each part of memo.graph's matches of
     q, one QueryStats per part, without closing rates.
 
     Part j keeps the matches whose variables v in parts[j] (every part names
     the same variables) bind vertices x with memo[x] == parts[j][v].  Each
-    connected index set of at most h edges gets one degree table per
-    distinct group of those values that a part reads, so an index set
-    without such a variable has one table for every part, and an empty group
-    the all-zero table.  The tables come from the kernel `build_catalogue`
-    uses (`catalogue.pattern_table`): one edge, or two edges over three
-    variables, read the part's cells (`BucketMemo.cell`); any other index
-    set is matched, with q's own edges, and its rows grouped, once per call
-    and only when a table is missing.  A table's entries are kept in
-    memo.tables under (shape, buckets): its subquery's labelled edges by
-    variable position and each variable's value (None where not in the
-    parts), which fix it on either route.  The table keyed by q's masks
-    (`catalogue.query_table`) is kept with its count in memo.query_tables
-    under (shape, buckets, bits), bits holding each position's q.var_bits
-    bit.  So a call whose tables are all kept does one lookup per index set
-    and part, and builds the subquery and its row grouping only for a
-    missing table.  Kept tables are shared: read them, never change them.
+    index set of q's statistics plan at h gets one table per distinct group
+    of those values that a part reads (an empty group: the all-zero table),
+    from the kernel `build_catalogue` uses (`catalogue.pattern_table`) on the
+    planned pattern: one edge, or two edges over three variables, read the
+    part's cells (`BucketMemo.cell`); any other pattern is matched and its
+    rows grouped, once per call and only when a table is missing.  A table's
+    entries are kept in memo.tables under (pattern key, buckets by pattern
+    position, None where not in the parts), and, keyed by q's masks with
+    its count, in memo.query_tables under (pattern key, buckets, the plan's
+    bits): a call whose tables are all kept does one lookup per index set
+    and part.  Kept tables are shared: read them, never change them.  Each
+    part's QueryStats reads as that of `query` when given, a query with q's
+    variables and edges but other labels, such as the components' tagged one.
     """
-    stats = [QueryStats(q, Catalogue(h=h)) for _ in parts]
-    for s in connected_index_sets(q, h):
-        edges = [q.edges[i] for i in sorted(s)]
-        names = tuple(dict.fromkeys(v for e in edges for v in e.vars()))  # the subquery's vars
-        shape = tuple((names.index(e.src), names.index(e.dst), e.label) for e in edges)
-        bits = tuple(map(q.var_bits.__getitem__, names))
+    counts, tables = [{} for _ in parts], [{} for _ in parts]
+    plan = stats_plan(q, h)
+    for s, planned in plan.sets.items():
         build = None
-        for st, part in zip(stats, parts):
-            buckets = tuple(map(part.get, names))
-            got = memo.query_tables.get((shape, buckets, bits))
+        for part_counts, part_tables, part in zip(counts, tables, parts):
+            key = planned.key, tuple(map(part.get, planned.vars)), planned.bits
+            got = memo.query_tables.get(key)
             if got is None:
-                build = build or _table_builder(memo, QueryGraph(edges), shape, parts[0], bits)
-                got = memo.query_tables[shape, buckets, bits] = build(part, buckets)
-            st._counts[s], st._tables[s] = got
-    return stats
+                build = build or _table_builder(memo, plan, planned, parts[0])
+                got = memo.query_tables[key] = build(key[1])
+            part_counts[s], part_tables[s] = got
+    return [QueryStats(query or q, Catalogue(h=h), part_counts, part_tables)
+            for part_counts, part_tables in zip(counts, tables)]
 
 
-def _table_builder(memo: BucketMemo, sub: QueryGraph, shape: tuple,
-                   sketched_vars: Mapping[str, int], bits: tuple[int, ...],
-                   ) -> Callable[[Mapping[str, int], tuple], tuple[int, DegreeTable]]:
-    """A function of (part, buckets) that gives sub's count and table on
-    that part, keyed by masks in which sub's variable at position i is
-    bits[i], from memo.tables' entries under (shape, buckets), which it
-    builds and keeps when missing.  sub's matches, listed only if a table
-    needs them, are grouped by the buckets of `sketched_vars` once."""
-    sketched = [p for p, v in enumerate(sub.vars) if v in sketched_vars]
-    grouped = lru_cache(None)(lambda: _group_rows(oracle.matches(memo.graph, sub),
+def _table_builder(memo: BucketMemo, plan: StatsPlan, planned: PlannedSet,
+                   sketched_vars: Mapping[str, int],
+                   ) -> Callable[[tuple], tuple[int, DegreeTable]]:
+    """A function of a part's buckets by pattern position that gives the
+    planned pattern's count and table on that part, keyed by the plan's
+    layout of its bits, from memo.tables' entries under (key, buckets),
+    which it makes and keeps when missing.  The pattern's matches, listed
+    only if a table needs them, are grouped by the buckets of `sketched_vars` once."""
+    pairs, read = plan.layouts[planned.bits]
+    rep = _key_to_query(planned.key)   # its variable at position i is x{i}
+    sketched = [i for i, v in enumerate(planned.vars) if v in sketched_vars]
+    grouped = lru_cache(None)(lambda: _group_rows(oracle.matches(memo.graph, rep),
                                                   sketched, memo))
 
-    def build(part: Mapping[str, int], buckets: tuple) -> tuple[int, DegreeTable]:
-        entries = memo.tables.get((shape, buckets))
+    def build(buckets: tuple) -> tuple[int, DegreeTable]:
+        entries = memo.tables.get((planned.key, buckets))
         if entries is None:
-            group = tuple(buckets[p] for p in sketched)
-            entries = memo.tables[shape, buckets] = pattern_table(
-                partial(memo.cell, part), sub, lambda: grouped().get(group, []))
-        table = query_table(entries, bits)
-        return table[0, sum(bits)], table
+            part = {v: b for v, b in zip(rep.vars, buckets) if b is not None}
+            group = tuple(buckets[i] for i in sketched)
+            entries = memo.tables[planned.key, buckets] = pattern_table(
+                partial(memo.cell, part), rep, lambda: grouped().get(group, []))
+        table = dict(zip(pairs, read(entries)))
+        return table[0, sum(planned.bits)], table
     return build
 
 
@@ -345,7 +345,8 @@ def estimate_with_sketch(q: QueryGraph, g: LabeledGraph, k: int, base: str,
     Component counts and degree tables come from the full graph's adjacency
     maps split by bucket, or its grouped matches (`partition_catalogues`);
     only a fixed path with a cycle-closing edge also samples closing rates on
-    each component's graph, built from the same cells.
+    each component's graph, built from the same cells, and reads that
+    component's statistics as those of its tagged query.
     Buckets, splits and tables come from `cache` (see `make_sketch`), which
     `run_workload` shares across its rows.
     """
@@ -374,10 +375,10 @@ def estimate_with_sketch(q: QueryGraph, g: LabeledGraph, k: int, base: str,
         k = 1  # every join attribute is bound: partitioning degenerates (identity)
     plan, components = make_sketch(q, g, sketch_path, k, ceg_kind=sketch_ceg_kind, seed=seed,
                                    cache=cache)
+    closing = fixed_path is not None and any(e.kind == CYCLE_CLOSING for e in fixed_path.edges)
     parts = partition_catalogues(q, stats.cat.h,
                                  [dict(zip(plan.attrs, c.index)) for c in components],
-                                 plan.buckets)
-    closing = fixed_path is not None and any(e.kind == CYCLE_CLOSING for e in fixed_path.edges)
+                                 plan.buckets, components[0].query if closing else None)
 
     total = Fraction(0)
     for comp, part in zip(components, parts):
@@ -386,7 +387,6 @@ def estimate_with_sketch(q: QueryGraph, g: LabeledGraph, k: int, base: str,
         else:
             if closing:  # sampled on the component's graph, so keyed by its edge tags
                 add_closing_rates(part.cat, comp.graph, [comp.query], walk_budget, seed)
-                part.query = comp.query  # q's index sets and variables, under the tags
             total += evaluate_optimistic_path(fixed_path, part)
     return Estimate(total, method=method, ceg_kind=unsketched.ceg_kind,
                     considered_paths=unsketched.considered_paths,

@@ -166,49 +166,3 @@ def make_instances(seed: int, n_graphs: int, per_graph: int,
                 queries.append((f"g{gi:02d}q{len(queries):03d}", name, inst))
         out.append((g, queries))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Correlated graph with planted stars and 4-cycles
-# ---------------------------------------------------------------------------
-
-def correlated_graph(seed: int, target_edges: int = 12000) -> LabeledGraph:
-    rng = random.Random(seed)
-    edges: set[tuple[int, int, str]] = set()
-    next_vertex = 0
-
-    def fresh() -> int:
-        nonlocal next_vertex
-        next_vertex += 1
-        return next_vertex - 1
-
-    hubs = [fresh() for _ in range(220)]
-    star_labels = ("S1", "S2", "S3")
-    for hub in hubs:
-        for lab in star_labels:
-            for _ in range(rng.randint(2, 9)):
-                edges.add((hub, fresh(), lab))
-
-    cycle_labels = ("C1", "C2", "C3", "C4")
-    ring = [fresh() for _ in range(400)]
-    for _ in range(900):
-        vs = [ring[rng.randrange(len(ring))] for _ in range(4)]
-        if len(set(vs)) < 4:
-            continue
-        closing = rng.random() < 0.45
-        edges.add((vs[0], vs[1], "C1"))
-        edges.add((vs[1], vs[2], "C2"))
-        edges.add((vs[2], vs[3], "C3"))
-        if closing:
-            edges.add((vs[3], vs[0], "C4"))
-
-    background = [f"B{i}" for i in range(1, 11)]
-    pool = hubs + ring + [fresh() for _ in range(800)]
-    guard = 0
-    while len(edges) < target_edges and guard < 40 * target_edges:
-        guard += 1
-        u = pool[rng.randrange(len(pool))]
-        v = pool[rng.randrange(len(pool))]
-        if u != v:
-            edges.add((u, v, background[rng.randrange(len(background))]))
-    return LabeledGraph(edges)

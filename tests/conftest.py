@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import sys
 
 import pytest
 
@@ -8,6 +9,8 @@ from cardest.graphstore import LabeledGraph, load_graph_file
 from cardest.querymodel import parse_query_file
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+# the benchmark's generator (`import gen`), whose graphs some tests share; only read
+sys.path.append(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
 
 
 def fixture_path(name: str) -> str:

@@ -234,6 +234,58 @@ def projection_molp(q: QueryGraph, stats) -> int:
     return dist[top]
 
 
+def molp_certificate(q: QueryGraph, cat) -> int:
+    """The MOLP bound of q over `cat`, proved the LP optimum in exact integers,
+    with no solver; AssertionError when the proof fails.
+
+    The moves are the entries X ⊊ Y of the degree tables of q's connected
+    index sets of at most h edges (`QueryStats.degrees`), shared with no
+    search of the library.  dist(W), the least degree product of an
+    extension path from ∅ to W, comes from a DP over the masks in increasing
+    order, as a move only adds bits; s(W) is the least dist(W') over the
+    supersets W' of W.  Then log2 s is a feasible LP point: s(∅) = 1,
+    s(W - a) ≤ s(W) by construction, and s(W ∪ Y) ≤ s(W) · deg(X, Y) for
+    every entry and every W ⊇ X, all checked here.  Its objective, log2
+    s(V) = log2 dist(V), is the weight of a path to V, which caps the LP's
+    maximum, so dist(V), returned, is the optimum.  A zero optimum has no
+    log, and fails the check s(∅) = 1.
+    """
+    from cardest.catalogue import QueryStats
+
+    stats = QueryStats(q, cat)
+    by_x: dict[int, list[tuple[int, int]]] = {}
+    for s in brute_connected_subsets(q, cat.h):
+        for (x, y), deg in stats.degrees(s).items():
+            if x != y:
+                by_x.setdefault(x, []).append((y, deg))
+    top = (1 << len(q.vars)) - 1
+    dist: list = [None] * (top + 1)
+    dist[0] = 1
+    for w, here in enumerate(dist):
+        if here is None:
+            continue
+        for x, moves in by_x.items():
+            if x & w == x:
+                for y, deg in moves:
+                    known = dist[w | y]
+                    if w | y != w and (known is None or here * deg < known):
+                        dist[w | y] = here * deg
+    assert dist[top] is not None, "top unreachable"
+    least = list(dist)
+    for w in range(top, -1, -1):
+        for b in (1 << i for i in range(len(q.vars))):
+            above = least[w | b]
+            if above is not None and (least[w] is None or above < least[w]):
+                least[w] = above
+    assert least[0] == 1, f"s(∅) = {least[0]}"
+    for w, here in enumerate(least):
+        for x, moves in by_x.items():
+            if x & w == x:
+                for y, deg in moves:
+                    assert least[w | y] <= here * deg, (w, x, y, deg)
+    return dist[top]
+
+
 def brute_label_walks(g: LabeledGraph, label_seq) -> list[tuple[int, ...]]:
     """All walks realizing the (label, direction) sequence, by recursion."""
     from cardest.oracle import FWD

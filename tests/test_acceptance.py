@@ -28,6 +28,7 @@ from cardest.estimators import (ALL_CHOICES, HeuristicChoice, KIND_AVG,
                                 optimistic_ceg)
 from cardest.evalharness import (WorkloadItem, expand_methods, qerror,
                                  run_workload, summarize)
+from cardest.graphstore import LabeledGraph
 from cardest.oracle import count_hom, matches
 from cardest.querymodel import (connected_index_sets, cycles, index_pattern,
                                 instantiate_template, parse_query)
@@ -35,10 +36,11 @@ from cardest.sketch import estimate_with_sketch, make_sketch
 
 from _summary_check import (aggregate_paths, pstar_mismatches, pstar_paths,
                             summary_mismatches)
-from _synth import (correlated_graph, make_instances, path_template,
-                    star_template, tree_template, cycle_template)
+import gen
+from _synth import (make_instances, path_template, star_template, tree_template,
+                    cycle_template)
 from conftest import identity_triangle
-from oracles import dag_min_product, group_degree, projection_molp
+from oracles import dag_min_product, group_degree, molp_certificate, projection_molp
 
 
 def _pass(criterion: int, elapsed: float, message: str) -> None:
@@ -587,6 +589,19 @@ def test_molp_bound_equals_lp_optimum(corpus):
     assert n >= 100
 
 
+def test_molp_bound_has_an_exact_lp_certificate(corpus):
+    # every corpus query, past the LP check's 6 variables: the bound is the LP
+    # optimum in exact integers, proved from the degree tables alone
+    n = 0
+    for g, cat, qid, template, q in corpus.instances():
+        bound = estimate_molp(q, cat).exact
+        if bound == 0:
+            continue
+        n += 1
+        assert molp_certificate(q, cat) == bound, qid
+    assert n >= 400
+
+
 # ---------------------------------------------------------------------------
 # Criterion 8: identity-relation triangle exhibit
 # ---------------------------------------------------------------------------
@@ -715,7 +730,7 @@ def test_criterion_11_summary_fixture():
 
 def test_criterion_12_informational_trends():
     t0 = time.perf_counter()
-    g = correlated_graph(seed=7)
+    g = LabeledGraph(gen.correlated_graph(7))
     assert len(g.edges) >= 10_000
 
     rng = random.Random(5)

@@ -10,8 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from cardest import estgraph, estimators
-from cardest.catalogue import build_catalogue, canonical_form, closing_spec
+from cardest import catalogue, estgraph, estimators
+from cardest.catalogue import QueryStats, build_catalogue, canonical_form, closing_spec
 from cardest.errors import EstimationError, MissingStatisticError, PathOverflowError
 from cardest.estgraph import (CYCLE_CLOSING, EXTENSION, AttrCeg, Ceg, CegEdge, PathEstimate,
                               build_cover, build_maxdeg, build_optimistic,
@@ -30,7 +30,7 @@ from cardest.sketch import make_sketch, partition_catalogues
 from _summary_check import aggregate_paths, summary_mismatches
 from _synth import cycle_template, random_graph, star_template, tree_template
 from conftest import edited_degree_tables
-from oracles import dag_min_path, dag_min_product, dfs_path_count
+from oracles import dag_min_path, dag_min_product, dfs_path_count, molp_certificate
 
 SEVEN_FORK_ESTIMATES = {
     Fraction(105, 2),   # 52.5
@@ -490,8 +490,9 @@ def test_optimistic_build_lists_the_lattice_only_for_listings(monkeypatch):
     g = random_graph(30, 150, 2, seed=11)
     cat = _cat(g, [PATH4])
     sizes: list[int] = []
-    monkeypatch.setattr(estgraph, "connected_index_sets",
-                        lambda q, n: sizes.append(n) or connected_index_sets(q, n))
+    for module in (catalogue, estgraph):   # the statistics plan's, and the listings'
+        monkeypatch.setattr(module, "connected_index_sets",
+                            lambda q, n: sizes.append(n) or connected_index_sets(q, n))
     q = parse_query(PATH4.to_text())   # PATH4 keeps the plans other tests' builds made
     ceg = build_optimistic(q, cat, starts="all")
     path_summary(ceg)
@@ -684,33 +685,48 @@ def _lighter_superset_vertices(ceg, bound) -> int:
                for v, d in dist.items())
 
 
-def test_bound_path_is_the_dp_least_path_where_supersets_are_skipped():
-    # the enumeration property stops at 4 variables, where few popped vertices
-    # have a lighter superset; on 6 to 9 variables many do, so the search skips
-    # them, and its path must still be the least by (weight, vertex keys)
+def _drawn_bound_cases():
+    """(graph, query, cover) for 10 queries of 6 to 9 variables on small
+    random graphs, the cover of some single sides where one spans q."""
     rng = random.Random(30)
     templates = ([star_template(5), star_template(8, out=False)]
                  + [tree_template(k, seed=k) for k in (5, 6, 7, 8)]
                  + [cycle_template(k) for k in (6, 7, 8, 9)])
-    skippable = {"maxdeg": 0, "cover": 0}
     for i, template in enumerate(templates):
         g = random_graph(20, 70, 2, seed=3000 + i, plant_cycles=6)
         q = instantiate_template(template, g, seed=rng.randrange(1 << 20), mode="edge-at-a-time")
         assert q is not None and 6 <= len(q.vars) <= 9
-        cat = _cat(g, [q])
         cover = [(j, e.vars()) for j, e in enumerate(q.edges)]
-        for _ in range(20):  # a cover of some single sides, if one spans q
+        for _ in range(20):
             drawn = [(j, rng.choice([e.vars(), e.vars(), (e.src,), (e.dst,)]))
                      for j, e in enumerate(q.edges)]
             if {v for _, attrs in drawn for v in attrs} == set(q.vars):
                 cover = drawn
                 break
+        yield g, q, cover
+
+
+def test_bound_path_is_the_dp_least_path_where_supersets_are_skipped():
+    # the enumeration property stops at 4 variables, where few popped vertices
+    # have a lighter superset; on 6 to 9 variables many do, so the search skips
+    # them, and its path must still be the least by (weight, vertex keys)
+    skippable = {"maxdeg": 0, "cover": 0}
+    for g, q, cover in _drawn_bound_cases():
+        cat = _cat(g, [q])
         for kind, ceg in (("maxdeg", build_maxdeg(q, cat)), ("cover", build_cover(q, cat, cover))):
             best = min_weight_path(ceg)
             assert best.estimate > 0   # a non-empty instance: every degree is at least 1
             assert best.edges == dag_min_path(ceg)
             skippable[kind] += _lighter_superset_vertices(ceg, best.estimate)
     assert all(skippable.values()), skippable
+
+
+def test_drawn_bounds_are_certified_lp_optima():
+    # the certificate reads only the degree tables, so it checks the search's
+    # skips and moves from outside; these bounds are all positive
+    for g, q, _ in _drawn_bound_cases():
+        cat = _cat(g, [q])
+        assert molp_certificate(q, cat) == estimate_molp(q, cat).exact > 0
 
 
 def test_bound_search_memory_on_a_long_chain():
@@ -739,7 +755,8 @@ def test_maxdeg_plan_keeps_no_catalogue_value():
     cat = _cat(g, [q])
     bound = estimate_molp(q, cat).exact
     assert bound > 1
-    kept = q.ceg_plans[("maxdeg", 2)]
+    kept = q.ceg_plans[("stats", 2)]
+    assert QueryStats(q, cat).plan is kept
     key = canonical_form(index_pattern(q, range(2)))[0]
 
     def with_table(table):
@@ -759,7 +776,7 @@ def test_maxdeg_plan_keeps_no_catalogue_value():
     got = [estimate_molp(q, part).exact for part in parts]
     assert got == [estimate_molp(c.query, _cat(c.graph, [c.query])).exact for c in components]
     assert bound not in got
-    assert q.ceg_plans[("maxdeg", 2)] is kept
+    assert q.ceg_plans[("stats", 2)] is kept and all(part.plan is kept for part in parts)
 
 
 def test_maxdeg_zero_relation_short_circuits():

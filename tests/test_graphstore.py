@@ -16,7 +16,8 @@ from cardest.graphstore import DST, SRC, LabeledGraph, dump_graph, load_graph
 from cardest.oracle import _CHECK, _plan, count_hom, matches
 from cardest.querymodel import parse_query
 
-from _synth import correlated_graph, random_graph
+import gen
+from _synth import random_graph
 from oracles import nested_loop_count, nested_loop_matches
 
 
@@ -182,7 +183,7 @@ def test_load_memory_per_edge():
     """The store holds each edge once: about 180 B per edge retained after
     the load and 190 B at its peak, where a frozenset of triples beside the
     maps took about 395 and 492."""
-    lines = dump_graph(correlated_graph(1)).splitlines()
+    lines = dump_graph(LabeledGraph(gen.correlated_graph(1))).splitlines()
     gc.collect()
     tracemalloc.start()
     try:
