@@ -258,14 +258,14 @@ def run_workload(
 ) -> RunResult:
     """Estimate every (query, method) pair against the cached oracle count.
 
-    Estimator failures become failed rows, never aborts.  With sketch_k > 1
-    the optimistic min/max heuristics and the bound run sketched; their
-    unpartitioned plans read the run's catalogue too.  A given catalogue
+    Estimator failures become failed rows, never aborts.  A given catalogue
     built from another graph or at another h, a walk budget below 1, or a
     sketch_k below 1 raises ConfigError before any row runs.  Per query, the
     methods share one QueryStats of the catalogue, and each optimistic graph
     kind is built once; its one path summary serves the heuristics and the
-    path oracle.  All sketched rows share one SketchCache.
+    path oracle.  With sketch_k > 1 each row but P*'s then hands its estimate
+    to `estimate_with_sketch` (an avg-aggr row, with no chosen path, fails
+    with SketchPlanError); all sketched rows share one SketchCache.
     """
     if sketch_k < 1:
         raise ConfigError(f"sketch K must be >= 1 (1: no sketch), got {sketch_k}")
@@ -315,21 +315,21 @@ def run_workload(
 
 def _run_method(query, g, stats, spec, seed, walk_budget, sketch_k, true_count,
                 ceg_cache, sketches) -> Estimate:
-    if sketch_k > 1 and spec.name != "pstar":
-        # avg-aggr has no chosen path to partition; the row records the failure
-        base = "molp" if spec.name == "bound" else "optimistic"
-        return estimate_with_sketch(query, g, sketch_k, base, stats, seed=seed,
-                                    walk_budget=walk_budget, choice=spec.choice,
-                                    ceg_kind=spec.ceg_kind, cache=sketches)
     if spec.name == "bound":
-        return estimate_molp(query, stats)
-    kind = spec.ceg_kind
-    summary = ceg_cache.get(kind)
-    if summary is None:
-        summary = ceg_cache[kind] = ceg_summary(optimistic_ceg(query, stats, kind))
-    if spec.name == "pstar":
-        return estimate_pstar(query, stats, kind, true_count, summary=summary)
-    return estimate_optimistic(query, stats, kind, spec.choice, summary=summary)
+        estimate = estimate_molp(query, stats)
+    else:
+        kind = spec.ceg_kind
+        summary = ceg_cache.get(kind)
+        if summary is None:
+            summary = ceg_cache[kind] = ceg_summary(optimistic_ceg(query, stats, kind))
+        if spec.name == "pstar":
+            return estimate_pstar(query, stats, kind, true_count, summary=summary)
+        estimate = estimate_optimistic(query, stats, kind, spec.choice, summary=summary)
+    if sketch_k == 1:
+        return estimate
+    # avg-aggr has no chosen path to partition; the row records the failure
+    return estimate_with_sketch(query, g, sketch_k, estimate, stats, seed=seed,
+                                walk_budget=walk_budget, cache=sketches)
 
 
 def _make_record(item, spec, sketch_k, true_count, estimate, error, elapsed_ms):

@@ -1,11 +1,13 @@
 """Bound sketches: hash-partition relations on selected join attributes and
-sum per-partition estimates.
+re-evaluate an estimate on each partition.
 
-The attribute set S comes from a chosen estimation-graph path: join
-attributes that the path does not extend through a bound (conditioned) edge.
-Each attribute gets K**(1/|S|) hash buckets; a relation hashes on the subset
-of S it contains, and the query splits into K disjoint components whose true
-counts add up to the original.
+`estimate_with_sketch` is handed an unsketched estimate and its chosen
+path.  The attribute set S comes from that path: join attributes that it
+does not extend through a bound (conditioned) edge.  Each attribute gets
+K**(1/|S|) hash buckets; a relation hashes on the subset of S it contains,
+and the query splits into K disjoint components whose true counts add up
+to the original.  A bound is re-bounded on each component; any other
+estimate has its path's formula re-evaluated there.  The sketch sums them.
 
 A component's matches of a subquery are exactly the full-graph matches whose
 sketched variables hash to that component's buckets.  So, as in the original
@@ -34,12 +36,9 @@ pattern position, shared by every index set of that pattern key, and, with
 its count, keyed by the query masks the plan gives it.  So a row
 whose tables are all kept, such as an optimistic row after its query's bound
 row on the same sketch attributes, does one lookup per index set and component.
-`run_workload` makes one per run; a call without one makes its own.
-
-The unpartitioned plan reads the caller's catalogue (`run_workload` passes
-the run's), and the components take its h: a catalogue lacking the query's
-patterns fails with MissingStatisticError, and closing-rate plans use that
-catalogue's closing rates.
+`run_workload` makes one per run; a call without one makes its own.  The
+components take the h of the catalogue the estimate was made from, and
+closing-rate plans use that catalogue's closing rates.
 """
 
 from __future__ import annotations
@@ -57,8 +56,7 @@ from .catalogue import (Catalogue, DegreeTable, PlannedSet, QueryStats, StatsPla
                         _key_to_query, add_closing_rates, pattern_table, stats_plan)
 from .errors import ConfigError, SketchPlanError
 from .estgraph import BOUND, CYCLE_CLOSING, EXTENSION, PathEstimate
-from .estimators import (Estimate, HeuristicChoice, estimate_molp,
-                         estimate_optimistic, evaluate_optimistic_path)
+from .estimators import KIND_MAXDEG, Estimate, estimate_molp, evaluate_optimistic_path
 from .graphstore import SRC, LabeledGraph
 from .querymodel import QEdge, QueryGraph
 
@@ -193,7 +191,8 @@ class SketchCache:
 
 @dataclass
 class SketchPlan:
-    path: PathEstimate | None
+    """How a sketch partitions: its attributes S, K, and the bucket memo."""
+
     attrs: tuple[str, ...]          # S, sorted
     k: int
     per_attr_parts: int             # K ** (1/|S|)
@@ -206,16 +205,19 @@ def make_sketch(q: QueryGraph, g: LabeledGraph, path: PathEstimate | None, k: in
                 ) -> tuple[SketchPlan, list[SketchComponent]]:
     """Partition plan plus the K component instances (disjoint, exhaustive).
 
-    k=1 is the identity sketch.  Otherwise k must be a perfect |S|-th power of
-    an integer >= 2 and S must be non-empty.  The plan's buckets come from
-    `cache` (a fresh one when None; ConfigError when made for another graph).
-    A component's graph is built when first read, from the cells its
-    statistics read (`BucketMemo.cell`).
+    S is the sketch attributes of `path` (`sketch_attributes` under
+    `ceg_kind`).  k=1 is the identity sketch.  Otherwise k must be a perfect
+    |S|-th power of an integer >= 2 and S must be non-empty; any other k,
+    one below 1 included, raises SketchPlanError.  The plan's buckets come
+    from `cache` (a fresh one when None; ConfigError when made for another
+    graph).  A component's graph is built when first read, from the cells
+    its statistics read (`BucketMemo.cell`).
     """
     cache = cache or SketchCache(g)
     cache.check_graph(g)
+    _check_k(k)
     if k == 1:
-        plan = SketchPlan(path=path, attrs=(), k=1, per_attr_parts=1, seed=seed,
+        plan = SketchPlan(attrs=(), k=1, per_attr_parts=1, seed=seed,
                           buckets=cache.buckets(1, seed))
         return plan, [SketchComponent((), q, lambda: g)]
     if path is None:
@@ -228,7 +230,7 @@ def make_sketch(q: QueryGraph, g: LabeledGraph, path: PathEstimate | None, k: in
         raise SketchPlanError(
             f"K={k} is not a perfect |S|-th power >= 2**|S| for |S|={len(attrs)}")
 
-    plan = SketchPlan(path=path, attrs=tuple(attrs), k=k, per_attr_parts=parts, seed=seed,
+    plan = SketchPlan(attrs=tuple(attrs), k=k, per_attr_parts=parts, seed=seed,
                       buckets=cache.buckets(parts, seed))
     comp_query = QueryGraph([QEdge(e.src, e.dst, f"e{i}") for i, e in enumerate(q.edges)])
     components = []
@@ -313,6 +315,11 @@ def _group_rows(rows: list[tuple[int, ...]], positions: Sequence[int],
     return groups
 
 
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise SketchPlanError(f"K={k} is below 1 (1: no sketch)")
+
+
 def _integer_root(k: int, degree: int) -> int | None:
     root = round(k ** (1.0 / degree))
     for candidate in (root - 1, root, root + 1):
@@ -322,72 +329,50 @@ def _integer_root(k: int, degree: int) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# Sketched estimators
+# Sketched estimates
 # ---------------------------------------------------------------------------
 
-def estimate_with_sketch(q: QueryGraph, g: LabeledGraph, k: int, base: str,
+def estimate_with_sketch(q: QueryGraph, g: LabeledGraph, k: int, estimate: Estimate,
                          catalogue: Catalogue | QueryStats, seed: int = 0,
                          walk_budget: int | None = 1000,
-                         choice: HeuristicChoice | None = None,
-                         ceg_kind: str = "avg-degree",
                          cache: SketchCache | None = None) -> Estimate:
-    """Sum of per-component base estimates under a K-way bound sketch.
+    """`estimate`, made from `catalogue` (a Catalogue of g or a QueryStats
+    of q over one), re-evaluated on each component of a K-way bound sketch
+    on its chosen path, and summed.
 
-    base="molp": the sketch follows the unpartitioned minimum-weight path and
-    each component is re-bounded from its own statistics.  base="optimistic":
-    the heuristic's chosen path on the unpartitioned graph is fixed and its
-    formula re-evaluated per component (min/max aggregators only).
-
-    The unpartitioned plan reads `catalogue` (a Catalogue of g or a
-    QueryStats of q over one), and the components take its h: one built from
-    another graph raises ConfigError, one without q's patterns
-    MissingStatisticError, and closing-rate plans use its closing rates.
-    Component counts and degree tables come from the full graph's adjacency
-    maps split by bucket, or its grouped matches (`partition_catalogues`);
-    only a fixed path with a cycle-closing edge also samples closing rates on
-    each component's graph, built from the same cells, and reads that
-    component's statistics as those of its tagged query.
-    Buckets, splits and tables come from `cache` (see `make_sketch`), which
-    `run_workload` shares across its rows.
+    A bound (max-degree) is re-bounded on each component; any other
+    estimate has its path's formula re-evaluated there.  The result is
+    `estimate` with that sum as `exact` and method
+    f"sketch:{estimate.method}:k{k}".  An estimate without a chosen path
+    (avg-aggr) or a K below 1 raises SketchPlanError, a catalogue of another
+    graph ConfigError.  Buckets, splits and tables come from `cache` (see
+    `make_sketch`), which `run_workload` shares across its rows.
     """
     stats = QueryStats.of(q, catalogue)
     stats.cat.check_graph(g)
-    fixed_path: PathEstimate | None = None
-    if base == "molp":
-        unsketched = estimate_molp(q, stats)
-        sketch_path = unsketched.chosen_path
-        sketch_ceg_kind = "attrs"
-        method = f"sketch:bound:k{k}"
-        if unsketched.exact == 0:  # an empty pattern: every component bound is 0 too
-            return replace(unsketched, method=method)
-    elif base == "optimistic":
-        if choice is None or choice.aggr == "avg-aggr":
-            raise SketchPlanError("optimistic sketches need a min-aggr or max-aggr choice")
-        unsketched = estimate_optimistic(q, stats, ceg_kind, choice)
-        sketch_path = unsketched.chosen_path
-        fixed_path = sketch_path
-        sketch_ceg_kind = "edges"
-        method = f"sketch:optimistic:{choice}:k{k}"
-    else:
-        raise ValueError(f"unknown sketch base {base!r}")
-
-    if k > 1 and not sketch_attributes(sketch_path, q, sketch_ceg_kind):
+    path = estimate.chosen_path
+    if path is None:
+        raise SketchPlanError("optimistic sketches need a min-aggr or max-aggr choice")
+    _check_k(k)
+    method = f"sketch:{estimate.method}:k{k}"
+    bound = estimate.ceg_kind == KIND_MAXDEG
+    if bound and estimate.exact == 0:  # an empty pattern: every component bound is 0 too
+        return replace(estimate, method=method)
+    ceg_kind = "attrs" if bound else "edges"
+    if k > 1 and not sketch_attributes(path, q, ceg_kind):
         k = 1  # every join attribute is bound: partitioning degenerates (identity)
-    plan, components = make_sketch(q, g, sketch_path, k, ceg_kind=sketch_ceg_kind, seed=seed,
-                                   cache=cache)
-    closing = fixed_path is not None and any(e.kind == CYCLE_CLOSING for e in fixed_path.edges)
+    plan, components = make_sketch(q, g, path, k, ceg_kind=ceg_kind, seed=seed, cache=cache)
+    closing = not bound and any(e.kind == CYCLE_CLOSING for e in path.edges)
     parts = partition_catalogues(q, stats.cat.h,
                                  [dict(zip(plan.attrs, c.index)) for c in components],
                                  plan.buckets, components[0].query if closing else None)
 
     total = Fraction(0)
     for comp, part in zip(components, parts):
-        if base == "molp":
+        if bound:
             total += estimate_molp(q, part).exact
         else:
             if closing:  # sampled on the component's graph, so keyed by its edge tags
                 add_closing_rates(part.cat, comp.graph, [comp.query], walk_budget, seed)
-            total += evaluate_optimistic_path(fixed_path, part)
-    return Estimate(total, method=method, ceg_kind=unsketched.ceg_kind,
-                    considered_paths=unsketched.considered_paths,
-                    chosen_path=sketch_path)
+            total += evaluate_optimistic_path(path, part)
+    return replace(estimate, exact=total, method=method)

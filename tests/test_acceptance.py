@@ -649,7 +649,7 @@ def test_criterion_10_bound_sketch(corpus):
         assert sum(count_hom(c.graph, c.query).value for c in components) == truth, qid
         for k in (4, 16):
             try:
-                sk = estimate_with_sketch(q, g, k, "molp", cat, seed=17, walk_budget=300)
+                sk = estimate_with_sketch(q, g, k, unsketched, cat, seed=17, walk_budget=300)
             except SketchPlanError:
                 raise AssertionError(f"{qid}: K={k} should be compatible") from None
             assert truth <= sk.exact <= unsketched.exact, (qid, k)
@@ -681,9 +681,11 @@ def test_sketched_values_pinned(corpus):
     for g, cat, items in corpus.entries[:3]:
         for qid, _, q in items:
             for k, (base, choice, kind) in runs:
+                unsketched = estimate_molp(q, cat) if base == "molp" else \
+                    estimate_optimistic(q, cat, kind, choice)
                 try:
-                    est = estimate_with_sketch(q, g, k, base, cat, seed=17, walk_budget=300,
-                                               choice=choice, ceg_kind=kind)
+                    est = estimate_with_sketch(q, g, k, unsketched, cat, seed=17,
+                                               walk_budget=300)
                 except SketchPlanError:
                     value = "SketchPlanError"
                 else:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 
@@ -177,6 +178,22 @@ def test_sketch_error_exit_code(capsys):
     # the failure is isolated into a row, then surfaced as the exit code
     assert code == 5
     assert "ERROR" in capsys.readouterr().out
+
+
+# sha256 of the stdout of `estimate --methods all --sketch-k 4` on the fork
+# fixture: 21 rows, the six avg-aggr ones failed, and exit code 5
+SKETCHED_ESTIMATE_SHA256 = "abb5bc431cc384463f05bf8f61e3017361e7d43338d7b29c3c84c674822a45ed"
+
+
+def test_sketched_estimate_output_pinned(capsys):
+    code = run_cli("estimate", "--graph", fixture_path("fork.edges"),
+                   "--query", fixture_path("q5f.query"), "--methods", "all", "--sketch-k", "4")
+    out = capsys.readouterr().out
+    assert code == 5
+    assert len(out.splitlines()) == 21
+    assert out.count("\tERROR\tSketchPlanError: optimistic sketches need a min-aggr or "
+                     "max-aggr choice\n") == 6
+    assert hashlib.sha256(out.encode()).hexdigest() == SKETCHED_ESTIMATE_SHA256
 
 
 def test_failed_row_of_another_error_exits_with_other_code(monkeypatch, capsys):

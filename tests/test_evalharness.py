@@ -210,6 +210,11 @@ def test_sketched_rows_need_the_run_catalogue_patterns(fork_graph, q3p, q5f):
     result = run_workload(fork_graph, [q5f], expand_methods(["bound"]), sketch_k=4,
                           catalogue=cat)
     assert "MissingStatisticError" in result.records[0].error
+    # every row is estimated before it is sketched, so the avg-aggr rows, which
+    # have no path to sketch, fail as their min/max-aggr siblings do
+    result = run_workload(fork_graph, [q5f], expand_methods(["all"]), sketch_k=4,
+                          catalogue=cat)
+    assert all("MissingStatisticError" in r.error for r in result.records)
 
 
 def test_run_workload_rejects_catalogue_at_other_h(f1_graph, q3p):
@@ -236,6 +241,7 @@ def test_run_workload_rejects_sketch_k_below_one_before_any_row(f1_graph, q3p, m
 def test_run_workload_rejects_catalogue_of_another_graph(f1_graph, q3p):
     # a catalogue of f1 used to report bound 8 on f1 plus four edges, true count 21
     from cardest.catalogue import build_catalogue
+    from cardest.estimators import estimate_molp
     from cardest.graphstore import LabeledGraph
     from cardest.sketch import estimate_with_sketch
     cat = build_catalogue(f1_graph, [q3p], 2)
@@ -244,7 +250,7 @@ def test_run_workload_rejects_catalogue_of_another_graph(f1_graph, q3p):
     with pytest.raises(ConfigError):
         run_workload(grown, [q3p], expand_methods(["bound"]), catalogue=cat)
     with pytest.raises(ConfigError):
-        estimate_with_sketch(q3p, grown, 4, "molp", catalogue=cat)
+        estimate_with_sketch(q3p, grown, 4, estimate_molp(q3p, cat), catalogue=cat)
     (record,) = run_workload(grown, [q3p], expand_methods(["bound"])).records
     assert record.true_count == 21 and record.estimate_exact >= 21
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cardest import evalharness, oracle, sketch
+from cardest import estimators, evalharness, oracle, sketch
 from cardest.catalogue import QueryStats, build_catalogue, canonical_form
 from cardest.errors import ConfigError, SketchPlanError
 from cardest.estgraph import BOUND, UNBOUND, CegEdge, PathEstimate
@@ -148,46 +148,44 @@ def test_sketched_molp_between_truth_and_unsketched(fork_graph, q5f):
     unsketched = estimate_molp(q5f, cat).exact
     truth = count_hom(fork_graph, q5f).value
     for k in (4, 16):
-        sketched = estimate_with_sketch(q5f, fork_graph, k, "molp", cat).exact
+        sketched = _sketched(q5f, fork_graph, k, "molp", cat)
         assert truth <= sketched <= unsketched
 
 
 def test_sketched_molp_k1_equals_base(fork_graph, q5f):
     cat = build_catalogue(fork_graph, [q5f], 2)
-    assert estimate_with_sketch(q5f, fork_graph, 1, "molp", cat).exact == \
+    assert estimate_with_sketch(q5f, fork_graph, 1, estimate_molp(q5f, cat), cat).exact == \
         estimate_molp(q5f, cat).exact
 
 
 def test_sketched_optimistic_k1_equals_base(fork_graph, q5f):
     cat = build_catalogue(fork_graph, [q5f], 2)
     choice = HeuristicChoice("max-hop", "max-aggr")
-    assert estimate_with_sketch(q5f, fork_graph, 1, "optimistic", cat, choice=choice,
-                                ceg_kind=KIND_AVG).exact == \
-        estimate_optimistic(q5f, cat, KIND_AVG, choice).exact
+    base = estimate_optimistic(q5f, cat, KIND_AVG, choice)
+    assert estimate_with_sketch(q5f, fork_graph, 1, base, cat).exact == base.exact
 
 
 def test_sketched_optimistic_runs_partitioned(fork_graph, q5f):
     choice = HeuristicChoice("max-hop", "max-aggr")
     cat = build_catalogue(fork_graph, [q5f], 2)
-    est = estimate_with_sketch(q5f, fork_graph, 4, "optimistic", cat, choice=choice,
-                               ceg_kind=KIND_AVG)
+    est = estimate_with_sketch(q5f, fork_graph, 4, estimate_optimistic(q5f, cat, KIND_AVG, choice),
+                               cat)
     assert est.exact is not None
     assert est.exact >= 0
 
 
 def test_sketched_optimistic_avg_rejected(fork_graph, q5f):
-    with pytest.raises(SketchPlanError):
-        estimate_with_sketch(q5f, fork_graph, 4, "optimistic",
-                             build_catalogue(fork_graph, [q5f], 2),
-                             choice=HeuristicChoice("all-hops", "avg-aggr"),
-                             ceg_kind=KIND_AVG)
+    cat = build_catalogue(fork_graph, [q5f], 2)
+    avg = estimate_optimistic(q5f, cat, KIND_AVG, HeuristicChoice("all-hops", "avg-aggr"))
+    with pytest.raises(SketchPlanError, match="need a min-aggr or max-aggr choice"):
+        estimate_with_sketch(q5f, fork_graph, 4, avg, cat)
 
 
 def test_empty_sketch_set_falls_back_to_identity():
     g = random_graph(20, 60, 2, seed=5)
     q = parse_query("a1 -A-> a2")  # no join attributes at all
     cat = build_catalogue(g, [q], 2)
-    est = estimate_with_sketch(q, g, 4, "molp", cat)
+    est = estimate_with_sketch(q, g, 4, estimate_molp(q, cat), cat)
     assert est.exact == estimate_molp(q, cat).exact
 
 
@@ -200,7 +198,7 @@ def test_sketched_bound_of_an_empty_query_is_zero():
         assert count_hom(g, q).value == 0
         cat = build_catalogue(g, [q], 2)
         for k in (4, 8, 16):
-            assert estimate_with_sketch(q, g, k, "molp", cat).exact == 0
+            assert _sketched(q, g, k, "molp", cat) == 0
         (row,) = run_workload(g, [q], expand_methods(["bound"]), sketch_k=4).records
         assert (row.sketch_k, row.estimate_exact, row.error) == \
             (4, 0, evalharness.ZERO_TRUE_COUNT)
@@ -230,9 +228,16 @@ def sketch_runs():
     return runs
 
 
-def _sketched(q, g, k, base, cat, **kwargs):
+def _unsketched(q, cat, base, choice=None, ceg_kind=KIND_AVG):
+    """What a sketch of `base` re-evaluates: the bound, or heuristic `choice`."""
+    return estimate_molp(q, cat) if base == "molp" else \
+        estimate_optimistic(q, cat, ceg_kind, choice)
+
+
+def _sketched(q, g, k, base, cat, choice=None, ceg_kind=KIND_AVG, **kwargs):
     try:
-        return estimate_with_sketch(q, g, k, base, cat, **kwargs).exact
+        return estimate_with_sketch(q, g, k, _unsketched(q, cat, base, choice, ceg_kind), cat,
+                                    **kwargs).exact
     except SketchPlanError:
         return SketchPlanError
 
@@ -297,6 +302,39 @@ def test_run_rows_equal_sketches_each_with_a_fresh_cache(sketch_runs, k):
     assert sketched >= 12
 
 
+def test_sketched_run_builds_each_optimistic_graph_kind_once_a_query(sketch_runs, monkeypatch):
+    # each sketched min/max row used to rebuild its query's graph: 14 builds a query
+    builds = []
+    original = estimators.build_optimistic
+    monkeypatch.setattr(estimators, "build_optimistic",
+                        lambda *args, **kwargs: builds.append(1) or original(*args, **kwargs))
+    queries = plan_errors = 0
+    for g, qs, cat in sketch_runs:
+        result = run_workload(g, qs, expand_methods(["all"]), sketch_k=4, catalogue=cat)
+        queries += len(qs)
+        plan_errors += sum((r.error or "").startswith("SketchPlanError") for r in result.records)
+    assert len(builds) == 2 * queries
+    assert plan_errors == 171  # as many as when each row planned its own estimate
+
+
+@pytest.mark.parametrize("k", [0, -1, -4, -8])
+def test_k_below_one_is_a_plan_error(sketch_runs, k):
+    # a K below 0 used to raise TypeError on paths with two or more sketch
+    # attributes, from rounding the complex |S|-th root of K
+    max_max = HeuristicChoice("max-hop", "max-aggr")
+    sizes = set()
+    for g, queries, cat in sketch_runs:
+        for q in queries:
+            for estimate, kind in ((estimate_molp(q, cat), "attrs"),
+                                   (_unsketched(q, cat, "optimistic", max_max), "edges")):
+                sizes.add(len(sketch_attributes(estimate.chosen_path, q, kind)))
+                with pytest.raises(SketchPlanError, match=f"K={k} is below 1"):
+                    make_sketch(q, g, estimate.chosen_path, k, ceg_kind=kind)
+                with pytest.raises(SketchPlanError, match=f"K={k} is below 1"):
+                    estimate_with_sketch(q, g, k, estimate, cat)
+    assert sizes == {1, 2, 3}
+
+
 def test_run_splits_each_map_and_hashes_each_vertex_once(sketch_runs, monkeypatch):
     # component statistics and, at K=8, the 3- and 4-cycles' closing rows'
     # component graphs read one split
@@ -355,12 +393,13 @@ def test_sketch_cache_of_another_graph_rejected(sketch_runs):
     (g, queries, cat), (other, _, _) = sketch_runs[:2]
     q = queries[0]
     with pytest.raises(ConfigError, match="different graph"):
-        estimate_with_sketch(q, g, 4, "molp", cat, cache=SketchCache(other))
+        estimate_with_sketch(q, g, 4, estimate_molp(q, cat), cat, cache=SketchCache(other))
     with pytest.raises(ConfigError, match="different graph"):
         make_sketch(q, g, None, 1, cache=SketchCache(other))
     # a cache of an equal graph, loaded separately, is the same graph's
-    assert estimate_with_sketch(q, g, 4, "molp", cat, cache=SketchCache(LabeledGraph(g.edges))) \
-        == estimate_with_sketch(q, g, 4, "molp", cat)
+    bound = estimate_molp(q, cat)
+    assert estimate_with_sketch(q, g, 4, bound, cat, cache=SketchCache(LabeledGraph(g.edges))) \
+        == estimate_with_sketch(q, g, 4, bound, cat)
 
 
 def _p2() -> PathEstimate:
