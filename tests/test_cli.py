@@ -277,6 +277,38 @@ def test_gen_workload_edge_at_a_time(tmp_path, capsys):
         assert count_hom(g, item.query).value >= 1
 
 
+# sha256 of the concatenated stdout of `gen-workload` runs: on the fixtures,
+# both modes at seeds 1 and 42 (70 instances); on the seed-1 benchmark graph,
+# edge-at-a-time at seed 1 (40 instances)
+GEN_WORKLOAD_FIXTURES_SHA256 = "df0bb2b400ea111b58e3f1fb1ca75e682d860f1d2b4de6022575a8cfcf975202"
+GEN_WORKLOAD_BENCHMARK_SHA256 = "603edc6c72ac9f5de2681a19f08e984a4ed23e34b6634f5c171791c5d4badbb9"
+
+
+def test_gen_workload_output_pinned(tmp_path, capsys):
+    import gen
+
+    def digest(runs) -> tuple[str, int]:
+        out = []
+        for graph, template, count, seed, mode in runs:
+            assert run_cli("gen-workload", "--graph", graph, "--template", fixture_path(template),
+                           "--count", str(count), "--seed", str(seed), "--mode", mode) == 0
+            out.append(capsys.readouterr().out)
+        text = "".join(out)
+        return hashlib.sha256(text.encode()).hexdigest(), text.count("# id: ")
+
+    fixtures = [(fixture_path(graph), template, 10, seed, mode)
+                for mode in ("uniform-labels", "edge-at-a-time") for seed in (1, 42)
+                for graph, template in (("squares.edges", "square.template"),
+                                        ("fork.edges", "path3.template"))]
+    assert digest(fixtures) == (GEN_WORKLOAD_FIXTURES_SHA256, 70)
+    bench = tmp_path / "bench1.edges"
+    bench.write_text(gen.graph_text(gen.correlated_graph(1)))
+    assert hashlib.sha256(bench.read_bytes()).hexdigest().startswith("83e775f8")
+    runs = [(str(bench), template, 20, 1, "edge-at-a-time")
+            for template in ("path3.template", "square.template")]
+    assert digest(runs) == (GEN_WORKLOAD_BENCHMARK_SHA256, 40)
+
+
 def test_config_file_defaults(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"graph={fixture_path('f1.edges')}\nh=2\nseed=5\n")
