@@ -25,10 +25,10 @@ Every rate is a statistic of an index set of q, read through one
 Both families build on q's statistics plan at h (`catalogue.StatsPlan`),
 which lists the index sets, their pattern keys and the closing keys.
 Every bottom-to-top path yields an estimate: the exact rational product of
-its rates, with base-2 log weights alongside for the additive view.
-`path_summary` aggregates them per hop count in one pass over the DAG, and
-`PathSummary.closest` (the path oracle's) keeps each vertex's distinct ones in
-another; `iter_paths` / `enumerate_paths` list them one by one.
+its rates, the only form of a path's weight.  `path_summary` aggregates them
+per hop count in one pass over the DAG, and `PathSummary.closest` (the path
+oracle's) keeps each vertex's distinct ones in another; `iter_paths` /
+`enumerate_paths` list them one by one.
 """
 
 from __future__ import annotations
@@ -62,12 +62,6 @@ class CegEdge:
     kind: str
     provenance: tuple
 
-    @property
-    def log_weight(self) -> float:
-        if self.rate == 0:
-            return float("-inf")
-        return math.log2(self.rate)
-
     def extension_vars(self, q: QueryGraph, ceg_kind: str) -> frozenset[str]:
         if ceg_kind == "attrs":
             return frozenset(self.dst - self.src)
@@ -87,9 +81,6 @@ class PathEstimate:
         if not self.edges:
             return (frozenset(),)
         return (self.edges[0].src,) + tuple(e.dst for e in self.edges)
-
-    def log_weight(self) -> float:
-        return sum(e.log_weight for e in self.edges)
 
 
 Arc = tuple[int, int, int, str, tuple]   # (dst mask, numerator, denominator, kind, provenance)

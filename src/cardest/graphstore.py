@@ -18,9 +18,10 @@ kept beside the maps retained 395 and peaked at 492.
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Set
 from functools import cached_property
+from itertools import accumulate
 from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import GraphParseError
@@ -71,6 +72,38 @@ class EdgeView(Set):
                     yield (src, dst, label)
 
 
+class RankedEdges:
+    """The triples of the canonical order (`LabeledGraph.sorted_edges`), or
+    one label's in that order, by index and without the list: `ranked[i]`
+    bisects the sources' cumulative out-degrees, kept in source order, then
+    sorts that one source's (dst, label) pairs."""
+
+    __slots__ = ("_outs", "_sources", "_ends")
+
+    def __init__(self, graph: LabeledGraph, label: str | None = None):
+        labels = graph.labels if label is None else (label,)
+        self._outs = [(lab, graph.adjacency(lab, SRC)) for lab in labels]
+        degree: dict[int, int] = {}
+        for _, by_src in self._outs:
+            for src, dsts in by_src.items():
+                degree[src] = degree.get(src, 0) + len(dsts)
+        self._sources = sorted(degree)
+        self._ends = list(accumulate(degree[src] for src in self._sources))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, i: int) -> tuple[int, int, str]:
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        k = bisect_right(self._ends, i)
+        src = self._sources[k]
+        pairs = sorted((dst, label) for label, by_src in self._outs
+                       for dst in by_src.get(src, ()))
+        dst, label = pairs[i - (self._ends[k - 1] if k else 0)]
+        return (src, dst, label)
+
+
 class LabeledGraph:
     """Immutable edge-labeled directed graph that holds each edge once, in
     per-label out- and in-maps of sorted neighbour lists over interned ids
@@ -78,7 +111,8 @@ class LabeledGraph:
 
     `edges` is a read-only `EdgeView` over the out-maps, not a frozenset: it
     is not hashable, and its iteration order is not the canonical one.
-    `sorted_edges()` is the one call that lists every triple.
+    `sorted_edges()` is the one call that lists every triple; `RankedEdges`
+    indexes them without the list.
     """
 
     def __init__(self, edges: Iterable[tuple[int, int, str]]):

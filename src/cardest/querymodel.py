@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import QueryParseError, QueryValidationError
-from .graphstore import LabeledGraph
+from .graphstore import LabeledGraph, RankedEdges
 
 TEMPLATE_LABEL = "?"
 MAX_EMBED_DRAWS = 10_000  # random embeddings an edge-at-a-time instantiation tries
@@ -244,10 +244,11 @@ def instantiate_template(
     uniform-labels: each unassigned edge gets a label uniformly at random,
     retried until the instance has at least one match or the attempt budget
     runs out.  edge-at-a-time: grows a random embedding in the data graph and
-    labels each template edge with the matched data edge's label (non-empty by
-    construction), drawing at most MAX_EMBED_DRAWS embeddings, so the result
-    depends on the seed alone; `time_limit` (seconds) is only a safety stop
-    checked before each draw.  Returns None on failure.
+    labels each `?` edge with the matched data edge's label (non-empty by
+    construction; a fixed label limits its edge's matches to that label),
+    drawing at most MAX_EMBED_DRAWS embeddings, so the result depends on the
+    seed alone; `time_limit` (seconds) is only a safety stop checked before
+    each draw.  Returns None on failure.
     """
     from .oracle import count_hom
 
@@ -273,8 +274,12 @@ def instantiate_template(
 
 def _embed_template(template: QueryGraph, g: LabeledGraph,
                     rng: random.Random, time_limit: float) -> QueryGraph | None:
-    all_edges = g.sorted_edges()
-    if not all_edges:
+    # a `?` edge may match any label, a fixed one only its own; an edge with
+    # neither end bound yet is drawn by index over its labels' triples
+    labels_of = [g.labels if e.label == TEMPLATE_LABEL else (e.label,) for e in template.edges]
+    firsts = {lab: RankedEdges(g, None if lab == TEMPLATE_LABEL else lab)
+              for lab in {e.label for e in template.edges}}
+    if not all(firsts.values()):
         return None
     adj = template.edge_adjacency()
     deadline = time.monotonic() + time_limit
@@ -282,45 +287,30 @@ def _embed_template(template: QueryGraph, g: LabeledGraph,
     for _ in range(MAX_EMBED_DRAWS):
         if time.monotonic() >= deadline:
             return None
-        order = _random_connected_order(adj, rng, m)
         binding: dict[str, int] = {}
-        labels: list[str | None] = [None] * m
-        ok = True
-        for idx in order:
+        labels = [TEMPLATE_LABEL] * m
+        for idx in _random_connected_order(adj, rng, m):
             e = template.edges[idx]
             su, sv = binding.get(e.src), binding.get(e.dst)
             if su is None and sv is None:
-                s, d, lab = all_edges[rng.randrange(len(all_edges))]
-                binding[e.src], binding[e.dst], labels[idx] = s, d, lab
+                first = firsts[e.label]
+                binding[e.src], binding[e.dst], labels[idx] = first[rng.randrange(len(first))]
                 continue
             if su is not None and sv is not None:
-                options = [lab for lab in g.labels if g.has_edge(su, sv, lab)]
-                if not options:
-                    ok = False
-                    break
-                labels[idx] = options[rng.randrange(len(options))]
-                continue
-            if su is not None:
-                cand = [(lab, w) for lab in g.labels for w in g.out_neighbors(su, lab)]
-                if not cand:
-                    ok = False
-                    break
-                lab, w = cand[rng.randrange(len(cand))]
-                binding[e.dst], labels[idx] = w, lab
+                cand = [(lab, sv) for lab in labels_of[idx] if g.has_edge(su, sv, lab)]
+            elif su is not None:
+                cand = [(lab, w) for lab in labels_of[idx] for w in g.out_neighbors(su, lab)]
             else:
-                cand = [(lab, w) for lab in g.labels for w in g.in_neighbors(sv, lab)]
-                if not cand:
-                    ok = False
-                    break
-                lab, w = cand[rng.randrange(len(cand))]
-                binding[e.src], labels[idx] = w, lab
-        if not ok:
-            continue
-        try:
-            return template.with_labels([lab if lab is not None else TEMPLATE_LABEL
-                                         for lab in labels])
-        except QueryValidationError:
-            continue  # duplicate edge after labeling; resample
+                cand = [(lab, w) for lab in labels_of[idx] for w in g.in_neighbors(sv, lab)]
+            if not cand:
+                break
+            labels[idx], w = cand[rng.randrange(len(cand))]
+            binding[e.src if su is None else e.dst] = w
+        else:
+            try:
+                return template.with_labels(labels)
+            except QueryValidationError:
+                pass  # duplicate edge after labeling; resample
     return None
 
 

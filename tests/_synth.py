@@ -1,11 +1,15 @@
-"""Synthetic graphs and workloads for property and acceptance tests."""
+"""Synthetic graphs and workloads for property and acceptance tests.
+
+The query templates are the benchmark generator's (`perfbench/gen.py`),
+wrapped as `QueryGraph`s whose labels are all `?`."""
 
 from __future__ import annotations
 
 import random
 
+import gen
 from cardest.graphstore import LabeledGraph
-from cardest.querymodel import (QEdge, QueryGraph, connected_index_sets,
+from cardest.querymodel import (TEMPLATE_LABEL, QEdge, QueryGraph, connected_index_sets,
                                 instantiate_template)
 
 DEFAULT_LABELS = ["A", "B", "C", "D", "E", "F", "G", "H"]
@@ -33,15 +37,6 @@ def random_graph(n_vertices: int, n_edges: int, n_labels: int, seed: int,
     return LabeledGraph(edges)
 
 
-# ---------------------------------------------------------------------------
-# Query templates (labels '?')
-# ---------------------------------------------------------------------------
-
-def path_template(k: int) -> QueryGraph:
-    return QueryGraph([QEdge(f"a{i}", f"a{i+1}", "?") for i in range(k)],
-                      allow_template=True)
-
-
 def layered_overshoot_graph() -> LabeledGraph:
     """Three complete 100-vertex A layers plus a 200-edge A chain.  The
     average-degree estimate of the 183-edge A path, about 10^312, is past the
@@ -52,38 +47,36 @@ def layered_overshoot_graph() -> LabeledGraph:
     return LabeledGraph(edges)
 
 
+# ---------------------------------------------------------------------------
+# Query templates (labels '?'), from the benchmark's generator
+# ---------------------------------------------------------------------------
+# gen's constructors are the one copy of these shapes, so a change to them
+# must keep every template draw for draw (tree_template's random draws too),
+# or move the test values built on them, CORPUS_SHA256 among them.
+
+def _template(edges: gen.Template) -> QueryGraph:
+    return QueryGraph([QEdge(src, dst, TEMPLATE_LABEL) for src, dst in edges],
+                      allow_template=True)
+
+
+def path_template(k: int) -> QueryGraph:
+    return _template(gen.path_template(k))
+
+
 def star_template(k: int, out: bool = True) -> QueryGraph:
-    edges = [QEdge("a0", f"a{i+1}", "?") if out else QEdge(f"a{i+1}", "a0", "?")
-             for i in range(k)]
-    return QueryGraph(edges, allow_template=True)
+    return _template(gen.star_template(k, out))
 
 
 def tree_template(k: int, seed: int, max_branch: int = 3) -> QueryGraph:
-    rng = random.Random(seed)
-    edges: list[QEdge] = []
-    out_degree = {0: 0}
-    for i in range(1, k + 1):
-        candidates = [v for v, d in out_degree.items() if d < max_branch]
-        parent = candidates[rng.randrange(len(candidates))]
-        if rng.random() < 0.5:
-            edges.append(QEdge(f"a{parent}", f"a{i}", "?"))
-        else:
-            edges.append(QEdge(f"a{i}", f"a{parent}", "?"))
-        out_degree[parent] = out_degree.get(parent, 0) + 1
-        out_degree[i] = 0
-    return QueryGraph(edges, allow_template=True)
+    return _template(gen.tree_template(k, seed, max_branch))
 
 
 def cycle_template(k: int) -> QueryGraph:
-    edges = [QEdge(f"a{i}", f"a{(i+1) % k}", "?") for i in range(k)]
-    return QueryGraph(edges, allow_template=True)
+    return _template(gen.cycle_template(k))
 
 
 def cycle_tail_template(k: int, tail: int) -> QueryGraph:
-    edges = [QEdge(f"a{i}", f"a{(i+1) % k}", "?") for i in range(k)]
-    edges += [QEdge(f"a{k + i - 1}" if i > 0 else "a0", f"a{k+i}", "?")
-              for i in range(tail)]
-    return QueryGraph(edges, allow_template=True)
+    return _template(gen.cycle_tail_template(k, tail))
 
 
 def anchored_path_bound(template: QueryGraph, h: int) -> int:

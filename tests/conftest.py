@@ -2,14 +2,18 @@ from __future__ import annotations
 
 import os
 import sys
+from fractions import Fraction
+from math import prod
 
 import pytest
 
+from cardest.estgraph import EXTENSION, CegEdge, PathEstimate
 from cardest.graphstore import LabeledGraph, load_graph_file
-from cardest.querymodel import parse_query_file
+from cardest.querymodel import parse_query, parse_query_file
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
-# the benchmark's generator (`import gen`), whose graphs some tests share; only read
+# the benchmark's generator (`import gen`): its query templates are the tests'
+# (`_synth`), and some tests share its graphs; only read
 sys.path.append(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
 
 
@@ -37,16 +41,44 @@ def q5f():
     return parse_query_file(fixture_path("q5f.query"))
 
 
-def graph_of(triples) -> LabeledGraph:
-    return LabeledGraph(triples)
-
-
 def identity_triangle(n: int) -> LabeledGraph:
     """R, S, T each hold {(i, i)}: the classic unsafe-cover instance."""
     edges = []
     for i in range(1, n + 1):
         edges += [(i, i, "R"), (i, i, "S"), (i, i, "T")]
     return LabeledGraph(edges)
+
+
+TRIANGLE = parse_query("a -R-> b\nb -S-> c\nc -T-> a")
+SQUARE = parse_query("a1 -P-> a2\na2 -Q-> a3\na3 -R-> a4\na4 -S-> a1")
+
+
+def square_graph(n_closed: int, n_open: int) -> LabeledGraph:
+    """n_closed P-Q-R-S squares, then n_open open P-Q-R paths, on disjoint
+    vertices."""
+    edges = []
+    v = 0
+    for i in range(n_closed + n_open):
+        a, b, c, d = v, v + 1, v + 2, v + 3
+        v += 4
+        edges += [(a, b, "P"), (b, c, "Q"), (c, d, "R")]
+        if i < n_closed:
+            edges.append((d, a, "S"))
+    return LabeledGraph(edges)
+
+
+def step_path(steps) -> PathEstimate:
+    """A path up from the empty vertex, one edge per (dst, kind, rate) step."""
+    edges, current = [], frozenset()
+    for i, (dst, kind, rate) in enumerate(steps):
+        edges.append(CegEdge(current, frozenset(dst), Fraction(rate), kind, (("step", i),)))
+        current = frozenset(dst)
+    return PathEstimate(tuple(edges), prod((e.rate for e in edges), start=Fraction(1)))
+
+
+def rate_path(rates) -> PathEstimate:
+    """A path over edge subsets {0}, {0, 1}, ... with the given rates."""
+    return step_path((range(i + 1), EXTENSION, rate) for i, rate in enumerate(rates))
 
 
 def edited_degree_tables(entries: dict[str, int]) -> dict[str, dict[str, int]]:

@@ -19,9 +19,9 @@ import pytest
 from cardest.catalogue import (QueryStats, _key_to_query, _reads_adjacency,
                                build_catalogue, canonical_form, serialize)
 from cardest.errors import MissingStatisticError, SketchPlanError
-from cardest.estgraph import (CYCLE_CLOSING, CegEdge, PathEstimate, build_cover,
-                              build_maxdeg, build_optimistic, enumerate_paths,
-                              iter_paths, min_weight_path, path_summary, to_dot)
+from cardest.estgraph import (CYCLE_CLOSING, build_cover, build_maxdeg, build_optimistic,
+                              enumerate_paths, iter_paths, min_weight_path, path_summary,
+                              to_dot)
 from cardest.estimators import (ALL_CHOICES, HeuristicChoice, KIND_AVG,
                                 KIND_CLOSING, ceg_summary, estimate_molp,
                                 estimate_optimistic, estimate_pstar,
@@ -39,7 +39,7 @@ from _summary_check import (aggregate_paths, pstar_mismatches, pstar_paths,
 import gen
 from _synth import (make_instances, path_template, star_template, tree_template,
                     cycle_template)
-from conftest import identity_triangle
+from conftest import identity_triangle, rate_path
 from oracles import dag_min_product, group_degree, molp_certificate, projection_molp
 
 
@@ -241,25 +241,12 @@ def test_criterion_1_f1_three_path(f1_graph, q3p):
 # Criterion 2: path-product arithmetic
 # ---------------------------------------------------------------------------
 
-def _rate_path(rates) -> PathEstimate:
-    edges = []
-    prod = Fraction(1)
-    current: frozenset = frozenset()
-    for i, rate in enumerate(rates):
-        rate = Fraction(rate)
-        nxt = frozenset(range(i + 1))
-        edges.append(CegEdge(current, nxt, rate, "extension", (("r", i),)))
-        prod *= rate
-        current = nxt
-    return PathEstimate(tuple(edges), prod)
-
-
 def test_criterion_2_path_products():
     t0 = time.perf_counter()
-    p1 = _rate_path([4, Fraction(3, 2), Fraction(5, 2), Fraction(7, 2)])
+    p1 = rate_path([4, Fraction(3, 2), Fraction(5, 2), Fraction(7, 2)])
     assert p1.estimate == Fraction(105, 2)
     assert float(p1.estimate) == 52.5
-    p2 = _rate_path([7, 3, 2, 1, 3])
+    p2 = rate_path([7, 3, 2, 1, 3])
     assert p2.estimate == 126
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
@@ -389,7 +376,7 @@ def test_criterion_9_pstar_dominance_over_avg_aggr_as_stated(safety_run):
     """
     # The literal clause fails on the counterexample above, checked with the
     # path-list references of avg-aggr and P*.
-    paths = [_rate_path([Fraction(1, 2)]), _rate_path([2])]
+    paths = [rate_path([Fraction(1, 2)]), rate_path([2])]
     mean, _, _ = aggregate_paths(paths, HeuristicChoice("all-hops", "avg-aggr"))
     star, _, _ = pstar_paths(paths, 1)
     assert mean == Fraction(5, 4)

@@ -19,7 +19,7 @@ from cardest.querymodel import (QEdge, QueryGraph, connected_index_sets, cycles,
                                 parse_query)
 
 from _synth import cycle_template, random_graph, tree_template
-from conftest import edited_degree_tables
+from conftest import SQUARE, edited_degree_tables, square_graph
 from cardest.querymodel import instantiate_template
 from oracles import (brute_deg_table, brute_isomorphic, brute_label_walks, group_degree,
                      nested_loop_count)
@@ -255,25 +255,8 @@ def test_lookup_of_unbuilt_pattern_absent():
 # Closing rates
 # ---------------------------------------------------------------------------
 
-SQUARE = parse_query("a1 -P-> a2\na2 -Q-> a3\na3 -R-> a4\na4 -S-> a1")
-
-
-def _square_graph(n_closed: int, n_open: int) -> LabeledGraph:
-    edges = []
-    v = 0
-    for _ in range(n_closed):
-        a, b, c, d = v, v + 1, v + 2, v + 3
-        v += 4
-        edges += [(a, b, "P"), (b, c, "Q"), (c, d, "R"), (d, a, "S")]
-    for _ in range(n_open):
-        a, b, c, d = v, v + 1, v + 2, v + 3
-        v += 4
-        edges += [(a, b, "P"), (b, c, "Q"), (c, d, "R")]
-    return LabeledGraph(edges)
-
-
 def test_closing_rate_exhaustive_all_closed():
-    g = _square_graph(5, 0)
+    g = square_graph(5, 0)
     cat = build_catalogue(g, [SQUARE], h=2, walk_budget=None)
     (cyc,) = cycles(SQUARE).cycles
     for close_idx in range(4):
@@ -282,7 +265,7 @@ def test_closing_rate_exhaustive_all_closed():
 
 
 def test_closing_rate_exhaustive_half_closed():
-    g = _square_graph(3, 3)
+    g = square_graph(3, 3)
     cat = build_catalogue(g, [SQUARE], h=2, walk_budget=None)
     (cyc,) = cycles(SQUARE).cycles
     spec = closing_spec(SQUARE, cyc, 3)  # close with the S edge
@@ -290,7 +273,7 @@ def test_closing_rate_exhaustive_half_closed():
 
 
 def test_closing_rate_zero_closures():
-    g = _square_graph(0, 4)
+    g = square_graph(0, 4)
     cat = build_catalogue(g, [SQUARE], h=2, walk_budget=None)
     (cyc,) = cycles(SQUARE).cycles
     spec = closing_spec(SQUARE, cyc, 3)
@@ -333,7 +316,7 @@ def test_closing_spec_is_stable_across_calls():
 
 
 def test_closing_table_at_most_cubic_in_labels():
-    g = _square_graph(4, 2)
+    g = square_graph(4, 2)
     cat = build_catalogue(g, [SQUARE], h=2, walk_budget=200)
     n_labels = len(g.labels)
     by_len: dict[int, int] = {}
@@ -346,7 +329,7 @@ def test_closing_table_at_most_cubic_in_labels():
 
 
 def test_sampled_closing_rate_close_to_truth():
-    g = _square_graph(10, 10)
+    g = square_graph(10, 10)
     cat = build_catalogue(g, [SQUARE], h=2, walk_budget=4000, seed=5)
     (cyc,) = cycles(SQUARE).cycles
     spec = closing_spec(SQUARE, cyc, 3)
@@ -376,7 +359,7 @@ def test_f1_round_trip_preserves_counts(f1_graph, q3p):
 
 
 def test_random_catalogue_byte_identical_reserialization():
-    g = _square_graph(3, 2)
+    g = square_graph(3, 2)
     cat = build_catalogue(g, [SQUARE], h=2, walk_budget=100, seed=9)
     text = serialize(cat)
     again = load(io.StringIO(text))
@@ -387,7 +370,7 @@ def test_random_catalogue_byte_identical_reserialization():
 
 
 def test_load_accepts_older_files_with_closing_marginal():
-    cat = build_catalogue(_square_graph(3, 2), [SQUARE], h=2, walk_budget=100, seed=9)
+    cat = build_catalogue(square_graph(3, 2), [SQUARE], h=2, walk_budget=100, seed=9)
     text = serialize(cat)
     payload = json.loads(text)
     assert "closingMarginal" not in payload
@@ -411,7 +394,7 @@ def test_load_rejects_malformed():
 @pytest.mark.parametrize("where", ["count", "degree", "samples", "closures"])
 def test_load_rejects_a_number_that_is_not_a_non_negative_integer(where, bad):
     # read with int(), -1 fails later with a traceback and 1.5 and true load as 1
-    cat = build_catalogue(_square_graph(3, 2), [SQUARE], h=2, walk_budget=100, seed=9)
+    cat = build_catalogue(square_graph(3, 2), [SQUARE], h=2, walk_budget=100, seed=9)
     payload = json.loads(serialize(cat))
     if where == "count":
         payload["counts"][next(iter(payload["counts"]))] = bad
@@ -425,7 +408,7 @@ def test_load_rejects_a_number_that_is_not_a_non_negative_integer(where, bad):
 
 
 def test_load_rejects_more_closures_than_samples():
-    cat = build_catalogue(_square_graph(3, 2), [SQUARE], h=2, walk_budget=100, seed=9)
+    cat = build_catalogue(square_graph(3, 2), [SQUARE], h=2, walk_budget=100, seed=9)
     payload = json.loads(serialize(cat))
     stat = payload["closingRates"][next(iter(payload["closingRates"]))]
     stat["closures"] = stat["samples"] + 1

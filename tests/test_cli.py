@@ -21,6 +21,14 @@ def run_cli(*argv) -> int:
     return main(list(argv))
 
 
+def _f1_catalogue(tmp_path, *flags):
+    """Path of the catalogue that `build-catalogue` saves for q3p on f1."""
+    cat = tmp_path / "cat.json"
+    assert run_cli("build-catalogue", "--graph", fixture_path("f1.edges"),
+                   "--query", fixture_path("q3p.query"), "--out", str(cat), *flags) == 0
+    return cat
+
+
 def test_oracle_count(capsys):
     code = run_cli("oracle-count", "--graph", fixture_path("f1.edges"),
                    "--query", fixture_path("q3p.query"))
@@ -39,9 +47,7 @@ def test_estimate_f1_q3p_prints_six(capsys):
 
 
 def test_estimate_missing_stats_exit_code(tmp_path, capsys):
-    cat = tmp_path / "cat.json"
-    assert run_cli("build-catalogue", "--graph", fixture_path("f1.edges"),
-                   "--query", fixture_path("q3p.query"), "--out", str(cat)) == 0
+    cat = _f1_catalogue(tmp_path)
     code = run_cli("estimate", "--graph", fixture_path("fork.edges"),
                    "--query", fixture_path("q5f.query"), "--catalogue", str(cat),
                    "--methods", "bound")
@@ -54,9 +60,7 @@ def test_estimate_rejects_catalogue_of_another_graph(tmp_path, capsys):
     grown = tmp_path / "grown.edges"
     with open(fixture_path("f1.edges"), encoding="utf-8") as handle:
         grown.write_text(handle.read() + "5 10 A\n6 10 A\n20 34 C\n20 35 C\n")
-    cat = tmp_path / "cat.json"
-    assert run_cli("build-catalogue", "--graph", fixture_path("f1.edges"),
-                   "--query", fixture_path("q3p.query"), "--out", str(cat)) == 0
+    cat = _f1_catalogue(tmp_path)
     for graph, expected in ((str(grown), 4), (fixture_path("f1.edges"), 0)):
         code = run_cli("estimate", "--graph", graph, "--query", fixture_path("q3p.query"),
                        "--catalogue", str(cat), "--methods", "bound")
@@ -65,9 +69,7 @@ def test_estimate_rejects_catalogue_of_another_graph(tmp_path, capsys):
 
 
 def test_estimate_rejects_catalogue_built_at_another_h(tmp_path, capsys):
-    cat = tmp_path / "cat.json"
-    assert run_cli("build-catalogue", "--graph", fixture_path("f1.edges"),
-                   "--query", fixture_path("q3p.query"), "--h", "3", "--out", str(cat)) == 0
+    cat = _f1_catalogue(tmp_path, "--h", "3")
     for h, expected in (("2", 4), ("3", 0)):
         code = run_cli("estimate", "--graph", fixture_path("f1.edges"),
                        "--query", fixture_path("q3p.query"), "--catalogue", str(cat),
@@ -80,9 +82,7 @@ def test_estimate_rejects_catalogue_built_at_another_h(tmp_path, capsys):
                                    "meta.graph"])
 def test_estimate_catalogue_field_that_is_not_an_object_exits_with_parse_code(
         tmp_path, capsys, field):
-    cat = tmp_path / "cat.json"
-    assert run_cli("build-catalogue", "--graph", fixture_path("f1.edges"),
-                   "--query", fixture_path("q3p.query"), "--out", str(cat)) == 0
+    cat = _f1_catalogue(tmp_path)
     payload = json.loads(cat.read_text())
     if field == "degStats":  # one pattern's table
         payload[field][next(iter(payload[field]))] = [1]
@@ -103,9 +103,7 @@ def test_estimate_catalogue_degree_that_is_not_a_non_negative_integer_exits_with
         tmp_path, capsys, bad):
     # read as 1, the 1.5 and true entries would print a bound of 3 against a
     # true count of 7; the -1 entry would end in a traceback
-    cat = tmp_path / "cat.json"
-    assert run_cli("build-catalogue", "--graph", fixture_path("f1.edges"),
-                   "--query", fixture_path("q3p.query"), "--out", str(cat)) == 0
+    cat = _f1_catalogue(tmp_path)
     payload = json.loads(cat.read_text())
     assert payload["degStats"]['[[0,1,"C"]]']["|1"] == 3
     payload["degStats"]['[[0,1,"C"]]']["|1"] = bad
@@ -122,9 +120,7 @@ def test_estimate_catalogue_degree_that_is_not_a_non_negative_integer_exits_with
 def test_estimate_catalogue_table_without_exactly_its_entry_keys_exits_with_missing_code(
         tmp_path, capsys, edit):
     # "unsorted" spells "0|0,1" as "0|1,0", which used to be read as the same entry
-    cat = tmp_path / "cat.json"
-    assert run_cli("build-catalogue", "--graph", fixture_path("f1.edges"),
-                   "--query", fixture_path("q3p.query"), "--out", str(cat)) == 0
+    cat = _f1_catalogue(tmp_path)
     payload = json.loads(cat.read_text())
     key = '[[0,1,"A"],[1,2,"B"]]'
     payload["degStats"][key] = edited_degree_tables(payload["degStats"][key])[edit]
@@ -286,27 +282,24 @@ GEN_WORKLOAD_BENCHMARK_SHA256 = "603edc6c72ac9f5de2681a19f08e984a4ed23e34b6634f5
 
 def test_gen_workload_output_pinned(tmp_path, capsys):
     import gen
-
-    def digest(runs) -> tuple[str, int]:
-        out = []
-        for graph, template, count, seed, mode in runs:
-            assert run_cli("gen-workload", "--graph", graph, "--template", fixture_path(template),
-                           "--count", str(count), "--seed", str(seed), "--mode", mode) == 0
-            out.append(capsys.readouterr().out)
-        text = "".join(out)
-        return hashlib.sha256(text.encode()).hexdigest(), text.count("# id: ")
-
-    fixtures = [(fixture_path(graph), template, 10, seed, mode)
-                for mode in ("uniform-labels", "edge-at-a-time") for seed in (1, 42)
-                for graph, template in (("squares.edges", "square.template"),
-                                        ("fork.edges", "path3.template"))]
-    assert digest(fixtures) == (GEN_WORKLOAD_FIXTURES_SHA256, 70)
     bench = tmp_path / "bench1.edges"
     bench.write_text(gen.graph_text(gen.correlated_graph(1)))
     assert hashlib.sha256(bench.read_bytes()).hexdigest().startswith("83e775f8")
-    runs = [(str(bench), template, 20, 1, "edge-at-a-time")
-            for template in ("path3.template", "square.template")]
-    assert digest(runs) == (GEN_WORKLOAD_BENCHMARK_SHA256, 40)
+    on_fixtures = [(fixture_path(graph), template, 10, seed, mode)
+                   for mode in ("uniform-labels", "edge-at-a-time") for seed in (1, 42)
+                   for graph, template in (("squares.edges", "square.template"),
+                                           ("fork.edges", "path3.template"))]
+    on_bench = [(str(bench), template, 20, 1, "edge-at-a-time")
+                for template in ("path3.template", "square.template")]
+    for runs, instances, pin in ((on_fixtures, 70, GEN_WORKLOAD_FIXTURES_SHA256),
+                                 (on_bench, 40, GEN_WORKLOAD_BENCHMARK_SHA256)):
+        out = ""
+        for graph, template, count, seed, mode in runs:
+            assert run_cli("gen-workload", "--graph", graph, "--template", fixture_path(template),
+                           "--count", str(count), "--seed", str(seed), "--mode", mode) == 0
+            out += capsys.readouterr().out
+        assert out.count("# id: ") == instances
+        assert hashlib.sha256(out.encode()).hexdigest() == pin
 
 
 def test_config_file_defaults(tmp_path, capsys):
@@ -443,9 +436,7 @@ def test_dump_ceg_writes_closing_graph_for_closing_methods(tmp_path, capsys):
 
 
 def test_dump_ceg_uses_the_loaded_catalogue(tmp_path, monkeypatch, capsys):
-    cat = tmp_path / "cat.json"
-    assert run_cli("build-catalogue", "--graph", fixture_path("f1.edges"),
-                   "--query", fixture_path("q3p.query"), "--out", str(cat)) == 0
+    cat = _f1_catalogue(tmp_path)
 
     def no_build(*args, **kwargs):
         raise AssertionError("estimate built a second catalogue")

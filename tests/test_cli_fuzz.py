@@ -17,7 +17,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from cardest.cli import main  # noqa: E402
 
-from conftest import fixture_path  # noqa: E402
+from conftest import SQUARE, fixture_path  # noqa: E402
 
 EXIT_CODES = {0, 1, 2, 3, 4, 5, 6}
 FUZZ = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -44,9 +44,8 @@ def _saved_catalogue(graph: str, query: str) -> dict:
 
 
 # (graph, query, its saved catalogue): a path, and a 4-cycle with closing rates
-SQUARE = "a1 -P-> a2\na2 -Q-> a3\na3 -R-> a4\na4 -S-> a1\n"
 INPUTS = [(_fixture(graph), query, _saved_catalogue(fixture_path(graph), query))
-          for graph, query in (("f1.edges", _fixture("q3p.query")), ("squares.edges", SQUARE))]
+          for graph, query in (("f1.edges", _fixture("q3p.query")), ("squares.edges", SQUARE.to_text()))]
 JSON_VALUES = st.one_of(st.integers(-2, 10), st.integers(10 ** 300, 10 ** 310), st.booleans(),
                         st.none(), st.floats(allow_nan=False), st.text(TEXT_CHARS, max_size=4),
                         st.just([]), st.just({}))

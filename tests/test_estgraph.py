@@ -13,7 +13,7 @@ import pytest
 from cardest import catalogue, estgraph, estimators
 from cardest.catalogue import QueryStats, build_catalogue, canonical_form, closing_spec
 from cardest.errors import EstimationError, MissingStatisticError, PathOverflowError
-from cardest.estgraph import (CYCLE_CLOSING, EXTENSION, AttrCeg, Ceg, CegEdge, PathEstimate,
+from cardest.estgraph import (CYCLE_CLOSING, EXTENSION, AttrCeg, Ceg, PathEstimate,
                               build_cover, build_maxdeg, build_optimistic,
                               enumerate_paths, iter_paths, min_weight_path,
                               path_summary, to_dot)
@@ -29,7 +29,7 @@ from cardest.sketch import make_sketch, partition_catalogues
 
 from _summary_check import aggregate_paths, summary_mismatches
 from _synth import cycle_template, random_graph, star_template, tree_template
-from conftest import edited_degree_tables
+from conftest import SQUARE, TRIANGLE, edited_degree_tables, rate_path, square_graph
 from oracles import dag_min_path, dag_min_product, dfs_path_count, molp_certificate
 
 SEVEN_FORK_ESTIMATES = {
@@ -51,33 +51,15 @@ def _cat(g, queries, h=2, **kw):
 # Path-product arithmetic
 # ---------------------------------------------------------------------------
 
-def _path_from_rates(rates) -> PathEstimate:
-    edges = []
-    prod = Fraction(1)
-    current: frozenset = frozenset()
-    for i, rate in enumerate(rates):
-        nxt = frozenset(range(i + 1))
-        rate = Fraction(rate)
-        edges.append(CegEdge(current, nxt, rate, "extension", (("synthetic", i),)))
-        prod *= rate
-        current = nxt
-    return PathEstimate(tuple(edges), prod)
-
-
 def test_path_product_52_5():
-    p = _path_from_rates([4, Fraction(3, 2), Fraction(5, 2), Fraction(7, 2)])
+    p = rate_path([4, Fraction(3, 2), Fraction(5, 2), Fraction(7, 2)])
     assert p.estimate == Fraction(105, 2)
     assert float(p.estimate) == 52.5
 
 
 def test_path_product_126():
-    p = _path_from_rates([7, 3, 2, 1, 3])
+    p = rate_path([7, 3, 2, 1, 3])
     assert p.estimate == 126
-
-
-def test_path_log_weight_consistent():
-    p = _path_from_rates([4, Fraction(3, 2), Fraction(5, 2), Fraction(7, 2)])
-    assert abs(2 ** p.log_weight() - float(p.estimate)) <= 1e-9 * float(p.estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -366,21 +348,6 @@ def test_k4_no_chordless_square_subpath():
             assert v not in big_cycles
 
 
-SQUARE = parse_query("a1 -P-> a2\na2 -Q-> a3\na3 -R-> a4\na4 -S-> a1")
-
-
-def _square_graph(n_closed: int, n_open: int) -> LabeledGraph:
-    edges = []
-    v = 0
-    for i in range(n_closed + n_open):
-        a, b, c, d = v, v + 1, v + 2, v + 3
-        v += 4
-        edges += [(a, b, "P"), (b, c, "Q"), (c, d, "R")]
-        if i < n_closed:
-            edges.append((d, a, "S"))
-    return LabeledGraph(edges)
-
-
 def test_ocr_identical_when_no_large_cycle(fork_graph, q5f):
     cat = _cat(fork_graph, [q5f])
     plain = build_optimistic(q5f, cat)
@@ -391,7 +358,7 @@ def test_ocr_identical_when_no_large_cycle(fork_graph, q5f):
 
 
 def test_ocr_square_final_hop_uses_closing_rate():
-    g = _square_graph(6, 6)
+    g = square_graph(6, 6)
     cat = _cat(g, [SQUARE], h=3, walk_budget=None)
     ceg = build_optimistic(SQUARE, cat, closing=True)
     top = frozenset(range(4))
@@ -407,7 +374,7 @@ def test_ocr_square_final_hop_uses_closing_rate():
 
 
 def test_ocr_all_closed_square_estimates_path_count():
-    g = _square_graph(5, 0)
+    g = square_graph(5, 0)
     cat = _cat(g, [SQUARE], h=3, walk_budget=None)
     ceg = build_optimistic(SQUARE, cat, closing=True)
     paths = enumerate_paths(ceg)
@@ -417,7 +384,7 @@ def test_ocr_all_closed_square_estimates_path_count():
 
 
 def test_ocr_missing_closing_rate_raises():
-    g = _square_graph(3, 1)
+    g = square_graph(3, 1)
     cat = _cat(g, [SQUARE], h=3, walk_budget=None)
     cat.closing.clear()
     with pytest.raises(MissingStatisticError):
@@ -519,7 +486,7 @@ def _required_keys(q, h: int, closing: bool) -> list[tuple[str, str]]:
 
 def test_build_raises_for_any_one_missing_statistic_and_later_reads_never_do(
         fork_graph, q5f, q3p):
-    squares = _square_graph(4, 2)
+    squares = square_graph(4, 2)
     cases = [(fork_graph, q5f, 2, False), (fork_graph, q5f, 3, False),
              (fork_graph, PATH4, 2, False), (squares, SQUARE, 3, True),
              (squares, SQUARE, 3, False)]
@@ -547,7 +514,7 @@ def test_build_raises_for_any_one_missing_statistic_and_later_reads_never_do(
 
 
 def test_a_warm_plan_still_checks_every_statistic_at_build_time(fork_graph, q5f, q3p):
-    squares = _square_graph(4, 2)
+    squares = square_graph(4, 2)
     for g, q, h, closing in [(fork_graph, q5f, 2, False), (fork_graph, q5f, 3, False),
                              (squares, SQUARE, 3, True)]:
         cat = _cat(g, [q, q3p, STAR4], h=h, walk_budget=None)
@@ -817,9 +784,6 @@ def test_min_weight_path_unreachable_top_raises():
 # ---------------------------------------------------------------------------
 # Cover graph
 # ---------------------------------------------------------------------------
-
-TRIANGLE = parse_query("a -R-> b\nb -S-> c\nc -T-> a")
-
 
 def test_cover_graph_is_subgraph_of_maxdeg():
     g = random_graph(20, 90, 3, seed=7)

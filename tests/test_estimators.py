@@ -16,11 +16,8 @@ from cardest.oracle import count_hom
 from cardest.querymodel import instantiate_template, parse_query
 
 from _synth import random_graph, tree_template
-from conftest import identity_triangle
+from conftest import TRIANGLE, identity_triangle
 from oracles import dag_min_product, group_degree
-
-TRIANGLE = parse_query("a -R-> b\nb -S-> c\nc -T-> a")
-
 
 def test_heuristic_choice_validation():
     assert len(ALL_CHOICES) == 9

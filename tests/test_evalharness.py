@@ -100,12 +100,14 @@ def test_summary_trim_drops_outlier():
     assert s.n == 11
 
 
-def test_summary_fixture_20_records():
+def _fixture_records() -> list[QErrorRecord]:
     with open(fixture_path("qerr20.csv"), "r", encoding="utf-8") as handle:
-        rows = list(csv.DictReader(handle))
-    records = [_rec(int(r["trueCount"]), Fraction(int(r["estimate"])),
-                    query_id=r["queryId"]) for r in rows]
-    s = summarize(records)
+        return [_rec(int(r["trueCount"]), Fraction(int(r["estimate"])), query_id=r["queryId"])
+                for r in csv.DictReader(handle)]
+
+
+def test_summary_fixture_20_records():
+    s = summarize(_fixture_records())
     assert s.p25 == -1.25
     assert s.p50 == 0.0
     assert s.p75 == 1.25
@@ -114,10 +116,7 @@ def test_summary_fixture_20_records():
 
 
 def test_summary_permutation_invariant():
-    with open(fixture_path("qerr20.csv"), "r", encoding="utf-8") as handle:
-        rows = list(csv.DictReader(handle))
-    records = [_rec(int(r["trueCount"]), Fraction(int(r["estimate"])),
-                    query_id=r["queryId"]) for r in rows]
+    records = _fixture_records()
     a = summarize(records)
     b = summarize(list(reversed(records)))
     assert (a.p25, a.p50, a.p75, a.trimmed_mean) == (b.p25, b.p50, b.p75, b.trimmed_mean)

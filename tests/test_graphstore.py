@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import io
+import os
 import random
 import tracemalloc
 from collections.abc import Set
@@ -12,12 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cardest.errors import GraphParseError
-from cardest.graphstore import DST, SRC, LabeledGraph, dump_graph, load_graph
+from cardest.graphstore import (DST, SRC, LabeledGraph, RankedEdges, dump_graph, load_graph,
+                                load_graph_file)
 from cardest.oracle import _CHECK, _plan, count_hom, matches
 from cardest.querymodel import parse_query
 
 import gen
 from _synth import random_graph
+from conftest import FIXTURES, fixture_path
 from oracles import nested_loop_count, nested_loop_matches
 
 
@@ -147,6 +150,19 @@ def test_bad_line_after_good_lines_names_its_line():
     with pytest.raises(GraphParseError) as err:
         load_graph(iter(lines))
     assert err.value.line_no == 5 and "line 5" in str(err.value)
+
+
+def test_ranked_edges_index_the_canonical_order():
+    graphs = [load_graph_file(fixture_path(name)) for name in sorted(os.listdir(FIXTURES))
+              if name.endswith(".edges")] + [random_graph(60, 400, 4, seed=3), LabeledGraph([])]
+    for g in graphs:
+        for label in (None, *g.labels, "Z"):
+            ranked = RankedEdges(g, label)
+            assert [ranked[i] for i in range(len(ranked))] == \
+                [t for t in g.sorted_edges() if label in (None, t[2])]
+            for i in (-1, len(ranked)):
+                with pytest.raises(IndexError):
+                    ranked[i]
 
 
 def test_edges_is_a_read_only_set_view():

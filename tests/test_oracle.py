@@ -12,11 +12,8 @@ from cardest.oracle import FWD, REV, count_hom, degrees, matches, sample_label_p
 from cardest.querymodel import QEdge, QueryGraph, instantiate_template, parse_query
 
 from _synth import random_graph, tree_template, cycle_template
-from conftest import identity_triangle
+from conftest import TRIANGLE, identity_triangle
 from oracles import group_degree, nested_loop_count, nested_loop_matches, randrange_label_walks
-
-TRIANGLE = parse_query("a -R-> b\nb -S-> c\nc -T-> a")
-
 
 def test_single_edge_count_is_relation_size():
     g = random_graph(20, 70, 3, seed=1)

@@ -6,12 +6,13 @@ import pytest
 
 from cardest import querymodel
 from cardest.errors import QueryValidationError
-from cardest.graphstore import LabeledGraph
+from cardest.graphstore import LabeledGraph, load_graph_file
 from cardest.oracle import count_hom
 from cardest.querymodel import (QEdge, QueryGraph, connected_index_sets,
                                 cycles, instantiate_template, parse_query)
 
 from _synth import cycle_template, random_graph, star_template, tree_template
+from conftest import fixture_path
 from oracles import brute_connected_subsets, brute_cycles
 
 
@@ -178,6 +179,26 @@ def test_instantiate_edge_at_a_time_nonempty():
                                     time_limit=5.0)
         if inst is not None:
             assert count_hom(g, inst).value >= 1
+
+
+def test_edge_at_a_time_lists_no_triples(monkeypatch):
+    g = random_graph(30, 120, 5, seed=21)
+    monkeypatch.setattr(LabeledGraph, "sorted_edges", lambda self: pytest.fail("listed"))
+    inst = instantiate_template(tree_template(5, seed=6), g, seed=1, mode="edge-at-a-time")
+    assert count_hom(g, inst).value >= 1
+
+
+def test_edge_at_a_time_keeps_fixed_labels():
+    # the fixed `A` stays, as uniform-labels keeps it; a label the graph
+    # lacks leaves no embedding
+    g = load_graph_file(fixture_path("fork.edges"))
+    template = parse_query("a1 -A-> a2\na2 -?-> a3", allow_template=True)
+    for seed in range(3, 9):
+        inst = instantiate_template(template, g, seed=seed, mode="edge-at-a-time")
+        assert inst.edges[0] == QEdge("a1", "a2", "A")
+        assert count_hom(g, inst).value >= 1
+    rare = parse_query("a1 -Z-> a2\na2 -?-> a3", allow_template=True)
+    assert instantiate_template(rare, g, seed=1, mode="edge-at-a-time") is None
 
 
 def test_edge_at_a_time_search_ends_by_draw_cap_on_a_stopped_clock(monkeypatch):

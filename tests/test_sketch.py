@@ -2,14 +2,13 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 
 from cardest import estimators, evalharness, oracle, sketch
 from cardest.catalogue import QueryStats, build_catalogue, canonical_form
 from cardest.errors import ConfigError, SketchPlanError
-from cardest.estgraph import BOUND, UNBOUND, CegEdge, PathEstimate
+from cardest.estgraph import BOUND, UNBOUND, PathEstimate
 from cardest.estimators import HeuristicChoice, KIND_AVG, estimate_molp, estimate_optimistic
 from cardest.graphstore import LabeledGraph
 from cardest.evalharness import WorkloadItem, expand_methods, run_workload
@@ -20,20 +19,8 @@ from cardest.sketch import (SketchCache, bucket_of, estimate_with_sketch, join_a
                             make_sketch, partition_catalogues, sketch_attributes)
 
 from _synth import cycle_template, random_graph, tree_template
+from conftest import step_path
 from oracles import filtered_sketch_components
-
-
-def _attr_path(steps) -> PathEstimate:
-    """steps: (dst_var_set, kind, rate) from the empty set upward."""
-    edges = []
-    current: frozenset = frozenset()
-    prod = Fraction(1)
-    for dst, kind, rate in steps:
-        rate = Fraction(rate)
-        edges.append(CegEdge(current, frozenset(dst), rate, kind, (("t",),)))
-        prod *= rate
-        current = frozenset(dst)
-    return PathEstimate(tuple(edges), prod)
 
 
 def test_join_attributes_of_fork(q5f):
@@ -42,35 +29,31 @@ def test_join_attributes_of_fork(q5f):
 
 def test_sketch_attrs_path_p1(q5f):
     # start |B|, then bound extensions a4, a1, a6, a5
-    p1 = _attr_path([
+    assert sketch_attributes(_p1(q5f), q5f, "attrs") == frozenset({"a2", "a3"})
+
+
+def test_sketch_attrs_path_p2(q5f):
+    # start |A|, then bound extensions a3, a4, a5, a6
+    assert sketch_attributes(_p2(), q5f, "attrs") == frozenset({"a2"})
+
+
+def _p1(q5f):
+    return step_path([
         ({"a2", "a3"}, UNBOUND, 2),
         ({"a2", "a3", "a4"}, BOUND, 2),
         ({"a1", "a2", "a3", "a4"}, BOUND, 3),
         ({"a1", "a2", "a3", "a4", "a6"}, BOUND, 4),
         ({"a1", "a2", "a3", "a4", "a5", "a6"}, BOUND, 3),
     ])
-    assert sketch_attributes(p1, q5f, "attrs") == frozenset({"a2", "a3"})
 
 
-def test_sketch_attrs_path_p2(q5f):
-    # start |A|, then bound extensions a3, a4, a5, a6
-    p2 = _attr_path([
+def _p2() -> PathEstimate:
+    return step_path([
         ({"a1", "a2"}, UNBOUND, 4),
         ({"a1", "a2", "a3"}, BOUND, 1),
         ({"a1", "a2", "a3", "a4"}, BOUND, 2),
         ({"a1", "a2", "a3", "a4", "a5"}, BOUND, 3),
         ({"a1", "a2", "a3", "a4", "a5", "a6"}, BOUND, 4),
-    ])
-    assert sketch_attributes(p2, q5f, "attrs") == frozenset({"a2"})
-
-
-def _p1(q5f):
-    return _attr_path([
-        ({"a2", "a3"}, UNBOUND, 2),
-        ({"a2", "a3", "a4"}, BOUND, 2),
-        ({"a1", "a2", "a3", "a4"}, BOUND, 3),
-        ({"a1", "a2", "a3", "a4", "a6"}, BOUND, 4),
-        ({"a1", "a2", "a3", "a4", "a5", "a6"}, BOUND, 3),
     ])
 
 
@@ -402,16 +385,6 @@ def test_sketch_cache_of_another_graph_rejected(sketch_runs):
         == estimate_with_sketch(q, g, 4, bound, cat)
 
 
-def _p2() -> PathEstimate:
-    return _attr_path([
-        ({"a1", "a2"}, UNBOUND, 4),
-        ({"a1", "a2", "a3"}, BOUND, 1),
-        ({"a1", "a2", "a3", "a4"}, BOUND, 2),
-        ({"a1", "a2", "a3", "a4", "a5"}, BOUND, 3),
-        ({"a1", "a2", "a3", "a4", "a5", "a6"}, BOUND, 4),
-    ])
-
-
 def _sketch_cases(fork_graph, q5f, sketch_runs) -> list:
     """(graph, query, path): q5f on the fork fixture with two hand-built paths,
     and each tree and cycle instance of `sketch_runs` with its molp path."""
@@ -489,7 +462,7 @@ def test_grouped_statistics_list_match_rows_only_for_matched_shapes(fork_graph, 
     # an antiparallel pair, and three edges at h=3, are still matched: a and b sketched
     g = random_graph(12, 45, 3, seed=951, plant_cycles=4)
     q = parse_query("a -A-> b\nb -A-> a\nb -B-> c\nc -A-> d\nd -C-> b")
-    path = _attr_path([({"a", "b"}, UNBOUND, 1), ({"a", "b", "c"}, BOUND, 1),
+    path = step_path([({"a", "b"}, UNBOUND, 1), ({"a", "b", "c"}, BOUND, 1),
                        ({"a", "b", "c", "d"}, BOUND, 1)])
     plan, components = make_sketch(q, g, path, 4)
     assert plan.attrs == ("a", "b")
